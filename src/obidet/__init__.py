@@ -39,7 +39,6 @@ from .gl_straighten import (
     Combination,
     gl_straighten,
     one_switch_expand,
-    sort_columns,
     two_column_straighten,
 )
 from .on_straighten import (

@@ -13,7 +13,7 @@ from .tableaux import DomainError, Tableau, check_shape, conjugate, enumerate_on
 from .polyring import CoeffDomain, eval_bideterminant
 from .gl_straighten import CapExceeded, gl_straighten
 from .on_straighten import GO, ON, on_straighten
-from .group_oracle import basis_suite, standard_points
+from .group_oracle import _suite_points, basis_suite, standard_points
 from .golden import GOLDEN_CASES
 
 
@@ -55,11 +55,11 @@ def cmd_straighten(args) -> int:
         result = on_straighten(s, t, mode, args.n, domain,
                                max_terms=args.max_terms, trace=trace)
     if trace is not None:
-        for kind, witness, before, after in trace:
-            print(f"# step {kind} witness={witness} terms {before}->{after}",
-                  file=sys.stderr)
+        for kind, witness, produced in trace:
+            print(f"# step {kind} witness={witness} terms ->{produced}", file=sys.stderr)
     if args.points and args.mode != "gl" and not domain.is_prime_field:
-        points = standard_points(args.n, args.points, seed=args.seed)
+        # GO points carry gamma != 1, so the gamma powers are checked too
+        points = _suite_points(args.n, args.points, args.seed, mode, domain)
         for pt in points:
             if eval_bideterminant(s, t, pt) != result.evaluate(pt, pt.gamma_value):
                 print("error: certificate failed point verification", file=sys.stderr)

@@ -190,26 +190,6 @@ def sort_letters(entries) -> tuple[int, tuple[Letter, ...]]:
     return sign, tuple(entries[i] for i in order)
 
 
-def sort_columns(s: Tableau, t: Tableau) -> tuple[int, Tableau | None, Tableau | None]:
-    """Sort every column of both tableaux, tracking the determinant signs."""
-    if s.shape != t.shape:
-        raise DomainError("shape mismatch")
-    sign = 1
-    new_s, new_t = [], []
-    for col_s, col_t in zip(s.columns(), t.columns()):
-        sg, sorted_s = sort_letters(col_s)
-        if sg == 0:
-            return 0, None, None
-        sign *= sg
-        sg, sorted_t = sort_letters(col_t)
-        if sg == 0:
-            return 0, None, None
-        sign *= sg
-        new_s.append(sorted_s)
-        new_t.append(sorted_t)
-    return sign, Tableau.from_columns(new_s), Tableau.from_columns(new_t)
-
-
 def normalize_pair(left_cols, right_cols) -> tuple[int, Tableau | None, Tableau | None]:
     """Sort entries (with signs) and arrange columns into a partition shape.
 
@@ -347,7 +327,7 @@ def two_column_straighten(s: Tableau, t: Tableau):
 
 
 # ---------------------------------------------------------------------------
-# full GL straightening
+# the straightening engine and full GL straightening
 # ---------------------------------------------------------------------------
 
 def _gl_violation_pair(t: Tableau) -> int | None:
@@ -384,6 +364,107 @@ def _column_profile(t: Tableau):
     return tuple(sorted((len(c) for c in t.columns()), reverse=True))
 
 
+def _check_gl_measure(old: Tableau, new: Tableau):
+    """Each rewrite must unbalance columns or raise the worked side."""
+    po, pn = _column_profile(old), _column_profile(new)
+    if pn != po:
+        if pn <= po:
+            raise AssertionError("rewrite did not increase the column profile")
+        return
+    if tableau_prec_cmp(old, new) != -1:
+        raise AssertionError("same-shape rewrite did not move up in tableau order")
+
+
+def gl_left_step(left: Tableau, right: Tableau):
+    """The two-column rewrite at the left side's first column violation.
+
+    Returns ("GL", column, terms) with the terms at unit coefficient, or
+    None when the left side is GL-standard.
+    """
+    c = _gl_violation_pair(left)
+    if c is None:
+        return None
+    produced = list(mead_step(left, right, c))
+    for x in produced:
+        _check_gl_measure(left, x.left)
+    return "GL", c + 1, produced
+
+
+def on_right(step, left: Tableau, right: Tableau, *args):
+    """Apply a left-side rewrite step to the right side of [left : right].
+
+    [S:T](g) = [T:S](g^t), and transposition preserves GL, O and GO, so
+    the step runs on the swapped pair and its terms are swapped back.
+    """
+    out = step(right, left, *args)
+    if out is None:
+        return None
+    kind, witness, produced = out
+    return kind, witness, [BidetTerm(x.coef, x.gamma_pow, x.right, x.left)
+                           for x in produced]
+
+
+def _gl_rule(left: Tableau, right: Tableau):
+    return gl_left_step(left, right) or on_right(gl_left_step, left, right)
+
+
+def run_straightening(s: Tableau, t: Tableau, rule, one, fuel: int,
+                      max_terms: int | None) -> Combination:
+    """Rewrite [S:T] by a rule until only standard terms remain.
+
+    rule(left, right) is None for a standard pair, else (kind, witness,
+    terms): one rewrite at unit coefficient, gamma_pow holding each term's
+    gamma step.  Each distinct pair is expanded once, depth first; the
+    coefficients, one per gamma power, then flow to the standard leaves in
+    reverse postorder.  The rule runs once per distinct pair, so fuel and
+    max_terms both bound the number of pairs.
+    """
+    sign, left, right = normalize_pair(s.columns(), t.columns())
+    if sign == 0:
+        return Combination()
+    root = (left, right)
+    edges: dict = {}          # pair -> [(coef, dgamma, child)], None when standard
+    postorder: list = []
+    open_pairs: set = set()   # expanded but not finished: the current path
+    stack = [(root, False)]
+    while stack:
+        pair, finished = stack.pop()
+        if finished:
+            open_pairs.discard(pair)
+            postorder.append(pair)
+            continue
+        if pair in open_pairs:
+            raise AssertionError("rewrite returned to a term it was expanding")
+        if pair in edges:
+            continue
+        if max_terms is not None and len(edges) >= max_terms:
+            raise CapExceeded(f"more than {max_terms} distinct terms")
+        if len(edges) >= fuel:
+            raise CapExceeded("straightening fuel exhausted")
+        step = rule(*pair)
+        edges[pair] = None if step is None else [
+            (x.coef, x.gamma_pow, (x.left, x.right)) for x in step[2]]
+        open_pairs.add(pair)
+        stack.append((pair, True))
+        stack.extend((child, False) for _, _, child in edges[pair] or ())
+
+    weights = {root: {0: one if sign > 0 else -one}}
+    done: list[BidetTerm] = []
+    for pair in reversed(postorder):
+        weight = {g: c for g, c in weights.pop(pair, {}).items() if c}
+        if not weight:
+            continue
+        if edges[pair] is None:
+            done.extend(BidetTerm(c, g, *pair) for g, c in weight.items())
+            continue
+        for coef, dgamma, child in edges[pair]:
+            target = weights.setdefault(child, {})
+            for g, c in weight.items():
+                k = g + dgamma
+                target[k] = target[k] + c * coef if k in target else c * coef
+    return Combination(done)
+
+
 def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
                   max_terms: int | None = None) -> Combination:
     """Express [S:T] in the basis of GL(n)-standard bideterminants.
@@ -398,55 +479,14 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
         for x in col:
             if x not in letters:
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
-    sign, left, right = normalize_pair(s.columns(), t.columns())
-    if sign == 0:
-        return Combination()
-    done: list[BidetTerm] = []
-    work = [BidetTerm(sign, 0, left, right)]
-    while work:
-        if fuel <= 0:
-            raise RuntimeError("straightening fuel exhausted")
-        if max_terms is not None and len(work) + len(done) > max_terms:
-            raise CapExceeded(f"more than {max_terms} working terms")
-        fuel -= 1
-        term = work.pop()
-        if not term.coef:
-            continue
-        c = _gl_violation_pair(term.left)
-        if c is not None:
-            step = mead_step(term.left, term.right, c)
-            for new in step.scale(term.coef):
-                _check_gl_measure(term, new, left_side=True)
-                work.append(new)
-            continue
-        c = _gl_violation_pair(term.right)
-        if c is not None:
-            step = mead_step(term.right, term.left, c)
-            for new in step.scale(term.coef):
-                _check_gl_measure(term, BidetTerm(new.coef, new.gamma_pow, new.right, new.left),
-                                  left_side=False)
-                work.append(BidetTerm(new.coef, new.gamma_pow, new.right, new.left))
-            continue
+    out = run_straightening(s, t, _gl_rule, 1, fuel, max_terms)
+    for term in out:
         if len(term.left.shape) > n:
             # a strictly increasing column longer than the alphabet is zero,
             # so only row counts beyond n with short columns could survive;
             # those cannot appear since columns are sorted
             raise AssertionError("unreachable: standard tableau with too many rows")
-        done.append(term)
-    return Combination(done)
-
-
-def _check_gl_measure(old: BidetTerm, new: BidetTerm, left_side: bool):
-    """Each rewrite must unbalance columns or raise the worked side."""
-    po, pn = _column_profile(old.left), _column_profile(new.left)
-    if pn != po:
-        if pn <= po:
-            raise AssertionError("rewrite did not increase the column profile")
-        return
-    side_old = old.left if left_side else old.right
-    side_new = new.left if left_side else new.right
-    if tableau_prec_cmp(side_old, side_new) != -1:
-        raise AssertionError("same-shape rewrite did not move up in tableau order")
+    return out
 
 
 # ---------------------------------------------------------------------------

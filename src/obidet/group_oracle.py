@@ -9,6 +9,7 @@ the rank of an evaluation matrix computed with fraction-free elimination.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -308,16 +309,10 @@ def matrix_rank(rows, domain: CoeffDomain = QQ) -> int:
         den = 1
         for r in rows:
             d = int(r[j].denominator)
-            den = den * d // _gcd(den, d)
+            den = math.lcm(den, d)
         multipliers.append(den)
     cleared = [[int(x * m) for x, m in zip(r, multipliers)] for r in rows]
     return bareiss_rank(cleared)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:

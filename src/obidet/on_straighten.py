@@ -24,17 +24,20 @@ from .tableaux import (
     Tableau,
     _letters,
     conjugate,
+    letter_in_alphabet,
     on_standard_report,
     occurring_pairs,
+    tableau_prec_cmp,
 )
 from .gl_straighten import (
     BidetTerm,
-    CapExceeded,
     Combination,
-    _gl_violation_pair,
-    mead_step,
+    _column_profile,
+    gl_left_step,
     normalize_pair,
+    on_right,
     one_switch_expand,
+    run_straightening,
     single_term,
     sort_letters,
 )
@@ -499,32 +502,16 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
         raise DomainError("shape mismatch")
     for col in (*s.columns(), *t.columns()):
         for x in col:
-            if not _in_alphabet(x, n):
+            if not letter_in_alphabet(x, n):
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
 
-    sign, left, right = normalize_pair(s.columns(), t.columns())
-    if sign == 0:
-        return Combination()
-    work = [BidetTerm(domain.from_int(sign), 0, left, right)]
-    done: list[BidetTerm] = []
-    while work:
-        if fuel <= 0:
-            raise RuntimeError("straightening fuel exhausted")
-        if max_terms is not None and len(work) + len(done) > max_terms:
-            raise CapExceeded(f"more than {max_terms} working terms")
-        fuel -= 1
-        term = work.pop()
-        if not term.coef:
-            continue
-        step = _one_step(term, mode, n, domain)
-        if step is None:
-            done.append(term)
-            continue
-        kind, witness, produced = step
-        if trace is not None:
-            trace.append((kind, witness, 1, len(produced)))
-        work.extend(produced)
-    out = Combination(done)
+    def rule(left, right):
+        step = _one_step(left, right, mode, n, domain)
+        if step is not None and trace is not None:
+            trace.append((step[0], step[1], len(step[2])))
+        return step
+
+    out = run_straightening(s, t, rule, domain.one(), fuel, max_terms)
     for term in out:
         if not on_standard_report(term.left, n).standard:
             raise AssertionError("non-standard left tableau in output")
@@ -537,44 +524,27 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     return out
 
 
-def _in_alphabet(x: Letter, n: int) -> bool:
-    return x in _letters(n)
+def _one_step(left: Tableau, right: Tableau, mode: str, n: int, domain: CoeffDomain):
+    """One rewrite of [left : right] at unit coefficient; None when standard.
+
+    The order is GL-left, GL-right, then the orthogonal repairs left and
+    right: the repairs need GL-standard input.
+    """
+    return (gl_left_step(left, right)
+            or on_right(gl_left_step, left, right)
+            or _fix_left(left, right, mode, n, domain)
+            or on_right(_fix_left, left, right, mode, n, domain))
 
 
-def _one_step(term: BidetTerm, mode: str, n: int, domain: CoeffDomain):
-    """One rewrite of the first offending side; None when both are standard."""
-    c = _gl_violation_pair(term.left)
-    if c is not None:
-        produced = _scaled(mead_step(term.left, term.right, c), term)
-        return "GL", c + 1, produced
-    c = _gl_violation_pair(term.right)
-    if c is not None:
-        step = mead_step(term.right, term.left, c)
-        produced = [BidetTerm(term.coef * x.coef, term.gamma_pow + x.gamma_pow,
-                              x.right, x.left) for x in step]
-        return "GL", c + 1, produced
-    rep = on_standard_report(term.left, n)
-    if not rep.standard:
-        return _fix_side(term, rep, mode, n, domain, left_side=True)
-    rep = on_standard_report(term.right, n)
-    if not rep.standard:
-        return _fix_side(term, rep, mode, n, domain, left_side=False)
-    return None
-
-
-def _scaled(comb: Combination, term: BidetTerm) -> list[BidetTerm]:
-    return [BidetTerm(term.coef * x.coef, term.gamma_pow + x.gamma_pow,
-                      x.left, x.right) for x in comb]
-
-
-def _fix_side(term: BidetTerm, rep, mode: str, n: int, domain: CoeffDomain,
-              left_side: bool):
-    work_left = term.left if left_side else term.right
-    work_right = term.right if left_side else term.left
+def _fix_left(left: Tableau, right: Tableau, mode: str, n: int, domain: CoeffDomain):
+    """The first orthogonal repair of the left side, or None when it is standard."""
+    rep = on_standard_report(left, n)
+    if rep.standard:
+        return None
     v = rep.violations[0]
     b = v.column if v.kind == "OS3" and v.column >= 2 else 2
-    block_left, rest_left = _extract_block(work_left, b)
-    block_right, rest_right = _extract_block(work_right, b)
+    block_left, rest_left = _extract_block(left, b)
+    block_right, rest_right = _extract_block(right, b)
     original_lengths = tuple(len(c) for c in block_left)
     sub_left = Tableau.from_columns(block_left)
     sub_right = Tableau.from_columns(block_right)
@@ -586,13 +556,8 @@ def _fix_side(term: BidetTerm, rep, mode: str, n: int, domain: CoeffDomain,
         sign, new_left, new_right = normalize_pair(lc, rc)
         if sign == 0:
             continue
-        _check_repair_measure(work_left, new_left)
-        coef = term.coef * x.coef * sign
-        gpow = term.gamma_pow + x.gamma_pow
-        if left_side:
-            produced.append(BidetTerm(coef, gpow, new_left, new_right))
-        else:
-            produced.append(BidetTerm(coef, gpow, new_right, new_left))
+        _check_repair_measure(left, new_left)
+        produced.append(BidetTerm(x.coef * sign, x.gamma_pow, new_left, new_right))
     return kind, witness, produced
 
 
@@ -604,12 +569,9 @@ def _check_repair_measure(old: Tableau, new: Tableau):
     rebalanced terms of the pair-row repair the column profile grows.
     """
     if new.shape == old.shape:
-        from .tableaux import tableau_prec_cmp
         if tableau_prec_cmp(old, new) != -1:
             raise AssertionError("same-shape repair did not move up in tableau order")
     elif new.size < old.size:
         return
-    else:
-        from .gl_straighten import _column_profile
-        if not (new.size == old.size and _column_profile(new) > _column_profile(old)):
-            raise AssertionError("repair changed the shape without falling in measure")
+    elif not (new.size == old.size and _column_profile(new) > _column_profile(old)):
+        raise AssertionError("repair changed the shape without falling in measure")

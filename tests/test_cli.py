@@ -1,10 +1,13 @@
+import re
 import subprocess
 import sys
 
 import pytest
 
+from obidet import cli
 from obidet.cli import main
-from obidet.gl_straighten import Combination
+from obidet.gl_straighten import BidetTerm, Combination
+from obidet.on_straighten import on_straighten
 from obidet.golden import GOLDEN_CASES
 from obidet.tableaux import Tableau, enumerate_on_standard
 
@@ -94,6 +97,36 @@ def test_straighten_trace_goes_to_stderr(capsys):
     assert code == 0
     assert "# step" in err
     assert "# step" not in out
+    assert re.fullmatch(r"# step (GL|COLSUM|OS[123]) witness=\d+ terms ->\d+",
+                        err.splitlines()[0])
+
+
+def test_straighten_shared_terms_case_within_default_caps(capsys):
+    code, out, _ = run_cli([
+        "straighten", "--mode", "on", "--n", "7",
+        "--left", "2 1 1 1b 1", "--right", "1b 2b 1 2 1",
+    ], capsys)
+    assert code == 0
+    assert not Combination.parse_certificate(out).is_zero()
+
+
+def test_straighten_go_points_check_gamma_powers(capsys, monkeypatch):
+    case = GOLDEN_CASES[1]
+    args = ["straighten", "--mode", "go", "--n", "6", "--points", "3",
+            "--left", case.left, "--right", case.right]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert any(line.split("\t")[1] != "0" for line in out.strip().splitlines())
+
+    # dropping the gamma powers is invisible at gamma = 1 only
+    def gamma_dropped(*a, **kw):
+        return Combination(BidetTerm(x.coef, 0, x.left, x.right)
+                           for x in on_straighten(*a, **kw))
+
+    monkeypatch.setattr(cli, "on_straighten", gamma_dropped)
+    code, _, err = run_cli(args, capsys)
+    assert code == 3
+    assert "point verification" in err
 
 
 def test_straighten_from_file(tmp_path, capsys):

@@ -24,7 +24,6 @@ from obidet.gl_straighten import (
     normalize_pair,
     one_switch_expand,
     single_term,
-    sort_columns,
     two_column_straighten,
 )
 from obidet.golden import GOLDEN_CASES
@@ -79,24 +78,24 @@ def test_certificate_sorted_by_shape_then_order():
 # column sorting
 # ---------------------------------------------------------------------------
 
-def test_sort_columns_already_sorted():
+def test_normalize_pair_already_sorted():
     s, t = Tableau.parse("1b; 1"), Tableau.parse("1; 2b")
-    sign, s2, t2 = sort_columns(s, t)
+    sign, s2, t2 = normalize_pair(s.columns(), t.columns())
     assert (sign, s2, t2) == (1, s, t)
 
 
-def test_sort_columns_single_swap():
+def test_normalize_pair_single_swap():
     s = Tableau.from_columns([[L("2"), L("1b")]])
     t = Tableau.from_columns([[L("1"), L("2")]])
-    sign, s2, t2 = sort_columns(s, t)
+    sign, s2, t2 = normalize_pair(s.columns(), t.columns())
     assert sign == -1
     assert s2.columns() == ((L("1b"), L("2")),)
 
 
-def test_sort_columns_repeat_vanishes():
+def test_normalize_pair_repeat_vanishes():
     s = Tableau.from_columns([[L("1"), L("1")]])
     t = Tableau.from_columns([[L("1"), L("2")]])
-    assert sort_columns(s, t)[0] == 0
+    assert normalize_pair(s.columns(), t.columns())[0] == 0
 
 
 def test_normalize_pair_reorders_columns_by_length():
@@ -237,6 +236,12 @@ def test_gl_straighten_cap():
     s, t = GL_CASE.inputs()
     with pytest.raises(CapExceeded):
         gl_straighten(s, t, 6, max_terms=1)
+
+
+def test_gl_straighten_fuel():
+    s, t = GL_CASE.inputs()
+    with pytest.raises(CapExceeded, match="fuel exhausted"):
+        gl_straighten(s, t, 6, fuel=1)
 
 
 def test_gl_straighten_fuel_is_ample_for_desk_sizes():

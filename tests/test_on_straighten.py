@@ -1,3 +1,5 @@
+import functools
+import importlib
 import random
 
 import pytest
@@ -21,7 +23,7 @@ from obidet.polyring import (
     is_dyadic,
     rational,
 )
-from obidet.gl_straighten import single_term
+from obidet.gl_straighten import BidetTerm, CapExceeded, Combination, single_term
 from obidet.on_straighten import (
     GO,
     ON,
@@ -410,6 +412,72 @@ def test_on_straighten_trace():
     kinds = {entry[0] for entry in trace}
     assert kinds <= {"GL", "COLSUM", "OS1", "OS2", "OS3"}
     assert "OS1" in kinds
+
+
+def test_on_straighten_fuel():
+    s, t = OS1.inputs()
+    with pytest.raises(CapExceeded, match="fuel exhausted"):
+        on_straighten(s, t, ON, 6, fuel=1)
+
+
+# many rewrite paths meet in the same terms: rewriting each path anew
+# takes 902,134 steps on O(7)
+SHARED_TERMS_CASE = (Tableau.parse("2 1 1 1b 1"), Tableau.parse("1b 2b 1 2 1"))
+
+
+@functools.lru_cache(maxsize=None)
+def shared_terms_output(mode):
+    s, t = SHARED_TERMS_CASE
+    return on_straighten(s, t, mode, 7)
+
+
+def test_on_straighten_expands_each_distinct_term_once(monkeypatch):
+    # the package attribute on_straighten is the function, not the module
+    on_module = importlib.import_module("obidet.on_straighten")
+    expanded = []
+    one_step = on_module._one_step
+
+    def counting_step(left, right, *args):
+        expanded.append((left, right))
+        return one_step(left, right, *args)
+
+    monkeypatch.setattr(on_module, "_one_step", counting_step)
+    s, t = SHARED_TERMS_CASE
+    for mode in (ON, GO):
+        expanded.clear()
+        on_straighten(s, t, mode, 7)
+        assert len(expanded) == len(set(expanded))
+
+
+def test_on_straighten_shared_terms_case_at_points():
+    s, t = SHARED_TERMS_CASE
+    for pt in standard_points(7, 2, seed=3):
+        assert eval_bideterminant(s, t, pt) == shared_terms_output(ON).evaluate(pt)
+    go = shared_terms_output(GO)
+    assert {term.gamma_pow for term in go} == {0, 1}
+    for seed, c in ((5, rational(3, 2)), (9, rational(-2))):
+        pt = random_go_point(7, seed, c)
+        assert pt.gamma_value != 1
+        assert eval_bideterminant(s, t, pt) == go.evaluate(pt, pt.gamma_value)
+
+
+def forget_gamma(comb):
+    """The combination on O(n), where gamma = 1, with equal terms merged."""
+    return Combination(BidetTerm(x.coef, 0, x.left, x.right) for x in comb)
+
+
+def test_go_output_at_gamma_one_is_on_output():
+    # the standard expansion on O(n) is unique, so no points are needed
+    assert forget_gamma(shared_terms_output(GO)) == shared_terms_output(ON)
+    rng = random.Random(41)
+    for _ in range(6):
+        n = rng.choice([3, 4, 5, 6])
+        letters = _letters(n)
+        shape = rng.choice(list(partitions_of(4, max_rows=n)))
+        s, t = (Tableau.from_columns(
+            [sorted(rng.sample(letters, k), key=lambda x: x.key) for k in conjugate(shape)])
+            for _ in range(2))
+        assert forget_gamma(on_straighten(s, t, GO, n)) == on_straighten(s, t, ON, n)
 
 
 def test_on_straighten_rejects_bad_input():
