@@ -8,7 +8,6 @@ from obidet import (
     Tableau,
     bideterminant,
     det_poly,
-    evaluate,
     gamma_poly,
     minor,
 )
@@ -37,12 +36,12 @@ print("homogeneous of degree", bd.degree())
 # determinant is 1 and the similitude factor gamma is 1.
 n = 4
 ident = LetterMatrix.identity(n)
-print("\ndet at identity:", evaluate(det_poly(n), ident))
-print("gamma at identity:", evaluate(gamma_poly(n), ident))
+print("\ndet at identity:", det_poly(n).evaluate(ident))
+print("gamma at identity:", gamma_poly(n).evaluate(ident))
 
 # gamma reads off the dilation of a similitude: put c on the barred half of
 # a hyperbolic basis and gamma evaluates to c.
 c = rational(3)
 from obidet.tableaux import _letters
 xi = LetterMatrix.diagonal(n, [c if x.barred else rational(1) for x in _letters(n)])
-print("gamma at the dilation by 3:", evaluate(gamma_poly(n), xi))
+print("gamma at the dilation by 3:", gamma_poly(n).evaluate(xi))

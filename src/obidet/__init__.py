@@ -30,7 +30,6 @@ from .polyring import (
     ZHALF,
     bideterminant,
     det_poly,
-    evaluate,
     gamma_poly,
     minor,
 )

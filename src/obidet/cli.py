@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .tableaux import DomainError, Tableau, check_shape, conjugate, enumerate_on_standard
-from .polyring import CoeffDomain, eval_bideterminant
+from .polyring import QQ, CoeffDomain, eval_bideterminant
 from .gl_straighten import CapExceeded, gl_straighten
 from .on_straighten import GO, ON, on_straighten
 from .group_oracle import _suite_points, basis_suite, standard_points
@@ -48,23 +48,23 @@ def cmd_straighten(args) -> int:
     domain = CoeffDomain.parse(args.coeff)
     s, t = _read_pair(args)
     trace: list | None = [] if args.trace else None
+    # every mode straightens over Q, is checked there, and maps to the domain
+    # once; GL identities hold at any matrix, so GL is checked at O(n) points
+    mode = GO if args.mode == "go" else ON
     if args.mode == "gl":
-        result = gl_straighten(s, t, args.n, max_terms=args.max_terms)
+        result = gl_straighten(s, t, args.n, fuel=args.fuel, trace=trace)
     else:
-        mode = ON if args.mode == "on" else GO
-        result = on_straighten(s, t, mode, args.n, domain,
-                               max_terms=args.max_terms, trace=trace)
+        result = on_straighten(s, t, mode, args.n, QQ, fuel=args.fuel, trace=trace)
     if trace is not None:
         for kind, witness, produced in trace:
             print(f"# step {kind} witness={witness} terms ->{produced}", file=sys.stderr)
-    if args.points and args.mode != "gl" and not domain.is_prime_field:
+    if args.points:
         # GO points carry gamma != 1, so the gamma powers are checked too
-        points = _suite_points(args.n, args.points, args.seed, mode, domain)
-        for pt in points:
+        for pt in _suite_points(args.n, args.points, args.seed, mode, QQ):
             if eval_bideterminant(s, t, pt) != result.evaluate(pt, pt.gamma_value):
                 print("error: certificate failed point verification", file=sys.stderr)
                 return 3
-    _emit(args, result.certificate())
+    _emit(args, result.reduce(domain).certificate())
     return 0
 
 
@@ -124,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "on orthogonal groups, in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_mode=True):
+    def common(p, modes=("gl", "on", "go")):
         p.add_argument("--n", type=int, required=True, help="alphabet size")
-        if needs_mode:
-            p.add_argument("--mode", choices=["gl", "on", "go"], default="on")
+        if modes:
+            p.add_argument("--mode", choices=modes, default="on")
         p.add_argument("--coeff", default="q",
                        help="coefficient domain: q, zhalf, or f<p>")
         p.add_argument("--seed", type=int, default=1)
@@ -140,18 +140,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", help="left tableau, rows ; separated")
     p.add_argument("--right", help="right tableau")
     p.add_argument("--file", help="file with two tableau lines")
-    p.add_argument("--max-terms", type=int, default=200000, dest="max_terms")
+    p.add_argument("--max-terms", type=int, default=200000, dest="fuel",
+                   help="straightening fuel: most distinct terms to expand")
     p.add_argument("--trace", action="store_true",
                    help="log each rewrite step to stderr")
     p.set_defaults(func=cmd_straighten)
 
     p = sub.add_parser("enumerate", help="list the standard tableaux of a shape")
-    common(p, needs_mode=False)
+    common(p, modes=())
     p.add_argument("--shape", required=True, help="partition, e.g. '2,1'")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the basis certification suite")
-    common(p)
+    common(p, modes=("on", "go"))
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--cap", type=int, default=800,
                    help="refuse when the standard set is larger than this")

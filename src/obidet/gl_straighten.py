@@ -24,7 +24,7 @@ from .polyring import CoeffDomain, Polynomial, QQ
 
 
 class CapExceeded(RuntimeError):
-    """Raised when a straightening run outgrows its term budget."""
+    """Raised when a straightening run expands more distinct terms than its fuel."""
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +158,25 @@ class Combination:
             if not line.strip():
                 continue
             coef_text, gpow_text, left_text, right_text = line.split("\t")
-            if domain.is_prime_field:
-                coef = domain.from_int(int(coef_text))
-            else:
-                coef = polyring.rational(coef_text)
             terms.append(BidetTerm(
-                coef, int(gpow_text), Tableau.parse(left_text), Tableau.parse(right_text)
+                polyring.rational(coef_text), int(gpow_text),
+                Tableau.parse(left_text), Tableau.parse(right_text)
             ))
-        return cls(terms)
+        return cls(terms).reduce(domain)
+
+    def reduce(self, domain: CoeffDomain) -> "Combination":
+        """The image of an exact rational combination over a coefficient domain.
+
+        Straightening computes over Z[1/2]; this base change is where the
+        domain comes in.  Terms whose image is zero merge away.
+        """
+        out = []
+        for t in self._terms.values():
+            c = domain.reduce_rational(t.coef)
+            if c is None or not domain.validate(c):
+                raise AssertionError(f"coefficient {t.coef} left the domain")
+            out.append(BidetTerm(c, t.gamma_pow, t.left, t.right))
+        return Combination(out)
 
 
 def single_term(left: Tableau, right: Tableau, coef=1, gamma_pow: int = 0) -> Combination:
@@ -408,16 +419,18 @@ def _gl_rule(left: Tableau, right: Tableau):
     return gl_left_step(left, right) or on_right(gl_left_step, left, right)
 
 
-def run_straightening(s: Tableau, t: Tableau, rule, one, fuel: int,
-                      max_terms: int | None) -> Combination:
+def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
+                      trace: list | None = None) -> Combination:
     """Rewrite [S:T] by a rule until only standard terms remain.
 
     rule(left, right) is None for a standard pair, else (kind, witness,
     terms): one rewrite at unit coefficient, gamma_pow holding each term's
     gamma step.  Each distinct pair is expanded once, depth first; the
     coefficients, one per gamma power, then flow to the standard leaves in
-    reverse postorder.  The rule runs once per distinct pair, so fuel and
-    max_terms both bound the number of pairs.
+    reverse postorder.  The rules' coefficients are integers and dyadic
+    rationals, so the result is exact over Z[1/2].  fuel bounds the number
+    of distinct pairs; trace, when given, gets (kind, witness, term count)
+    for each pair expanded.
     """
     sign, left, right = normalize_pair(s.columns(), t.columns())
     if sign == 0:
@@ -437,18 +450,18 @@ def run_straightening(s: Tableau, t: Tableau, rule, one, fuel: int,
             raise AssertionError("rewrite returned to a term it was expanding")
         if pair in edges:
             continue
-        if max_terms is not None and len(edges) >= max_terms:
-            raise CapExceeded(f"more than {max_terms} distinct terms")
         if len(edges) >= fuel:
             raise CapExceeded("straightening fuel exhausted")
         step = rule(*pair)
+        if step is not None and trace is not None:
+            trace.append((step[0], step[1], len(step[2])))
         edges[pair] = None if step is None else [
             (x.coef, x.gamma_pow, (x.left, x.right)) for x in step[2]]
         open_pairs.add(pair)
         stack.append((pair, True))
         stack.extend((child, False) for _, _, child in edges[pair] or ())
 
-    weights = {root: {0: one if sign > 0 else -one}}
+    weights = {root: {0: sign}}
     done: list[BidetTerm] = []
     for pair in reversed(postorder):
         weight = {g: c for g, c in weights.pop(pair, {}).items() if c}
@@ -466,7 +479,7 @@ def run_straightening(s: Tableau, t: Tableau, rule, one, fuel: int,
 
 
 def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
-                  max_terms: int | None = None) -> Combination:
+                  trace: list | None = None) -> Combination:
     """Express [S:T] in the basis of GL(n)-standard bideterminants.
 
     The result is an exact identity in the polynomial ring; coefficients
@@ -479,7 +492,7 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
         for x in col:
             if x not in letters:
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
-    out = run_straightening(s, t, _gl_rule, 1, fuel, max_terms)
+    out = run_straightening(s, t, _gl_rule, fuel, trace)
     for term in out:
         if len(term.left.shape) > n:
             # a strictly increasing column longer than the alphabet is zero,

@@ -438,7 +438,7 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     zero_count = 0
     for _ in range(spanning_samples):
         s, t = _random_nonstandard_pair(n, max(1, min(r_max, 4)), rng)
-        result = on_straighten(s, t, mode, n, domain if domain.is_prime_field else QQ)
+        result = on_straighten(s, t, mode, n, domain)
         residual_zero = True
         for point in points:
             gamma = getattr(point, "gamma_value", domain.one())

@@ -41,7 +41,7 @@ from .gl_straighten import (
     single_term,
     sort_letters,
 )
-from .polyring import CoeffDomain, QQ, eval_columns_product
+from .polyring import CoeffDomain, QQ, ZHALF, eval_columns_product, rational
 
 
 ON = "ON"
@@ -102,14 +102,14 @@ class SdExpansion:
         for _, terms in self.per_degree:
             yield from terms
 
-    def to_combination(self, domain: CoeffDomain = QQ, mode: str = ON) -> Combination:
+    def to_combination(self, mode: str = ON) -> Combination:
         out = []
         for term in self.all_terms():
             sign, left, right = normalize_pair(term.left_cols, term.right.columns())
             if sign == 0:
                 continue
             gpow = term.gamma_pow if mode == GO else 0
-            out.append(BidetTerm(domain.from_int(term.sign * sign), gpow, left, right))
+            out.append(BidetTerm(term.sign * sign, gpow, left, right))
         return Combination(out)
 
 
@@ -334,17 +334,7 @@ def _replacement_sum_terms(s: Tableau, ctx: _PairContext, n: int):
         yield (new1, new2), list(values) == ctx.pair_values
 
 
-def _relation_for_context(s: Tableau, t: Tableau, ctx: _PairContext, n: int) -> RelationSpec:
-    return RelationSpec(
-        ctx.s0_col1, ctx.s0_col2, t,
-        a=len(ctx.pair_values),
-        excluded=frozenset(ctx.excluded),
-        n=n,
-    )
-
-
-def _replacement_fix(s: Tableau, t: Tableau, ctx: _PairContext, n: int,
-                     mode: str, domain: CoeffDomain):
+def _replacement_fix(s: Tableau, t: Tableau, ctx: _PairContext, n: int, mode: str):
     """Solve the replacement sum for [S:T].
 
     Returns (lambda_part, s_part): the same-shape terms to subtract and the
@@ -360,11 +350,12 @@ def _replacement_fix(s: Tableau, t: Tableau, ctx: _PairContext, n: int,
         sign, left, right = normalize_pair([new1, new2], t.columns())
         if sign == 0:
             continue
-        lam_terms.append(BidetTerm(domain.from_int(sign), 0, left, right))
+        lam_terms.append(BidetTerm(sign, 0, left, right))
     if not identity_seen:
         raise AssertionError("replacement sum lost the identity term")
-    spec = _relation_for_context(s, t, ctx, n)
-    s_part = relation_rhs(spec).to_combination(domain, mode)
+    spec = RelationSpec(ctx.s0_col1, ctx.s0_col2, t, a=len(ctx.pair_values),
+                        excluded=frozenset(ctx.excluded), n=n)
+    s_part = relation_rhs(spec).to_combination(mode)
     return Combination(lam_terms), s_part
 
 
@@ -376,8 +367,8 @@ def fix_os1(s: Tableau, t: Tableau, j: int, mode: str = ON,
     if not any(v.kind == "OS1" and v.witness == j for v in rep.violations):
         raise DomainError(f"no count violation at index {j}")
     ctx = _pair_context(s, n, j, drop_from_excluded=None)
-    lam, s_part = _replacement_fix(s, t, ctx, n, mode, domain)
-    return s_part.scale(domain.from_int(ctx.repos_sign)) - lam
+    lam, s_part = _replacement_fix(s, t, ctx, n, mode)
+    return (s_part.scale(ctx.repos_sign) - lam).reduce(domain)
 
 
 def fix_os2(s: Tableau, t: Tableau, j: int, mode: str = ON,
@@ -388,8 +379,8 @@ def fix_os2(s: Tableau, t: Tableau, j: int, mode: str = ON,
     if not any(v.kind == "OS2" and v.witness == j for v in rep.violations):
         raise DomainError(f"no protection violation at index {j}")
     ctx = _pair_context(s, n, j, drop_from_excluded=Letter(j).bar())
-    lam, s_part = _replacement_fix(s, t, ctx, n, mode, domain)
-    return s_part.scale(domain.from_int(ctx.repos_sign)) - lam
+    lam, s_part = _replacement_fix(s, t, ctx, n, mode)
+    return (s_part.scale(ctx.repos_sign) - lam).reduce(domain)
 
 
 def fix_os3(s: Tableau, t: Tableau, j: int, mode: str = ON,
@@ -401,7 +392,7 @@ def fix_os3(s: Tableau, t: Tableau, j: int, mode: str = ON,
                for v in rep.violations):
         raise DomainError(f"no pair-row violation at index {j}")
     ctx = _pair_context(s, n, j, drop_from_excluded=Letter(j))
-    lam, s_part = _replacement_fix(s, t, ctx, n, mode, domain)
+    lam, s_part = _replacement_fix(s, t, ctx, n, mode)
 
     # the switched tableau: the row of (bar j, j) with the pair reversed
     cols = s.columns()
@@ -415,14 +406,14 @@ def fix_os3(s: Tableau, t: Tableau, j: int, mode: str = ON,
     c1[row - 1], c2[row - 1] = Letter(j), Letter(j).bar()
     star = Tableau.from_columns([c1, c2])
     star_coef = lam.coefficient(star, t)
-    if star_coef != domain.one():
+    if star_coef != 1:
         raise AssertionError("replacement sum lost the switched term")
 
     # [S:T] + [S*:T] + s3 = repos * s1  and  [S*:T] - [S:T] = switch
     # combine to 2 [S:T] = repos * s1 - s3 - switch
-    s3 = lam - single_term(star, t, domain.one())
-    doubled = s_part.scale(domain.from_int(ctx.repos_sign)) - s3 - switch.scale(domain.one())
-    return doubled.scale(domain.half())
+    s3 = lam - single_term(star, t)
+    doubled = s_part.scale(ctx.repos_sign) - s3 - switch
+    return doubled.scale(rational(1, 2)).reduce(domain)
 
 
 def _require_n(n):
@@ -437,23 +428,23 @@ def _require_n(n):
 # the full driver
 # ---------------------------------------------------------------------------
 
-def fix_two_column(s: Tableau, t: Tableau, mode: str, n: int,
-                   domain: CoeffDomain = QQ) -> tuple[str, int, Combination]:
-    """Apply the first applicable repair to a GL-standard two-column pair."""
+def fix_two_column(s: Tableau, t: Tableau, mode: str, n: int) -> tuple[str, int, Combination]:
+    """Apply the first applicable repair to a GL-standard two-column pair.
+
+    The repairs are identities over Z[1/2], so they run in that domain.
+    """
     rep = on_standard_report(s, n)
     if rep.standard:
         raise DomainError("already standard")
     v = rep.violations[0]
     if v.kind == "COLSUM":
-        term = reduce_tall_shape(s, t, mode, n)
-        return "COLSUM", 0, Combination([BidetTerm(
-            domain.from_int(term.coef), term.gamma_pow, term.left, term.right)])
+        return "COLSUM", 0, Combination([reduce_tall_shape(s, t, mode, n)])
     if v.kind == "OS1":
-        return "OS1", v.witness, fix_os1(s, t, v.witness, mode, n, domain)
+        return "OS1", v.witness, fix_os1(s, t, v.witness, mode, n, ZHALF)
     if v.kind == "OS2":
-        return "OS2", v.witness, fix_os2(s, t, v.witness, mode, n, domain)
+        return "OS2", v.witness, fix_os2(s, t, v.witness, mode, n, ZHALF)
     if v.kind == "OS3":
-        return "OS3", v.witness, fix_os3(s, t, v.witness, mode, n, domain)
+        return "OS3", v.witness, fix_os3(s, t, v.witness, mode, n, ZHALF)
     raise AssertionError(f"unexpected violation {v}")
 
 
@@ -485,13 +476,13 @@ def _reassemble(block_cols, rest, b: int, original_lengths):
 
 def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
                   domain: CoeffDomain = QQ, fuel: int = 500000,
-                  max_terms: int | None = None,
                   trace: list | None = None) -> Combination:
     """Express [S:T] on the group in the standard-bideterminant basis.
 
     The output is a combination with every left and right tableau standard;
     in GO mode the terms carry gamma powers with 2 * gamma_pow + |shape|
     equal to the input degree.  Identity holds as functions on the group.
+    The rewrite runs over Z[1/2] and the result is mapped to the domain once.
     """
     n = _require_n(n)
     if mode not in (ON, GO):
@@ -505,13 +496,8 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
             if not letter_in_alphabet(x, n):
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
 
-    def rule(left, right):
-        step = _one_step(left, right, mode, n, domain)
-        if step is not None and trace is not None:
-            trace.append((step[0], step[1], len(step[2])))
-        return step
-
-    out = run_straightening(s, t, rule, domain.one(), fuel, max_terms)
+    out = run_straightening(s, t, lambda left, right: _one_step(left, right, mode, n),
+                            fuel, trace).reduce(domain)
     for term in out:
         if not on_standard_report(term.left, n).standard:
             raise AssertionError("non-standard left tableau in output")
@@ -519,12 +505,10 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
             raise AssertionError("non-standard right tableau in output")
         if mode == GO and 2 * term.gamma_pow + term.left.size != s.size:
             raise AssertionError("gamma grading violated")
-        if not domain.validate(term.coef):
-            raise AssertionError(f"coefficient {term.coef} left the domain")
     return out
 
 
-def _one_step(left: Tableau, right: Tableau, mode: str, n: int, domain: CoeffDomain):
+def _one_step(left: Tableau, right: Tableau, mode: str, n: int):
     """One rewrite of [left : right] at unit coefficient; None when standard.
 
     The order is GL-left, GL-right, then the orthogonal repairs left and
@@ -532,11 +516,11 @@ def _one_step(left: Tableau, right: Tableau, mode: str, n: int, domain: CoeffDom
     """
     return (gl_left_step(left, right)
             or on_right(gl_left_step, left, right)
-            or _fix_left(left, right, mode, n, domain)
-            or on_right(_fix_left, left, right, mode, n, domain))
+            or _fix_left(left, right, mode, n)
+            or on_right(_fix_left, left, right, mode, n))
 
 
-def _fix_left(left: Tableau, right: Tableau, mode: str, n: int, domain: CoeffDomain):
+def _fix_left(left: Tableau, right: Tableau, mode: str, n: int):
     """The first orthogonal repair of the left side, or None when it is standard."""
     rep = on_standard_report(left, n)
     if rep.standard:
@@ -548,7 +532,7 @@ def _fix_left(left: Tableau, right: Tableau, mode: str, n: int, domain: CoeffDom
     original_lengths = tuple(len(c) for c in block_left)
     sub_left = Tableau.from_columns(block_left)
     sub_right = Tableau.from_columns(block_right)
-    kind, witness, fixed = fix_two_column(sub_left, sub_right, mode, n, domain)
+    kind, witness, fixed = fix_two_column(sub_left, sub_right, mode, n)
     produced = []
     for x in fixed:
         lc = _reassemble(x.left.columns(), rest_left, b, original_lengths)

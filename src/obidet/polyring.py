@@ -154,15 +154,10 @@ class CoeffDomain:
     def one(self):
         return self.from_int(1)
 
-    def half(self):
-        if self.is_prime_field:
-            return GFElement(self.p, 1) / GFElement(self.p, 2)
-        return rational(1, 2)
-
     def reduce_rational(self, x):
         """Image of an exact rational in this domain, or None if undefined."""
         if not self.is_prime_field:
-            return x
+            return rational(x)
         num, den = int(x.numerator), int(x.denominator)
         if den % self.p == 0:
             return None
@@ -529,10 +524,6 @@ def gamma_poly(n: int) -> Polynomial:
     for i in letters:
         total = total + Polynomial.variable(i, one) * Polynomial.variable(i.bar(), one.bar())
     return total
-
-
-def evaluate(p: Polynomial, point) -> object:
-    return p.evaluate(point)
 
 
 # -- numeric (non-symbolic) evaluation of minors and bideterminants ---------

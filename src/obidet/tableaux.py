@@ -89,7 +89,8 @@ class Letter:
             return cls(0)
         barred = token.endswith("b")
         body = token[:-1] if barred else token
-        if not body.isdigit() or int(body) <= 0:
+        # ASCII digits without a leading zero: the text format round-trips
+        if not (body.isascii() and body.isdigit()) or body.startswith("0"):
             raise DomainError(f"bad letter token {token!r}")
         return cls(int(body), barred)
 

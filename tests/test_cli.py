@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
-from obidet import cli
+from obidet import cli, group_oracle
 from obidet.cli import main
 from obidet.gl_straighten import BidetTerm, Combination
 from obidet.on_straighten import on_straighten
+from obidet.polyring import ZHALF
 from obidet.golden import GOLDEN_CASES
 from obidet.tableaux import Tableau, enumerate_on_standard
 
@@ -20,15 +21,41 @@ def run_cli(args, capsys):
 
 def test_straighten_gl_golden(capsys):
     case = GOLDEN_CASES[0]
-    code, out, _ = run_cli([
-        "straighten", "--mode", "gl", "--n", "6",
-        "--left", case.left, "--right", case.right,
-    ], capsys)
+    args = ["straighten", "--mode", "gl", "--n", "6",
+            "--left", case.left, "--right", case.right]
+    code, out, _ = run_cli(args, capsys)
     assert code == 0
     result = Combination.parse_certificate(out)
     # the full rewrite recurses the rebalanced terms further than one step
     assert not result.is_zero()
     assert all(line.count("\t") == 3 for line in out.strip().splitlines())
+    # --coeff applies in GL mode too: -1 becomes 6 in F_7
+    code, over_f7, _ = run_cli(args + ["--coeff", "f7"], capsys)
+    assert code == 0
+    coefs = [(line.split("\t")[0], other.split("\t")[0])
+             for line, other in zip(out.splitlines(), over_f7.splitlines())]
+    assert ("-1", "6") in coefs
+    assert all(q == f or (q, f) == ("-1", "6") for q, f in coefs)
+
+
+@pytest.mark.parametrize("mode", ["gl", "on"])
+def test_straighten_points_check_runs_over_prime_field(capsys, monkeypatch, mode):
+    case = GOLDEN_CASES[1]
+    args = ["straighten", "--mode", mode, "--n", "6", "--coeff", "f7", "--points", "3",
+            "--left", case.left, "--right", case.right]
+    code, _, _ = run_cli(args, capsys)
+    assert code == 0
+
+    name = "gl_straighten" if mode == "gl" else "on_straighten"
+    straighten = getattr(cli, name)
+
+    def off_by_one(s, t, *a, **kw):
+        return straighten(s, t, *a, **kw) + Combination([BidetTerm(1, 0, s, t)])
+
+    monkeypatch.setattr(cli, name, off_by_one)
+    code, out, err = run_cli(args, capsys)
+    assert code == 3
+    assert "point verification" in err and not out
 
 
 def test_straighten_on_example(capsys):
@@ -89,16 +116,17 @@ def test_straighten_cap_exit_code(capsys):
 
 
 def test_straighten_trace_goes_to_stderr(capsys):
-    case = GOLDEN_CASES[1]
-    code, out, err = run_cli([
-        "straighten", "--mode", "on", "--n", "6",
-        "--left", case.left, "--right", case.right, "--trace",
-    ], capsys)
-    assert code == 0
-    assert "# step" in err
-    assert "# step" not in out
-    assert re.fullmatch(r"# step (GL|COLSUM|OS[123]) witness=\d+ terms ->\d+",
-                        err.splitlines()[0])
+    for mode, case, kinds in (("on", GOLDEN_CASES[1], "GL|COLSUM|OS[123]"),
+                              ("gl", GOLDEN_CASES[0], "GL")):
+        code, out, err = run_cli([
+            "straighten", "--mode", mode, "--n", "6",
+            "--left", case.left, "--right", case.right, "--trace",
+        ], capsys)
+        assert code == 0
+        assert "# step" in err
+        assert "# step" not in out
+        assert all(re.fullmatch(rf"# step ({kinds}) witness=\d+ terms ->\d+", line)
+                   for line in err.splitlines())
 
 
 def test_straighten_shared_terms_case_within_default_caps(capsys):
@@ -194,6 +222,28 @@ def test_verify_prime_field(capsys):
     code, out, _ = run_cli(["verify", "--n", "3", "--degree", "2", "--coeff", "f5"], capsys)
     assert code == 0
     assert out.strip().endswith("PASS")
+
+
+def test_verify_zhalf_straightens_in_zhalf(capsys, monkeypatch):
+    domains = []
+
+    def recording(s, t, mode, n, domain, **kw):
+        domains.append(domain)
+        return on_straighten(s, t, mode, n, domain, **kw)
+
+    monkeypatch.setattr(group_oracle, "on_straighten", recording)
+    code, out, _ = run_cli(["verify", "--n", "3", "--degree", "1", "--coeff", "zhalf"],
+                           capsys)
+    assert code == 0
+    assert out.strip().endswith("PASS")
+    assert domains and set(domains) == {ZHALF}
+
+
+def test_verify_rejects_gl_mode(capsys):
+    code, out, err = run_cli(["verify", "--n", "3", "--degree", "1", "--mode", "gl"],
+                             capsys)
+    assert code == 2
+    assert "error:" in err and not out
 
 
 def test_verify_cap_exit(capsys):

@@ -232,12 +232,6 @@ def test_gl_straighten_rejects_foreign_letters():
         gl_straighten(s, s, 3)
 
 
-def test_gl_straighten_cap():
-    s, t = GL_CASE.inputs()
-    with pytest.raises(CapExceeded):
-        gl_straighten(s, t, 6, max_terms=1)
-
-
 def test_gl_straighten_fuel():
     s, t = GL_CASE.inputs()
     with pytest.raises(CapExceeded, match="fuel exhausted"):

@@ -322,13 +322,24 @@ def test_fixes_raise_without_violation():
 
 
 def test_fix_os3_prime_field():
+    # checked at points of O(n) over F_7, not against the rational result
     s, t = OS3.inputs()
-    result = fix_os3(s, t, 2, ON, 6, GF(7))
-    pts = [p.reduce_mod(GF(7)) for p in standard_points(6, 6, seed=2)]
-    pts = [p for p in pts if p is not None]
-    assert pts
-    for pt in pts:
-        assert eval_bideterminant(s, t, pt) == result.evaluate(pt)
+    cases = [(s, t, 6, fix_os3(s, t, 2, ON, 6, GF(7)))]
+    rng = random.Random(93)     # four rewriting pairs, coefficients down to 1/4
+    for _ in range(4):
+        n = rng.choice([5, 6, 7])
+        letters = _letters(n)
+        shape = rng.choice([sh for r in (3, 4) for sh in partitions_of(r, max_rows=n)])
+        s, t = (Tableau.from_columns(
+            [sorted(rng.sample(letters, k), key=lambda x: x.key) for k in conjugate(shape)])
+            for _ in range(2))
+        cases.append((s, t, n, on_straighten(s, t, ON, n, GF(7))))
+    for s, t, n, result in cases:
+        pts = [p.reduce_mod(GF(7)) for p in standard_points(n, 6, seed=2)]
+        pts = [p for p in pts if p is not None]
+        assert pts
+        for pt in pts:
+            assert eval_bideterminant(s, t, pt) == result.evaluate(pt)
 
 
 def test_fix_gamma_weights_in_go_mode():

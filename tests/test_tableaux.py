@@ -66,7 +66,7 @@ def test_bar_involution():
 
 
 def test_letter_parse_rejects_garbage():
-    for bad in ["", "x", "-1", "0b", "1bb"]:
+    for bad in ["", "x", "-1", "0b", "1bb", "01", "007b", "00"]:
         with pytest.raises(DomainError):
             Letter.parse(bad)
 
