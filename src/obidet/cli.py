@@ -178,7 +178,8 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except DomainError as exc:
+    except (DomainError, OSError, UnicodeDecodeError) as exc:
+        # OSError and UnicodeDecodeError come from the --file and --out files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

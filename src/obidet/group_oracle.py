@@ -4,7 +4,9 @@ Points come from the Cayley transform of J-skew matrices with small random
 rational entries, optionally composed with a fixed reflection to reach the
 negative-determinant component, and scaled or dilated for the similitude
 group.  Identities are checked by exact evaluation; linear independence by
-the rank of an evaluation matrix computed with fraction-free elimination.
+the exact rank of an evaluation matrix.  Over Q that rank is certified
+modulo the prime 2^61 - 1 when it is full, and computed by fraction-free
+Bareiss elimination over the integers otherwise.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ class GroupPoint:
         n = matrix.n
         if gamma_value is None:
             gamma_value = domain.one()
-        j = form_matrix(n, domain)
-        product = matrix.transpose() @ j @ matrix
-        if product != j.scale(gamma_value):
+        # J permutes rows by bar: row i of J g is row bar(i) of g
+        letters = matrix.letters
+        jg = LetterMatrix(n, [matrix.rows[letters.index(x.bar())] for x in letters])
+        if matrix.transpose() @ jg != form_matrix(n, domain).scale(gamma_value):
             raise DomainError("matrix does not satisfy the similitude relation")
         det = det_rows(matrix.rows)
         gamma_power = gamma_value
@@ -266,43 +269,55 @@ def bareiss_rank(rows) -> int:
     return rank
 
 
-def _gf_rank(rows, p: int) -> int:
-    m = [[x.value if isinstance(x, GFElement) else int(x) % p for x in r]
-         for r in rows]
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank, row = 0, 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if m[r][col] % p), None)
-        if pivot is None:
+# the rank modulo this prime falls short of the rank over Q only when the
+# prime divides every nonzero minor of the largest order; then the full-rank
+# certificate fails and Bareiss decides
+_RANK_PRIME = (1 << 61) - 1
+
+
+def _rank_mod(rows, p: int) -> int:
+    """Rank of an integer matrix modulo the prime p, by forward elimination.
+
+    Each step drops the first column; when that column has a nonzero entry,
+    its row becomes the pivot, is dropped too, and is eliminated from the rest.
+    """
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    while m and m[0]:
+        i = next((i for i, r in enumerate(m) if r[0]), None)
+        if i is None:
+            m = [r[1:] for r in m]
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [(x * inv) % p for x in m[row]]
-        for r in range(n_rows):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[row])]
+        top = m.pop(i)
+        inv = pow(top[0], -1, p)
+        top = [x * inv % p for x in top[1:]]
         rank += 1
-        row += 1
-        if row == n_rows:
-            break
+        rest = []
+        for r in m:
+            head = r[0]
+            rest.append([(a - head * b) % p for a, b in zip(r[1:], top)] if head else r[1:])
+        m = rest
     return rank
 
 
 def matrix_rank(rows, domain: CoeffDomain = QQ) -> int:
-    """Exact rank; rationals are cleared to integers first, then Bareiss.
+    """Exact rank.  Over F_p it is the rank of the residues.
 
-    Clearing runs per column: evaluations at one point share denominator
-    structure, so column multipliers stay small where row multipliers blow
-    up.  Column scaling by nonzero rationals preserves the rank.
+    Over Q the columns are cleared to integers first.  Clearing runs per
+    column: evaluations at one point share denominator structure, so column
+    multipliers stay small where row multipliers blow up, and column scaling
+    by nonzero rationals preserves the rank.  The rank modulo
+    _RANK_PRIME of the cleared matrix is at most its rank over Q, which
+    is at most min(rows, columns); so a modular rank equal to that bound is
+    exact.  Only a smaller modular rank falls back to Bareiss elimination
+    over the integers.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return 0
     if domain.is_prime_field:
-        return _gf_rank(rows, domain.p)
+        return _rank_mod([[x.value if isinstance(x, GFElement) else int(x) for x in r]
+                          for r in rows], domain.p)
     n_cols = len(rows[0])
     multipliers = []
     for j in range(n_cols):
@@ -312,6 +327,9 @@ def matrix_rank(rows, domain: CoeffDomain = QQ) -> int:
             den = math.lcm(den, d)
         multipliers.append(den)
     cleared = [[int(x * m) for x, m in zip(r, multipliers)] for r in rows]
+    rank = _rank_mod(cleared, _RANK_PRIME)
+    if rank == min(len(cleared), n_cols):
+        return rank
     return bareiss_rank(cleared)
 
 
@@ -342,6 +360,8 @@ def standard_basis_elements(n: int, r_max: int, mode: str = ON,
     2k + |shape| = r; the orthogonal mode lists plain [S:T] of all degrees
     up to the cap, including the empty-shape constant.
     """
+    if r_max < 0:
+        raise DomainError(f"degree must be >= 0, got {r_max}")
     out = []
     degrees = [r_max] if degree_exact else list(range(r_max + 1))
     for r in degrees:

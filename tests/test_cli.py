@@ -179,6 +179,24 @@ def test_straighten_out_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8").strip()
 
 
+@pytest.mark.parametrize("flag", ["--file", "--out", "--file-not-utf8"])
+def test_straighten_file_errors_exit_code(tmp_path, capsys, flag):
+    case = GOLDEN_CASES[1]
+    args = ["straighten", "--mode", "on", "--n", "6"]
+    if flag == "--file":
+        args += ["--file", str(tmp_path / "missing.txt")]
+    elif flag == "--out":
+        args += ["--left", case.left, "--right", case.right,
+                 "--out", str(tmp_path / "missing" / "cert.txt")]
+    else:
+        path = tmp_path / "pair.txt"
+        path.write_bytes(b"\xff\xfe1\n1\n")
+        args += ["--file", str(path)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error:") and not out
+
+
 def test_enumerate_single_cells(capsys):
     code, out, _ = run_cli(["enumerate", "--n", "4", "--shape", "1"], capsys)
     assert code == 0
@@ -244,6 +262,14 @@ def test_verify_rejects_gl_mode(capsys):
                              capsys)
     assert code == 2
     assert "error:" in err and not out
+
+
+def test_verify_rejects_negative_degree(capsys):
+    for mode in ("on", "go"):
+        code, out, err = run_cli(["verify", "--n", "3", "--degree", "-1", "--mode", mode],
+                                 capsys)
+        assert code == 2
+        assert "error:" in err and not out
 
 
 def test_verify_cap_exit(capsys):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -160,32 +161,32 @@ def test_bareiss_rank_basics():
     assert bareiss_rank([[0, 1], [1, 0]]) == 2
 
 
+def frac_rank(rows):
+    """Reference rank: Gauss-Jordan over Fraction, no integer tricks."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return 0
+    nr, nc = len(m), len(m[0])
+    rank = row = 0
+    for col in range(nc):
+        piv = next((r for r in range(row, nr) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        pv = m[row][col]
+        m[row] = [x / pv for x in m[row]]
+        for r in range(nr):
+            if r != row and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        rank += 1
+        row += 1
+        if row == nr:
+            break
+    return rank
+
+
 def test_bareiss_matches_fraction_reference():
-    from fractions import Fraction
-
-    def frac_rank(rows):
-        m = [[Fraction(x) for x in r] for r in rows]
-        if not m:
-            return 0
-        nr, nc = len(m), len(m[0])
-        rank = row = 0
-        for col in range(nc):
-            piv = next((r for r in range(row, nr) if m[r][col]), None)
-            if piv is None:
-                continue
-            m[row], m[piv] = m[piv], m[row]
-            pv = m[row][col]
-            m[row] = [x / pv for x in m[row]]
-            for r in range(nr):
-                if r != row and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-            rank += 1
-            row += 1
-            if row == nr:
-                break
-        return rank
-
     rng = random.Random(1)
     for _ in range(200):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
@@ -239,6 +240,65 @@ def test_gf_matrix_rank():
     assert matrix_rank(rows, d) == 1
     rows[1][1] = d.from_int(0)
     assert matrix_rank(rows, d) == 2
+
+
+def test_matrix_rank_matches_fraction_reference():
+    rng = random.Random(2)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        m = [[rational(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(nc)]
+             for _ in range(nr)]
+        if nr >= 2 and rng.random() < 0.5:
+            # a rank drop by construction: the last row depends on two others
+            c = rational(rng.randint(-3, 3), rng.randint(1, 4))
+            m[-1] = [a + c * b for a, b in zip(m[0], m[nr // 2])]
+        assert matrix_rank(m, QQ) == frac_rank(m)
+
+
+def test_matrix_rank_falls_back_to_bareiss(monkeypatch):
+    from obidet import group_oracle
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return bareiss_rank(rows)
+
+    monkeypatch.setattr(group_oracle, "bareiss_rank", counted)
+    p = 2 ** 61 - 1
+    # the rank drops to 1 modulo p, so only the fallback can certify 2
+    for rows in ([[p, 0], [0, 1]], [[Fraction(p), Fraction(0)], [Fraction(0), Fraction(1)]]):
+        assert matrix_rank(rows, QQ) == 2
+    assert len(calls) == 2
+    # a full modular rank is a certificate on its own
+    assert matrix_rank([[1, 2], [3, 4]], QQ) == 2
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_gf_matrix_rank_mixed_entries(p):
+    d = GF(p)
+    rng = random.Random(p)
+    for _ in range(100):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        values = [[rng.randrange(-2 * p, 2 * p) for _ in range(nc)] for _ in range(nr)]
+        if nr >= 2 and rng.random() < 0.5:
+            values[-1] = [a + 3 * b for a, b in zip(values[0], values[nr // 2])]
+        rows = [[x if rng.random() < 0.3 else d.from_int(x) for x in r] for r in values]
+        assert matrix_rank(rows, d) == _rank_mod_reference(values, p)
+
+
+def _rank_mod_reference(rows, p):
+    """Reference rank mod p: the smallest k whose k x k minors all vanish mod p."""
+    import itertools
+    from obidet.polyring import det_rows
+    nr, nc = len(rows), len(rows[0])
+    for k in range(min(nr, nc), 0, -1):
+        for rs in itertools.combinations(range(nr), k):
+            for cs in itertools.combinations(range(nc), k):
+                minor = [[Fraction(rows[r][c]) for c in cs] for r in rs]
+                if det_rows(minor) % p:
+                    return k
+    return 0
 
 
 # ---------------------------------------------------------------------------
