@@ -59,8 +59,10 @@ def cmd_straighten(args) -> int:
         for kind, witness, produced in trace:
             print(f"# step {kind} witness={witness} terms ->{produced}", file=sys.stderr)
     if args.points:
-        # GO points carry gamma != 1, so the gamma powers are checked too
-        for pt in _suite_points(args.n, args.points, args.seed, mode, QQ):
+        # GO points carry gamma != 1, so the gamma powers are checked too;
+        # alphabet(n) lies in alphabet(3), so GL with n < 3 is checked on O(3)
+        size = max(args.n, 3) if args.mode == "gl" else args.n
+        for pt in _suite_points(size, args.points, args.seed, mode, QQ):
             if eval_bideterminant(s, t, pt) != result.evaluate(pt, pt.gamma_value):
                 print("error: certificate failed point verification", file=sys.stderr)
                 return 3
@@ -117,6 +119,13 @@ def cmd_golden(args) -> int:
     return 3 if failures else 0
 
 
+def count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obidet",
@@ -131,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coeff", default="q",
                        help="coefficient domain: q, zhalf, or f<p>")
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--points", type=int, default=0,
+        p.add_argument("--points", type=count, default=0,
                        help="number of verification points")
         p.add_argument("--out", default=None, help="write output to a file")
 
@@ -159,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("golden", help="replay the embedded worked identities")
-    p.add_argument("--points", type=int, default=0,
+    p.add_argument("--points", type=count, default=0,
                    help="additionally verify each identity at this many points")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None)

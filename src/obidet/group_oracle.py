@@ -1,16 +1,22 @@
 """Exact rational points of the orthogonal group and evaluation certificates.
 
-Points come from the Cayley transform of J-skew matrices with small random
-rational entries, optionally composed with a fixed reflection to reach the
-negative-determinant component, and scaled or dilated for the similitude
-group.  Identities are checked by exact evaluation; linear independence by
-the exact rank of an evaluation matrix.  Over Q that rank is certified
-modulo the prime 2^61 - 1 when it is full, and computed by fraction-free
-Bareiss elimination over the integers otherwise.
+Points come from the Cayley transform (I + A)^-1 (I - A) of J-skew matrices
+A = J B with small random rational entries, computed by one exact solve
+with J applied as a row permutation.  A point is optionally composed with a
+fixed reflection to reach the negative-determinant component, and scaled
+or dilated for the similitude group.  Each O(n) point is built and checked
+as a GroupPoint once; a similitude point is checked again after scaling.
+Batches are drawn lazily, so a prime-field batch draws rational points
+only until it holds enough distinct residues.  Identities are checked by
+exact evaluation; linear independence by the exact rank of an evaluation
+matrix.  Over Q that rank is certified modulo the prime 2^61 - 1 when it
+is full, and computed by fraction-free Bareiss elimination over the
+integers otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -31,8 +37,8 @@ from .polyring import (
     LetterMatrix,
     QQ,
     det_rows,
-    matrix_inverse,
     rational,
+    solve,
 )
 from .gl_straighten import BidetTerm, Combination
 from .on_straighten import GO, ON, on_straighten
@@ -114,30 +120,31 @@ def _skew_symmetric(n: int, rng: random.Random, spread: int):
     return a
 
 
-def random_so_point(n: int, seed: int, spread: int = 2, max_tries: int = 64) -> GroupPoint:
-    """Cayley transform of a random J-skew matrix: an exact point with det 1."""
+_CAYLEY_TRIES = 64
+
+
+def _cayley(n: int, seed: int, spread: int) -> LetterMatrix:
+    """Cayley transform (I + A)^-1 (I - A) of A = J B, B random skew: det 1."""
     if n < 3:
         raise DomainError("need n >= 3")
     rng = random.Random(seed)
-    j_rows = [[rational(1) if _letters(n)[c] == _letters(n)[r].bar() else rational(0)
-               for c in range(n)] for r in range(n)]
-    for _ in range(max_tries):
+    letters = _letters(n)
+    bar = [letters.index(x.bar()) for x in letters]
+    for _ in range(_CAYLEY_TRIES):
         b = _skew_symmetric(n, rng, spread)
-        # J * skew is J-skew: (JB)^t J + J (JB) = -B J J + B = 0
-        a = [[sum(j_rows[r][k] * b[k][c] for k in range(n)) for c in range(n)]
-             for r in range(n)]
-        i_minus = [[(1 if r == c else 0) - a[r][c] for c in range(n)] for r in range(n)]
-        i_plus = [[(1 if r == c else 0) + a[r][c] for c in range(n)] for r in range(n)]
-        inv = matrix_inverse(i_plus)
-        if inv is None:
-            continue
-        g = [[sum(i_minus[r][k] * inv[k][c] for k in range(n)) for c in range(n)]
-             for r in range(n)]
-        point = GroupPoint(LetterMatrix(n, g))
-        if point.det_value != 1:
-            raise AssertionError("Cayley point with determinant != 1")
-        return point
-    raise DomainError(f"could not draw an invertible Cayley point after {max_tries} tries")
+        # J B is J-skew: (JB)^t J + J (JB) = -B J J + B = 0; J permutes rows by bar
+        a = [b[i] for i in bar]
+        i_plus = [[int(r == c) + x for c, x in enumerate(row)] for r, row in enumerate(a)]
+        i_minus = [[int(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)]
+        g = solve(i_plus, i_minus)
+        if g is not None:
+            return LetterMatrix(n, g)
+    raise DomainError(f"could not draw an invertible Cayley point after {_CAYLEY_TRIES} tries")
+
+
+def random_so_point(n: int, seed: int, spread: int = 2) -> GroupPoint:
+    """Cayley transform of a random J-skew matrix: an exact point with det 1."""
+    return random_on_point(n, seed, "PLUS", spread)
 
 
 def _reflection(n: int) -> LetterMatrix:
@@ -156,15 +163,14 @@ def _reflection(n: int) -> LetterMatrix:
 
 def random_on_point(n: int, seed: int, component: str = "PLUS", spread: int = 2) -> GroupPoint:
     """A point of the chosen determinant component of the orthogonal group."""
-    g = random_so_point(n, seed, spread)
-    if component == "PLUS":
-        return g
-    if component != "MINUS":
+    if component not in ("PLUS", "MINUS"):
         raise DomainError(f"component must be PLUS or MINUS, got {component!r}")
-    flipped = g.matrix @ _reflection(n)
-    point = GroupPoint(flipped)
-    if point.det_value != -1:
-        raise AssertionError("reflection did not flip the determinant")
+    g = _cayley(n, seed, spread)
+    if component == "MINUS":
+        g = g @ _reflection(n)
+    point = GroupPoint(g)
+    if point.det_value != (1 if component == "PLUS" else -1):
+        raise AssertionError(f"{component} point with determinant {point.det_value}")
     return point
 
 
@@ -183,41 +189,42 @@ def random_go_point(n: int, seed: int, c, spread: int = 2) -> GroupPoint:
     return GroupPoint(g.matrix @ xi, c)
 
 
-def standard_points(n: int, count: int, seed: int = 0, spread: int = 2,
-                    min_minus: int = 2) -> list[GroupPoint]:
-    """A deterministic batch of distinct orthogonal points, both components.
+def _draws(n: int, count: int, seed: int, spread: int, min_minus: int):
+    """Distinct orthogonal points in draw order; count sets only the spread.
 
     The skew parameter space is small for small n and spread, so the spread
     grows with the requested count and duplicate matrices are redrawn.
     """
+    if n < 3:  # the spread rule below would never end for n < 2
+        raise DomainError("need n >= 3")
     while (spread * spread) ** (n * (n - 1) // 2) < 64 * count * count:
         spread += 1
-    points: list[GroupPoint] = []
     seen = set()
-    i = 0
-    while len(points) < count:
-        k = len(points)
+    for i in itertools.count():
+        k = len(seen)
         component = "MINUS" if k < min_minus else ("PLUS" if k % 2 == 0 else "MINUS")
         candidate = random_on_point(n, seed * 7919 + i, component, spread)
-        i += 1
-        if candidate.matrix.rows in seen:
-            continue
-        seen.add(candidate.matrix.rows)
-        points.append(candidate)
-    return points
+        if candidate.matrix.rows not in seen:
+            seen.add(candidate.matrix.rows)
+            yield candidate
+
+
+def standard_points(n: int, count: int, seed: int = 0, spread: int = 2,
+                    min_minus: int = 2) -> list[GroupPoint]:
+    """A deterministic batch of distinct orthogonal points, both components."""
+    return list(itertools.islice(_draws(n, count, seed, spread, min_minus), count))
+
+
+def _value(f, point):
+    """f at the point; combinations and terms take gamma from the point."""
+    if isinstance(f, (Combination, BidetTerm)):
+        return f.evaluate(point, point.gamma_value)
+    return f.evaluate(point)
 
 
 def verify_on_group(p, points) -> bool:
     """True when the polynomial (or combination) vanishes at every point."""
-    for point in points:
-        gamma = getattr(point, "gamma_value", 1)
-        if isinstance(p, Combination):
-            value = p.evaluate(point, gamma)
-        else:
-            value = p.evaluate(point)
-        if value:
-            return False
-    return True
+    return not any(_value(p, point) for point in points)
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +342,7 @@ def matrix_rank(rows, domain: CoeffDomain = QQ) -> int:
 
 def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
     """Rank of the functions-by-points evaluation matrix over the exact field."""
-    rows = []
-    for f in functions:
-        row = []
-        for point in points:
-            gamma = getattr(point, "gamma_value", domain.one())
-            if isinstance(f, (Combination, BidetTerm)):
-                row.append(f.evaluate(point, gamma))
-            else:
-                row.append(f.evaluate(point))
-        rows.append(row)
-    return matrix_rank(rows, domain)
+    return matrix_rank([[_value(f, point) for point in points] for f in functions], domain)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +458,7 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
         result = on_straighten(s, t, mode, n, domain)
         residual_zero = True
         for point in points:
-            gamma = getattr(point, "gamma_value", domain.one())
-            lhs = polyring.eval_bideterminant(s, t, point)
-            if lhs != result.evaluate(point, gamma):
+            if polyring.eval_bideterminant(s, t, point) != _value(result, point):
                 residual_zero = False
         zero_count += 1 if residual_zero else 0
     lines.append(f"spanning residuals_zero={zero_count}/{spanning_samples}")
@@ -491,9 +486,9 @@ def _suite_points(n: int, count: int, seed: int, mode: str,
     # so draw widely and keep only distinct images
     reduced, seen = [], set()
     for attempt in range(8):
-        raw = standard_points(n, (2 + 2 * attempt) * count,
-                              seed + 1009 * attempt, spread + attempt)
-        for p in raw:
+        size = (2 + 2 * attempt) * count
+        draws = _draws(n, size, seed + 1009 * attempt, spread + attempt, min_minus=2)
+        for p in itertools.islice(draws, size):
             q = p.reduce_mod(domain)
             if q is None or q.matrix.rows in seen:
                 continue

@@ -295,10 +295,10 @@ def det_rows(rows) -> object:
     return det if sign == 1 else -det
 
 
-def matrix_inverse(rows):
-    """Exact inverse via Gauss-Jordan; returns None if singular."""
-    n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+def solve(a, b):
+    """Exact x with a x = b, via Gauss-Jordan on [a | b]; None if a is singular."""
+    n = len(a)
+    aug = [list(r) + list(rb) for r, rb in zip(a, b)]
     for col in range(n):
         pivot = None
         for r in range(col, n):
@@ -543,21 +543,15 @@ def eval_minor(rows, cols, point):
 def eval_bideterminant(s: Tableau, t: Tableau, point):
     if s.shape != t.shape:
         raise DomainError("bideterminant needs equal shapes")
-    value = None
-    for cs, ct in zip(s.columns(), t.columns()):
-        v = eval_minor(cs, ct, point)
-        if not v:
-            return v * 1 if value is None else value * 0
-        value = v if value is None else value * v
-    return 1 if value is None else value
+    return eval_columns_product(s.columns(), t.columns(), point)
 
 
 def eval_columns_product(left_cols, right_cols, point):
     """Value of a product of column minors given as raw column lists."""
-    value = 1
+    value = None
     for cs, ct in zip(left_cols, right_cols):
         v = eval_minor(cs, ct, point)
         if not v:
             return v
-        value = value * v
-    return value
+        value = v if value is None else value * v
+    return 1 if value is None else value

@@ -418,10 +418,6 @@ def on_standard_report(t: Tableau, n: int) -> ONStandardReport:
     return ONStandardReport(not violations, tuple(violations), alpha, beta)
 
 
-def is_on_standard(t: Tableau, n: int) -> bool:
-    return on_standard_report(t, n).standard
-
-
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------

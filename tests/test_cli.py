@@ -58,6 +58,36 @@ def test_straighten_points_check_runs_over_prime_field(capsys, monkeypatch, mode
     assert "point verification" in err and not out
 
 
+@pytest.mark.parametrize("n, left, right", [(1, "0 0", "0 0"), (2, "1b 1", "1 1b")])
+def test_straighten_gl_points_check_below_three(capsys, monkeypatch, n, left, right):
+    args = ["straighten", "--mode", "gl", "--n", str(n), "--points", "3",
+            "--left", left, "--right", right]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert out.strip()
+
+    straighten = cli.gl_straighten
+
+    def off_by_one(s, t, *a, **kw):
+        return straighten(s, t, *a, **kw) + Combination([BidetTerm(1, 0, s, t)])
+
+    monkeypatch.setattr(cli, "gl_straighten", off_by_one)
+    code, out, err = run_cli(args, capsys)
+    assert code == 3
+    assert "point verification" in err and not out
+
+
+@pytest.mark.parametrize("args", [
+    ["straighten", "--n", "4", "--left", "1b", "--right", "1", "--points", "-2"],
+    ["verify", "--n", "3", "--degree", "1", "--points", "-3"],
+    ["golden", "--points", "-1"],
+])
+def test_negative_points_rejected(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert "--points" in err and not out
+
+
 def test_straighten_on_example(capsys):
     case = GOLDEN_CASES[1]
     code, out, _ = run_cli([
@@ -262,6 +292,13 @@ def test_verify_rejects_gl_mode(capsys):
                              capsys)
     assert code == 2
     assert "error:" in err and not out
+
+
+def test_verify_rejects_small_n(capsys):
+    for n in ("1", "2"):
+        code, out, err = run_cli(["verify", "--n", n, "--degree", "1"], capsys)
+        assert code == 2
+        assert "need n >= 3" in err and not out
 
 
 def test_verify_rejects_negative_degree(capsys):

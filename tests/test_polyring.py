@@ -18,9 +18,9 @@ from obidet.polyring import (
     eval_minor,
     gamma_poly,
     is_dyadic,
-    matrix_inverse,
     minor,
     rational,
+    solve,
 )
 
 
@@ -90,13 +90,32 @@ def test_matrix_inverse_roundtrip():
     rng = random.Random(0)
     rows = [[rational(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
             for _ in range(4)]
-    inv = matrix_inverse(rows)
+    inv = solve(rows, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
     if inv is not None:
         prod = [[sum(rows[i][k] * inv[k][j] for k in range(4)) for j in range(4)]
                 for i in range(4)]
         assert all(prod[i][j] == (1 if i == j else 0)
                    for i in range(4) for j in range(4))
 
+
+def test_solve_general_right_side_and_singular():
+    rng = random.Random(3)
+    for _ in range(20):
+        a = [[rational(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
+             for _ in range(4)]
+        b = [[rational(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+             for _ in range(4)]
+        x = solve(a, b)
+        if det_rows(a):
+            assert [[sum(a[i][k] * x[k][j] for k in range(4)) for j in range(3)]
+                    for i in range(4)] == b
+        else:
+            assert x is None
+    # the third row is the sum of the first two
+    singular = [[rational(1), rational(2), rational(0)],
+                [rational(0), rational(1), rational(3)],
+                [rational(1), rational(3), rational(3)]]
+    assert solve(singular, [[rational(1)], [rational(0)], [rational(0)]]) is None
 
 def test_det_rows_matches_minor_eval():
     rng = random.Random(1)
