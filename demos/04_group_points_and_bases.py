@@ -50,7 +50,8 @@ report = basis_suite(3, 2, "ON", seed=1)
 print("\nbasis suite on O(3), degree <= 2:")
 print(report.text())
 
-# The same linear algebra runs over a prime field with reduced points.
+# The same linear algebra runs over a prime field, on the residues of the
+# exact values at p-integral rational points.
 report5 = basis_suite(3, 2, "ON", domain=GF(5), seed=1)
 print("\nbasis suite mod 5:")
 print(report5.text())

@@ -135,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, modes=("gl", "on", "go")):
         p.add_argument("--n", type=int, required=True, help="alphabet size")
-        if modes:
-            p.add_argument("--mode", choices=modes, default="on")
+        p.add_argument("--mode", choices=modes, default="on")
         p.add_argument("--coeff", default="q",
                        help="coefficient domain: q, zhalf, or f<p>")
         p.add_argument("--seed", type=int, default=1)
@@ -149,21 +148,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", help="left tableau, rows ; separated")
     p.add_argument("--right", help="right tableau")
     p.add_argument("--file", help="file with two tableau lines")
-    p.add_argument("--max-terms", type=int, default=200000, dest="fuel",
+    p.add_argument("--max-terms", type=count, default=200000, dest="fuel",
                    help="straightening fuel: most distinct terms to expand")
     p.add_argument("--trace", action="store_true",
                    help="log each rewrite step to stderr")
     p.set_defaults(func=cmd_straighten)
 
     p = sub.add_parser("enumerate", help="list the standard tableaux of a shape")
-    common(p, modes=())
+    p.add_argument("--n", type=int, required=True, help="alphabet size")
     p.add_argument("--shape", required=True, help="partition, e.g. '2,1'")
+    p.add_argument("--out", default=None, help="write output to a file")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the basis certification suite")
     common(p, modes=("on", "go"))
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=800,
+    p.add_argument("--cap", type=count, default=800,
                    help="refuse when the standard set is larger than this")
     p.set_defaults(func=cmd_verify)
 

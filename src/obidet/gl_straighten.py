@@ -168,7 +168,9 @@ class Combination:
         """The image of an exact rational combination over a coefficient domain.
 
         Straightening computes over Z[1/2]; this base change is where the
-        domain comes in.  Terms whose image is zero merge away.
+        domain comes in.  Terms whose image is zero merge away.  Over F_p the
+        coefficients are canonical residues (plain ints), so arithmetic on a
+        reduced combination must be followed by another reduce.
         """
         out = []
         for t in self._terms.values():

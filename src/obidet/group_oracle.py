@@ -6,12 +6,15 @@ with J applied as a row permutation.  A point is optionally composed with a
 fixed reflection to reach the negative-determinant component, and scaled
 or dilated for the similitude group.  Each O(n) point is built and checked
 as a GroupPoint once; a similitude point is checked again after scaling.
-Batches are drawn lazily, so a prime-field batch draws rational points
-only until it holds enough distinct residues.  Identities are checked by
-exact evaluation; linear independence by the exact rank of an evaluation
+Every point is rational.  A prime-field batch keeps the rational points
+whose residue matrices are new, drawing lazily until it holds enough of
+them; the values of a Z[1/2]-polynomial function at a p-integral point
+reduce to its values at the residue point, so F_p values and ranks are
+residues of exact rational values.  Identities are checked by exact
+evaluation; linear independence by the exact rank of an evaluation
 matrix.  Over Q that rank is certified modulo the prime 2^61 - 1 when it
 is full, and computed by fraction-free Bareiss elimination over the
-integers otherwise.
+integers otherwise; over F_p it is the rank of the residues.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .tableaux import (
 )
 from .polyring import (
     CoeffDomain,
-    GFElement,
     LetterMatrix,
     QQ,
     det_rows,
@@ -45,10 +47,10 @@ from .on_straighten import GO, ON, on_straighten
 from . import polyring
 
 
-def form_matrix(n: int, domain: CoeffDomain = QQ) -> LetterMatrix:
+def form_matrix(n: int) -> LetterMatrix:
     """The Gram matrix of the pairing: 1 where the column is the row's bar."""
     letters = _letters(n)
-    one, zero = domain.one(), domain.zero()
+    one, zero = rational(1), rational(0)
     return LetterMatrix(n, tuple(
         tuple(one if j == i.bar() else zero for j in letters) for i in letters
     ))
@@ -59,14 +61,14 @@ class GroupPoint:
 
     __slots__ = ("matrix", "n", "gamma_value", "det_value")
 
-    def __init__(self, matrix: LetterMatrix, gamma_value=None, domain: CoeffDomain = QQ):
+    def __init__(self, matrix: LetterMatrix, gamma_value=None):
         n = matrix.n
         if gamma_value is None:
-            gamma_value = domain.one()
+            gamma_value = rational(1)
         # J permutes rows by bar: row i of J g is row bar(i) of g
         letters = matrix.letters
         jg = LetterMatrix(n, [matrix.rows[letters.index(x.bar())] for x in letters])
-        if matrix.transpose() @ jg != form_matrix(n, domain).scale(gamma_value):
+        if matrix.transpose() @ jg != form_matrix(n).scale(gamma_value):
             raise DomainError("matrix does not satisfy the similitude relation")
         det = det_rows(matrix.rows)
         gamma_power = gamma_value
@@ -85,23 +87,22 @@ class GroupPoint:
     def entry(self, i: Letter, j: Letter):
         return self.matrix.entry(i, j)
 
-    def reduce_mod(self, domain: CoeffDomain) -> "GroupPoint | None":
-        """The image over a prime field, or None when a denominator vanishes."""
+    def reduce_mod(self, domain: CoeffDomain) -> "tuple[tuple[int, ...], ...] | None":
+        """The residue rows over a prime field, or None when the point has no image.
+
+        The image exists when every entry and gamma are p-integral and gamma
+        is a unit mod p.  The form relation then holds mod p because it holds
+        exactly, so the residues need no check of their own.
+        """
         if not domain.is_prime_field:
             raise DomainError("reduction targets a prime field")
-        rows = []
-        for row in self.matrix.rows:
-            new_row = []
-            for x in row:
-                y = domain.reduce_rational(x)
-                if y is None:
-                    return None
-                new_row.append(y)
-            rows.append(tuple(new_row))
         gamma = domain.reduce_rational(self.gamma_value)
-        if gamma is None or not gamma:
+        if not gamma:
             return None
-        return GroupPoint(LetterMatrix(self.n, rows), gamma, domain)
+        rows = tuple(tuple(domain.reduce_rational(x) for x in row) for row in self.matrix.rows)
+        if any(None in row for row in rows):
+            return None
+        return rows
 
 
 def _random_fraction(rng: random.Random, spread: int):
@@ -323,8 +324,10 @@ def matrix_rank(rows, domain: CoeffDomain = QQ) -> int:
     if not rows:
         return 0
     if domain.is_prime_field:
-        return _rank_mod([[x.value if isinstance(x, GFElement) else int(x) for x in r]
-                          for r in rows], domain.p)
+        residues = [[domain.reduce_rational(x) for x in r] for r in rows]
+        if any(None in r for r in residues):
+            raise DomainError(f"a value is not integral at {domain.p}")
+        return _rank_mod(residues, domain.p)
     n_cols = len(rows[0])
     multipliers = []
     for j in range(n_cols):
@@ -377,9 +380,6 @@ def _standard_pairs_of_size(n: int, size: int, gamma_pow: int) -> list[BidetTerm
         return [BidetTerm(1, gamma_pow, empty, empty)]
     out = []
     for shape in partitions_of(size, max_rows=n):
-        conj = conjugate(shape)
-        if (conj[0] if conj else 0) + (conj[1] if len(conj) > 1 else 0) > n:
-            continue
         standard = list(enumerate_on_standard(shape, n))
         for s in standard:
             for t in standard:
@@ -458,7 +458,9 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
         result = on_straighten(s, t, mode, n, domain)
         residual_zero = True
         for point in points:
-            if polyring.eval_bideterminant(s, t, point) != _value(result, point):
+            # over F_p the residual is a rational whose residue must vanish
+            residual = polyring.eval_bideterminant(s, t, point) - _value(result, point)
+            if domain.reduce_rational(residual) != 0:
                 residual_zero = False
         zero_count += 1 if residual_zero else 0
     lines.append(f"spanning residuals_zero={zero_count}/{spanning_samples}")
@@ -482,18 +484,18 @@ def _suite_points(n: int, count: int, seed: int, mode: str,
         return points
     if not domain.is_prime_field:
         return standard_points(n, count, seed, spread)
-    # reduced points repeat: many rational points collapse to one residue,
-    # so draw widely and keep only distinct images
-    reduced, seen = [], set()
+    # residues repeat: many rational points collapse to one residue matrix,
+    # so draw widely and keep the points whose residues are new
+    kept, seen = [], set()
     for attempt in range(8):
         size = (2 + 2 * attempt) * count
         draws = _draws(n, size, seed + 1009 * attempt, spread + attempt, min_minus=2)
         for p in itertools.islice(draws, size):
-            q = p.reduce_mod(domain)
-            if q is None or q.matrix.rows in seen:
+            residues = p.reduce_mod(domain)
+            if residues is None or residues in seen:
                 continue
-            seen.add(q.matrix.rows)
-            reduced.append(q)
-            if len(reduced) == count:
-                return reduced
-    return reduced
+            seen.add(residues)
+            kept.append(p)
+            if len(kept) == count:
+                return kept
+    return kept

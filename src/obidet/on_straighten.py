@@ -176,7 +176,7 @@ def verify_relation(spec: RelationSpec, points) -> bool:
     rhs = relation_rhs(spec)
     t_cols = spec.t.columns()
     for point in points:
-        gamma = getattr(point, "gamma_value", 1)
+        gamma = point.gamma_value
         lhs_value = 0
         for left_cols in relation_lhs_terms(spec):
             lhs_value = lhs_value + eval_columns_product(left_cols, t_cols, point)

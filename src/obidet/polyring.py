@@ -1,7 +1,9 @@
 """Exact sparse polynomials in the matrix entries X(i, j), i, j in the alphabet.
 
 Coefficients live in one of three exact domains: the rationals, the dyadic
-rationals (denominator a power of two), or a prime field of odd order.
+rationals (denominator a power of two), or a prime field of odd order.  The
+prime field is no number type of its own: CoeffDomain.reduce_rational maps
+an exact rational to its canonical residue, a plain int in [0, p).
 Determinants of submatrices of the generic matrix X, bideterminants, the
 full determinant and the similitude form gamma are all built here, together
 with exact evaluation at concrete matrices.
@@ -35,88 +37,8 @@ def is_dyadic(x) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# prime fields
+# coefficient domains
 # ---------------------------------------------------------------------------
-
-class GFElement:
-    """An element of the prime field of odd order p."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", value % p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GFElement is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise DomainError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return GFElement(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.p, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.p, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.p, other.value - self.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.p, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return GFElement(self.p, self.value * pow(other.value, self.p - 2, self.p))
-
-    def __neg__(self):
-        return GFElement(self.p, -self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"GF({self.p})({self.value})"
-
-    def __str__(self):
-        return str(self.value)
-
 
 class CoeffDomain:
     """One of the supported exact coefficient domains."""
@@ -143,30 +65,23 @@ class CoeffDomain:
     def is_prime_field(self) -> bool:
         return self.name == "fp"
 
-    def from_int(self, k: int):
-        if self.is_prime_field:
-            return GFElement(self.p, k)
-        return rational(k)
-
-    def zero(self):
-        return self.from_int(0)
-
-    def one(self):
-        return self.from_int(1)
-
     def reduce_rational(self, x):
-        """Image of an exact rational in this domain, or None if undefined."""
+        """Image of an exact rational in this domain, or None if undefined.
+
+        Over F_p the image is the canonical residue in [0, p), a plain int;
+        it is undefined when p divides the denominator.
+        """
         if not self.is_prime_field:
             return rational(x)
         num, den = int(x.numerator), int(x.denominator)
         if den % self.p == 0:
             return None
-        return GFElement(self.p, num) / GFElement(self.p, den)
+        return num * pow(den, -1, self.p) % self.p
 
     def validate(self, x) -> bool:
-        """Membership check, used for the dyadic mode."""
+        """Membership check: dyadic for Z[1/2], a canonical residue for F_p."""
         if self.is_prime_field:
-            return isinstance(x, GFElement) and x.p == self.p
+            return isinstance(x, int) and 0 <= x < self.p
         if self.name == "zhalf":
             return is_dyadic(x)
         return True
@@ -252,8 +167,8 @@ class LetterMatrix:
         return f"LetterMatrix({self.n}, {self.rows!r})"
 
     @classmethod
-    def identity(cls, n: int, domain: CoeffDomain = QQ) -> "LetterMatrix":
-        one, zero = domain.one(), domain.zero()
+    def identity(cls, n: int) -> "LetterMatrix":
+        one, zero = rational(1), rational(0)
         return cls(n, tuple(
             tuple(one if i == j else zero for j in range(n)) for i in range(n)
         ))

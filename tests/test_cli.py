@@ -77,15 +77,23 @@ def test_straighten_gl_points_check_below_three(capsys, monkeypatch, n, left, ri
     assert "point verification" in err and not out
 
 
-@pytest.mark.parametrize("args", [
-    ["straighten", "--n", "4", "--left", "1b", "--right", "1", "--points", "-2"],
-    ["verify", "--n", "3", "--degree", "1", "--points", "-3"],
-    ["golden", "--points", "-1"],
-])
-def test_negative_points_rejected(capsys, args):
+NEGATIVE_BOUNDS = [
+    (["straighten", "--n", "4", "--left", "1b", "--right", "1", "--points", "-2"], "--points"),
+    (["verify", "--n", "3", "--degree", "1", "--points", "-3"], "--points"),
+    (["golden", "--points", "-1"], "--points"),
+    (["straighten", "--n", "4", "--left", "1b", "--right", "1", "--max-terms", "-3"],
+     "--max-terms"),
+    (["verify", "--n", "3", "--degree", "1", "--cap", "-1"], "--cap"),
+]
+
+
+# positional ids, so every case keeps its name when cases are appended
+@pytest.mark.parametrize("args, option", NEGATIVE_BOUNDS,
+                         ids=[f"args{i}" for i in range(len(NEGATIVE_BOUNDS))])
+def test_negative_points_rejected(capsys, args, option):
     code, out, err = run_cli(args, capsys)
     assert code == 2
-    assert "--points" in err and not out
+    assert option in err and not out
 
 
 def test_straighten_on_example(capsys):
@@ -252,6 +260,12 @@ def test_enumerate_matches_library(capsys):
 def test_enumerate_bad_shape(capsys):
     code, _, err = run_cli(["enumerate", "--n", "4", "--shape", "1,2"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("option", [["--coeff", "q"], ["--points", "5"], ["--seed", "9"]])
+def test_enumerate_rejects_unused_options(capsys, option):
+    code, out, _ = run_cli(["enumerate", "--n", "4", "--shape", "2,1"] + option, capsys)
+    assert code == 2 and not out
 
 
 def test_verify_small(capsys):

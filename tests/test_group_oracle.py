@@ -124,25 +124,28 @@ def test_standard_points_distinct_and_mixed():
     assert dets.count(-1) >= 2 and dets.count(1) >= 2
 
 
-def _point_line(p) -> str:
-    rows = ";".join(" ".join(str(x) for x in r) for r in p.matrix.rows)
-    return rows + f"|{p.gamma_value}|{p.det_value}\n"
+def _point_line(p, domain=QQ) -> str:
+    r = domain.reduce_rational
+    rows = ";".join(" ".join(str(r(x)) for x in row) for row in p.matrix.rows)
+    return rows + f"|{r(p.gamma_value)}|{r(p.det_value)}\n"
 
 
 def test_seeded_draws_are_pinned():
     # every seeded point constructor, byte for byte: refactors of the point
     # layer must keep these draws, since certificates and benchmarks use them
-    points = []
+    lines = []
     for n in range(3, 8):
-        points += standard_points(n, 25, seed=n)
+        points = standard_points(n, 25, seed=n)
         for s in range(10):
             points.append(random_go_point(n, s, rational(s + 2, 3)))
             points.append(random_on_point(n, s, "MINUS"))
-    points += _suite_points(4, 40, 9, ON, GF(7))
-    points += _suite_points(3, 40, 9, ON, GF(5))
-    points += _suite_points(4, 20, 9, GO, QQ)
-    assert len(points) == 325
-    digest = hashlib.sha256("".join(map(_point_line, points)).encode()).hexdigest()
+        lines += map(_point_line, points)
+    # prime-field batches hold rational points; their residues are pinned
+    lines += [_point_line(p, GF(7)) for p in _suite_points(4, 40, 9, ON, GF(7))]
+    lines += [_point_line(p, GF(5)) for p in _suite_points(3, 40, 9, ON, GF(5))]
+    lines += map(_point_line, _suite_points(4, 20, 9, GO, QQ))
+    assert len(lines) == 325
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == "459f6d5daa01c70273340c6a617242994ad52d4fe002795c61ffabc8960e6444"
 
 
@@ -160,8 +163,8 @@ def test_points_are_built_once_and_drawn_lazily(monkeypatch):
             built.clear()
             random_on_point(n, s, "MINUS")
             assert len(built) == 1
-    monkeypatch.undo()
 
+    built.clear()
     draws = []
     draw = group_oracle.random_on_point
 
@@ -173,13 +176,18 @@ def test_points_are_built_once_and_drawn_lazily(monkeypatch):
     # drawing each batch in full would take 280 rational points
     assert len(_suite_points(4, 140, 7, ON, GF(7))) == 140
     assert len(draws) < 200
+    # residues are taken from the drawn point; no second point is built
+    assert len(built) == len(draws)
 
 
 def test_reduce_mod():
-    p = random_so_point(4, 9)
-    q = p.reduce_mod(GF(5))
-    if q is not None:
-        assert q.gamma_value == GF(5).one()
+    p = random_so_point(4, 9)   # entry denominators 1 and 3
+    d = GF(5)
+    residues = p.reduce_mod(d)
+    assert residues == tuple(tuple(d.reduce_rational(x) for x in row)
+                             for row in p.matrix.rows)
+    assert all(isinstance(x, int) and 0 <= x < 5 for row in residues for x in row)
+    assert p.reduce_mod(GF(3)) is None
     with pytest.raises(DomainError):
         p.reduce_mod(QQ)
 
@@ -291,10 +299,14 @@ def test_rank_nondecreasing_in_points():
 
 def test_gf_matrix_rank():
     d = GF(5)
-    rows = [[d.from_int(1), d.from_int(2)], [d.from_int(2), d.from_int(4)]]
+    rows = [[1, Fraction(2, 3)], [3, 2]]
     assert matrix_rank(rows, d) == 1
-    rows[1][1] = d.from_int(0)
+    rows[1][1] = 0
     assert matrix_rank(rows, d) == 2
+    # rank 2 over Q, but 24 = 4 mod 5
+    assert matrix_rank([[1, 2], [2, Fraction(24)]], d) == 1
+    with pytest.raises(DomainError):
+        matrix_rank([[1, 2], [Fraction(1, 5), 4]], d)
 
 
 def test_matrix_rank_matches_fraction_reference():
@@ -335,15 +347,19 @@ def test_gf_matrix_rank_mixed_entries(p):
     rng = random.Random(p)
     for _ in range(100):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        values = [[rng.randrange(-2 * p, 2 * p) for _ in range(nc)] for _ in range(nr)]
+        # denominators 1..4 are units modulo 5 and 7
+        values = [[Fraction(rng.randrange(-2 * p, 2 * p), rng.randint(1, 4))
+                   for _ in range(nc)] for _ in range(nr)]
         if nr >= 2 and rng.random() < 0.5:
             values[-1] = [a + 3 * b for a, b in zip(values[0], values[nr // 2])]
-        rows = [[x if rng.random() < 0.3 else d.from_int(x) for x in r] for r in values]
+        rows = [[int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in r]
+                for r in values]
         assert matrix_rank(rows, d) == _rank_mod_reference(values, p)
 
 
 def _rank_mod_reference(rows, p):
-    """Reference rank mod p: the smallest k whose k x k minors all vanish mod p."""
+    """Reference rank mod p of a p-integral matrix: the largest k with a k x k
+    minor whose numerator p does not divide."""
     import itertools
     from obidet.polyring import det_rows
     nr, nc = len(rows), len(rows[0])
@@ -351,7 +367,7 @@ def _rank_mod_reference(rows, p):
         for rs in itertools.combinations(range(nr), k):
             for cs in itertools.combinations(range(nc), k):
                 minor = [[Fraction(rows[r][c]) for c in cs] for r in rs]
-                if det_rows(minor) % p:
+                if det_rows(minor).numerator % p:
                     return k
     return 0
 

@@ -6,7 +6,6 @@ from obidet.tableaux import DomainError, Letter, Tableau, _letters
 from obidet.polyring import (
     GF,
     CoeffDomain,
-    GFElement,
     LetterMatrix,
     Polynomial,
     QQ,
@@ -58,22 +57,13 @@ def test_dyadic_membership():
     assert not ZHALF.validate(rational(1, 6))
 
 
-def test_gf_arithmetic():
-    d = GF(7)
-    a, b = d.from_int(3), d.from_int(5)
-    assert a + b == d.from_int(1)
-    assert a * b == d.from_int(1)
-    assert a - b == d.from_int(-2)
-    assert (a / b).value == (3 * pow(5, 5, 7)) % 7
-    assert d.one() / d.from_int(2) * d.from_int(2) == d.one()
-    assert not d.zero()
-    assert 2 * a == d.from_int(6)
-
-
 def test_gf_reduce_rational():
     d = GF(5)
-    assert d.reduce_rational(rational(7, 3)) == d.from_int(7) / d.from_int(3)
+    assert d.reduce_rational(rational(7, 3)) == 4
+    assert type(d.reduce_rational(rational(7, 3))) is int
+    assert d.reduce_rational(rational(-7, 3)) == 1    # canonical, in [0, p)
     assert d.reduce_rational(rational(1, 5)) is None
+    assert d.validate(4) and not d.validate(5) and not d.validate(rational(4))
 
 
 # ---------------------------------------------------------------------------
