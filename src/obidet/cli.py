@@ -1,7 +1,8 @@
 """Batch command line: straighten, enumerate, verify, and replay goldens.
 
 Exit codes: 0 success, 2 parse or configuration error, 3 verification
-failure, 4 cap exceeded.
+failure or an undecided verify (its F_p points could not decide), 4 cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -119,11 +120,14 @@ def cmd_golden(args) -> int:
     return 3 if failures else 0
 
 
-def count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,12 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, modes=("gl", "on", "go")):
-        p.add_argument("--n", type=int, required=True, help="alphabet size")
+        p.add_argument("--n", type=at_least(1), required=True, help="alphabet size")
         p.add_argument("--mode", choices=modes, default="on")
         p.add_argument("--coeff", default="q",
                        help="coefficient domain: q, zhalf, or f<p>")
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--points", type=count, default=0,
+        p.add_argument("--points", type=at_least(0), default=0,
                        help="number of verification points")
         p.add_argument("--out", default=None, help="write output to a file")
 
@@ -148,14 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", help="left tableau, rows ; separated")
     p.add_argument("--right", help="right tableau")
     p.add_argument("--file", help="file with two tableau lines")
-    p.add_argument("--max-terms", type=count, default=200000, dest="fuel",
+    p.add_argument("--max-terms", type=at_least(0), default=200000, dest="fuel",
                    help="straightening fuel: most distinct terms to expand")
     p.add_argument("--trace", action="store_true",
                    help="log each rewrite step to stderr")
     p.set_defaults(func=cmd_straighten)
 
     p = sub.add_parser("enumerate", help="list the standard tableaux of a shape")
-    p.add_argument("--n", type=int, required=True, help="alphabet size")
+    p.add_argument("--n", type=at_least(1), required=True, help="alphabet size")
     p.add_argument("--shape", required=True, help="partition, e.g. '2,1'")
     p.add_argument("--out", default=None, help="write output to a file")
     p.set_defaults(func=cmd_enumerate)
@@ -163,12 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the basis certification suite")
     common(p, modes=("on", "go"))
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=count, default=800,
+    p.add_argument("--cap", type=at_least(0), default=800,
                    help="refuse when the standard set is larger than this")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("golden", help="replay the embedded worked identities")
-    p.add_argument("--points", type=count, default=0,
+    p.add_argument("--points", type=at_least(0), default=0,
                    help="additionally verify each identity at this many points")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None)

@@ -189,18 +189,22 @@ def single_term(left: Tableau, right: Tableau, coef=1, gamma_pow: int = 0) -> Co
 # column sorting with signs
 # ---------------------------------------------------------------------------
 
+def inversion_sign(seq) -> int:
+    """(-1) to the number of inversions of a sequence of distinct values."""
+    sign = 1
+    for a, b in itertools.combinations(seq, 2):
+        if a > b:
+            sign = -sign
+    return sign
+
+
 def sort_letters(entries) -> tuple[int, tuple[Letter, ...]]:
     """Sort a column, returning (sign, sorted); sign 0 on a repeated letter."""
     entries = list(entries)
     if len(set(entries)) < len(entries):
         return 0, ()
-    sign = 1
     order = sorted(range(len(entries)), key=lambda i: entries[i].key)
-    # count inversions of the permutation
-    for a, b in itertools.combinations(order, 2):
-        if a > b:
-            sign = -sign
-    return sign, tuple(entries[i] for i in order)
+    return inversion_sign(order), tuple(entries[i] for i in order)
 
 
 def normalize_pair(left_cols, right_cols) -> tuple[int, Tableau | None, Tableau | None]:
@@ -353,24 +357,50 @@ def _gl_violation_pair(t: Tableau) -> int | None:
     return None
 
 
-def _splice(cols, c: int, replacement):
-    return list(cols[:c]) + [list(x) for x in replacement] + list(cols[c + 2:])
+def splice_block(left: Tableau, right: Tableau, i: int, j: int,
+                 rewrite, check) -> list[BidetTerm]:
+    """Rewrite columns i < j of [left : right] as a two-column pair.
 
+    rewrite(s, t) gives the terms of the two-column pair; check(left,
+    new_left) is the rule's measure check on each spliced term.  A term that
+    keeps both column lengths goes back to columns i and j, which keeps the
+    tableau order comparison local to the block; any other term's columns
+    are inserted at i, since a bideterminant is a product of column minors
+    and normalize_pair sorts the columns by length.  The terms come back
+    unmerged: splicing the terms of a merged pair back is injective.
+    """
+    left_cols, right_cols = left.columns(), right.columns()
+    lengths = (len(left_cols[i]), len(left_cols[j]))
 
-def mead_step(left: Tableau, right: Tableau, c: int) -> Combination:
-    """Apply the two-column rewrite to columns (c, c+1) and reassemble."""
-    sub_left = Tableau.from_columns([left.column(c), left.column(c + 1)])
-    sub_right = Tableau.from_columns([right.column(c), right.column(c + 1)])
-    _, head, drop = two_column_straighten(sub_left, sub_right)
+    def put_back(cols, block):
+        rest = [c for k, c in enumerate(cols) if k not in (i, j)]
+        if tuple(len(c) for c in block) == lengths:
+            rest.insert(i, block[0])
+            rest.insert(j, block[1])
+            return rest
+        return rest[:i] + list(block) + rest[i:]
+
     out = []
-    for term in head + drop:
-        lc = _splice(left.columns(), c, term.left.columns())
-        rc = _splice(right.columns(), c, term.right.columns())
-        sign, new_left, new_right = normalize_pair(lc, rc)
+    for term in rewrite(Tableau.from_columns([left_cols[i], left_cols[j]]),
+                        Tableau.from_columns([right_cols[i], right_cols[j]])):
+        sign, new_left, new_right = normalize_pair(
+            put_back(left_cols, term.left.columns()),
+            put_back(right_cols, term.right.columns()))
         if sign == 0:
             continue
+        check(left, new_left)
         out.append(BidetTerm(term.coef * sign, term.gamma_pow, new_left, new_right))
-    return Combination(out)
+    return out
+
+
+def _two_column_rewrite(s: Tableau, t: Tableau) -> Combination:
+    _, head, drop = two_column_straighten(s, t)
+    return head + drop
+
+
+def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:
+    """Apply the two-column rewrite to columns (c, c+1) and reassemble."""
+    return splice_block(left, right, c, c + 1, _two_column_rewrite, _check_gl_measure)
 
 
 def _column_profile(t: Tableau):
@@ -397,10 +427,7 @@ def gl_left_step(left: Tableau, right: Tableau):
     c = _gl_violation_pair(left)
     if c is None:
         return None
-    produced = list(mead_step(left, right, c))
-    for x in produced:
-        _check_gl_measure(left, x.left)
-    return "GL", c + 1, produced
+    return "GL", c + 1, mead_step(left, right, c)
 
 
 def on_right(step, left: Tableau, right: Tableau, *args):

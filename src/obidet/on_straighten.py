@@ -8,9 +8,11 @@ replacement identities repair the orthogonal standardness conditions with
 it, the complementary-minor identity repairs the column condition, and the
 driver recurses to a combination of standard terms.
 
-In similitude (GO) mode each degree-d collapse carries a factor gamma^d
-and the column reduction trades det^2 for gamma^n, so every output term
-satisfies 2 * gamma_pow + |shape| = input degree.
+The rules work on the similitude group GO(n): each degree-d collapse
+carries a factor gamma^d and the column reduction trades det^2 for gamma^n,
+so every rewrite keeps 2 * gamma_pow + |shape| fixed.  O(n) is the subgroup
+where gamma = 1, so ON mode is GO mode with every gamma power set to 0 at
+the end; by the grading, no two terms merge when it is.
 """
 
 from __future__ import annotations
@@ -33,13 +35,15 @@ from .gl_straighten import (
     BidetTerm,
     Combination,
     _column_profile,
-    gl_left_step,
+    _gl_rule,
+    inversion_sign,
     normalize_pair,
     on_right,
     one_switch_expand,
     run_straightening,
     single_term,
     sort_letters,
+    splice_block,
 )
 from .polyring import CoeffDomain, QQ, ZHALF, eval_columns_product, rational
 
@@ -102,15 +106,25 @@ class SdExpansion:
         for _, terms in self.per_degree:
             yield from terms
 
-    def to_combination(self, mode: str = ON) -> Combination:
+    def to_combination(self) -> Combination:
         out = []
         for term in self.all_terms():
             sign, left, right = normalize_pair(term.left_cols, term.right.columns())
             if sign == 0:
                 continue
-            gpow = term.gamma_pow if mode == GO else 0
-            out.append(BidetTerm(term.sign * sign, gpow, left, right))
+            out.append(BidetTerm(term.sign * sign, term.gamma_pow, left, right))
         return Combination(out)
+
+
+def _at_mode(comb: Combination, mode: str) -> Combination:
+    """A combination on GO(n) as functions on GO(n), or on O(n) in ON mode.
+
+    O(n) is where gamma = 1; the grading keeps terms of equal tableaux at one
+    gamma power, so setting the powers to 0 merges no terms.
+    """
+    if mode == GO:
+        return comb
+    return Combination(BidetTerm(x.coef, 0, x.left, x.right) for x in comb)
 
 
 def _delete_pairs(t: Tableau, pair_set) -> Tableau:
@@ -136,11 +150,7 @@ def _pair_deletion_sign(t: Tableau, pair_set) -> int:
     p_positions = [c1.index(x) + 1 for x in ordered]
     q_positions = [c2.index(x.bar()) + 1 for x in ordered]
     total = sum(p_positions) + sum(q_positions)
-    inversions = sum(
-        1 for i in range(len(q_positions)) for j in range(i + 1, len(q_positions))
-        if q_positions[i] > q_positions[j]
-    )
-    return -1 if (total + inversions) % 2 else 1
+    return (-1 if total % 2 else 1) * inversion_sign(q_positions)
 
 
 def relation_rhs(spec: RelationSpec) -> SdExpansion:
@@ -197,13 +207,7 @@ def verify_relation(spec: RelationSpec, points) -> bool:
 
 def _selection_sign(total: int, front: list[int]) -> int:
     """Sign of the permutation moving the listed positions to the front."""
-    rest = [i for i in range(total) if i not in set(front)]
-    order = list(front) + rest
-    sign = 1
-    for a, b in itertools.combinations(order, 2):
-        if a > b:
-            sign = -sign
-    return sign
+    return inversion_sign(list(front) + [i for i in range(total) if i not in set(front)])
 
 
 def one_column_complement(s_col, t_col, n: int):
@@ -281,24 +285,17 @@ class _PairContext:
     s0_col2: tuple[Letter, ...]
 
 
-def _classify(s: Tableau, n: int, j: int):
-    """Split the letters up to j into pair, unpaired and absent sets."""
+def _pair_context(s: Tableau, n: int, j: int, drop_from_excluded: Letter | None) -> _PairContext:
+    """Split the letters up to j into pairs and absent letters (the set C)."""
     cols = s.columns()
     c1 = list(cols[0]) if cols else []
     c2 = list(cols[1]) if len(cols) > 1 else []
-    bound = Letter(j)
-    small = [x for x in _letters(n) if x <= bound]
+    small = [x for x in _letters(n) if x <= Letter(j)]
     in1, in2 = set(c1), set(c2)
     pairs = [x for x in small if x in in1 and x.bar() in in2]
-    absent = [x for x in small if x not in in1 and x.bar() not in in2]
-    return pairs, absent, c1, c2
-
-
-def _pair_context(s: Tableau, n: int, j: int, drop_from_excluded: Letter | None) -> _PairContext:
-    pairs, absent, c1, c2 = _classify(s, n, j)
     if not pairs:
         raise DomainError("no replaceable pairs below the witness index")
-    excluded = set(absent)
+    excluded = {x for x in small if x not in in1 and x.bar() not in in2}
     if drop_from_excluded is not None:
         if drop_from_excluded not in excluded:
             raise DomainError(f"{drop_from_excluded} is not among the absent letters")
@@ -334,7 +331,7 @@ def _replacement_sum_terms(s: Tableau, ctx: _PairContext, n: int):
         yield (new1, new2), list(values) == ctx.pair_values
 
 
-def _replacement_fix(s: Tableau, t: Tableau, ctx: _PairContext, n: int, mode: str):
+def _replacement_fix(s: Tableau, t: Tableau, ctx: _PairContext, n: int):
     """Solve the replacement sum for [S:T].
 
     Returns (lambda_part, s_part): the same-shape terms to subtract and the
@@ -355,44 +352,28 @@ def _replacement_fix(s: Tableau, t: Tableau, ctx: _PairContext, n: int, mode: st
         raise AssertionError("replacement sum lost the identity term")
     spec = RelationSpec(ctx.s0_col1, ctx.s0_col2, t, a=len(ctx.pair_values),
                         excluded=frozenset(ctx.excluded), n=n)
-    s_part = relation_rhs(spec).to_combination(mode)
-    return Combination(lam_terms), s_part
+    return Combination(lam_terms), relation_rhs(spec).to_combination()
 
 
-def fix_os1(s: Tableau, t: Tableau, j: int, mode: str = ON,
-            n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
-    """Repair a count violation (more than 2j small entries in the columns)."""
+def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
+            domain: CoeffDomain) -> Combination:
+    """The OS1, OS2 or OS3 repair of a two-column pair at index j, on GO(n).
+
+    The three differ in the violation they need, in the absent letter the
+    replacement sum leaves out (none, bar j, j) and in the switch step that
+    solves OS3.
+    """
     n = _require_n(n)
-    rep = on_standard_report(s, n)
-    if not any(v.kind == "OS1" and v.witness == j for v in rep.violations):
-        raise DomainError(f"no count violation at index {j}")
-    ctx = _pair_context(s, n, j, drop_from_excluded=None)
-    lam, s_part = _replacement_fix(s, t, ctx, n, mode)
-    return (s_part.scale(ctx.repos_sign) - lam).reduce(domain)
-
-
-def fix_os2(s: Tableau, t: Tableau, j: int, mode: str = ON,
-            n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
-    """Repair an unprotected entry in the first column (strict count case)."""
-    n = _require_n(n)
-    rep = on_standard_report(s, n)
-    if not any(v.kind == "OS2" and v.witness == j for v in rep.violations):
-        raise DomainError(f"no protection violation at index {j}")
-    ctx = _pair_context(s, n, j, drop_from_excluded=Letter(j).bar())
-    lam, s_part = _replacement_fix(s, t, ctx, n, mode)
-    return (s_part.scale(ctx.repos_sign) - lam).reduce(domain)
-
-
-def fix_os3(s: Tableau, t: Tableau, j: int, mode: str = ON,
-            n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
-    """Repair an unprotected pair row (equal count case); needs 1/2."""
-    n = _require_n(n)
-    rep = on_standard_report(s, n)
-    if not any(v.kind == "OS3" and v.witness == j and v.column == 2
-               for v in rep.violations):
-        raise DomainError(f"no pair-row violation at index {j}")
-    ctx = _pair_context(s, n, j, drop_from_excluded=Letter(j))
-    lam, s_part = _replacement_fix(s, t, ctx, n, mode)
+    if not any(v.kind == kind and v.witness == j and (kind != "OS3" or v.column == 2)
+               for v in on_standard_report(s, n).violations):
+        what = {"OS1": "count", "OS2": "protection", "OS3": "pair-row"}[kind]
+        raise DomainError(f"no {what} violation at index {j}")
+    dropped = {"OS1": None, "OS2": Letter(j).bar(), "OS3": Letter(j)}[kind]
+    ctx = _pair_context(s, n, j, dropped)
+    lam, s_part = _replacement_fix(s, t, ctx, n)
+    out = s_part.scale(ctx.repos_sign) - lam
+    if kind != "OS3":
+        return out.reduce(domain)
 
     # the switched tableau: the row of (bar j, j) with the pair reversed
     cols = s.columns()
@@ -405,15 +386,31 @@ def fix_os3(s: Tableau, t: Tableau, j: int, mode: str = ON,
     c2 = list(cols[1])
     c1[row - 1], c2[row - 1] = Letter(j), Letter(j).bar()
     star = Tableau.from_columns([c1, c2])
-    star_coef = lam.coefficient(star, t)
-    if star_coef != 1:
+    if lam.coefficient(star, t) != 1:
         raise AssertionError("replacement sum lost the switched term")
 
     # [S:T] + [S*:T] + s3 = repos * s1  and  [S*:T] - [S:T] = switch
-    # combine to 2 [S:T] = repos * s1 - s3 - switch
-    s3 = lam - single_term(star, t)
-    doubled = s_part.scale(ctx.repos_sign) - s3 - switch
+    # combine to 2 [S:T] = repos * s1 - s3 - switch, with s3 = lam - [S*:T]
+    doubled = out + single_term(star, t) - switch
     return doubled.scale(rational(1, 2)).reduce(domain)
+
+
+def fix_os1(s: Tableau, t: Tableau, j: int, mode: str = ON,
+            n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
+    """Repair a count violation (more than 2j small entries in the columns)."""
+    return _at_mode(_repair(s, t, "OS1", j, n, domain), mode)
+
+
+def fix_os2(s: Tableau, t: Tableau, j: int, mode: str = ON,
+            n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
+    """Repair an unprotected entry in the first column (strict count case)."""
+    return _at_mode(_repair(s, t, "OS2", j, n, domain), mode)
+
+
+def fix_os3(s: Tableau, t: Tableau, j: int, mode: str = ON,
+            n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
+    """Repair an unprotected pair row (equal count case); needs 1/2."""
+    return _at_mode(_repair(s, t, "OS3", j, n, domain), mode)
 
 
 def _require_n(n):
@@ -428,52 +425,6 @@ def _require_n(n):
 # the full driver
 # ---------------------------------------------------------------------------
 
-def fix_two_column(s: Tableau, t: Tableau, mode: str, n: int) -> tuple[str, int, Combination]:
-    """Apply the first applicable repair to a GL-standard two-column pair.
-
-    The repairs are identities over Z[1/2], so they run in that domain.
-    """
-    rep = on_standard_report(s, n)
-    if rep.standard:
-        raise DomainError("already standard")
-    v = rep.violations[0]
-    if v.kind == "COLSUM":
-        return "COLSUM", 0, Combination([reduce_tall_shape(s, t, mode, n)])
-    if v.kind == "OS1":
-        return "OS1", v.witness, fix_os1(s, t, v.witness, mode, n, ZHALF)
-    if v.kind == "OS2":
-        return "OS2", v.witness, fix_os2(s, t, v.witness, mode, n, ZHALF)
-    if v.kind == "OS3":
-        return "OS3", v.witness, fix_os3(s, t, v.witness, mode, n, ZHALF)
-    raise AssertionError(f"unexpected violation {v}")
-
-
-def _extract_block(t: Tableau, b: int):
-    """Columns (1, b) as a two-column tableau plus the untouched columns."""
-    cols = list(t.columns())
-    block = [cols[0], cols[b - 1]]
-    rest = [c for i, c in enumerate(cols) if i not in (0, b - 1)]
-    return block, rest
-
-
-def _reassemble(block_cols, rest, b: int, original_lengths):
-    """Put a replaced block back among the untouched columns.
-
-    When the block kept its column lengths the original positions are
-    restored exactly (keeping the tableau order comparison local to the
-    block); otherwise column order is immaterial for a product of column
-    minors and the caller resorts by length.
-    """
-    block_cols = [list(c) for c in block_cols]
-    rest = [list(c) for c in rest]
-    if tuple(len(c) for c in block_cols) == original_lengths:
-        merged = list(rest)
-        merged.insert(0, block_cols[0])
-        merged.insert(b - 1, block_cols[1])
-        return merged
-    return block_cols + rest
-
-
 def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
                   domain: CoeffDomain = QQ, fuel: int = 500000,
                   trace: list | None = None) -> Combination:
@@ -482,7 +433,8 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     The output is a combination with every left and right tableau standard;
     in GO mode the terms carry gamma powers with 2 * gamma_pow + |shape|
     equal to the input degree.  Identity holds as functions on the group.
-    The rewrite runs over Z[1/2] and the result is mapped to the domain once.
+    The rewrite runs on GO(n) over Z[1/2]; the result is restricted to O(n)
+    in ON mode and mapped to the domain once.
     """
     n = _require_n(n)
     if mode not in (ON, GO):
@@ -496,53 +448,52 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
             if not letter_in_alphabet(x, n):
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
 
-    out = run_straightening(s, t, lambda left, right: _one_step(left, right, mode, n),
-                            fuel, trace).reduce(domain)
+    out = run_straightening(s, t, lambda left, right: _one_step(left, right, n),
+                            fuel, trace)
+    for term in out:
+        if 2 * term.gamma_pow + term.left.size != s.size:
+            raise AssertionError("gamma grading violated")
+    out = _at_mode(out, mode).reduce(domain)
     for term in out:
         if not on_standard_report(term.left, n).standard:
             raise AssertionError("non-standard left tableau in output")
         if not on_standard_report(term.right, n).standard:
             raise AssertionError("non-standard right tableau in output")
-        if mode == GO and 2 * term.gamma_pow + term.left.size != s.size:
-            raise AssertionError("gamma grading violated")
     return out
 
 
-def _one_step(left: Tableau, right: Tableau, mode: str, n: int):
-    """One rewrite of [left : right] at unit coefficient; None when standard.
+def _one_step(left: Tableau, right: Tableau, n: int):
+    """One rewrite of [left : right] on GO(n) at unit coefficient; None when standard.
 
     The order is GL-left, GL-right, then the orthogonal repairs left and
     right: the repairs need GL-standard input.
     """
-    return (gl_left_step(left, right)
-            or on_right(gl_left_step, left, right)
-            or _fix_left(left, right, mode, n)
-            or on_right(_fix_left, left, right, mode, n))
+    return (_gl_rule(left, right)
+            or _fix_left(left, right, n)
+            or on_right(_fix_left, left, right, n))
 
 
-def _fix_left(left: Tableau, right: Tableau, mode: str, n: int):
-    """The first orthogonal repair of the left side, or None when it is standard."""
+def _fix_left(left: Tableau, right: Tableau, n: int):
+    """The first orthogonal repair of the left side, or None when it is standard.
+
+    The repair runs on the block of columns 1 and b (b = 2, or the column of
+    an OS3 pair row) over Z[1/2], where every repair is an identity.
+    """
     rep = on_standard_report(left, n)
     if rep.standard:
         return None
     v = rep.violations[0]
-    b = v.column if v.kind == "OS3" and v.column >= 2 else 2
-    block_left, rest_left = _extract_block(left, b)
-    block_right, rest_right = _extract_block(right, b)
-    original_lengths = tuple(len(c) for c in block_left)
-    sub_left = Tableau.from_columns(block_left)
-    sub_right = Tableau.from_columns(block_right)
-    kind, witness, fixed = fix_two_column(sub_left, sub_right, mode, n)
-    produced = []
-    for x in fixed:
-        lc = _reassemble(x.left.columns(), rest_left, b, original_lengths)
-        rc = _reassemble(x.right.columns(), rest_right, b, original_lengths)
-        sign, new_left, new_right = normalize_pair(lc, rc)
-        if sign == 0:
-            continue
-        _check_repair_measure(left, new_left)
-        produced.append(BidetTerm(x.coef * sign, x.gamma_pow, new_left, new_right))
-    return kind, witness, produced
+    if v.kind == "COLSUM":
+        def repair(s, t):
+            return [reduce_tall_shape(s, t, GO, n)]
+    else:
+        fix = {"OS1": fix_os1, "OS2": fix_os2, "OS3": fix_os3}[v.kind]
+
+        def repair(s, t):
+            return fix(s, t, v.witness, GO, n, ZHALF)
+    b = v.column if v.kind == "OS3" else 2
+    return v.kind, v.witness, splice_block(left, right, 0, b - 1, repair,
+                                           _check_repair_measure)
 
 
 def _check_repair_measure(old: Tableau, new: Tableau):

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -84,6 +85,10 @@ NEGATIVE_BOUNDS = [
     (["straighten", "--n", "4", "--left", "1b", "--right", "1", "--max-terms", "-3"],
      "--max-terms"),
     (["verify", "--n", "3", "--degree", "1", "--cap", "-1"], "--cap"),
+    (["enumerate", "--n", "-1", "--shape", "1"], "--n"),
+    (["enumerate", "--n", "0", "--shape", "1"], "--n"),
+    (["straighten", "--mode", "gl", "--n", "0", "--left", "1", "--right", "1"], "--n"),
+    (["verify", "--n", "-2", "--degree", "1"], "--n"),
 ]
 
 
@@ -284,6 +289,18 @@ def test_verify_prime_field(capsys):
     code, out, _ = run_cli(["verify", "--n", "3", "--degree", "2", "--coeff", "f5"], capsys)
     assert code == 0
     assert out.strip().endswith("PASS")
+
+
+def test_verify_small_prime_field_is_undecided(capsys):
+    # O(3, F_3) has 48 points, too few to separate the 44 functions of
+    # degree <= 2: a short rank over F_p decides nothing, and no retry helps
+    start = time.monotonic()
+    code, out, _ = run_cli(["verify", "--n", "3", "--degree", "2", "--coeff", "f3"], capsys)
+    assert time.monotonic() - start < 10
+    assert code == 3
+    lines = out.strip().splitlines()
+    assert lines[-1] == "UNDECIDED"
+    assert "independence rank=32 expected=44 undecided" in lines
 
 
 def test_verify_zhalf_straightens_in_zhalf(capsys, monkeypatch):

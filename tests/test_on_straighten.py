@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -529,3 +531,37 @@ def test_on_straighten_deep_case_with_os3_wide_column():
     pts = standard_points(6, 8, seed=5)
     for pt in pts:
         assert eval_bideterminant(s, t, pt) == out.evaluate(pt)
+
+
+# the rewrite graph of 40 seeded pairs (n 4..7, size 3..5, ON and GO): each
+# certificate and the multiset of its (kind, witness, term count) steps
+REWRITE_GRAPH_SHA256 = "aa65f38c23a00bbfe91b8980ecc705698f7a3f2eb4287abb8983cfe51ce803b4"
+REWRITE_GRAPH_STEPS = {"GL": 1726, "COLSUM": 7, "OS1": 67, "OS2": 7, "OS3": 169}
+
+
+def seeded_rewrite_pairs(seed=3, count=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        size = rng.randint(3, 5)
+        shape = rng.choice(list(partitions_of(size, max_rows=n)))
+        letters = _letters(n)
+        s, t = (Tableau.from_columns(
+            [sorted(rng.sample(letters, k), key=lambda x: x.key) for k in conjugate(shape)])
+            for _ in range(2))
+        yield rng.choice((ON, GO)), n, s, t
+
+
+def test_rewrite_graph_is_pinned():
+    digest = hashlib.sha256()
+    steps = Counter()
+    for mode, n, s, t in seeded_rewrite_pairs():
+        trace = []
+        out = on_straighten(s, t, mode, n, trace=trace)
+        counts = sorted(Counter(trace).items())
+        for (kind, _, _), c in counts:
+            steps[kind] += c
+        digest.update(f"{mode} {n} {s.format()} | {t.format()}\n"
+                      f"{out.certificate()}\n{counts}\n".encode())
+    assert dict(steps) == REWRITE_GRAPH_STEPS
+    assert digest.hexdigest() == REWRITE_GRAPH_SHA256
