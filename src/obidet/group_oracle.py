@@ -43,7 +43,7 @@ from .polyring import (
     solve,
 )
 from .gl_straighten import BidetTerm, Combination
-from .on_straighten import GO, ON, on_straighten
+from .on_straighten import GO, ON, _require_mode, on_straighten
 from . import polyring
 
 
@@ -360,31 +360,31 @@ def standard_basis_elements(n: int, r_max: int, mode: str = ON,
     2k + |shape| = r; the orthogonal mode lists plain [S:T] of all degrees
     up to the cap, including the empty-shape constant.
     """
+    return _block_terms(_standard_blocks(n, r_max, mode, degree_exact))
+
+
+def _standard_blocks(n: int, r_max: int, mode: str, degree_exact: bool = False):
+    """The basis as blocks (k, tableaux): the pairs gamma^k [S:T] of one shape.
+
+    Each shape is enumerated once, however many gamma levels it appears at.
+    """
+    _require_mode(mode)
     if r_max < 0:
         raise DomainError(f"degree must be >= 0, got {r_max}")
-    out = []
-    degrees = [r_max] if degree_exact else list(range(r_max + 1))
-    for r in degrees:
-        if mode == GO:
-            for k in range(r // 2 + 1):
-                size = r - 2 * k
-                out.extend(_standard_pairs_of_size(n, size, gamma_pow=k))
-        else:
-            out.extend(_standard_pairs_of_size(n, r, gamma_pow=0))
-    return out
+    by_size: dict[int, list] = {0: [[Tableau(())]]}
+    blocks = []
+    for r in [r_max] if degree_exact else range(r_max + 1):
+        for k in range(r // 2 + 1) if mode == GO else (0,):
+            size = r - 2 * k
+            if size not in by_size:
+                by_size[size] = [list(enumerate_on_standard(shape, n))
+                                 for shape in partitions_of(size, max_rows=n)]
+            blocks.extend((k, tableaux) for tableaux in by_size[size])
+    return blocks
 
 
-def _standard_pairs_of_size(n: int, size: int, gamma_pow: int) -> list[BidetTerm]:
-    if size == 0:
-        empty = Tableau(())
-        return [BidetTerm(1, gamma_pow, empty, empty)]
-    out = []
-    for shape in partitions_of(size, max_rows=n):
-        standard = list(enumerate_on_standard(shape, n))
-        for s in standard:
-            for t in standard:
-                out.append(BidetTerm(1, gamma_pow, s, t))
-    return out
+def _block_terms(blocks) -> list[BidetTerm]:
+    return [BidetTerm(1, k, s, t) for k, tableaux in blocks for s in tableaux for t in tableaux]
 
 
 def _random_nonstandard_pair(n: int, max_size: int, rng: random.Random):
@@ -425,13 +425,13 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     """
     if mode == GO and domain.is_prime_field:
         raise DomainError("similitude mode runs over the rationals only")
-    elements = standard_basis_elements(n, r_max, mode)
+    blocks = _standard_blocks(n, r_max, mode)
+    count = sum(len(tableaux) ** 2 for _, tableaux in blocks)
+    if count > cap:
+        return SuiteReport([f"refused: {count} standard elements exceed the cap {cap}"], False)
+    elements = _block_terms(blocks)
     lines = []
     ok = True
-    if len(elements) > cap:
-        return SuiteReport(
-            [f"refused: {len(elements)} standard elements exceed the cap {cap}"], False)
-    count = len(elements)
     want_points = num_points or (count + 6)
 
     ranks = []
@@ -478,8 +478,20 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     return SuiteReport(lines, ok and not undecided, ok and undecided)
 
 
+def _orthogonal_group_order(n: int, p: int) -> int:
+    """The order of O(n, F_p) for the split form J and an odd prime p."""
+    m = n // 2
+    order = 2 * p ** (m * m if n % 2 else m * (m - 1))
+    for i in range(1, m + n % 2):
+        order *= p ** (2 * i) - 1
+    if n % 2 == 0:
+        order *= p ** m - 1
+    return order
+
+
 def _suite_points(n: int, count: int, seed: int, mode: str,
                   domain: CoeffDomain, spread: int = 2) -> list[GroupPoint]:
+    _require_mode(mode)
     if mode == GO:
         points, i = [], 0
         rng = random.Random(seed)
@@ -494,7 +506,9 @@ def _suite_points(n: int, count: int, seed: int, mode: str,
     if not domain.is_prime_field:
         return standard_points(n, count, seed, spread)
     # residues repeat: many rational points collapse to one residue matrix,
-    # so draw widely and keep the points whose residues are new
+    # so draw widely and keep the points whose residues are new, until the
+    # batch is full or holds every element of the finite group
+    full = min(count, _orthogonal_group_order(n, domain.p))
     kept, seen = [], set()
     for attempt in range(8):
         size = (2 + 2 * attempt) * count
@@ -505,6 +519,6 @@ def _suite_points(n: int, count: int, seed: int, mode: str,
                 continue
             seen.add(residues)
             kept.append(p)
-            if len(kept) == count:
+            if len(kept) == full:
                 return kept
     return kept

@@ -3,10 +3,12 @@
 The key tool is a family of relation sums: summing a bideterminant over
 stacked rows (i, bar i) with the index running over the alphabet minus a
 small excluded set collapses, on the group, to signed lower-degree terms
-obtained by deleting paired letters from the right tableau.  The three
-replacement identities repair the orthogonal standardness conditions with
-it, the complementary-minor identity repairs the column condition, and the
-driver recurses to a combination of standard terms.
+obtained by deleting paired letters from the right tableau; relation_rhs
+gives them as a Combination, with gamma^d on the terms with d pairs deleted.
+The three replacement identities repair the orthogonal standardness
+conditions with the stacked sum (a replacement term is a stacked term with
+its rows permuted), the complementary-minor identity repairs the column
+condition, and the driver recurses to a combination of standard terms.
 
 The rules work on the similitude group GO(n): each degree-d collapse
 carries a factor gamma^d and the column reduction trades det^2 for gamma^n,
@@ -90,32 +92,6 @@ class RelationSpec:
         return col1, col2
 
 
-@dataclass(frozen=True)
-class SdTerm:
-    sign: int
-    gamma_pow: int
-    left_cols: tuple[tuple[Letter, ...], tuple[Letter, ...]]
-    right: Tableau
-
-
-@dataclass(frozen=True)
-class SdExpansion:
-    per_degree: tuple[tuple[int, tuple[SdTerm, ...]], ...]
-
-    def all_terms(self):
-        for _, terms in self.per_degree:
-            yield from terms
-
-    def to_combination(self) -> Combination:
-        out = []
-        for term in self.all_terms():
-            sign, left, right = normalize_pair(term.left_cols, term.right.columns())
-            if sign == 0:
-                continue
-            out.append(BidetTerm(term.sign * sign, term.gamma_pow, left, right))
-        return Combination(out)
-
-
 def _at_mode(comb: Combination, mode: str) -> Combination:
     """A combination on GO(n) as functions on GO(n), or on O(n) in ON mode.
 
@@ -153,25 +129,22 @@ def _pair_deletion_sign(t: Tableau, pair_set) -> int:
     return (-1 if total % 2 else 1) * inversion_sign(q_positions)
 
 
-def relation_rhs(spec: RelationSpec) -> SdExpansion:
-    """The collapsed form of the relation sum, by deleted-pair degree d."""
+def relation_rhs(spec: RelationSpec) -> Combination:
+    """The collapsed form of the relation sum: gamma^d times the terms with d pairs deleted."""
     pairs = occurring_pairs(spec.t)
     allowed = sorted(spec.excluded, key=lambda x: x.key)
-    per_degree = []
-    for d in range(1, spec.a + 1):
-        if spec.a - d > len(allowed):
-            per_degree.append((d, ()))
-            continue
+    terms = []
+    # the excluded set is smaller than the stack, so at least one pair goes
+    for d in range(spec.a - len(allowed), spec.a + 1):
         base_sign = -1 if (spec.a - d) % 2 else 1
-        terms = []
         for combo in itertools.combinations(pairs, d):
-            right = _delete_pairs(spec.t, set(combo))
+            right_cols = _delete_pairs(spec.t, set(combo)).columns()
             sign = base_sign * _pair_deletion_sign(spec.t, combo)
             for stack in itertools.combinations(allowed, spec.a - d):
-                left_cols = spec.stacked_columns(stack)
-                terms.append(SdTerm(sign, d, left_cols, right))
-        per_degree.append((d, tuple(terms)))
-    return SdExpansion(tuple(per_degree))
+                sorting, left, right = normalize_pair(spec.stacked_columns(stack), right_cols)
+                if sorting:
+                    terms.append(BidetTerm(sign * sorting, d, left, right))
+    return Combination(terms)
 
 
 def relation_lhs_terms(spec: RelationSpec):
@@ -182,23 +155,17 @@ def relation_lhs_terms(spec: RelationSpec):
 
 
 def verify_relation(spec: RelationSpec, points) -> bool:
-    """Exact check that the sum collapses as claimed at each group point."""
+    """Exact check that the sum collapses as claimed at each group point.
+
+    The sum side is evaluated from the raw stacked columns, without sorting.
+    """
     rhs = relation_rhs(spec)
     t_cols = spec.t.columns()
-    for point in points:
-        gamma = point.gamma_value
-        lhs_value = 0
-        for left_cols in relation_lhs_terms(spec):
-            lhs_value = lhs_value + eval_columns_product(left_cols, t_cols, point)
-        rhs_value = 0
-        for term in rhs.all_terms():
-            v = eval_columns_product(term.left_cols, term.right.columns(), point)
-            for _ in range(term.gamma_pow):
-                v = v * gamma
-            rhs_value = rhs_value + term.sign * v
-        if lhs_value != rhs_value:
-            return False
-    return True
+    lhs = list(relation_lhs_terms(spec))
+    return all(
+        sum(eval_columns_product(left_cols, t_cols, point) for left_cols in lhs)
+        == rhs.evaluate(point, point.gamma_value)
+        for point in points)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +221,7 @@ def reduce_tall_shape(s: Tableau, t: Tableau, mode: str, n: int) -> BidetTerm:
     orthogonal group and becomes gamma^n on similitudes, so in GO mode the
     output carries gamma_pow = conj[0] + conj[1] - n.
     """
+    _require_mode(mode)
     if s.shape != t.shape:
         raise DomainError("shape mismatch")
     cols_s, cols_t = s.columns(), t.columns()
@@ -274,19 +242,13 @@ def reduce_tall_shape(s: Tableau, t: Tableau, mode: str, n: int) -> BidetTerm:
 # the replacement machinery behind the three standardness repairs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _PairContext:
-    pair_values: list[Letter]          # letters i with i in col 1, bar i in col 2
-    col1_positions: list[int]          # 0-based, increasing
-    col2_positions: list[int]          # partner positions in pair order
-    excluded: set[Letter]              # the set C of the chosen variant
-    repos_sign: int                    # relates the raw sum to the stacked form
-    s0_col1: tuple[Letter, ...]
-    s0_col2: tuple[Letter, ...]
+def _pair_context(s: Tableau, t: Tableau, n: int, j: int,
+                  drop_from_excluded: Letter | None):
+    """The replacement sum of S at index j as a relation sum against t.
 
-
-def _pair_context(s: Tableau, n: int, j: int, drop_from_excluded: Letter | None) -> _PairContext:
-    """Split the letters up to j into pairs and absent letters (the set C)."""
+    Returns (spec, pairs, sign): each in-place term of the replacement sum
+    is sign times its stacked term in spec, whose rows it permutes.
+    """
     cols = s.columns()
     c1 = list(cols[0]) if cols else []
     c2 = list(cols[1]) if len(cols) > 1 else []
@@ -304,55 +266,37 @@ def _pair_context(s: Tableau, n: int, j: int, drop_from_excluded: Letter | None)
         raise DomainError("replacement sum needs more pairs than exclusions")
     col1_positions = sorted(c1.index(x) for x in pairs)
     # pair values increase down the strictly increasing first column
-    ordered_values = [c1[p] for p in col1_positions]
+    ordered_values = tuple(c1[p] for p in col1_positions)
     col2_positions = [c2.index(x.bar()) for x in ordered_values]
-    sign1 = _selection_sign(len(c1), col1_positions)
-    sign2 = _selection_sign(len(c2), col2_positions)
+    sign = _selection_sign(len(c1), col1_positions) * _selection_sign(len(c2), col2_positions)
     s0_col1 = tuple(x for i, x in enumerate(c1) if i not in set(col1_positions))
     s0_col2 = tuple(x for i, x in enumerate(c2) if i not in set(col2_positions))
-    return _PairContext(
-        ordered_values, col1_positions, col2_positions,
-        excluded, sign1 * sign2, s0_col1, s0_col2,
-    )
+    spec = RelationSpec(s0_col1, s0_col2, t, len(pairs), frozenset(excluded), n)
+    return spec, ordered_values, sign
 
 
-def _replacement_sum_terms(s: Tableau, ctx: _PairContext, n: int):
-    """All raw tableaux of the replacement sum, as (columns, is_identity)."""
-    cols = s.columns()
-    c1 = list(cols[0])
-    c2 = list(cols[1]) if len(cols) > 1 else []
-    a = len(ctx.pair_values)
-    candidates = [x for x in _letters(n) if x not in ctx.excluded]
-    for values in itertools.combinations(candidates, a):
-        new1, new2 = list(c1), list(c2)
-        for p, q, v in zip(ctx.col1_positions, ctx.col2_positions, values):
-            new1[p] = v
-            new2[q] = v.bar()
-        yield (new1, new2), list(values) == ctx.pair_values
-
-
-def _replacement_fix(s: Tableau, t: Tableau, ctx: _PairContext, n: int):
+def _replacement_fix(s: Tableau, t: Tableau, n: int, j: int,
+                     drop_from_excluded: Letter | None):
     """Solve the replacement sum for [S:T].
 
-    Returns (lambda_part, s_part): the same-shape terms to subtract and the
-    collapsed lower-degree terms, so that
-    [S:T] = -lambda_part + repos_sign * s_part on the group.
+    The in-place sum is sign times the stacked relation sum, so
+    [S:T] + lam = sign * relation_rhs, where lam holds the other same-shape
+    terms.  Returns ([S:T] on the group, lam).
     """
+    spec, pairs, sign = _pair_context(s, t, n, j, drop_from_excluded)
     lam_terms = []
     identity_seen = False
-    for (new1, new2), is_identity in _replacement_sum_terms(s, ctx, n):
-        if is_identity:
+    for left_cols in relation_lhs_terms(spec):
+        if left_cols[0][:spec.a] == pairs:
             identity_seen = True
             continue
-        sign, left, right = normalize_pair([new1, new2], t.columns())
-        if sign == 0:
-            continue
-        lam_terms.append(BidetTerm(sign, 0, left, right))
+        sorting, left, right = normalize_pair(left_cols, t.columns())
+        if sorting:
+            lam_terms.append(BidetTerm(sign * sorting, 0, left, right))
     if not identity_seen:
         raise AssertionError("replacement sum lost the identity term")
-    spec = RelationSpec(ctx.s0_col1, ctx.s0_col2, t, a=len(ctx.pair_values),
-                        excluded=frozenset(ctx.excluded), n=n)
-    return Combination(lam_terms), relation_rhs(spec).to_combination()
+    lam = Combination(lam_terms)
+    return relation_rhs(spec).scale(sign) - lam, lam
 
 
 def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
@@ -369,9 +313,7 @@ def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
         what = {"OS1": "count", "OS2": "protection", "OS3": "pair-row"}[kind]
         raise DomainError(f"no {what} violation at index {j}")
     dropped = {"OS1": None, "OS2": Letter(j).bar(), "OS3": Letter(j)}[kind]
-    ctx = _pair_context(s, n, j, dropped)
-    lam, s_part = _replacement_fix(s, t, ctx, n)
-    out = s_part.scale(ctx.repos_sign) - lam
+    out, lam = _replacement_fix(s, t, n, j, dropped)
     if kind != "OS3":
         return out.reduce(domain)
 
@@ -389,8 +331,8 @@ def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
     if lam.coefficient(star, t) != 1:
         raise AssertionError("replacement sum lost the switched term")
 
-    # [S:T] + [S*:T] + s3 = repos * s1  and  [S*:T] - [S:T] = switch
-    # combine to 2 [S:T] = repos * s1 - s3 - switch, with s3 = lam - [S*:T]
+    # [S:T] + [S*:T] + s3 = sign * rhs  and  [S*:T] - [S:T] = switch
+    # combine to 2 [S:T] = sign * rhs - s3 - switch, with s3 = lam - [S*:T]
     doubled = out + single_term(star, t) - switch
     return doubled.scale(rational(1, 2)).reduce(domain)
 
@@ -398,19 +340,27 @@ def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
 def fix_os1(s: Tableau, t: Tableau, j: int, mode: str = ON,
             n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
     """Repair a count violation (more than 2j small entries in the columns)."""
+    _require_mode(mode)
     return _at_mode(_repair(s, t, "OS1", j, n, domain), mode)
 
 
 def fix_os2(s: Tableau, t: Tableau, j: int, mode: str = ON,
             n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
     """Repair an unprotected entry in the first column (strict count case)."""
+    _require_mode(mode)
     return _at_mode(_repair(s, t, "OS2", j, n, domain), mode)
 
 
 def fix_os3(s: Tableau, t: Tableau, j: int, mode: str = ON,
             n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
     """Repair an unprotected pair row (equal count case); needs 1/2."""
+    _require_mode(mode)
     return _at_mode(_repair(s, t, "OS3", j, n, domain), mode)
+
+
+def _require_mode(mode):
+    if mode not in (ON, GO):
+        raise DomainError(f"unknown mode {mode!r}")
 
 
 def _require_n(n):
@@ -437,8 +387,7 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     in ON mode and mapped to the domain once.
     """
     n = _require_n(n)
-    if mode not in (ON, GO):
-        raise DomainError(f"unknown mode {mode!r}")
+    _require_mode(mode)
     if len(s.shape) > n or len(t.shape) > n:
         raise DomainError(f"more than {n} rows")
     if s.shape != t.shape:

@@ -19,6 +19,7 @@ from obidet.gl_straighten import BidetTerm
 from obidet.on_straighten import GO, ON
 from obidet.group_oracle import (
     GroupPoint,
+    _orthogonal_group_order,
     _suite_points,
     bareiss_rank,
     basis_suite,
@@ -128,6 +129,24 @@ def _point_line(p, domain=QQ) -> str:
     r = domain.reduce_rational
     rows = ";".join(" ".join(str(r(x)) for x in row) for row in p.matrix.rows)
     return rows + f"|{r(p.gamma_value)}|{r(p.det_value)}\n"
+
+
+def test_prime_field_batch_stops_once_the_group_is_exhausted(monkeypatch):
+    assert [_orthogonal_group_order(n, 3) for n in (3, 4, 5, 6)] == [48, 1152, 103680, 24261120]
+    assert [_orthogonal_group_order(n, 5) for n in (3, 4)] == [240, 28800]
+    draws = []
+    draw = group_oracle.random_on_point
+
+    def counting_draw(*args, **kwargs):
+        draws.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(group_oracle, "random_on_point", counting_draw)
+    points = _suite_points(3, 50, 1, ON, GF(3))
+    # the batch holds all of O(3, F_3); widening through every attempt
+    # would take 3,600 draws to find nothing more
+    assert len({p.reduce_mod(GF(3)) for p in points}) == len(points) == 48
+    assert len(draws) < 2400
 
 
 def test_seeded_draws_are_pinned():
@@ -417,6 +436,20 @@ def test_basis_suite_cap_refusal():
     report = basis_suite(4, 2, "ON", cap=10)
     assert not report.passed
     assert report.lines[0].startswith("refused")
+
+
+def test_basis_suite_refuses_before_building_terms(monkeypatch):
+    built = []
+    post_init = BidetTerm.__post_init__
+
+    def counting_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(BidetTerm, "__post_init__", counting_post_init)
+    report = basis_suite(8, 4)
+    assert report.lines == ["refused: 668679 standard elements exceed the cap 800"]
+    assert not built
 
 
 def test_basis_suite_prime_field():

@@ -13,6 +13,7 @@ from obidet.tableaux import (
     _letters,
     basic_tableau,
     conjugate,
+    occurring_pairs,
     on_standard_report,
     partitions_of,
 )
@@ -40,7 +41,14 @@ from obidet.on_straighten import (
     relation_rhs,
     verify_relation,
 )
-from obidet.group_oracle import random_go_point, random_on_point, standard_points
+from obidet.group_oracle import (
+    _suite_points,
+    basis_suite,
+    random_go_point,
+    random_on_point,
+    standard_basis_elements,
+    standard_points,
+)
 from obidet.golden import GOLDEN_CASES
 
 
@@ -75,20 +83,29 @@ def test_relation_spec_validation():
         RelationSpec((L("3"),), (), t, a=2, excluded=frozenset({L("1")}), n=8)
 
 
+def _by_degree(rhs):
+    """The collapsed terms grouped by gamma power, the number d of deleted pairs."""
+    per = {}
+    for term in rhs:
+        per.setdefault(term.gamma_pow, []).append(term)
+    return per
+
+
 def test_worked_relation_structure():
-    rhs = relation_rhs(worked_relation_spec())
-    per = dict(rhs.per_degree)
-    assert len(per[1]) == 3 and all(t.sign == 1 for t in per[1])
-    assert len(per[2]) == 6 and all(t.sign == -1 for t in per[2])
-    assert len(per[3]) == 1 and per[3][0].sign == 1
+    per = _by_degree(relation_rhs(worked_relation_spec()))
+    # the stacked letters sort ahead of s0 and the pairs sit aligned, so the
+    # coefficients are the degree signs (-1)^(a - d)
+    assert len(per[1]) == 3 and all(t.coef == 1 for t in per[1])
+    assert len(per[2]) == 6 and all(t.coef == -1 for t in per[2])
+    assert len(per[3]) == 1 and per[3][0].coef == 1
     # the single full-deletion term strips the stack entirely
     t3 = per[3][0]
-    assert t3.left_cols == ((L("7"), L("9")), (L("8"),))
+    assert t3.left.columns() == ((L("7"), L("9")), (L("8"),))
     assert t3.right.columns() == ((L("4"), L("6")), (L("5"),))
     # depth-1 terms stack both excluded letters
-    t1 = per[1][0]
-    assert t1.left_cols[0] == (L("4b"), L("5"), L("7"), L("9"))
-    assert t1.left_cols[1] == (L("4"), L("5b"), L("8"))
+    for t1 in per[1]:
+        assert t1.left.columns() == ((L("4b"), L("5"), L("7"), L("9")),
+                                     (L("4"), L("5b"), L("8")))
 
 
 def test_worked_relation_verifies():
@@ -100,8 +117,7 @@ def test_relation_no_pairs_vanishes():
     # no letter of the right tableau occurs with its bar: the sum collapses to 0
     t = Tableau.from_columns(cols("1b 2b", "1b 2b"))
     spec = RelationSpec((L("3"),), (L("4"),), t, a=1, excluded=frozenset(), n=8)
-    rhs = relation_rhs(spec)
-    assert all(not terms for _, terms in rhs.per_degree)
+    assert relation_rhs(spec).is_zero()
     pts = standard_points(8, 3, seed=4)
     for pt in pts:
         total = sum(eval_columns_product(c, t.columns(), pt)
@@ -112,45 +128,65 @@ def test_relation_no_pairs_vanishes():
 def test_relation_empty_excluded_keeps_only_full_depth():
     t = Tableau.from_columns(cols("1b 2b", "1 2"))
     spec = RelationSpec((), (), t, a=2, excluded=frozenset(), n=6)
-    per = dict(relation_rhs(spec).per_degree)
-    assert per[1] == ()
+    per = _by_degree(relation_rhs(spec))
+    assert 1 not in per
     assert len(per[2]) == 1
 
 
 def test_relation_negative_control():
     spec = worked_relation_spec()
     pts = standard_points(18, 2, seed=9)
-    rhs = relation_rhs(spec)
+    terms = relation_rhs(spec).terms()
+    flipped = Combination([BidetTerm(-terms[0].coef, terms[0].gamma_pow, terms[0].left,
+                                     terms[0].right)] + terms[1:])
     t_cols = spec.t.columns()
     for pt in pts[:1]:
         lhs = sum(eval_columns_product(c, t_cols, pt) for c in relation_lhs_terms(spec))
-        flipped = 0
-        terms = list(rhs.all_terms())
-        for i, term in enumerate(terms):
-            sign = -term.sign if i == 0 else term.sign
-            flipped += sign * eval_columns_product(term.left_cols, term.right.columns(), pt)
-        assert lhs != flipped
+        assert lhs != flipped.evaluate(pt, pt.gamma_value)
+
+
+def _random_relation_spec(rng, ns):
+    """A random two-column relation spec over one of the alphabet sizes ns, or None."""
+    n = rng.choice(ns)
+    letters = _letters(n)
+    a = rng.choice([1, 2, 3])
+    e = min(n, a + rng.randrange(0, 3))
+    f = min(e, a + rng.randrange(0, max(1, e - a + 1)))
+    if f < a:
+        return None
+    t = Tableau.from_columns([
+        sorted(rng.sample(letters, e), key=lambda x: x.key),
+        sorted(rng.sample(letters, f), key=lambda x: x.key)])
+    return RelationSpec(
+        tuple(rng.sample(letters, e - a)), tuple(rng.sample(letters, f - a)),
+        t, a, frozenset(rng.sample(letters, rng.randrange(0, a))), n)
 
 
 def test_randomized_relation_suite():
     rng = random.Random(77)
     trials = 0
     while trials < 12:
-        n = rng.choice([4, 5, 6, 7])
-        letters = _letters(n)
-        a = rng.choice([1, 2, 3])
-        e = min(n, a + rng.randrange(0, 3))
-        f = min(e, a + rng.randrange(0, max(1, e - a + 1)))
-        if f < a:
+        spec = _random_relation_spec(rng, [4, 5, 6, 7])
+        if spec is None:
             continue
-        t = Tableau.from_columns([
-            sorted(rng.sample(letters, e), key=lambda x: x.key),
-            sorted(rng.sample(letters, f), key=lambda x: x.key)])
-        spec = RelationSpec(
-            tuple(rng.sample(letters, e - a)), tuple(rng.sample(letters, f - a)),
-            t, a, frozenset(rng.sample(letters, rng.randrange(0, a))), n)
         trials += 1
-        assert verify_relation(spec, standard_points(n, 3, seed=trials)), spec
+        assert verify_relation(spec, standard_points(spec.n, 3, seed=trials)), spec
+
+
+def test_collapsed_relation_sums_are_pinned():
+    # the collapsed sides of the worked spec and 29 seeded specs whose right
+    # tableau has pairs: the repairs solve with these sums, so refactors
+    # must keep them byte for byte
+    rng = random.Random(801)
+    specs = [worked_relation_spec()]
+    while len(specs) < 30:
+        spec = _random_relation_spec(rng, [4, 5, 6, 7, 8])
+        if spec is not None and occurring_pairs(spec.t):
+            specs.append(spec)
+    certificates = [relation_rhs(spec).certificate() for spec in specs]
+    assert sum(map(bool, certificates)) == 22
+    digest = hashlib.sha256("\n\n".join(certificates).encode()).hexdigest()
+    assert digest == "6524752743d3cca406db07bce36f3dc67d733bcfe8f9f62ee6e9fa8f058aea34"
 
 
 def test_relation_gamma_weights_on_similitudes():
@@ -501,6 +537,23 @@ def test_on_straighten_rejects_bad_input():
         on_straighten(Tableau.parse("3"), Tableau.parse("3"), ON, 4)
     with pytest.raises(DomainError):
         on_straighten(Tableau.parse("1"), Tableau.parse("1"), "XX", 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda mode: fix_os1(*OS1.inputs(), 2, mode, 6),
+    lambda mode: fix_os2(*OS2.inputs(), 2, mode, 7),
+    lambda mode: fix_os3(*OS3.inputs(), 2, mode, 6),
+    lambda mode: reduce_tall_shape(Tableau.parse("1b 1b; 1 1"), Tableau.parse("1b 1b; 1 0"),
+                                   mode, 3),
+    lambda mode: standard_basis_elements(3, 1, mode),
+    lambda mode: basis_suite(8, 4, mode),
+    lambda mode: _suite_points(3, 5, 1, mode, QQ),
+], ids=["fix_os1", "fix_os2", "fix_os3", "reduce_tall_shape", "standard_basis_elements",
+        "basis_suite", "_suite_points"])
+def test_unknown_mode_is_rejected(call):
+    call(ON)
+    with pytest.raises(DomainError, match="unknown mode"):
+        call("XX")
 
 
 def test_on_straighten_size_five_terminates_and_verifies():
