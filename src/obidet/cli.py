@@ -11,10 +11,10 @@ import argparse
 import sys
 
 from .tableaux import DomainError, Tableau, check_shape, conjugate, enumerate_on_standard
-from .polyring import QQ, CoeffDomain, eval_bideterminant
-from .gl_straighten import CapExceeded, gl_straighten
+from .polyring import QQ, CoeffDomain
+from .gl_straighten import CapExceeded, gl_straighten, single_term
 from .on_straighten import GO, ON, on_straighten
-from .group_oracle import _suite_points, basis_suite, standard_points
+from .group_oracle import _suite_points, basis_suite, standard_points, verify_on_group
 from .golden import GOLDEN_CASES
 
 
@@ -63,10 +63,10 @@ def cmd_straighten(args) -> int:
         # GO points carry gamma != 1, so the gamma powers are checked too;
         # alphabet(n) lies in alphabet(3), so GL with n < 3 is checked on O(3)
         size = max(args.n, 3) if args.mode == "gl" else args.n
-        for pt in _suite_points(size, args.points, args.seed, mode, QQ):
-            if eval_bideterminant(s, t, pt) != result.evaluate(pt, pt.gamma_value):
-                print("error: certificate failed point verification", file=sys.stderr)
-                return 3
+        points = _suite_points(size, args.points, args.seed, mode, QQ)
+        if not verify_on_group(single_term(s, t) - result, points):
+            print("error: certificate failed point verification", file=sys.stderr)
+            return 3
     _emit(args, result.reduce(domain).certificate())
     return 0
 
@@ -102,12 +102,8 @@ def cmd_golden(args) -> int:
         computed = case.compute()
         ok = computed == case.expected()
         if ok and args.points:
-            s, t = case.inputs()
-            pts = standard_points(case.n, args.points, seed=args.seed)
-            for pt in pts:
-                if eval_bideterminant(s, t, pt) != computed.evaluate(pt):
-                    ok = False
-                    break
+            points = standard_points(case.n, args.points, seed=args.seed)
+            ok = verify_on_group(single_term(*case.inputs()) - computed, points)
         status = "PASS" if ok else "FAIL"
         out_lines.append(f"{status} {case.kind}: {case.name}")
         if not ok:

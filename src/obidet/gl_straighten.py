@@ -57,10 +57,14 @@ class BidetTerm:
             self.gamma_pow,
         )
 
-    def evaluate(self, point, gamma_value=1):
+    def evaluate(self, point, gamma_value=None):
+        """The value at a point, with gamma from the point unless given.
+
+        A term with gamma power 0 also evaluates at a bare LetterMatrix.
+        """
         v = polyring.eval_bideterminant(self.left, self.right, point)
-        for _ in range(self.gamma_pow):
-            v = v * gamma_value
+        if self.gamma_pow:
+            v = v * (point.gamma_value if gamma_value is None else gamma_value) ** self.gamma_pow
         return self.coef * v
 
 
@@ -137,11 +141,8 @@ class Combination:
             total = total + p
         return total
 
-    def evaluate(self, point, gamma_value=1):
-        total = 0
-        for t in self._terms.values():
-            total = t.evaluate(point, gamma_value) + total
-        return total
+    def evaluate(self, point, gamma_value=None):
+        return sum(t.evaluate(point, gamma_value) for t in self._terms.values())
 
     # -- line-oriented certificate format -----------------------------------
 

@@ -2,19 +2,21 @@
 
 Points come from the Cayley transform (I + A)^-1 (I - A) of J-skew matrices
 A = J B with small random rational entries, computed by one exact solve
-with J applied as a row permutation.  A point is optionally composed with a
-fixed reflection to reach the negative-determinant component, and scaled
-or dilated for the similitude group.  Each O(n) point is built and checked
-as a GroupPoint once; a similitude point is checked again after scaling.
-Every point is rational.  A prime-field batch keeps the rational points
-whose residue matrices are new, drawing lazily until it holds enough of
-them; the values of a Z[1/2]-polynomial function at a p-integral point
-reduce to its values at the residue point, so F_p values and ranks are
-residues of exact rational values.  Identities are checked by exact
-evaluation; linear independence by the exact rank of an evaluation
-matrix.  Over Q that rank is certified modulo the prime 2^61 - 1 when it
-is full, and computed by fraction-free Bareiss elimination over the
-integers otherwise; over F_p it is the rank of the residues.
+with J applied as a row permutation.  Reflections and dilations are column
+maps: a negative-determinant point negates the 0 column (odd n) or swaps the
+1b and 1 columns (even n), and a similitude point scales every column (odd n)
+or the barred ones (even n).  Each O(n) point is built and checked as a
+GroupPoint once; a similitude point is checked again after scaling.  Every
+point is rational and carries its gamma, so f.evaluate(point) takes every
+value.  A prime-field batch keeps the rational points whose residue
+matrices are new, drawing lazily until it holds enough of them; the values
+of a Z[1/2]-polynomial function at a p-integral point reduce to its values
+at the residue point, so F_p values and ranks are residues of exact
+rational values.  verify_on_group checks identities by exact evaluation;
+linear independence is the exact rank of an evaluation matrix.  Over Q
+that rank is certified modulo the prime 2^61 - 1 when it is full, and
+computed by fraction-free Bareiss elimination over the integers otherwise;
+over F_p it is the rank of the residues.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .tableaux import (
     DomainError,
     Letter,
     Tableau,
-    ZERO,
     _letters,
     conjugate,
     enumerate_on_standard,
@@ -42,9 +43,8 @@ from .polyring import (
     rational,
     solve,
 )
-from .gl_straighten import BidetTerm, Combination
+from .gl_straighten import BidetTerm, single_term
 from .on_straighten import GO, ON, _require_mode, on_straighten
-from . import polyring
 
 
 def form_matrix(n: int) -> LetterMatrix:
@@ -71,10 +71,7 @@ class GroupPoint:
         if matrix.transpose() @ jg != form_matrix(n).scale(gamma_value):
             raise DomainError("matrix does not satisfy the similitude relation")
         det = det_rows(matrix.rows)
-        gamma_power = gamma_value
-        for _ in range(n - 1):
-            gamma_power = gamma_power * gamma_value
-        if det * det != gamma_power:
+        if det * det != gamma_value ** n:
             raise DomainError("determinant inconsistent with the similitude factor")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "n", n)
@@ -148,27 +145,16 @@ def random_so_point(n: int, seed: int, spread: int = 2) -> GroupPoint:
     return random_on_point(n, seed, "PLUS", spread)
 
 
-def _reflection(n: int) -> LetterMatrix:
-    """A fixed form-preserving element of determinant -1."""
-    letters = _letters(n)
-    if n % 2 == 1:
-        values = [rational(-1) if x == ZERO else rational(1) for x in letters]
-        return LetterMatrix.diagonal(n, values)
-    one_bar, one = Letter(1, barred=True), Letter(1)
-    rows = []
-    for r in letters:
-        target = one if r == one_bar else (one_bar if r == one else r)
-        rows.append(tuple(rational(1) if c == target else rational(0) for c in letters))
-    return LetterMatrix(n, rows)
-
-
 def random_on_point(n: int, seed: int, component: str = "PLUS", spread: int = 2) -> GroupPoint:
     """A point of the chosen determinant component of the orthogonal group."""
     if component not in ("PLUS", "MINUS"):
         raise DomainError(f"component must be PLUS or MINUS, got {component!r}")
     g = _cayley(n, seed, spread)
     if component == "MINUS":
-        g = g @ _reflection(n)
+        # g times a reflection: negate the 0 column (the last letter) for odd n,
+        # swap the 1b and 1 columns (the first two letters) for even n
+        rows = (r[:-1] + (-r[-1],) if n % 2 else (r[1], r[0]) + r[2:] for r in g.rows)
+        g = LetterMatrix(n, rows)
     point = GroupPoint(g)
     if point.det_value != (1 if component == "PLUS" else -1):
         raise AssertionError(f"{component} point with determinant {point.det_value}")
@@ -183,18 +169,18 @@ def random_go_point(n: int, seed: int, c, spread: int = 2) -> GroupPoint:
     rng = random.Random(seed)
     component = "PLUS" if rng.random() < 0.5 else "MINUS"
     g = random_on_point(n, seed + 1, component, spread)
-    if n % 2 == 1:
-        return GroupPoint(g.matrix.scale(c), c * c)
-    letters = _letters(n)
-    xi = LetterMatrix.diagonal(n, [c if x.barred else rational(1) for x in letters])
-    return GroupPoint(g.matrix @ xi, c)
+    # scale every column for odd n; for even n, g times the dilation of the barred letters
+    scaled = [n % 2 or x.barred for x in g.matrix.letters]
+    rows = ([c * x if b else x for x, b in zip(r, scaled)] for r in g.matrix.rows)
+    return GroupPoint(LetterMatrix(n, rows), c * c if n % 2 else c)
 
 
-def _draws(n: int, count: int, seed: int, spread: int, min_minus: int):
+def _draws(n: int, count: int, seed: int, spread: int):
     """Distinct orthogonal points in draw order; count sets only the spread.
 
-    The skew parameter space is small for small n and spread, so the spread
-    grows with the requested count and duplicate matrices are redrawn.
+    The first two are MINUS points, then the components alternate.  The skew
+    parameter space is small for small n and spread, so the spread grows with
+    the requested count and duplicate matrices are redrawn.
     """
     if n < 3:  # the spread rule below would never end for n < 2
         raise DomainError("need n >= 3")
@@ -203,29 +189,21 @@ def _draws(n: int, count: int, seed: int, spread: int, min_minus: int):
     seen = set()
     for i in itertools.count():
         k = len(seen)
-        component = "MINUS" if k < min_minus else ("PLUS" if k % 2 == 0 else "MINUS")
+        component = "MINUS" if k < 2 else ("PLUS" if k % 2 == 0 else "MINUS")
         candidate = random_on_point(n, seed * 7919 + i, component, spread)
         if candidate.matrix.rows not in seen:
             seen.add(candidate.matrix.rows)
             yield candidate
 
 
-def standard_points(n: int, count: int, seed: int = 0, spread: int = 2,
-                    min_minus: int = 2) -> list[GroupPoint]:
+def standard_points(n: int, count: int, seed: int = 0, spread: int = 2) -> list[GroupPoint]:
     """A deterministic batch of distinct orthogonal points, both components."""
-    return list(itertools.islice(_draws(n, count, seed, spread, min_minus), count))
+    return list(itertools.islice(_draws(n, count, seed, spread), count))
 
 
-def _value(f, point):
-    """f at the point; combinations and terms take gamma from the point."""
-    if isinstance(f, (Combination, BidetTerm)):
-        return f.evaluate(point, point.gamma_value)
-    return f.evaluate(point)
-
-
-def verify_on_group(p, points) -> bool:
-    """True when the polynomial (or combination) vanishes at every point."""
-    return not any(_value(p, point) for point in points)
+def verify_on_group(f, points, domain: CoeffDomain = QQ) -> bool:
+    """True when f vanishes at every point; over F_p, when every value reduces to 0."""
+    return all(domain.reduce_rational(f.evaluate(point)) == 0 for point in points)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +323,7 @@ def matrix_rank(rows, domain: CoeffDomain = QQ) -> int:
 
 def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
     """Rank of the functions-by-points evaluation matrix over the exact field."""
-    return matrix_rank([[_value(f, point) for point in points] for f in functions], domain)
+    return matrix_rank([[f.evaluate(point) for point in points] for f in functions], domain)
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +392,17 @@ class SuiteReport:
         return "\n".join(self.lines + [verdict])
 
 
+_SPANNING_SAMPLES = 5
+
+
 def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = None,
-                domain: CoeffDomain = QQ, seed: int = 1, cap: int = 800,
-                spanning_samples: int = 5) -> SuiteReport:
+                domain: CoeffDomain = QQ, seed: int = 1, cap: int = 800) -> SuiteReport:
     """Independence (rank = count, two agreeing batches) and spanning checks.
 
     Over F_p a short rank leaves the batch undecided rather than failed: the
     functions may be dependent on the finite group O(n, F_p), which says
-    nothing about their independence over an infinite field.
+    nothing about their independence over an infinite field.  A first batch
+    that holds all of O(n, F_p) leaves nothing new for a second one to draw.
     """
     if mode == GO and domain.is_prime_field:
         raise DomainError("similitude mode runs over the rationals only")
@@ -455,6 +436,11 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
             undecided = True
         elif rank != count:
             ok = False
+        if (batch == 0 and domain.is_prime_field
+                and len(points) == _orthogonal_group_order(n, domain.p)):
+            lines.append(f"batch 1 skipped: batch 0 holds all {len(points)} points "
+                         f"of O({n}, F_{domain.p})")
+            break
     if not undecided and len(ranks) == 2 and ranks[0] != ranks[1]:
         lines.append("batches disagree")
         ok = False
@@ -462,18 +448,12 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     rng = random.Random(seed + 999)
     points = _suite_points(n, 10, seed + 500, mode, domain)
     zero_count = 0
-    for _ in range(spanning_samples):
+    for _ in range(_SPANNING_SAMPLES):
         s, t = _random_nonstandard_pair(n, max(1, min(r_max, 4)), rng)
-        result = on_straighten(s, t, mode, n, domain)
-        residual_zero = True
-        for point in points:
-            # over F_p the residual is a rational whose residue must vanish
-            residual = polyring.eval_bideterminant(s, t, point) - _value(result, point)
-            if domain.reduce_rational(residual) != 0:
-                residual_zero = False
-        zero_count += 1 if residual_zero else 0
-    lines.append(f"spanning residuals_zero={zero_count}/{spanning_samples}")
-    if zero_count != spanning_samples:
+        residual = single_term(s, t) - on_straighten(s, t, mode, n, domain)
+        zero_count += verify_on_group(residual, points, domain)
+    lines.append(f"spanning residuals_zero={zero_count}/{_SPANNING_SAMPLES}")
+    if zero_count != _SPANNING_SAMPLES:
         ok = False
     return SuiteReport(lines, ok and not undecided, ok and undecided)
 
@@ -512,7 +492,7 @@ def _suite_points(n: int, count: int, seed: int, mode: str,
     kept, seen = [], set()
     for attempt in range(8):
         size = (2 + 2 * attempt) * count
-        draws = _draws(n, size, seed + 1009 * attempt, spread + attempt, min_minus=2)
+        draws = _draws(n, size, seed + 1009 * attempt, spread + attempt)
         for p in itertools.islice(draws, size):
             residues = p.reduce_mod(domain)
             if residues is None or residues in seen:

@@ -164,7 +164,7 @@ def verify_relation(spec: RelationSpec, points) -> bool:
     lhs = list(relation_lhs_terms(spec))
     return all(
         sum(eval_columns_product(left_cols, t_cols, point) for left_cols in lhs)
-        == rhs.evaluate(point, point.gamma_value)
+        == rhs.evaluate(point)
         for point in points)
 
 

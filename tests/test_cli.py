@@ -301,6 +301,9 @@ def test_verify_small_prime_field_is_undecided(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "UNDECIDED"
     assert "independence rank=32 expected=44 undecided" in lines
+    # the first batch holds all of O(3, F_3), so a second could only redraw it
+    assert sum(line.startswith("independence rank=") for line in lines) == 1
+    assert "batch 1 skipped: batch 0 holds all 48 points of O(3, F_3)" in lines
 
 
 def test_verify_zhalf_straightens_in_zhalf(capsys, monkeypatch):
@@ -374,6 +377,21 @@ def test_golden_with_points(capsys):
     code, out, _ = run_cli(["golden", "--points", "3"], capsys)
     assert code == 0
     assert out.count("PASS") == 4
+
+
+def test_golden_points_catch_a_wrong_expected_certificate(capsys, monkeypatch):
+    # compute and expected agree on a wrong expansion: only the points see it
+    from obidet.golden import GoldenCase
+
+    def wrong(case):
+        return Combination.parse_certificate(case.certificate).scale(2)
+
+    monkeypatch.setattr(GoldenCase, "compute", wrong)
+    monkeypatch.setattr(GoldenCase, "expected", wrong)
+    code, out, _ = run_cli(["golden"], capsys)
+    assert code == 0 and out.count("PASS") == 4
+    code, out, _ = run_cli(["golden", "--points", "3"], capsys)
+    assert code == 3 and out.count("FAIL") == 4
 
 
 def test_golden_detects_corruption(capsys, monkeypatch):

@@ -84,15 +84,17 @@ def test_minus_component_points():
 
 
 def test_reflection_examples():
-    # odd n: the zero-letter coordinate flips; even n: the first pair swaps
-    from obidet.group_oracle import _reflection
-    r5 = _reflection(5)
-    assert r5.entry(L("0"), L("0")) == -1
-    assert r5.entry(L("1"), L("1")) == 1
-    r4 = _reflection(4)
-    assert r4.entry(L("1b"), L("1")) == 1
-    assert r4.entry(L("1"), L("1b")) == 1
-    assert r4.entry(L("1"), L("1")) == 0
+    # the MINUS point of a seed is its PLUS point times a reflection, a column
+    # map: odd n negates the 0 column; even n swaps the 1b and 1 columns
+    for n, seed in ((5, 3), (4, 3), (3, 8), (6, 8)):
+        plus, minus = (random_on_point(n, seed, c).matrix for c in ("PLUS", "MINUS"))
+        columns = dict(zip(_letters(n), zip(*plus.rows)))
+        if n % 2:
+            columns[L("0")] = tuple(-x for x in columns[L("0")])
+        else:
+            columns[L("1b")], columns[L("1")] = columns[L("1")], columns[L("1b")]
+        assert dict(zip(_letters(n), zip(*minus.rows))) == columns
+        assert minus != plus
 
 
 def test_go_point_gamma_values():
@@ -230,6 +232,12 @@ def test_negative_control_generic_poly():
     pts = standard_points(4, 4, seed=3)
     p = Polynomial.variable(L("1"), L("1")) + Polynomial.constant(7)
     assert not verify_on_group(p, pts)
+    # gamma - 1 + 7 is 7 on O(4): zero mod 7, not over Q
+    seven = gamma_poly(4) - Polynomial.constant(1) + Polynomial.constant(7)
+    assert verify_on_group(seven, pts, GF(7))
+    assert not verify_on_group(seven, pts, QQ) and not verify_on_group(seven, pts)
+    # a value with 7 in its denominator has no residue, so the check fails
+    assert not verify_on_group(Polynomial.constant(rational(1, 7)), pts, GF(7))
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,9 @@ def test_fix_gamma_weights_in_go_mode():
     for seed in range(3):
         pt = random_go_point(6, 80 + seed, rational(seed + 2, 1))
         assert eval_bideterminant(s, t, pt) == result.evaluate(pt, pt.gamma_value)
+        # a point carries its gamma: the default reads it, an explicit value wins
+        assert result.evaluate(pt) == result.evaluate(pt, pt.gamma_value)
+        assert result.evaluate(pt) != result.evaluate(pt, 1)
 
 
 # ---------------------------------------------------------------------------
