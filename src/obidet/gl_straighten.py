@@ -57,15 +57,39 @@ class BidetTerm:
             self.gamma_pow,
         )
 
-    def evaluate(self, point, gamma_value=None):
-        """The value at a point, with gamma from the point unless given.
+    def degree(self) -> int:
+        """2 gamma_pow + |shape|: gamma is quadratic in the entries."""
+        return 2 * self.gamma_pow + self.left.size
 
-        A term with gamma power 0 also evaluates at a bare LetterMatrix.
+    def _minor_product(self, point) -> int:
+        """The product of the column minors of the point's integer matrix G."""
+        value = 1
+        for cs, ct in zip(self.left.columns(), self.right.columns()):
+            value *= point.minor(cs, ct)
+            if not value:
+                break
+        return value
+
+    def scaled_value(self, point, degree: int):
+        """d^degree times the value at a group point g = G/d; degree >= self.degree().
+
+        coef * minors(G) * Gamma^gamma_pow is d^m times the value, m the
+        degree of the term, so d^(degree - m) lifts it to the given degree.
         """
-        v = polyring.eval_bideterminant(self.left, self.right, point)
+        return (self.coef * self._minor_product(point) * point.integer_gamma ** self.gamma_pow
+                * point.denominator ** (degree - self.degree()))
+
+    def evaluate(self, point, gamma_value=None):
+        """The value at a group point, with gamma from the point unless given.
+
+        It is minors(G) / d^|shape| times gamma^gamma_pow; with the point's
+        gamma, that is scaled_value over d^m.
+        """
+        v = polyring.rational(self.coef * self._minor_product(point),
+                              point.denominator ** self.left.size)
         if self.gamma_pow:
-            v = v * (point.gamma_value if gamma_value is None else gamma_value) ** self.gamma_pow
-        return self.coef * v
+            v *= (point.gamma_value if gamma_value is None else gamma_value) ** self.gamma_pow
+        return v
 
 
 class Combination:
@@ -140,6 +164,14 @@ class Combination:
                 p = p * gamma
             total = total + p
         return total
+
+    def degree(self) -> int:
+        """The largest term degree; -1 for the zero combination."""
+        return max((t.degree() for t in self._terms.values()), default=-1)
+
+    def scaled_value(self, point, degree: int):
+        """d^degree times the value at a group point; see BidetTerm.scaled_value."""
+        return sum(t.scaled_value(point, degree) for t in self._terms.values())
 
     def evaluate(self, point, gamma_value=None):
         return sum(t.evaluate(point, gamma_value) for t in self._terms.values())

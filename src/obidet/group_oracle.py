@@ -7,22 +7,28 @@ maps: a negative-determinant point negates the 0 column (odd n) or swaps the
 1b and 1 columns (even n), and a similitude point scales every column (odd n)
 or the barred ones (even n).  Each O(n) point is built and checked as a
 GroupPoint once; a similitude point is checked again after scaling.  Every
-point is rational and carries its gamma, so f.evaluate(point) takes every
-value.  A prime-field batch keeps the rational points whose residue
-matrices are new, drawing lazily until it holds enough of them; the values
-of a Z[1/2]-polynomial function at a p-integral point reduce to its values
-at the residue point, so F_p values and ranks are residues of exact
-rational values.  verify_on_group checks identities by exact evaluation;
-linear independence is the exact rank of an evaluation matrix.  Over Q
-that rank is certified modulo the prime 2^61 - 1 when it is full, and
-computed by fraction-free Bareiss elimination over the integers otherwise;
-over F_p it is the rank of the residues.
+point is rational, carries its gamma and has an integer form G = d g,
+Gamma = d^2 gamma, checked as G^t J G = Gamma J and det(G)^2 = Gamma^n.
+Functions are evaluated by one integer kernel: a function of degree m has
+the value d^-m times an integer combination of the minors of G (cached on
+the point) and powers of Gamma.  verify_on_group checks identities and
+evaluation_rank takes ranks on these integers, each lifted by d^(r - m)
+to the largest degree r in play; the evaluation matrix is then the
+rational one with the column of each point scaled by the unit d^r.
+A prime-field batch keeps the rational points whose residue matrices are
+new, drawing lazily until it holds enough of them; the values of a
+Z[1/2]-polynomial function at a p-integral point reduce to its values at
+the residue point, so F_p values and ranks are residues of exact values.
+Over Q the rank is certified modulo the prime 2^61 - 1 when it is full,
+and computed by fraction-free Bareiss elimination over the integers
+otherwise; over F_p it is the rank of the residues.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -39,7 +45,6 @@ from .polyring import (
     CoeffDomain,
     LetterMatrix,
     QQ,
-    det_rows,
     rational,
     solve,
 )
@@ -57,26 +62,45 @@ def form_matrix(n: int) -> LetterMatrix:
 
 
 class GroupPoint:
-    """An exact matrix g with g^t J g = gamma J; det^2 = gamma^n."""
+    """An exact matrix g with g^t J g = gamma J; det^2 = gamma^n.
 
-    __slots__ = ("matrix", "n", "gamma_value", "det_value")
+    Its integer form is G = d g, with d the lcm of the entry denominators,
+    and Gamma = d^2 gamma, an integer because G^t J G = Gamma J.  The point
+    caches the integer minors of G it is asked for.
+    """
+
+    __slots__ = ("matrix", "n", "gamma_value", "det_value",
+                 "denominator", "integer_gamma", "_integer_rows", "_minors")
 
     def __init__(self, matrix: LetterMatrix, gamma_value=None):
         n = matrix.n
         if gamma_value is None:
             gamma_value = rational(1)
-        # J permutes rows by bar: row i of J g is row bar(i) of g
+        d = math.lcm(*(int(x.denominator) for row in matrix.rows for x in row))
+        rows = tuple(tuple(int(x.numerator) * (d // int(x.denominator)) for x in row)
+                     for row in matrix.rows)
+        gamma = gamma_value * d * d
+        # J permutes rows by bar: column b of J G is column b of G read in bar order
         letters = matrix.letters
-        jg = LetterMatrix(n, [matrix.rows[letters.index(x.bar())] for x in letters])
-        if matrix.transpose() @ jg != form_matrix(n).scale(gamma_value):
+        bar = [letters.index(x.bar()) for x in letters]
+        cols = tuple(zip(*rows))
+        jg_cols = tuple(zip(*(rows[i] for i in bar)))
+        if gamma.denominator != 1 or any(
+                sum(map(operator.mul, ca, cb)) != (gamma if b == bar[a] else 0)
+                for a, ca in enumerate(cols) for b, cb in enumerate(jg_cols)):
             raise DomainError("matrix does not satisfy the similitude relation")
-        det = det_rows(matrix.rows)
-        if det * det != gamma_value ** n:
+        gamma = int(gamma)
+        det = _bareiss(rows)[1]
+        if det * det != gamma ** n:
             raise DomainError("determinant inconsistent with the similitude factor")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gamma_value", gamma_value)
-        object.__setattr__(self, "det_value", det)
+        object.__setattr__(self, "det_value", rational(det, d ** n))
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "integer_gamma", gamma)
+        object.__setattr__(self, "_integer_rows", rows)
+        object.__setattr__(self, "_minors", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupPoint is immutable")
@@ -84,22 +108,30 @@ class GroupPoint:
     def entry(self, i: Letter, j: Letter):
         return self.matrix.entry(i, j)
 
-    def reduce_mod(self, domain: CoeffDomain) -> "tuple[tuple[int, ...], ...] | None":
-        """The residue rows over a prime field, or None when the point has no image.
+    def minor(self, rows: tuple, cols: tuple) -> int:
+        """The minor of G on these row and column letters: d^k times that of g."""
+        key = (rows, cols)
+        value = self._minors.get(key)
+        if value is None:
+            index, g = self.matrix._index, self._integer_rows
+            value = self._minors[key] = _bareiss(
+                [[g[index[r]][index[c]] for c in cols] for r in rows])[1]
+        return value
 
-        The image exists when every entry and gamma are p-integral and gamma
-        is a unit mod p.  The form relation then holds mod p because it holds
-        exactly, so the residues need no check of their own.
+    def reduce_mod(self, domain: CoeffDomain) -> "tuple[tuple[int, ...], ...] | None":
+        """The residue rows G d^-1 over a prime field, or None when the point has no image.
+
+        The image exists when p divides neither d nor Gamma.  The form
+        relation then holds mod p because it holds exactly, so the residues
+        need no check of their own.
         """
         if not domain.is_prime_field:
             raise DomainError("reduction targets a prime field")
-        gamma = domain.reduce_rational(self.gamma_value)
-        if not gamma:
+        p = domain.p
+        if not self.denominator % p or not self.integer_gamma % p:
             return None
-        rows = tuple(tuple(domain.reduce_rational(x) for x in row) for row in self.matrix.rows)
-        if any(None in row for row in rows):
-            return None
-        return rows
+        inv = pow(self.denominator, -1, p)
+        return tuple(tuple(x * inv % p for x in row) for row in self._integer_rows)
 
 
 def _random_fraction(rng: random.Random, spread: int):
@@ -201,9 +233,22 @@ def standard_points(n: int, count: int, seed: int = 0, spread: int = 2) -> list[
     return list(itertools.islice(_draws(n, count, seed, spread), count))
 
 
+def _lacks_image(points, domain: CoeffDomain) -> bool:
+    """True over F_p when p divides the d of a point: it has no residue image."""
+    return domain.is_prime_field and any(not p.denominator % domain.p for p in points)
+
+
 def verify_on_group(f, points, domain: CoeffDomain = QQ) -> bool:
-    """True when f vanishes at every point; over F_p, when every value reduces to 0."""
-    return all(domain.reduce_rational(f.evaluate(point)) == 0 for point in points)
+    """True when f vanishes at every point; over F_p, when every value reduces to 0.
+
+    The values are d^r f(point), r the degree of f: d is a unit over Q and,
+    at a point with a residue image, over F_p.  A point whose d the prime
+    divides has no image, so the check fails there.
+    """
+    r = f.degree()
+    if _lacks_image(points, domain):
+        return False
+    return all(domain.reduce_rational(f.scaled_value(point, r)) == 0 for point in points)
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +258,30 @@ def verify_on_group(f, points, domain: CoeffDomain = QQ) -> bool:
 try:
     from gmpy2 import mpz as _mpz
 except ImportError:  # pragma: no cover
-    def _mpz(x):
-        return int(x)
+    _mpz = int
 
 
 def bareiss_rank(rows) -> int:
-    """Fraction-free Bareiss elimination rank over the integers.
+    """Exact rank of an integer matrix."""
+    return _bareiss(rows)[0]
+
+
+def _bareiss(rows) -> tuple[int, int]:
+    """Fraction-free Bareiss elimination over the integers: rank and determinant.
 
     Pivots are chosen smallest in absolute value to slow entry growth;
-    all divisions are exact by the Bareiss identity.
+    all divisions are exact by the Bareiss identity.  Each pivot is the
+    leading minor of its order of the row-swapped matrix, so the last one,
+    signed by the swaps, is the determinant of a square matrix of full rank;
+    any other square matrix has determinant 0.
     """
     m = [[_mpz(x) for x in r] for r in rows]
     if not m or not m[0]:
-        return 0
+        return 0, 1
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     prev = _mpz(1)
+    sign = 1
     row = 0
     for col in range(n_cols):
         pivot = None
@@ -237,7 +290,9 @@ def bareiss_rank(rows) -> int:
                 pivot = r
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
+        if pivot != row:
+            m[row], m[pivot] = m[pivot], m[row]
+            sign = -sign
         lead = m[row][col]
         for r in range(row + 1, n_rows):
             head = m[r][col]
@@ -252,7 +307,7 @@ def bareiss_rank(rows) -> int:
         row += 1
         if row == n_rows:
             break
-    return rank
+    return rank, sign * prev if rank == n_rows == n_cols else 0
 
 
 # the rank modulo this prime falls short of the rank over Q only when the
@@ -262,38 +317,39 @@ _RANK_PRIME = (1 << 61) - 1
 
 
 def _rank_mod(rows, p: int) -> int:
-    """Rank of an integer matrix modulo the prime p, by forward elimination.
+    """Rank of an integer matrix modulo the prime p, by forward elimination in place.
 
-    Each step drops the first column; when that column has a nonzero entry,
-    its row becomes the pivot, is dropped too, and is eliminated from the rest.
+    A pivot row stays unnormalised: each row below it with a nonzero head
+    adds -head/pivot times the pivot row, on the trailing columns only.
     """
     m = [[x % p for x in r] for r in rows]
     rank = 0
-    while m and m[0]:
-        i = next((i for i, r in enumerate(m) if r[0]), None)
+    for col in range(len(m[0]) if m else 0):
+        i = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if i is None:
-            m = [r[1:] for r in m]
             continue
-        top = m.pop(i)
-        inv = pow(top[0], -1, p)
-        top = [x * inv % p for x in top[1:]]
+        m[rank], m[i] = m[i], m[rank]
+        tail = m[rank][col + 1:]
+        inv = p - pow(m[rank][col], -1, p)
         rank += 1
-        rest = []
-        for r in m:
-            head = r[0]
-            rest.append([(a - head * b) % p for a, b in zip(r[1:], top)] if head else r[1:])
-        m = rest
+        for r in m[rank:]:
+            if r[col]:
+                f = r[col] * inv % p
+                r[col + 1:] = [(a + f * b) % p for a, b in zip(r[col + 1:], tail)]
+        if rank == len(m):
+            break
     return rank
 
 
 def matrix_rank(rows, domain: CoeffDomain = QQ) -> int:
     """Exact rank.  Over F_p it is the rank of the residues.
 
-    Over Q the columns are cleared to integers first.  Clearing runs per
+    Over Q an integer matrix goes to the certificate as it is; a matrix
+    with rational entries is cleared to integers first.  Clearing runs per
     column: evaluations at one point share denominator structure, so column
     multipliers stay small where row multipliers blow up, and column scaling
     by nonzero rationals preserves the rank.  The rank modulo
-    _RANK_PRIME of the cleared matrix is at most its rank over Q, which
+    _RANK_PRIME of an integer matrix is at most its rank over Q, which
     is at most min(rows, columns); so a modular rank equal to that bound is
     exact.  Only a smaller modular rank falls back to Bareiss elimination
     over the integers.
@@ -302,28 +358,31 @@ def matrix_rank(rows, domain: CoeffDomain = QQ) -> int:
     if not rows:
         return 0
     if domain.is_prime_field:
-        residues = [[domain.reduce_rational(x) for x in r] for r in rows]
-        if any(None in r for r in residues):
+        rows = [[x if type(x) is int else domain.reduce_rational(x) for x in r] for r in rows]
+        if any(None in r for r in rows):
             raise DomainError(f"a value is not integral at {domain.p}")
-        return _rank_mod(residues, domain.p)
-    n_cols = len(rows[0])
-    multipliers = []
-    for j in range(n_cols):
-        den = 1
-        for r in rows:
-            d = int(r[j].denominator)
-            den = math.lcm(den, d)
-        multipliers.append(den)
-    cleared = [[int(x * m) for x, m in zip(r, multipliers)] for r in rows]
-    rank = _rank_mod(cleared, _RANK_PRIME)
-    if rank == min(len(cleared), n_cols):
+        return _rank_mod(rows, domain.p)
+    if any(type(x) is not int for r in rows for x in r):
+        multipliers = [math.lcm(*(int(x.denominator) for x in col)) for col in zip(*rows)]
+        rows = [[int(x * m) for x, m in zip(r, multipliers)] for r in rows]
+    rank = _rank_mod(rows, _RANK_PRIME)
+    if rank == min(len(rows), len(rows[0])):
         return rank
-    return bareiss_rank(cleared)
+    return bareiss_rank(rows)
 
 
 def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
-    """Rank of the functions-by-points evaluation matrix over the exact field."""
-    return matrix_rank([[f.evaluate(point) for point in points] for f in functions], domain)
+    """Rank of the functions-by-points evaluation matrix over the exact field.
+
+    The matrix holds d^r f(point), r the largest degree of the functions:
+    the rational matrix with the column of each point scaled by its d^r,
+    a unit over Q and, at a point with a residue image, over F_p.
+    """
+    if _lacks_image(points, domain):
+        raise DomainError(f"a point is not integral at {domain.p}")
+    r = max((f.degree() for f in functions), default=0)
+    return matrix_rank([[f.scaled_value(point, r) for point in points] for f in functions],
+                       domain)
 
 
 # ---------------------------------------------------------------------------

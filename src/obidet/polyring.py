@@ -157,9 +157,6 @@ class LetterMatrix:
             ),
         )
 
-    def scale(self, c) -> "LetterMatrix":
-        return LetterMatrix(self.n, tuple(tuple(c * x for x in r) for r in self.rows))
-
     def __eq__(self, other):
         return isinstance(other, LetterMatrix) and self.n == other.n and self.rows == other.rows
 
@@ -345,7 +342,14 @@ class Polynomial:
         return len(degs) <= 1
 
     def evaluate(self, point):
-        """Ring homomorphism X(i, j) -> point entry; point has .entry(i, j)."""
+        """Ring homomorphism X(i, j) -> point entry.
+
+        At a group point g = G/d it is scaled_value over d^r, r the degree;
+        a bare LetterMatrix is evaluated entry by entry.
+        """
+        if not isinstance(point, LetterMatrix):
+            r = max(self.degree(), 0)
+            return rational(self.scaled_value(point, r), point.denominator ** r)
         total = None
         for mono, coeff in self.terms.items():
             val = coeff
@@ -356,6 +360,20 @@ class Polynomial:
             total = val if total is None else total + val
         if total is None:
             return 0
+        return total
+
+    def scaled_value(self, point, degree: int):
+        """d^degree times the value at a group point g = G/d; degree >= self.degree().
+
+        A monomial of degree k in the entries of G is d^k times its value in
+        those of g, so d^(degree - k) lifts it to the given degree.
+        """
+        total = 0
+        for mono, coeff in self.terms.items():
+            val = coeff * point.denominator ** (degree - _mono_degree(mono))
+            for (i, j), e in mono:
+                val *= point.minor((i,), (j,)) ** e
+            total += val
         return total
 
     def serialize(self) -> str:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,10 @@ from obidet.polyring import (
     LetterMatrix,
     Polynomial,
     QQ,
+    bideterminant,
     det_poly,
+    det_rows,
+    eval_bideterminant,
     gamma_poly,
     rational,
 )
@@ -20,6 +24,7 @@ from obidet.on_straighten import GO, ON
 from obidet.group_oracle import (
     GroupPoint,
     _orthogonal_group_order,
+    _random_nonstandard_pair,
     _suite_points,
     bareiss_rank,
     basis_suite,
@@ -211,6 +216,22 @@ def test_reduce_mod():
     assert p.reduce_mod(GF(3)) is None
     with pytest.raises(DomainError):
         p.reduce_mod(QQ)
+    # gamma = 3 with d = 4: the entries reduce mod 3, but gamma is no unit
+    q = random_go_point(4, 2, rational(3))
+    assert q.denominator == 4 and q.integer_gamma == 48
+    assert q.reduce_mod(GF(3)) is None and q.reduce_mod(GF(5)) is not None
+
+
+def test_group_point_integer_form():
+    for n in (3, 4, 7):
+        for p in standard_points(n, 4, seed=n) + [random_go_point(n, n, rational(5, 3))]:
+            d = p.denominator
+            assert d == math.lcm(*(x.denominator for row in p.matrix.rows for x in row))
+            assert p.integer_gamma == p.gamma_value * d * d
+            letters = tuple(_letters(n))
+            assert p.minor(letters, letters) == p.det_value * d ** n
+    with pytest.raises(DomainError):
+        GroupPoint(LetterMatrix.identity(4), rational(4))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +418,84 @@ def _rank_mod_reference(rows, p):
                 if det_rows(minor).numerator % p:
                     return k
     return 0
+
+
+# ---------------------------------------------------------------------------
+# the integer evaluation kernel
+# ---------------------------------------------------------------------------
+
+EMPTY = Tableau(())
+
+
+def test_degree_lift_separates_one_and_gamma_only_off_o_n():
+    # 1 and gamma are one function on O(n); unlifted, their values 1 and d^2
+    # at a point with d > 1 would give rank 2
+    one, gamma = BidetTerm(1, 0, EMPTY, EMPTY), BidetTerm(1, 1, EMPTY, EMPTY)
+    points = standard_points(4, 6)
+    assert any(p.denominator > 1 for p in points)
+    assert evaluation_rank([one, gamma], points, QQ) == 1
+    go_points = _suite_points(4, 6, 3, GO, QQ)
+    assert all(p.gamma_value != 1 for p in go_points)
+    assert evaluation_rank([one, gamma], go_points, QQ) == 2
+
+
+@pytest.mark.parametrize("n, r, mode", [(3, 2, ON), (4, 2, GO)])
+def test_rank_matrix_is_the_rational_one_with_scaled_columns(monkeypatch, n, r, mode):
+    elements = standard_basis_elements(n, r, mode)
+    points = _suite_points(n, 12, 4, mode, QQ)
+    assert len({e.degree() for e in elements}) > 1 and any(p.denominator > 1 for p in points)
+    seen = []
+
+    def capture(rows, domain):
+        seen.append(rows)
+        return 0
+
+    monkeypatch.setattr(group_oracle, "matrix_rank", capture)
+    evaluation_rank(elements, points, QQ)
+    # the Fraction oracle at the bare rational matrix, column p times d_p^r
+    expected = [[eval_bideterminant(e.left, e.right, p.matrix) * p.gamma_value ** e.gamma_pow
+                 * p.denominator ** r for p in points] for e in elements]
+    assert seen == [expected]
+    assert all(type(x) is int for row in seen[0] for x in row)
+
+
+def test_integer_minors_and_values_match_the_fraction_oracle():
+    rng = random.Random(10)
+    for n in range(3, 8):
+        letters = _letters(n)
+        points = standard_points(n, 3, seed=n) + [random_go_point(n, n, rational(5, 3))]
+        for p in points:
+            for _ in range(6):
+                k = rng.randint(1, n)
+                rows = tuple(rng.sample(letters, k))
+                cols = tuple(rng.choices(letters, k=k) if rng.random() < 0.2
+                             else rng.sample(letters, k))
+                value = p.minor(rows, cols)
+                assert value == p.minor(rows, cols)
+                assert rational(value, p.denominator ** k) == det_rows(
+                    [[p.entry(i, j) for j in cols] for i in rows])
+            s, t = _random_nonstandard_pair(n, 3, rng)
+            j = rng.randint(0, 2)
+            term = BidetTerm(rational(3, 2), j, s, t)
+            oracle = rational(3, 2) * eval_bideterminant(s, t, p.matrix) * p.gamma_value ** j
+            assert term.evaluate(p) == oracle
+            assert term.scaled_value(p, term.degree() + 1) == oracle * p.denominator ** (
+                term.degree() + 1)
+            poly = bideterminant(s, t) * gamma_poly(n) - Polynomial.constant(7)
+            assert poly.evaluate(p) == poly.evaluate(p.matrix)
+
+
+def test_prime_field_rank_refuses_a_point_without_residues():
+    p = random_so_point(4, 9)   # entry denominators 1 and 3
+    assert p.denominator == 3
+    elements = standard_basis_elements(4, 1, ON)
+    with pytest.raises(DomainError):
+        evaluation_rank(elements, [p], GF(3))
+    # the rational values refuse it too: a degree-one value has 3 below
+    with pytest.raises(DomainError):
+        matrix_rank([[e.evaluate(p) for e in elements]], GF(3))
+    assert not verify_on_group(gamma_poly(4) - Polynomial.constant(1), [p], GF(3))
+    assert verify_on_group(gamma_poly(4) - Polynomial.constant(1), [p], GF(5))
 
 
 # ---------------------------------------------------------------------------
