@@ -61,22 +61,14 @@ class BidetTerm:
         """2 gamma_pow + |shape|: gamma is quadratic in the entries."""
         return 2 * self.gamma_pow + self.left.size
 
-    def _minor_product(self, point) -> int:
-        """The product of the column minors of the point's integer matrix G."""
-        value = 1
-        for cs, ct in zip(self.left.columns(), self.right.columns()):
-            value *= point.minor(cs, ct)
-            if not value:
-                break
-        return value
-
     def scaled_value(self, point, degree: int):
         """d^degree times the value at a group point g = G/d; degree >= self.degree().
 
         coef * minors(G) * Gamma^gamma_pow is d^m times the value, m the
         degree of the term, so d^(degree - m) lifts it to the given degree.
         """
-        return (self.coef * self._minor_product(point) * point.integer_gamma ** self.gamma_pow
+        minors = point.minor_product(self.left.columns(), self.right.columns())
+        return (self.coef * minors * point.integer_gamma ** self.gamma_pow
                 * point.denominator ** (degree - self.degree()))
 
     def evaluate(self, point, gamma_value=None):
@@ -85,8 +77,8 @@ class BidetTerm:
         It is minors(G) / d^|shape| times gamma^gamma_pow; with the point's
         gamma, that is scaled_value over d^m.
         """
-        v = polyring.rational(self.coef * self._minor_product(point),
-                              point.denominator ** self.left.size)
+        minors = point.minor_product(self.left.columns(), self.right.columns())
+        v = polyring.rational(self.coef * minors, point.denominator ** self.left.size)
         if self.gamma_pow:
             v *= (point.gamma_value if gamma_value is None else gamma_value) ** self.gamma_pow
         return v

@@ -118,6 +118,15 @@ class GroupPoint:
                 [[g[index[r]][index[c]] for c in cols] for r in rows])[1]
         return value
 
+    def minor_product(self, left_cols, right_cols) -> int:
+        """The product of the minors of G on these pairs of letter columns."""
+        value = 1
+        for cs, ct in zip(left_cols, right_cols):
+            value *= self.minor(cs, ct)
+            if not value:
+                break
+        return value
+
     def reduce_mod(self, domain: CoeffDomain) -> "tuple[tuple[int, ...], ...] | None":
         """The residue rows G d^-1 over a prime field, or None when the point has no image.
 
@@ -273,7 +282,8 @@ def _bareiss(rows) -> tuple[int, int]:
     all divisions are exact by the Bareiss identity.  Each pivot is the
     leading minor of its order of the row-swapped matrix, so the last one,
     signed by the swaps, is the determinant of a square matrix of full rank;
-    any other square matrix has determinant 0.
+    any other square matrix has determinant 0.  Both come back as plain
+    ints whatever integer type the elimination runs on.
     """
     m = [[_mpz(x) for x in r] for r in rows]
     if not m or not m[0]:
@@ -307,7 +317,7 @@ def _bareiss(rows) -> tuple[int, int]:
         row += 1
         if row == n_rows:
             break
-    return rank, sign * prev if rank == n_rows == n_cols else 0
+    return rank, int(sign * prev) if rank == n_rows == n_cols else 0
 
 
 # the rank modulo this prime falls short of the rank over Q only when the

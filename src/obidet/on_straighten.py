@@ -47,7 +47,7 @@ from .gl_straighten import (
     sort_letters,
     splice_block,
 )
-from .polyring import CoeffDomain, QQ, ZHALF, eval_columns_product, rational
+from .polyring import CoeffDomain, QQ, ZHALF, rational
 
 
 ON = "ON"
@@ -157,14 +157,17 @@ def relation_lhs_terms(spec: RelationSpec):
 def verify_relation(spec: RelationSpec, points) -> bool:
     """Exact check that the sum collapses as claimed at each group point.
 
-    The sum side is evaluated from the raw stacked columns, without sorting.
+    The sum side is evaluated from the raw stacked columns, without sorting,
+    by the point's integer minors: both sides are compared as d^r times
+    their values, r the largest degree in play.
     """
     rhs = relation_rhs(spec)
     t_cols = spec.t.columns()
     lhs = list(relation_lhs_terms(spec))
+    r = max(spec.t.size, rhs.degree())
     return all(
-        sum(eval_columns_product(left_cols, t_cols, point) for left_cols in lhs)
-        == rhs.evaluate(point)
+        sum(point.minor_product(left_cols, t_cols) for left_cols in lhs)
+        * point.denominator ** (r - spec.t.size) == rhs.scaled_value(point, r)
         for point in points)
 
 

@@ -342,14 +342,7 @@ class Polynomial:
         return len(degs) <= 1
 
     def evaluate(self, point):
-        """Ring homomorphism X(i, j) -> point entry.
-
-        At a group point g = G/d it is scaled_value over d^r, r the degree;
-        a bare LetterMatrix is evaluated entry by entry.
-        """
-        if not isinstance(point, LetterMatrix):
-            r = max(self.degree(), 0)
-            return rational(self.scaled_value(point, r), point.denominator ** r)
+        """Ring homomorphism X(i, j) -> point entry; point has .entry(i, j)."""
         total = None
         for mono, coeff in self.terms.items():
             val = coeff

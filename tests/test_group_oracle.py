@@ -482,7 +482,21 @@ def test_integer_minors_and_values_match_the_fraction_oracle():
             assert term.scaled_value(p, term.degree() + 1) == oracle * p.denominator ** (
                 term.degree() + 1)
             poly = bideterminant(s, t) * gamma_poly(n) - Polynomial.constant(7)
-            assert poly.evaluate(p) == poly.evaluate(p.matrix)
+            r = poly.degree() + 1
+            assert poly.scaled_value(p, r) == poly.evaluate(p) * p.denominator ** r
+
+
+def test_kernel_values_are_plain_ints_whatever_the_elimination_type(monkeypatch):
+    # with gmpy2 installed Bareiss runs on mpz, which is not int; Fraction
+    # stands in for such a type here
+    monkeypatch.setattr(group_oracle, "_mpz", Fraction)
+    points = standard_points(3, 4, seed=2) + [random_go_point(3, 5, rational(5, 3))]
+    letters = tuple(_letters(3))
+    elements = standard_basis_elements(3, 2, GO)
+    for p in points:
+        assert type(p.integer_gamma) is int
+        assert all(type(p.minor(letters[:k], letters[-k:])) is int for k in (1, 2, 3))
+        assert all(type(e.scaled_value(p, 2)) is int for e in elements)
 
 
 def test_prime_field_rank_refuses_a_point_without_residues():
