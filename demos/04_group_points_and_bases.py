@@ -50,6 +50,9 @@ print("relation verified at 5 points:",
 
 # The basis suite certifies independence (evaluation rank equals the count,
 # two point batches agreeing) and spanning (straightening residuals vanish).
+# The rank is summed over torus-weight blocks: each standard element is a
+# weight vector for the diagonal torus on both sides, so elements of
+# different weights are independent and each block is ranked on its own.
 report = basis_suite(3, 2, "ON", seed=1)
 print("\nbasis suite on O(3), degree <= 2:")
 print(report.text())

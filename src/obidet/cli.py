@@ -133,14 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "on orthogonal groups, in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, modes=("gl", "on", "go")):
+    def common(p, modes=("gl", "on", "go"), points_help="number of verification points"):
         p.add_argument("--n", type=at_least(1), required=True, help="alphabet size")
         p.add_argument("--mode", choices=modes, default="on")
         p.add_argument("--coeff", default="q",
                        help="coefficient domain: q, zhalf, or f<p>")
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--points", type=at_least(0), default=0,
-                       help="number of verification points")
+                       help=points_help)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("straighten", help="rewrite a bideterminant in the standard basis")
@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the basis certification suite")
-    common(p, modes=("on", "go"))
+    common(p, modes=("on", "go"),
+           points_help="points per batch (default: largest torus-weight block + 6)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--cap", type=at_least(0), default=800,
                    help="refuse when the standard set is larger than this")

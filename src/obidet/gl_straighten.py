@@ -538,6 +538,7 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
 
     The result is an exact identity in the polynomial ring; coefficients
     are sums of signs, hence integers valid over any coefficient ring.
+    Each term keeps the letters of each input side.
     """
     if len(s.shape) > n or len(t.shape) > n:
         raise DomainError(f"more than {n} rows")
@@ -547,13 +548,22 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
             if x not in letters:
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
     out = run_straightening(s, t, _gl_rule, fuel, trace)
+    # the full diagonal torus acts on both sides: each keeps its letters
+    content = (_content(s), _content(t))
     for term in out:
         if len(term.left.shape) > n:
             # a strictly increasing column longer than the alphabet is zero,
             # so only row counts beyond n with short columns could survive;
             # those cannot appear since columns are sorted
             raise AssertionError("unreachable: standard tableau with too many rows")
+        if (_content(term.left), _content(term.right)) != content:
+            raise AssertionError("output term changed the letter content")
     return out
+
+
+def _content(t: Tableau) -> list:
+    """The letter multiset of a tableau, as sorted letter keys."""
+    return sorted(x.key for row in t.rows for x in row)
 
 
 # ---------------------------------------------------------------------------

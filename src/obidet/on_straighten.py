@@ -32,6 +32,7 @@ from .tableaux import (
     on_standard_report,
     occurring_pairs,
     tableau_prec_cmp,
+    torus_weight,
 )
 from .gl_straighten import (
     BidetTerm,
@@ -385,7 +386,8 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
 
     The output is a combination with every left and right tableau standard;
     in GO mode the terms carry gamma powers with 2 * gamma_pow + |shape|
-    equal to the input degree.  Identity holds as functions on the group.
+    equal to the input degree, and each term keeps the input's torus
+    weight on both sides.  Identity holds as functions on the group.
     The rewrite runs on GO(n) over Z[1/2]; the result is restricted to O(n)
     in ON mode and mapped to the domain once.
     """
@@ -406,11 +408,15 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
         if 2 * term.gamma_pow + term.left.size != s.size:
             raise AssertionError("gamma grading violated")
     out = _at_mode(out, mode).reduce(domain)
+    # every rewrite is an identity of weight vectors of the diagonal torus
+    weight = (torus_weight(s, n), torus_weight(t, n))
     for term in out:
         if not on_standard_report(term.left, n).standard:
             raise AssertionError("non-standard left tableau in output")
         if not on_standard_report(term.right, n).standard:
             raise AssertionError("non-standard right tableau in output")
+        if (torus_weight(term.left, n), torus_weight(term.right, n)) != weight:
+            raise AssertionError("output term changed the torus weight")
     return out
 
 

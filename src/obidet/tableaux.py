@@ -422,6 +422,26 @@ def on_standard_report(t: Tableau, n: int) -> ONStandardReport:
 # constructions
 # ---------------------------------------------------------------------------
 
+def torus_weight(t: Tableau, n: int) -> tuple[int, ...]:
+    """The weight of the tableau's letters under the diagonal torus of O(n).
+
+    Entry i - 1 counts the letters i minus the letters ib; for odd n a last
+    entry holds the parity of the number of 0 letters, the exponent of the
+    sign at 0.  The diagonal matrix D with t_i at i, 1/t_i at ib and a sign
+    at 0 lies in O(n); with this tableau as S, [S:T](D X) is [S:T](X) times
+    the monomial in the t_i and the sign with these exponents.
+    """
+    m = n // 2
+    weight = [0] * (m + n % 2)
+    for row in t.rows:
+        for x in row:
+            if x.index == 0:
+                weight[m] ^= 1
+            else:
+                weight[x.index - 1] += -1 if x.barred else 1
+    return tuple(weight)
+
+
 def basic_tableau(shape: Shape, n: int) -> Tableau:
     """Row k filled with the k-th smallest letter of the alphabet."""
     shape = check_shape(shape)

@@ -291,16 +291,29 @@ def test_verify_prime_field(capsys):
     assert out.strip().endswith("PASS")
 
 
-def test_verify_small_prime_field_is_undecided(capsys):
-    # O(3, F_3) has 48 points, too few to separate the 44 functions of
-    # degree <= 2: a short rank over F_p decides nothing, and no retry helps
-    start = time.monotonic()
+def test_verify_small_prime_field_block_ranks_pass(capsys):
+    # 48 points of O(3, F_3) cannot separate all 44 functions of degree <= 2
+    # at once, but each torus-weight block is full at them; the split holds
+    # over the algebraic closure of F_3, so the block ranks prove independence
     code, out, _ = run_cli(["verify", "--n", "3", "--degree", "2", "--coeff", "f3"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[-1] == "PASS"
+    assert lines.count("independence rank=44 expected=44") == 2
+
+
+def test_verify_small_prime_field_is_undecided(capsys):
+    # one torus-weight block of the 119 functions of degree <= 3 is short on
+    # all of O(3, F_3): a short rank over F_p decides nothing, and no retry helps
+    start = time.monotonic()
+    code, out, _ = run_cli(["verify", "--n", "3", "--degree", "3", "--coeff", "f3",
+                            "--points", "48"], capsys)
     assert time.monotonic() - start < 10
     assert code == 3
     lines = out.strip().splitlines()
     assert lines[-1] == "UNDECIDED"
-    assert "independence rank=32 expected=44 undecided" in lines
+    assert "independence rank=118 expected=119 undecided" in lines
+    assert "short blocks=1 of 74 (largest 4)" in lines
     # the first batch holds all of O(3, F_3), so a second could only redraw it
     assert sum(line.startswith("independence rank=") for line in lines) == 1
     assert "batch 1 skipped: batch 0 holds all 48 points of O(3, F_3)" in lines

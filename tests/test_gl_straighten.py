@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -303,3 +304,12 @@ def test_gl_standard_pair_count_degree_two():
         pairs += len(tabs) ** 2
     assert by_shape[(2,)] == 3 and by_shape[(1, 1)] == 1
     assert pairs == 10  # the dimension of degree-2 polynomials in 4 variables
+
+
+def test_output_with_other_letters_is_refused(monkeypatch):
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    run = gl_module.run_straightening
+    stray = single_term(Tableau.parse("1"), Tableau.parse("1"))
+    monkeypatch.setattr(gl_module, "run_straightening", lambda *args: run(*args) + stray)
+    with pytest.raises(AssertionError, match="letter content"):
+        gl_straighten(Tableau.parse("2 1"), Tableau.parse("1 2"), 4)

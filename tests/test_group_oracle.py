@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from obidet.tableaux import DomainError, Letter, Tableau, _letters, enumerate_on_standard
+from obidet.tableaux import (
+    DomainError,
+    Letter,
+    Tableau,
+    _letters,
+    enumerate_on_standard,
+    torus_weight,
+)
 from obidet.polyring import (
     GF,
     LetterMatrix,
@@ -576,3 +583,67 @@ def test_basis_suite_refuses_before_building_terms(monkeypatch):
 def test_basis_suite_prime_field():
     report = basis_suite(3, 1, "ON", domain=GF(5), seed=2)
     assert report.passed
+
+
+def _torus_point(n, rng):
+    """A diagonal point of O(n): t_i at i, 1/t_i at ib, a sign at 0; and its t_i, sign."""
+    ts = [rational(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5))
+          for _ in range(n // 2)]
+    sign = rng.choice([-1, 1])
+    values = [1 / ts[x.index - 1] if x.barred else ts[x.index - 1] if x.index else sign
+              for x in _letters(n)]
+    return GroupPoint(LetterMatrix.diagonal(n, [rational(v) for v in values])), ts, sign
+
+
+def _character(tableau, point):
+    """chi_S(t): the product of the diagonal entries of t over the letters of S."""
+    return math.prod(point.entry(x, x) for row in tableau.rows for x in row)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_standard_elements_are_torus_weight_vectors(n):
+    # [S:T](t g s) = chi_S(t) chi_T(s) [S:T](g), exactly, with chi_S(t) the
+    # monomial of the torus weight of S
+    rng = random.Random(40 + n)
+    g = standard_points(n, 1, seed=n)[0]
+    for _ in range(2):
+        (t, t_values, t_sign), (s, s_values, s_sign) = _torus_point(n, rng), _torus_point(n, rng)
+        moved = GroupPoint(t.matrix @ g.matrix @ s.matrix)
+        for e in standard_basis_elements(n, 2, ON):
+            chi_s, chi_t = _character(e.left, t), _character(e.right, s)
+            for chi, tableau, values, sign in ((chi_s, e.left, t_values, t_sign),
+                                               (chi_t, e.right, s_values, s_sign)):
+                weight = torus_weight(tableau, n)
+                monomial = math.prod(x ** w for x, w in zip(values, weight))
+                assert chi == monomial * (sign ** weight[-1] if n % 2 else 1)
+            assert e.evaluate(moved) == chi_s * chi_t * e.evaluate(g)
+
+
+def test_block_ranks_sum_to_the_full_rank():
+    elements = standard_basis_elements(3, 2, ON)
+    blocks = group_oracle._weight_blocks(elements, 3, ON)
+    assert sorted(map(id, (e for b in blocks for e in b))) == sorted(map(id, elements))
+    assert len(blocks) == 34
+    points = standard_points(3, len(elements) + 6, seed=3)
+    block_ranks = [evaluation_rank(b, points, QQ) for b in blocks]
+    assert sum(block_ranks) == evaluation_rank(elements, points, QQ) == 44
+
+
+def test_go_weight_blocks_split_by_degree():
+    for block in group_oracle._weight_blocks(standard_basis_elements(4, 2, GO), 4, GO):
+        assert len({e.degree() for e in block}) == 1
+
+
+def test_basis_suite_fails_on_a_duplicated_element(monkeypatch):
+    standard_blocks = group_oracle._standard_blocks
+
+    def with_duplicate(*args, **kwargs):
+        blocks = standard_blocks(*args, **kwargs)
+        k, tableaux = blocks[-1]
+        return blocks[:-1] + [(k, tableaux + tableaux[:1])]
+
+    monkeypatch.setattr(group_oracle, "_standard_blocks", with_duplicate)
+    report = basis_suite(3, 2, ON, seed=1)
+    assert not report.passed and not report.undecided
+    assert report.text().endswith("FAIL")
+    assert any(line.startswith("short blocks=") for line in report.lines)

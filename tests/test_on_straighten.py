@@ -483,6 +483,16 @@ def shared_terms_output(mode):
     return on_straighten(s, t, mode, 7)
 
 
+def test_output_with_another_torus_weight_is_refused(monkeypatch):
+    # a rewrite that lost a letter pair's balance would leave the weight space
+    on_module = importlib.import_module("obidet.on_straighten")
+    at_mode = on_module._at_mode
+    stray = single_term(Tableau.parse("1"), Tableau.parse("1"))
+    monkeypatch.setattr(on_module, "_at_mode", lambda comb, mode: at_mode(comb, mode) + stray)
+    with pytest.raises(AssertionError, match="torus weight"):
+        on_straighten(Tableau.parse("2 1"), Tableau.parse("1 2"), ON, 4)
+
+
 def test_on_straighten_expands_each_distinct_term_once(monkeypatch):
     # the package attribute on_straighten is the function, not the module
     on_module = importlib.import_module("obidet.on_straighten")

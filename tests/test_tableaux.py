@@ -22,6 +22,7 @@ from obidet.tableaux import (
     shape_key,
     shape_order_lt,
     tableau_prec_cmp,
+    torus_weight,
 )
 
 
@@ -375,3 +376,11 @@ def test_enumerate_in_increasing_order():
         tabs = list(enumerate_on_standard(shape, 4))
         for a, b in zip(tabs, tabs[1:]):
             assert tableau_prec_cmp(a, b) == -1
+
+
+def test_torus_weight():
+    # +1 at i for i, -1 at i for ib; the parity of the 0 letters for odd n
+    assert torus_weight(Tableau.parse("1b 1; 2 0"), 5) == (0, 1, 1)
+    assert torus_weight(Tableau.parse("1b 0; 2b 0"), 5) == (-1, -1, 0)
+    assert torus_weight(Tableau.parse("1b 1b; 2 2"), 4) == (-2, 2)
+    assert torus_weight(Tableau(()), 3) == (0, 0)
