@@ -15,7 +15,9 @@ from .tableaux import (
     DomainError,
     Letter,
     Tableau,
-    _letters,
+    is_column_increasing,
+    letter_in_alphabet,
+    row_violation_column,
     shape_key,
     tableau_prec_cmp,
 )
@@ -225,11 +227,10 @@ def inversion_sign(seq) -> int:
 
 def sort_letters(entries) -> tuple[int, tuple[Letter, ...]]:
     """Sort a column, returning (sign, sorted); sign 0 on a repeated letter."""
-    entries = list(entries)
+    entries = tuple(entries)
     if len(set(entries)) < len(entries):
         return 0, ()
-    order = sorted(range(len(entries)), key=lambda i: entries[i].key)
-    return inversion_sign(order), tuple(entries[i] for i in order)
+    return inversion_sign(entries), tuple(sorted(entries))
 
 
 def normalize_pair(left_cols, right_cols) -> tuple[int, Tableau | None, Tableau | None]:
@@ -239,23 +240,19 @@ def normalize_pair(left_cols, right_cols) -> tuple[int, Tableau | None, Tableau 
     a bideterminant is a product of per-column minors.  Empty columns are
     dropped.  Returns sign 0 when some column has a repeated letter.
     """
-    pairs = [(list(a), list(b)) for a, b in zip(left_cols, right_cols)]
-    for a, b in pairs:
-        if len(a) != len(b):
-            raise DomainError("left and right columns must pair up in length")
-    pairs = [p for p in pairs if p[0]]
+    pairs = [(tuple(a), tuple(b)) for a, b in zip(left_cols, right_cols)]
+    if any(len(a) != len(b) for a, b in pairs):
+        raise DomainError("left and right columns must pair up in length")
     sign = 1
     sorted_pairs = []
     for a, b in pairs:
-        sg, sa = sort_letters(a)
-        if sg == 0:
-            return 0, None, None
-        sign *= sg
-        sg, sb = sort_letters(b)
-        if sg == 0:
-            return 0, None, None
-        sign *= sg
-        sorted_pairs.append((sa, sb))
+        if a:
+            sign_a, sa = sort_letters(a)
+            sign_b, sb = sort_letters(b)
+            sign *= sign_a * sign_b
+            if not sign:
+                return 0, None, None
+            sorted_pairs.append((sa, sb))
     sorted_pairs.sort(key=lambda p: -len(p[0]))
     return (
         sign,
@@ -296,9 +293,8 @@ def two_column_straighten(s: Tableau, t: Tableau):
     cols_s, cols_t = s.columns(), t.columns()
     if len(cols_s) != 2:
         raise DomainError("two-column tableaux required")
-    for col in (*cols_s, *cols_t):
-        if any(a >= b for a, b in zip(col, col[1:])):
-            raise DomainError("columns must be strictly increasing")
+    if not (is_column_increasing(s) and is_column_increasing(t)):
+        raise DomainError("columns must be strictly increasing")
     viol = first_row_violation(s)
     if viol is None:
         raise DomainError("left tableau has no row violation")
@@ -372,16 +368,6 @@ def two_column_straighten(s: Tableau, t: Tableau):
 # the straightening engine and full GL straightening
 # ---------------------------------------------------------------------------
 
-def _gl_violation_pair(t: Tableau) -> int | None:
-    """Leftmost adjacent column pair (0-based index) with a row violation."""
-    cols = t.columns()
-    for c in range(len(cols) - 1):
-        a, b = cols[c], cols[c + 1]
-        if any(x > y for x, y in zip(a, b)):
-            return c
-    return None
-
-
 def splice_block(left: Tableau, right: Tableau, i: int, j: int,
                  rewrite, check) -> list[BidetTerm]:
     """Rewrite columns i < j of [left : right] as a two-column pair.
@@ -449,7 +435,7 @@ def gl_left_step(left: Tableau, right: Tableau):
     Returns ("GL", column, terms) with the terms at unit coefficient, or
     None when the left side is GL-standard.
     """
-    c = _gl_violation_pair(left)
+    c = row_violation_column(left)
     if c is None:
         return None
     return "GL", c + 1, mead_step(left, right, c)
@@ -542,10 +528,9 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
     """
     if len(s.shape) > n or len(t.shape) > n:
         raise DomainError(f"more than {n} rows")
-    letters = set(_letters(n))
     for col in (*s.columns(), *t.columns()):
         for x in col:
-            if x not in letters:
+            if not letter_in_alphabet(x, n):
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
     out = run_straightening(s, t, _gl_rule, fuel, trace)
     # the full diagonal torus acts on both sides: each keeps its letters
@@ -562,8 +547,8 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
 
 
 def _content(t: Tableau) -> list:
-    """The letter multiset of a tableau, as sorted letter keys."""
-    return sorted(x.key for row in t.rows for x in row)
+    """The letter multiset of a tableau, as a sorted list."""
+    return sorted(x for col in t.columns() for x in col)
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +568,13 @@ def one_switch_expand(s: Tableau, t: Tableau, row: int) -> Combination:
     if not (len(cols[0]) >= row and len(cols[1]) >= row):
         raise DomainError("row out of range")
     a, b = cols[0][row - 1], cols[1][row - 1]
-    if a.index == 0 or a.bar() != b or not a.barred:
+    if not a.barred or a.bar() != b:
         raise DomainError("row must contain the pair (bar i, i)")
     c1 = list(cols[0])
     c2 = list(cols[1])
     c1[row - 1], c2[row - 1] = b, a
     star = Tableau.from_columns([c1, c2])
-    if not all(x < y for x, y in zip(c1, c1[1:])) or not all(x < y for x, y in zip(c2, c2[1:])):
+    if not is_column_increasing(star):
         raise DomainError("switched tableau is not column increasing")
     _, head, drop = two_column_straighten(star, t)
     base = head.coefficient(s, t)

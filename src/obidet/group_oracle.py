@@ -466,7 +466,7 @@ def _random_nonstandard_pair(n: int, max_size: int, rng: random.Random):
     def random_tableau():
         cols = []
         for length in conj:
-            cols.append(sorted(rng.sample(letters, length), key=lambda x: x.key))
+            cols.append(sorted(rng.sample(letters, length)))
         return Tableau.from_columns(cols)
 
     return random_tableau(), random_tableau()

@@ -28,6 +28,7 @@ from .tableaux import (
     Tableau,
     _letters,
     conjugate,
+    delete_pair,
     letter_in_alphabet,
     on_standard_report,
     occurring_pairs,
@@ -104,14 +105,6 @@ def _at_mode(comb: Combination, mode: str) -> Combination:
     return Combination(BidetTerm(x.coef, 0, x.left, x.right) for x in comb)
 
 
-def _delete_pairs(t: Tableau, pair_set) -> Tableau:
-    cols = t.columns()
-    c1 = [x for x in cols[0] if x not in pair_set]
-    bars = {x.bar() for x in pair_set}
-    c2 = [x for x in (cols[1] if len(cols) > 1 else ()) if x not in bars]
-    return Tableau.from_columns([c1, c2])
-
-
 def _pair_deletion_sign(t: Tableau, pair_set) -> int:
     """Cofactor sign of deleting the pairs from the two columns.
 
@@ -133,13 +126,13 @@ def _pair_deletion_sign(t: Tableau, pair_set) -> int:
 def relation_rhs(spec: RelationSpec) -> Combination:
     """The collapsed form of the relation sum: gamma^d times the terms with d pairs deleted."""
     pairs = occurring_pairs(spec.t)
-    allowed = sorted(spec.excluded, key=lambda x: x.key)
+    allowed = sorted(spec.excluded)
     terms = []
     # the excluded set is smaller than the stack, so at least one pair goes
     for d in range(spec.a - len(allowed), spec.a + 1):
         base_sign = -1 if (spec.a - d) % 2 else 1
         for combo in itertools.combinations(pairs, d):
-            right_cols = _delete_pairs(spec.t, set(combo)).columns()
+            right_cols = delete_pair(spec.t, *combo).columns()
             sign = base_sign * _pair_deletion_sign(spec.t, combo)
             for stack in itertools.combinations(allowed, spec.a - d):
                 sorting, left, right = normalize_pair(spec.stacked_columns(stack), right_cols)
@@ -256,7 +249,8 @@ def _pair_context(s: Tableau, t: Tableau, n: int, j: int,
     cols = s.columns()
     c1 = list(cols[0]) if cols else []
     c2 = list(cols[1]) if len(cols) > 1 else []
-    small = [x for x in _letters(n) if x <= Letter(j)]
+    top = Letter(j)
+    small = [x for x in _letters(n) if x <= top]
     in1, in2 = set(c1), set(c2)
     pairs = [x for x in small if x in in1 and x.bar() in in2]
     if not pairs:

@@ -237,24 +237,20 @@ Var = tuple[Letter, Letter]
 Monomial = tuple[tuple[Var, int], ...]
 
 
-def _var_key(v: Var):
-    return (v[0].key, v[1].key)
-
-
 def _mono_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
 
 
 def _mono_key(mono: Monomial):
     # graded lexicographic on the fixed variable order
-    return (_mono_degree(mono), tuple((_var_key(v), e) for v, e in mono))
+    return (_mono_degree(mono), mono)
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     exps: dict[Var, int] = dict(m1)
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda item: _var_key(item[0])))
+    return tuple(sorted(exps.items()))
 
 
 class Polynomial:

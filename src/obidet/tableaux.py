@@ -6,7 +6,10 @@ The alphabet of size n is the ordered set
     1b < 1 < 2b < 2 < ... < mb < m < 0     (n odd)
 
 where ``kb`` denotes the barred letter and ``0`` is the extra letter used
-for odd n.  Tableaux are left justified arrays of letters; all the
+for odd n.  A letter is its int code: 2k for kb, 2k + 1 for k, and one odd
+sentinel above every other code for 0, so letters order, compare and hash
+as ints and bar is the low bit.  Tableaux are left justified arrays of
+letters stored as their columns, the form every rewrite works on; all the
 GL(n)- and O(n)-standardness checks live here.
 """
 
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import total_ordering
 
 
 class DomainError(ValueError):
@@ -25,57 +27,59 @@ class DomainError(ValueError):
 # letters
 # ---------------------------------------------------------------------------
 
-@total_ordering
-class Letter:
+_INDEX_BOUND = 1 << 61
+_ZERO_CODE = 1 << 62 | 1      # odd, and above the code of every index below the bound
+
+
+class Letter(int):
     """A letter of the barred alphabet: k, kb (barred), or 0.
 
-    The zero letter compares greater than every barred/unbarred letter,
-    matching its position at the end of the ordered alphabet.
+    The letter is its int code, 2k for kb and 2k + 1 for k; the zero letter
+    has the odd code _ZERO_CODE, which sits above every other code, matching
+    its position at the end of the ordered alphabet.  No code is 0, so every
+    letter is truthy.
     """
 
-    __slots__ = ("index", "barred", "_key")
+    __slots__ = ()
 
-    def __init__(self, index: int, barred: bool = False):
+    def __new__(cls, index: int, barred: bool = False):
         if index < 0:
             raise DomainError(f"letter index must be >= 0, got {index}")
-        if index == 0 and barred:
-            raise DomainError("the zero letter has no barred companion")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "barred", barred)
+        if index >= _INDEX_BOUND:
+            raise DomainError(f"letter index must be below 2^61, got {index}")
         if index == 0:
-            key = (1, 0)
-        else:
-            key = (0, 2 * index - 2 if barred else 2 * index - 1)
-        object.__setattr__(self, "_key", key)
+            if barred:
+                raise DomainError("the zero letter has no barred companion")
+            return int.__new__(cls, _ZERO_CODE)
+        return int.__new__(cls, 2 * index + (not barred))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Letter is immutable")
+    @property
+    def index(self) -> int:
+        return 0 if self == _ZERO_CODE else self >> 1
+
+    @property
+    def barred(self) -> bool:
+        return not self & 1
+
+    @property
+    def key(self) -> int:
+        return int(self)
 
     def bar(self) -> "Letter":
         """The involution kb <-> k; fixes 0."""
-        if self.index == 0:
+        if self == _ZERO_CODE:
             return self
-        return Letter(self.index, not self.barred)
+        return int.__new__(Letter, self ^ 1)
 
-    @property
-    def key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Letter) and self._key == other._key
-
-    def __lt__(self, other):
-        if not isinstance(other, Letter):
-            return NotImplemented
-        return self._key < other._key
-
-    def __hash__(self):
-        return hash(self._key)
+    def __getnewargs__(self):
+        # copy and pickle rebuild a letter from its index, not from its code
+        return self.index, self.barred
 
     def __str__(self):
-        if self.index == 0:
+        index = self.index
+        if index == 0:
             return "0"
-        return f"{self.index}b" if self.barred else f"{self.index}"
+        return f"{index}b" if self.barred else f"{index}"
 
     def __repr__(self):
         return f"Letter({str(self)!r})"
@@ -203,22 +207,36 @@ def partitions_of(r: int, max_rows: int | None = None):
 # ---------------------------------------------------------------------------
 
 class Tableau:
-    """An immutable filled Young diagram (rows of letters, left justified)."""
+    """An immutable filled Young diagram, stored as its columns (left justified)."""
 
-    __slots__ = ("rows", "shape", "_cols", "_hash")
+    __slots__ = ("_cols", "shape", "_hash")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
-        for row in rows:
-            for x in row:
+        shape = tuple(map(len, rows))
+        heights = conjugate(shape)
+        self._store(tuple(tuple(row[j] for row in rows[:h]) for j, h in enumerate(heights)),
+                    shape)
+
+    @classmethod
+    def from_columns(cls, cols) -> "Tableau":
+        cols = tuple(c for c in map(tuple, cols) if c)
+        heights = [len(c) for c in cols]
+        for a, b in zip(heights, heights[1:]):
+            if a < b:
+                raise DomainError(f"column lengths must be weakly decreasing: {heights}")
+        t = object.__new__(cls)
+        t._store(cols, conjugate(heights))
+        return t
+
+    def _store(self, cols, shape):
+        for col in cols:
+            for x in col:
                 if not isinstance(x, Letter):
                     raise DomainError(f"tableau entries must be letters, got {x!r}")
-        shape = tuple(len(r) for r in rows)
-        check_shape(shape)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_cols", None)
-        object.__setattr__(self, "_hash", hash(rows))
+        object.__setattr__(self, "_hash", hash(cols))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
@@ -231,46 +249,23 @@ class Tableau:
 
     @property
     def num_cols(self) -> int:
-        return self.shape[0] if self.shape else 0
+        return len(self._cols)
 
     def columns(self) -> tuple[tuple[Letter, ...], ...]:
-        cols = self._cols
-        if cols is None:
-            width = self.num_cols
-            cols = tuple(
-                tuple(row[j] for row in self.rows if len(row) > j)
-                for j in range(width)
-            )
-            object.__setattr__(self, "_cols", cols)
-        return cols
+        return self._cols
 
     def column(self, j: int) -> tuple[Letter, ...]:
-        return self.columns()[j]
+        return self._cols[j]
 
-    def entry(self, i: int, j: int) -> Letter:
-        """0-based entry access."""
-        return self.rows[i][j]
-
-    @classmethod
-    def from_columns(cls, cols) -> "Tableau":
-        cols = [tuple(c) for c in cols if len(c) > 0]
-        if not cols:
-            return cls(())
-        lengths = [len(c) for c in cols]
-        for a, b in zip(lengths, lengths[1:]):
-            if a < b:
-                raise DomainError(f"column lengths must be weakly decreasing: {lengths}")
-        rows = []
-        for i in range(lengths[0]):
-            rows.append(tuple(c[i] for c in cols if len(c) > i))
-        return cls(rows)
+    @property
+    def rows(self) -> tuple[tuple[Letter, ...], ...]:
+        cols = self._cols
+        return tuple(tuple(c[i] for c in cols[:width]) for i, width in enumerate(self.shape))
 
     # -- text format: rows joined by ';', entries by spaces -----------------
 
     def format(self) -> str:
-        if not self.rows:
-            return "-"
-        return "; ".join(" ".join(str(x) for x in row) for row in self.rows)
+        return "; ".join(" ".join(map(str, row)) for row in self.rows) or "-"
 
     @classmethod
     def parse(cls, text: str) -> "Tableau":
@@ -292,7 +287,7 @@ class Tableau:
         return f"Tableau({self.format()!r})"
 
     def __eq__(self, other):
-        return isinstance(other, Tableau) and self.rows == other.rows
+        return isinstance(other, Tableau) and self._cols == other._cols
 
     def __hash__(self):
         return self._hash
@@ -306,9 +301,7 @@ class Tableau:
         top down, so the first difference between two keys sits in the
         right-most differing column at its top-most differing entry.
         """
-        return tuple(
-            tuple(x.key for x in col) for col in reversed(self.columns())
-        )
+        return self._cols[::-1]
 
 
 def tableau_prec_cmp(t1: Tableau, t2: Tableau) -> int:
@@ -329,14 +322,22 @@ def is_column_increasing(t: Tableau) -> bool:
     )
 
 
+def row_violation_column(t: Tableau) -> int | None:
+    """Leftmost column c (0-based) with an entry above its right neighbour, or None.
+
+    The rows are weakly increasing exactly when there is none.
+    """
+    cols = t.columns()
+    for c in range(len(cols) - 1):
+        if any(x > y for x, y in zip(cols[c], cols[c + 1])):
+            return c
+    return None
+
+
 def is_gl_standard(t: Tableau, n: int) -> bool:
     """At most n rows, rows weakly increasing, columns strictly increasing."""
-    if len(t.shape) > n:
-        return False
-    for row in t.rows:
-        if any(a > b for a, b in zip(row, row[1:])):
-            return False
-    return is_column_increasing(t)
+    return (len(t.shape) <= n and row_violation_column(t) is None
+            and is_column_increasing(t))
 
 
 @dataclass(frozen=True)
@@ -367,8 +368,9 @@ def on_standard_report(t: Tableau, n: int) -> ONStandardReport:
     col1 = cols[0] if len(cols) >= 1 else ()
     col2 = cols[1] if len(cols) >= 2 else ()
 
-    alpha = tuple(sum(1 for x in col1 if x <= Letter(i)) for i in range(1, m + 1))
-    beta = tuple(sum(1 for x in col2 if x <= Letter(i)) for i in range(1, m + 1))
+    tops = [Letter(i) for i in range(1, m + 1)]
+    alpha = tuple(sum(1 for x in col1 if x <= top) for top in tops)
+    beta = tuple(sum(1 for x in col2 if x <= top) for top in tops)
 
     violations: list[Violation] = []
     if not is_gl_standard(t, n):
@@ -381,9 +383,7 @@ def on_standard_report(t: Tableau, n: int) -> ONStandardReport:
         violations.append(Violation("COLSUM", 0))
 
     os_violations: list[Violation] = []
-    for i in range(1, m + 1):
-        a, b = alpha[i - 1], beta[i - 1]
-        letter = Letter(i)
+    for i, (letter, a, b) in enumerate(zip(tops, alpha, beta), start=1):
         if a + b > 2 * i:
             os_violations.append(Violation("OS1", i))
             continue
@@ -402,16 +402,14 @@ def on_standard_report(t: Tableau, n: int) -> ONStandardReport:
                     os_violations.append(Violation("OS2", i))
             continue
         if a + b == 2 * i and a == b:
-            # the pair must sit in row i, barred letter in column 1
-            if len(t.rows) >= i and len(t.rows[i - 1]) >= 1 and t.rows[i - 1][0] == letter.bar():
-                for col_b in range(2, len(t.rows[i - 1]) + 1):
-                    if t.rows[i - 1][col_b - 1] == letter:
-                        above = any(
-                            t.rows[r][col_b - 1] == letter.bar() for r in range(i - 1)
-                            if len(t.rows[r]) >= col_b
-                        )
-                        if not above:
-                            os_violations.append(Violation("OS3", i, col_b))
+            # the pair must sit in row i, barred letter in column 1, and no
+            # bar i above the i in its column b
+            if len(col1) >= i and col1[i - 1] == letter.bar():
+                for col_b, col in enumerate(cols[1:], start=2):
+                    if len(col) < i:
+                        break
+                    if col[i - 1] == letter and letter.bar() not in col[:i - 1]:
+                        os_violations.append(Violation("OS3", i, col_b))
 
     os_violations.sort(key=lambda v: (v.witness, {"OS1": 0, "OS2": 1, "OS3": 2}[v.kind], v.column))
     violations.extend(os_violations)
@@ -433,8 +431,8 @@ def torus_weight(t: Tableau, n: int) -> tuple[int, ...]:
     """
     m = n // 2
     weight = [0] * (m + n % 2)
-    for row in t.rows:
-        for x in row:
+    for col in t.columns():
+        for x in col:
             if x.index == 0:
                 weight[m] ^= 1
             else:
@@ -451,16 +449,17 @@ def basic_tableau(shape: Shape, n: int) -> Tableau:
     return Tableau(tuple((letters[k],) * shape[k] for k in range(len(shape))))
 
 
-def delete_pair(t: Tableau, letter: Letter) -> Tableau:
-    """Remove letter from column 1 and its bar from column 2 of a 2-column tableau."""
+def delete_pair(t: Tableau, *letters: Letter) -> Tableau:
+    """Remove each letter from column 1 and its bar from column 2 of a 2-column tableau."""
     cols = t.columns()
     if len(cols) != 2:
         raise DomainError("delete_pair needs a two-column tableau")
     c1, c2 = list(cols[0]), list(cols[1])
-    if letter not in c1 or letter.bar() not in c2:
-        raise DomainError(f"pair {letter},{letter.bar()} does not occur in {t.format()!r}")
-    c1.remove(letter)
-    c2.remove(letter.bar())
+    for letter in letters:
+        if letter not in c1 or letter.bar() not in c2:
+            raise DomainError(f"pair {letter},{letter.bar()} does not occur in {t.format()!r}")
+        c1.remove(letter)
+        c2.remove(letter.bar())
     return Tableau.from_columns([c1, c2])
 
 
@@ -469,7 +468,7 @@ def occurring_pairs(t: Tableau) -> list[Letter]:
     cols = t.columns()
     c1 = set(cols[0]) if len(cols) >= 1 else set()
     c2 = set(cols[1]) if len(cols) >= 2 else set()
-    return sorted((x for x in c1 if x.bar() in c2), key=lambda x: x.key)
+    return sorted(x for x in c1 if x.bar() in c2)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +486,7 @@ def enumerate_gl_standard(shape: Shape, n: int):
 
     def fill(pos: int):
         if pos == len(cells):
-            yield Tableau(tuple(tuple(row) for row in grid))
+            yield Tableau(grid)
             return
         i, j = cells[pos]
         for letter in letters:

@@ -78,6 +78,21 @@ def test_straighten_gl_points_check_below_three(capsys, monkeypatch, n, left, ri
     assert "point verification" in err and not out
 
 
+def test_straighten_gl_large_alphabet(capsys):
+    # membership is checked per letter, with no list of the alphabet built
+    code, out, err = run_cli(["straighten", "--mode", "gl", "--n", "100000000",
+                              "--left", "1 2", "--right", "1 2"], capsys)
+    assert code == 0, err
+    assert out == "1\t0\t1 2\t1 2\n"
+
+
+def test_straighten_letter_index_bound(capsys):
+    code, out, err = run_cli(["straighten", "--mode", "gl", "--n", "4",
+                              "--left", "2305843009213693952", "--right", "1"], capsys)
+    assert code == 2
+    assert "2^61" in err and not out
+
+
 NEGATIVE_BOUNDS = [
     (["straighten", "--n", "4", "--left", "1b", "--right", "1", "--points", "-2"], "--points"),
     (["verify", "--n", "3", "--degree", "1", "--points", "-3"], "--points"),

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -70,6 +72,39 @@ def test_letter_parse_rejects_garbage():
     for bad in ["", "x", "-1", "0b", "1bb", "01", "007b", "00"]:
         with pytest.raises(DomainError):
             Letter.parse(bad)
+
+
+def test_letter_codes_follow_the_alphabet():
+    for n in range(3, 42):
+        letters = alphabet(n)
+        codes = [x.key for x in letters]
+        assert all(type(c) is int for c in codes)
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert all(x < ZERO for x in letters if x != ZERO)
+        for x in letters:
+            assert x
+            back = Letter.parse(str(x))
+            assert type(back) is Letter and back == x and hash(back) == hash(x)
+            bar = x.bar()
+            assert type(bar) is Letter and bar in letters and bar.bar() == x
+            assert (bar == x) == (x == ZERO)
+    assert Letter(2**61 - 1) < ZERO
+
+
+def test_letter_index_bound():
+    top = Letter(2**61 - 1, barred=True)
+    assert Letter.parse(str(top)) == top and top.bar().index == 2**61 - 1
+    with pytest.raises(DomainError):
+        Letter(2**61)
+    with pytest.raises(DomainError):
+        Letter.parse("2305843009213693952")
+
+
+def test_letter_copies_keep_the_letter():
+    for x in alphabet(5):
+        assert copy.copy(x) == x
+        restored = pickle.loads(pickle.dumps(x))
+        assert type(restored) is Letter and restored == x
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +200,25 @@ def test_empty_tableau():
     assert empty.shape == ()
     assert empty.format() == "-"
     assert Tableau.parse("-") == empty
+
+
+def test_rows_and_columns_round_trip():
+    for r in range(1, 5):
+        for shape in partitions_of(r):
+            for t in enumerate_gl_standard(shape, 5):
+                for other in (Tableau(t.rows), Tableau.from_columns(t.columns())):
+                    assert other == t and hash(other) == hash(t)
+                    assert other.shape == t.shape
+
+
+def test_tableau_entries_must_be_letters():
+    # letters are ints, but a plain int is no letter
+    with pytest.raises(DomainError):
+        Tableau([[3]])
+    with pytest.raises(DomainError):
+        Tableau.from_columns([[3]])
+    with pytest.raises(DomainError):
+        Tableau.from_columns([[L("1")], [L("1b"), L("2")]])
 
 
 def _prec_reference(t1, t2):
@@ -301,6 +355,10 @@ def test_iterated_deletion():
         [[L("1b"), L("2b"), L("3b")], [L("1"), L("2"), L("3")]])
     out = delete_pair(delete_pair(t, L("1b")), L("3b"))
     assert out.columns() == ((L("2b"),), (L("2"),))
+    assert delete_pair(t, L("1b"), L("3b")) == out
+    assert delete_pair(t) == t
+    with pytest.raises(DomainError):
+        delete_pair(t, L("1b"), L("1b"))
 
 
 # ---------------------------------------------------------------------------
