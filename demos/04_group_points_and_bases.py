@@ -22,8 +22,9 @@ from obidet.polyring import GF, Polynomial, rational
 
 L = Letter.parse
 
-# Cayley-transformed skew matrices give exact rational points; composing
-# with a fixed reflection reaches the negative determinant component.
+# Cayley-transformed skew matrices give exact rational points, each solved
+# over the integers as G = d g; negating or swapping columns of G (a
+# reflection) reaches the negative determinant component.
 plus = random_on_point(5, seed=1, component="PLUS")
 minus = random_on_point(5, seed=2, component="MINUS")
 print("sample point determinants:", plus.det_value, minus.det_value)

@@ -1,14 +1,16 @@
 """Exact rational points of the orthogonal group and evaluation certificates.
 
 Points come from the Cayley transform (I + A)^-1 (I - A) of J-skew matrices
-A = J B with small random rational entries, computed by one exact solve
-with J applied as a row permutation.  Reflections and dilations are column
-maps: a negative-determinant point negates the 0 column (odd n) or swaps the
-1b and 1 columns (even n), and a similitude point scales every column (odd n)
-or the barred ones (even n).  Each O(n) point is built and checked as a
-GroupPoint once; a similitude point is checked again after scaling.  Every
-point is rational, carries its gamma and has an integer form G = d g,
-Gamma = d^2 gamma, checked as G^t J G = Gamma J and det(G)^2 = Gamma^n.
+A = J B with small random rational entries.  The denominators of B are
+cleared first, so the transform is one fraction-free Gauss-Jordan solve
+over the integers, with J applied as a row permutation, and each point is
+built from its integer form G = d g, Gamma = d^2 gamma.  Reflections and
+dilations are column maps on G: a negative-determinant point negates the 0
+column (odd n) or swaps the 1b and 1 columns (even n), and a similitude
+point by c = a/b scales every column (odd n) or the barred ones (even n)
+by a, the others by b, and d by b.  Each point is built and checked as a
+GroupPoint once, checked as G^t J G = Gamma J and det(G)^2 = Gamma^n; its
+rational matrix is derived from G.
 Functions are evaluated by one integer kernel: a function of degree m has
 the value d^-m times an integer combination of the minors of G (cached on
 the point) and powers of Gamma.  verify_on_group checks identities and
@@ -54,7 +56,6 @@ from .polyring import (
     LetterMatrix,
     QQ,
     rational,
-    solve,
 )
 from .gl_straighten import BidetTerm, single_term
 from .on_straighten import GO, ON, _require_mode, on_straighten
@@ -72,43 +73,64 @@ def form_matrix(n: int) -> LetterMatrix:
 class GroupPoint:
     """An exact matrix g with g^t J g = gamma J; det^2 = gamma^n.
 
-    Its integer form is G = d g, with d the lcm of the entry denominators,
-    and Gamma = d^2 gamma, an integer because G^t J G = Gamma J.  The point
-    caches the integer minors of G it is asked for.
+    A point is built from its integer form: an integer matrix G = d g, the
+    denominator d and Gamma = d^2 gamma (default d^2, a point of O(n)),
+    an integer because G^t J G = Gamma J.  The gcd of d and the entries of
+    G is divided out, so d is the lcm of the entry denominators of g.  The
+    form is checked as G^t J G = Gamma J and det(G)^2 = Gamma^n, and the
+    rational matrix g is derived from G.  The point caches the integer
+    minors of G it is asked for.
     """
 
     __slots__ = ("matrix", "n", "gamma_value", "det_value",
                  "denominator", "integer_gamma", "_integer_rows", "_minors")
 
-    def __init__(self, matrix: LetterMatrix, gamma_value=None):
-        n = matrix.n
-        if gamma_value is None:
-            gamma_value = rational(1)
-        d = math.lcm(*(int(x.denominator) for row in matrix.rows for x in row))
-        rows = tuple(tuple(int(x.numerator) * (d // int(x.denominator)) for x in row)
-                     for row in matrix.rows)
-        gamma = gamma_value * d * d
+    def __init__(self, integer_matrix: LetterMatrix, denominator: int = 1,
+                 integer_gamma: int | None = None):
+        n, rows, d = integer_matrix.n, integer_matrix.rows, denominator
+        gamma = d * d if integer_gamma is None else integer_gamma
+        if type(d) is not int or type(gamma) is not int or not d or any(
+                type(x) is not int for row in rows for x in row):
+            raise DomainError("a point needs an int matrix, a nonzero int d and an int Gamma")
+        k = math.gcd(d, *itertools.chain.from_iterable(rows))
+        if d < 0:
+            k = -k
+        if k != 1:
+            rows = tuple(tuple(x // k for x in row) for row in rows)
+            d //= k
+            gamma, rest = divmod(gamma, k * k)
+            if rest:  # G^t J G is divisible by k^2
+                raise DomainError("matrix does not satisfy the similitude relation")
         # J permutes rows by bar: column b of J G is column b of G read in bar order
-        letters = matrix.letters
+        letters = integer_matrix.letters
         bar = [letters.index(x.bar()) for x in letters]
         cols = tuple(zip(*rows))
         jg_cols = tuple(zip(*(rows[i] for i in bar)))
-        if gamma.denominator != 1 or any(
-                sum(map(operator.mul, ca, cb)) != (gamma if b == bar[a] else 0)
-                for a, ca in enumerate(cols) for b, cb in enumerate(jg_cols)):
+        if any(sum(map(operator.mul, ca, cb)) != (gamma if b == bar[a] else 0)
+               for a, ca in enumerate(cols) for b, cb in enumerate(jg_cols)):
             raise DomainError("matrix does not satisfy the similitude relation")
-        gamma = int(gamma)
         det = _bareiss(rows)[1]
         if det * det != gamma ** n:
             raise DomainError("determinant inconsistent with the similitude factor")
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix",
+                           LetterMatrix(n, ((rational(x, d) for x in row) for row in rows)))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gamma_value", gamma_value)
+        object.__setattr__(self, "gamma_value", rational(gamma, d * d))
         object.__setattr__(self, "det_value", rational(det, d ** n))
         object.__setattr__(self, "denominator", d)
         object.__setattr__(self, "integer_gamma", gamma)
         object.__setattr__(self, "_integer_rows", rows)
         object.__setattr__(self, "_minors", {})
+
+    @classmethod
+    def from_matrix(cls, matrix: LetterMatrix, gamma_value=1) -> "GroupPoint":
+        """The point of a rational matrix g with this gamma: its cleared form d g."""
+        d = math.lcm(*(int(x.denominator) for row in matrix.rows for x in row))
+        gamma = rational(gamma_value) * d * d
+        if gamma.denominator != 1:
+            raise DomainError("matrix does not satisfy the similitude relation")
+        rows = ((int(x.numerator) * (d // int(x.denominator)) for x in row) for row in matrix.rows)
+        return cls(LetterMatrix(matrix.n, rows), d, int(gamma))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupPoint is immutable")
@@ -151,41 +173,36 @@ class GroupPoint:
         return tuple(tuple(x * inv % p for x in row) for row in self._integer_rows)
 
 
-def _random_fraction(rng: random.Random, spread: int):
-    num = rng.randint(-spread, spread)
-    den = rng.randint(1, spread)
-    return rational(num, den)
-
-
-def _skew_symmetric(n: int, rng: random.Random, spread: int):
-    a = [[rational(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = _random_fraction(rng, spread)
-            a[i][j] = x
-            a[j][i] = -x
-    return a
-
-
 _CAYLEY_TRIES = 64
 
 
-def _cayley(n: int, seed: int, spread: int) -> LetterMatrix:
-    """Cayley transform (I + A)^-1 (I - A) of A = J B, B random skew: det 1."""
+def _cayley(n: int, seed: int, spread: int) -> tuple[list[list[int]], int]:
+    """Cayley transform (I + A)^-1 (I - A) of A = J B, B random skew: det 1.
+
+    The transform is X / det M for the integers X and det M it returns:
+    with D the lcm of the denominators of B, M = D I + J (D B) and
+    N = D I - J (D B) are integer matrices, and M X = (det M) N.
+    """
     if n < 3:
         raise DomainError("need n >= 3")
     rng = random.Random(seed)
     letters = _letters(n)
     bar = [letters.index(x.bar()) for x in letters]
+    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for _ in range(_CAYLEY_TRIES):
-        b = _skew_symmetric(n, rng, spread)
+        draws = [(rng.randint(-spread, spread), rng.randint(1, spread)) for _ in above]
+        lcm = math.lcm(*(den for _, den in draws))
+        b = [[0] * n for _ in range(n)]
+        for (i, j), (num, den) in zip(above, draws):
+            b[i][j] = num * (lcm // den)
+            b[j][i] = -b[i][j]
         # J B is J-skew: (JB)^t J + J (JB) = -B J J + B = 0; J permutes rows by bar
         a = [b[i] for i in bar]
-        i_plus = [[int(r == c) + x for c, x in enumerate(row)] for r, row in enumerate(a)]
-        i_minus = [[int(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)]
-        g = solve(i_plus, i_minus)
-        if g is not None:
-            return LetterMatrix(n, g)
+        i_plus = [[lcm * (r == c) + x for c, x in enumerate(row)] for r, row in enumerate(a)]
+        i_minus = [[lcm * (r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)]
+        solved = _fraction_free_solve(i_plus, i_minus)
+        if solved is not None:
+            return solved
     raise DomainError(f"could not draw an invertible Cayley point after {_CAYLEY_TRIES} tries")
 
 
@@ -198,13 +215,12 @@ def random_on_point(n: int, seed: int, component: str = "PLUS", spread: int = 2)
     """A point of the chosen determinant component of the orthogonal group."""
     if component not in ("PLUS", "MINUS"):
         raise DomainError(f"component must be PLUS or MINUS, got {component!r}")
-    g = _cayley(n, seed, spread)
+    rows, det = _cayley(n, seed, spread)
     if component == "MINUS":
         # g times a reflection: negate the 0 column (the last letter) for odd n,
         # swap the 1b and 1 columns (the first two letters) for even n
-        rows = (r[:-1] + (-r[-1],) if n % 2 else (r[1], r[0]) + r[2:] for r in g.rows)
-        g = LetterMatrix(n, rows)
-    point = GroupPoint(g)
+        rows = (r[:-1] + [-r[-1]] if n % 2 else [r[1], r[0]] + r[2:] for r in rows)
+    point = GroupPoint(LetterMatrix(n, rows), det)
     if point.det_value != (1 if component == "PLUS" else -1):
         raise AssertionError(f"{component} point with determinant {point.det_value}")
     return point
@@ -218,10 +234,13 @@ def random_go_point(n: int, seed: int, c, spread: int = 2) -> GroupPoint:
     rng = random.Random(seed)
     component = "PLUS" if rng.random() < 0.5 else "MINUS"
     g = random_on_point(n, seed + 1, component, spread)
-    # scale every column for odd n; for even n, g times the dilation of the barred letters
+    # scale every column for odd n; for even n, g times the dilation of the
+    # barred letters: c = a/b scales those columns of G by a, the rest by b
+    a, b = int(c.numerator), int(c.denominator)
     scaled = [n % 2 or x.barred for x in g.matrix.letters]
-    rows = ([c * x if b else x for x, b in zip(r, scaled)] for r in g.matrix.rows)
-    return GroupPoint(LetterMatrix(n, rows), c * c if n % 2 else c)
+    rows = ((a * x if s else b * x for x, s in zip(r, scaled)) for r in g._integer_rows)
+    gamma = g.integer_gamma * (a * a if n % 2 else a * b)
+    return GroupPoint(LetterMatrix(n, rows), g.denominator * b, gamma)
 
 
 def _draws(n: int, count: int, seed: int, spread: int):
@@ -240,8 +259,9 @@ def _draws(n: int, count: int, seed: int, spread: int):
         k = len(seen)
         component = "MINUS" if k < 2 else ("PLUS" if k % 2 == 0 else "MINUS")
         candidate = random_on_point(n, seed * 7919 + i, component, spread)
-        if candidate.matrix.rows not in seen:
-            seen.add(candidate.matrix.rows)
+        key = candidate.denominator, candidate._integer_rows
+        if key not in seen:
+            seen.add(key)
             yield candidate
 
 
@@ -326,6 +346,36 @@ def _bareiss(rows) -> tuple[int, int]:
         if row == n_rows:
             break
     return rank, int(sign * prev) if rank == n_rows == n_cols else 0
+
+
+def _fraction_free_solve(a, b) -> "tuple[list[list[int]], int] | None":
+    """Integers x and det a with a x = (det a) b, or None if a is singular.
+
+    Fraction-free Gauss-Jordan (Bareiss, Montante) on [a | b]: each step
+    updates every row but the pivot row by (lead x - head y) // prev,
+    and the division is exact because every entry is a minor of [a | b]
+    with its rows permuted.  A finished column is dropped, so the rows end
+    as the right block, and the last pivot, signed by the row swaps, is
+    det a.
+    """
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    prev = sign = 1
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][0]), None)
+        if pivot is None:
+            return None
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        top = rows[col]
+        lead, tail = top[0], top[1:]
+        rows = [tail if r is top else [(lead * x - r[0] * y) // prev
+                                       for x, y in zip(r[1:], tail)]
+                for r in rows]
+        prev = lead
+    if sign < 0:
+        rows, prev = [[-x for x in r] for r in rows], -prev
+    return rows, prev
 
 
 # the rank modulo this prime falls short of the rank over Q only when the

@@ -207,28 +207,6 @@ def det_rows(rows) -> object:
     return det if sign == 1 else -det
 
 
-def solve(a, b):
-    """Exact x with a x = b, via Gauss-Jordan on [a | b]; None if a is singular."""
-    n = len(a)
-    aug = [list(r) + list(rb) for r, rb in zip(a, b)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 # ---------------------------------------------------------------------------
 # sparse polynomials
 # ---------------------------------------------------------------------------

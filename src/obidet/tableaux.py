@@ -368,9 +368,15 @@ def on_standard_report(t: Tableau, n: int) -> ONStandardReport:
     col1 = cols[0] if len(cols) >= 1 else ()
     col2 = cols[1] if len(cols) >= 2 else ()
 
-    tops = [Letter(i) for i in range(1, m + 1)]
+    # past the largest index in columns 1 and 2, alpha and beta are constant;
+    # OS1 needs 2i < a + b <= |c1| + |c2|, and OS2 and OS3 need a + b = 2i
+    last = min(m, max(max((x.index for x in col1 + col2), default=0),
+                      (len(col1) + len(col2)) // 2))
+    tops = [Letter(i) for i in range(1, last + 1)]
     alpha = tuple(sum(1 for x in col1 if x <= top) for top in tops)
     beta = tuple(sum(1 for x in col2 if x <= top) for top in tops)
+    alpha += (alpha[-1] if alpha else 0,) * (m - last)
+    beta += (beta[-1] if beta else 0,) * (m - last)
 
     violations: list[Violation] = []
     if not is_gl_standard(t, n):

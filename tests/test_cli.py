@@ -86,6 +86,16 @@ def test_straighten_gl_large_alphabet(capsys):
     assert out == "1\t0\t1 2\t1 2\n"
 
 
+def test_straighten_on_large_alphabet(capsys):
+    # the standardness report scans only the indices the tableau reaches
+    start = time.perf_counter()
+    code, out, err = run_cli(["straighten", "--mode", "on", "--n", "2000000",
+                              "--left", "1 2", "--right", "1 2"], capsys)
+    assert code == 0, err
+    assert out == "1\t0\t1 2\t1 2\n"
+    assert time.perf_counter() - start < 5
+
+
 def test_straighten_letter_index_bound(capsys):
     code, out, err = run_cli(["straighten", "--mode", "gl", "--n", "4",
                               "--left", "2305843009213693952", "--right", "1"], capsys)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,8 @@ from obidet.gl_straighten import BidetTerm
 from obidet.on_straighten import GO, ON
 from obidet.group_oracle import (
     GroupPoint,
+    _cayley,
+    _fraction_free_solve,
     _orthogonal_group_order,
     _random_nonstandard_pair,
     _suite_points,
@@ -65,6 +68,10 @@ def test_form_matrix_is_symmetric_involution():
 def test_group_point_constructor_rejects_bad_matrix():
     bad = LetterMatrix.diagonal(4, [rational(2), rational(1), rational(1), rational(1)])
     with pytest.raises(DomainError):
+        GroupPoint.from_matrix(bad)
+    with pytest.raises(DomainError):
+        GroupPoint(LetterMatrix.diagonal(4, [2, 1, 1, 1]))
+    with pytest.raises(DomainError):   # the integer form takes ints only
         GroupPoint(bad)
 
 
@@ -78,13 +85,75 @@ def test_so_points_many_seeds():
 
 def test_cayley_of_zero_is_identity():
     # spread so small that the zero matrix is impossible, but the identity
-    # arises when the skew matrix vanishes: check the formula directly
-    from obidet.polyring import solve
-    n = 4
-    ident = [[rational(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    inv = solve(ident, ident)
-    assert inv == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    GroupPoint(LetterMatrix.identity(4))  # the identity is a valid point
+    # arises when the skew matrix vanishes: check the formula directly on
+    # M = D I and N = D I, the cleared form of I + 0 and I - 0
+    n, lcm = 4, 6
+    ident = [[lcm * (i == j) for j in range(n)] for i in range(n)]
+    x, det = _fraction_free_solve(ident, ident)
+    assert det == lcm ** n
+    assert x == [[det * (i == j) for j in range(n)] for i in range(n)]
+    point = GroupPoint(LetterMatrix(n, x), det)   # the identity is a valid point
+    assert point.matrix == LetterMatrix.identity(n) and point.denominator == 1
+    assert GroupPoint.from_matrix(LetterMatrix.identity(n)).matrix == point.matrix
+
+
+def _reference_skew(n, seed, spread):
+    """The J-skew A = J B of the first draw with I + A invertible, in rationals.
+
+    B is drawn as the Cayley draws do it, one num, den pair per entry above
+    the diagonal; also returns the number of singular draws skipped.
+    """
+    rng = random.Random(seed)
+    letters = _letters(n)
+    bar = [letters.index(x.bar()) for x in letters]
+    for singular in itertools.count():
+        b = [[rational(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                num = rng.randint(-spread, spread)
+                b[i][j] = rational(num, rng.randint(1, spread))
+                b[j][i] = -b[i][j]
+        a = [b[i] for i in bar]
+        if det_rows([[(r == c) + x for c, x in enumerate(row)] for r, row in enumerate(a)]):
+            return a, singular
+
+
+@pytest.mark.parametrize("n, seed, spread",
+                         [(n, seed, spread) for n in range(3, 9) for seed in (0, 5, 11)
+                          for spread in (2, 3, 5)]
+                         + [(3, 1, 2), (4, 14, 2), (5, 72, 2), (6, 18, 2)])
+def test_integer_cayley_solves_the_rational_system(n, seed, spread):
+    a, singular = _reference_skew(n, seed, spread)
+    if (n, seed) in ((3, 1), (4, 14), (5, 72), (6, 18)) and spread == 2:
+        assert singular >= 1   # the first draw is singular and the kernel retries
+    x, det = _cayley(n, seed, spread)
+    assert det and all(type(v) is int for row in x for v in row)
+    g = [[rational(v, det) for v in row] for row in x]
+    # (I + A) g = I - A, exactly in rationals
+    assert [[sum(((i == k) + a[i][k]) * g[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[(i == j) - a[i][j] for j in range(n)] for i in range(n)]
+    # G = x is an integer form with Gamma = det^2: G^t J G = Gamma J
+    form = form_matrix(n).rows
+    gtjg = [[sum(x[k][r] * form[k][l] * x[l][c] for k in range(n) for l in range(n))
+             for c in range(n)] for r in range(n)]
+    assert gtjg == [[det * det * v for v in row] for row in form]
+
+
+def test_group_point_integer_form_is_scale_free():
+    for p in (random_on_point(5, 3, "MINUS"), random_on_point(4, 9, "PLUS"),
+              random_go_point(4, 2, rational(3, 2)), random_go_point(5, 6, rational(-5, 3))):
+        g, d, gamma = p._integer_rows, p.denominator, p.integer_gamma
+        for k in (1, 2, -3, 12):
+            q = GroupPoint(LetterMatrix(p.n, [[k * v for v in row] for row in g]),
+                           k * d, k * k * gamma)
+            assert (q.matrix, q.denominator, q.integer_gamma, q._integer_rows) == (
+                p.matrix, d, gamma, g)
+            assert (q.gamma_value, q.det_value) == (p.gamma_value, p.det_value)
+    # an O(n) point needs no Gamma: it defaults to d^2
+    p = random_on_point(6, 4, "PLUS")
+    q = GroupPoint(LetterMatrix(6, [[7 * v for v in row] for row in p._integer_rows]),
+                   7 * p.denominator)
+    assert q.matrix == p.matrix and q.integer_gamma == p.integer_gamma
 
 
 def test_minus_component_points():
@@ -128,7 +197,7 @@ def test_gamma_is_multiplicative():
     a = random_go_point(4, 11, rational(2))
     b = random_go_point(4, 12, rational(3, 2))
     product = a.matrix @ b.matrix
-    point = GroupPoint(product, a.gamma_value * b.gamma_value)
+    point = GroupPoint.from_matrix(product, a.gamma_value * b.gamma_value)
     assert gamma_poly(4).evaluate(point) == a.gamma_value * b.gamma_value
 
 
@@ -196,6 +265,12 @@ def test_points_are_built_once_and_drawn_lazily(monkeypatch):
             built.clear()
             random_on_point(n, s, "MINUS")
             assert len(built) == 1
+            # the O(n) point and its scaled copy
+            built.clear()
+            random_go_point(n, s, rational(3, 2))
+            assert len(built) == 2
+            built.clear()
+            assert len(standard_points(n, 6, seed=s)) == len(built) == 6
 
     built.clear()
     draws = []
@@ -531,7 +606,7 @@ def test_column_action_expansion_at_group_points():
     letters = _letters(n)
     g = random_on_point(n, 31, "MINUS")
     a = random_on_point(n, 32, "PLUS")
-    ga = GroupPoint(g.matrix @ a.matrix)
+    ga = GroupPoint.from_matrix(g.matrix @ a.matrix)
     for k in (1, 2):
         for _ in range(4):
             s = sorted(rng.sample(letters, k), key=lambda x: x.key)
@@ -592,7 +667,7 @@ def _torus_point(n, rng):
     sign = rng.choice([-1, 1])
     values = [1 / ts[x.index - 1] if x.barred else ts[x.index - 1] if x.index else sign
               for x in _letters(n)]
-    return GroupPoint(LetterMatrix.diagonal(n, [rational(v) for v in values])), ts, sign
+    return GroupPoint.from_matrix(LetterMatrix.diagonal(n, [rational(v) for v in values])), ts, sign
 
 
 def _character(tableau, point):
@@ -608,7 +683,7 @@ def test_standard_elements_are_torus_weight_vectors(n):
     g = standard_points(n, 1, seed=n)[0]
     for _ in range(2):
         (t, t_values, t_sign), (s, s_values, s_sign) = _torus_point(n, rng), _torus_point(n, rng)
-        moved = GroupPoint(t.matrix @ g.matrix @ s.matrix)
+        moved = GroupPoint.from_matrix(t.matrix @ g.matrix @ s.matrix)
         for e in standard_basis_elements(n, 2, ON):
             chi_s, chi_t = _character(e.left, t), _character(e.right, s)
             for chi, tableau, values, sign in ((chi_s, e.left, t_values, t_sign),

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,8 +20,8 @@ from obidet.polyring import (
     is_dyadic,
     minor,
     rational,
-    solve,
 )
+from obidet.group_oracle import _fraction_free_solve
 
 
 def L(token):
@@ -76,12 +77,24 @@ def test_letter_matrix_entry_indexing():
     assert m.entry(L("1"), L("2")) == 0
 
 
+def _cleared(rows):
+    """The integer matrix D rows and D, the lcm of the entry denominators."""
+    d = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[int(x * d) for x in r] for r in rows], d
+
+
 def test_matrix_inverse_roundtrip():
+    # the integer kernel of the Cayley draws: a x = (det a) I for a = D rows
     rng = random.Random(0)
     rows = [[rational(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
             for _ in range(4)]
-    inv = solve(rows, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
-    if inv is not None:
+    a, d = _cleared(rows)
+    solved = _fraction_free_solve(a, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
+    assert (solved is None) == (det_rows(rows) == 0)
+    if solved is not None:
+        x, det = solved
+        assert det == det_rows(rows) * d ** 4
+        inv = [[rational(v * d, det) for v in r] for r in x]
         prod = [[sum(rows[i][k] * inv[k][j] for k in range(4)) for j in range(4)]
                 for i in range(4)]
         assert all(prod[i][j] == (1 if i == j else 0)
@@ -95,17 +108,23 @@ def test_solve_general_right_side_and_singular():
              for _ in range(4)]
         b = [[rational(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
              for _ in range(4)]
-        x = solve(a, b)
+        (ia, da), (ib, db) = _cleared(a), _cleared(b)
+        solved = _fraction_free_solve(ia, ib)
         if det_rows(a):
-            assert [[sum(a[i][k] * x[k][j] for k in range(4)) for j in range(3)]
+            x, det = solved
+            assert all(type(v) is int for r in x for v in r) and det == det_rows(a) * da ** 4
+            # a x = det b over the integers, so a (da x / (det db)) = b
+            assert [[sum(ia[i][k] * x[k][j] for k in range(4)) for j in range(3)]
+                    for i in range(4)] == [[det * v for v in r] for r in ib]
+            y = [[rational(v * da, det * db) for v in r] for r in x]
+            assert [[sum(a[i][k] * y[k][j] for k in range(4)) for j in range(3)]
                     for i in range(4)] == b
         else:
-            assert x is None
+            assert solved is None
     # the third row is the sum of the first two
-    singular = [[rational(1), rational(2), rational(0)],
-                [rational(0), rational(1), rational(3)],
-                [rational(1), rational(3), rational(3)]]
-    assert solve(singular, [[rational(1)], [rational(0)], [rational(0)]]) is None
+    singular = [[1, 2, 0], [0, 1, 3], [1, 3, 3]]
+    assert _fraction_free_solve(singular, [[1], [0], [0]]) is None
+
 
 def test_det_rows_matches_minor_eval():
     rng = random.Random(1)

@@ -319,6 +319,56 @@ def test_alpha_beta_weakly_increasing():
         assert all(a <= b for a, b in zip(report.beta, report.beta[1:]))
 
 
+def _full_scan_report(t, n):
+    """Reference: the standardness report that scans every index up to n // 2."""
+    m = n // 2
+    cols = t.columns()
+    col1 = cols[0] if len(cols) >= 1 else ()
+    col2 = cols[1] if len(cols) >= 2 else ()
+    tops = [Letter(i) for i in range(1, m + 1)]
+    alpha = tuple(sum(1 for x in col1 if x <= top) for top in tops)
+    beta = tuple(sum(1 for x in col2 if x <= top) for top in tops)
+    if not is_gl_standard(t, n):
+        return False, (("GL", 0, 0),), alpha, beta
+    violations = []
+    if len(col1) + len(col2) > n:
+        violations.append(("COLSUM", 0, 0))
+    os_violations = []
+    for i, (letter, a, b) in enumerate(zip(tops, alpha, beta), start=1):
+        if a + b > 2 * i:
+            os_violations.append(("OS1", i, 0))
+        elif a + b == 2 * i and a > b:
+            if (a >= 1 and len(col1) >= a and col1[a - 1] == letter
+                    and b >= 1 and len(col2) >= b and col2[b - 1] == letter.bar()
+                    and not (a >= 2 and col1[a - 2] == letter.bar())):
+                os_violations.append(("OS2", i, 0))
+        elif a + b == 2 * i and len(col1) >= i and col1[i - 1] == letter.bar():
+            for col_b, col in enumerate(cols[1:], start=2):
+                if len(col) < i:
+                    break
+                if col[i - 1] == letter and letter.bar() not in col[:i - 1]:
+                    os_violations.append(("OS3", i, col_b))
+    os_violations.sort(key=lambda v: (v[1], ("OS1", "OS2", "OS3").index(v[0]), v[2]))
+    violations += os_violations
+    return not violations, tuple(violations), alpha, beta
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_on_report_matches_a_full_scan(n):
+    # the report scans only the indices its columns 1 and 2 can reach
+    for size in range(5):
+        for shape in partitions_of(size, max_rows=n):
+            for t in enumerate_gl_standard(shape, n):
+                report = on_standard_report(t, n)
+                kinds = tuple((v.kind, v.witness, v.column) for v in report.violations)
+                assert (report.standard, kinds, report.alpha, report.beta) == \
+                    _full_scan_report(t, n), t.format()
+    # alpha and beta keep their tails on tableaux that are not GL-standard
+    for t in (T("1 1b"), T("4 2; 1b"), T("0 3b; 1")):
+        report = on_standard_report(t, n)
+        assert (report.alpha, report.beta) == _full_scan_report(t, n)[2:]
+
+
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
