@@ -15,6 +15,7 @@ from .tableaux import (
     DomainError,
     Letter,
     Tableau,
+    column_shape,
     is_column_increasing,
     letter_in_alphabet,
     row_violation_column,
@@ -226,23 +227,32 @@ def inversion_sign(seq) -> int:
 
 
 def sort_letters(entries) -> tuple[int, tuple[Letter, ...]]:
-    """Sort a column, returning (sign, sorted); sign 0 on a repeated letter."""
+    """Sort a column, returning (sign, sorted); sign 0 on a repeated letter.
+
+    A column that is already strictly increasing comes back as it is, with
+    no inversion count.
+    """
     entries = tuple(entries)
-    if len(set(entries)) < len(entries):
+    ordered = tuple(sorted(set(entries)))
+    if len(ordered) < len(entries):
         return 0, ()
-    return inversion_sign(entries), tuple(sorted(entries))
+    if ordered == entries:
+        return 1, entries
+    return inversion_sign(entries), ordered
 
 
-def normalize_pair(left_cols, right_cols) -> tuple[int, Tableau | None, Tableau | None]:
-    """Sort entries (with signs) and arrange columns into a partition shape.
+def normal_columns(left_cols, right_cols):
+    """Sort entries (with signs) and arrange column pairs into a partition shape.
 
     Column pairs move together; reordering whole columns is sign free since
     a bideterminant is a product of per-column minors.  Empty columns are
-    dropped.  Returns sign 0 when some column has a repeated letter.
+    dropped.  Returns (sign, left columns, right columns) as tuples of
+    tuples, or (0, None, None) when some column has a repeated letter.
     """
     pairs = [(tuple(a), tuple(b)) for a, b in zip(left_cols, right_cols)]
-    if any(len(a) != len(b) for a, b in pairs):
-        raise DomainError("left and right columns must pair up in length")
+    for a, b in pairs:
+        if len(a) != len(b):
+            raise DomainError("left and right columns must pair up in length")
     sign = 1
     sorted_pairs = []
     for a, b in pairs:
@@ -254,31 +264,104 @@ def normalize_pair(left_cols, right_cols) -> tuple[int, Tableau | None, Tableau 
                 return 0, None, None
             sorted_pairs.append((sa, sb))
     sorted_pairs.sort(key=lambda p: -len(p[0]))
-    return (
-        sign,
-        Tableau.from_columns([p[0] for p in sorted_pairs]),
-        Tableau.from_columns([p[1] for p in sorted_pairs]),
-    )
+    left, right = zip(*sorted_pairs) if sorted_pairs else ((), ())
+    return sign, left, right
+
+
+def normalize_pair(left_cols, right_cols) -> tuple[int, Tableau | None, Tableau | None]:
+    """normal_columns as a pair of tableaux: (sign, left, right), sign 0 on a repeat."""
+    sign, left, right = normal_columns(left_cols, right_cols)
+    if not sign:
+        return 0, None, None
+    return sign, Tableau.from_columns(left), Tableau.from_columns(right)
 
 
 # ---------------------------------------------------------------------------
 # the two-column rewrite
 # ---------------------------------------------------------------------------
 
-def first_row_violation(s: Tableau) -> int | None:
-    """1-based first row where column 1 exceeds column 2, or None."""
-    cols = s.columns()
-    if len(cols) < 2:
-        return None
-    for r, (a, b) in enumerate(zip(cols[0], cols[1]), start=1):
-        if a > b:
-            return r
-    return None
+def _add_term(terms: dict, key, coef):
+    """Merge coef into terms[key] as Combination merges: zero sums drop out."""
+    total = terms.get(key, 0) + coef
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
 
 
-def _laplace_col_sign(row_set, k: int) -> int:
-    total = sum(row_set) + k * (k + 1) // 2
-    return -1 if total % 2 else 1
+def _two_column_terms(s_cols, t_cols):
+    """The two-column rewrite of [S:T] on raw columns: (viol, head, drop).
+
+    S = (s1, s2) and T = (t1, t2) are column tuples of a two-column pair
+    whose left side has a row violation; viol is its first row (1-based).
+    head and drop map (left columns, right columns), normalized, to their
+    merged nonzero coefficients, the terms of two_column_straighten.
+    """
+    if tuple(map(len, s_cols)) != tuple(map(len, t_cols)):
+        raise DomainError("shape mismatch")
+    if len(s_cols) != 2:
+        raise DomainError("two-column tableaux required")
+    if not all(a < b for col in (*s_cols, *t_cols) for a, b in zip(col, col[1:])):
+        raise DomainError("columns must be strictly increasing")
+    (s1, s2), (t1, t2) = s_cols, t_cols
+    viol = next((r for r, (a, b) in enumerate(zip(s1, s2), start=1) if a > b), None)
+    if viol is None:
+        raise DomainError("left tableau has no row violation")
+
+    k, ell = len(s1), len(s2)
+    tv = viol
+    # auxiliary-matrix rows 0..k-1 carry the first column of S, k..k+ell-1
+    # the second; its columns carry T's columns the same way.  Rows above
+    # the violation are zeroed on the right block, rows below it (in the
+    # second group) on the left block.
+    rows, cols = s1 + s2, t1 + t2
+    all_rows = range(k + ell)
+    forced = tuple(range(tv - 1))                  # must sit in the left minor
+    # free rows: first-column rows tv..k and second-column rows 1..tv (1-based)
+    free = range(tv - 1, k + tv)
+
+    # the Laplace column sign is the parity of the 1-based rows_in and k(k+1)/2
+    offset = k + k * (k + 1) // 2
+    head: dict = {}
+    base_sign = None
+    for chosen in itertools.combinations(free, k - tv + 1):
+        rows_in = forced + chosen
+        inside = set(rows_in)
+        eps = -1 if (offset + sum(rows_in)) % 2 else 1
+        u_col1 = tuple(rows[h] for h in rows_in)
+        u_col2 = tuple(rows[h] for h in all_rows if h not in inside)
+        if u_col1 == s1 and u_col2 == s2:
+            base_sign = eps
+            continue
+        sign, left, right = normal_columns((u_col1, u_col2), t_cols)
+        if sign:
+            # solving for [S:T] negates the other column-expansion terms
+            _add_term(head, (left, right), -eps * sign)
+    if base_sign != 1:
+        raise AssertionError("expansion lost the original bideterminant")
+
+    # the drop expands rows 1..tv-1 and k+tv+1..k+ell (1-based) against
+    # ell - 1 chosen columns, and keeps the other rows in one big minor; its
+    # sign is the parity of those rows and the 1-based chosen columns
+    offset = (tv - 1) * tv // 2 + sum(range(k + tv + 1, k + ell + 1)) + ell - 1
+    block_left = (rows[tv - 1:k + tv], s1[:tv - 1], s2[tv:])
+    drop: dict = {}
+    for c1 in itertools.combinations(range(k), tv - 1):
+        for c2 in itertools.combinations(range(k, k + ell), ell - tv):
+            cols_in = set(c1 + c2)
+            delta = -1 if (offset + sum(c1) + sum(c2)) % 2 else 1
+            sign, left, right = normal_columns(block_left, (
+                tuple(cols[h] for h in all_rows if h not in cols_in),
+                tuple(cols[h] for h in c1),
+                tuple(cols[h] for h in c2)))
+            if sign:
+                _add_term(drop, (left, right), delta * sign)
+    return viol, head, drop
+
+
+def _combination(terms: dict) -> Combination:
+    return Combination(BidetTerm(coef, 0, Tableau.from_columns(left), Tableau.from_columns(right))
+                       for (left, right), coef in terms.items())
 
 
 def two_column_straighten(s: Tableau, t: Tableau):
@@ -287,81 +370,10 @@ def two_column_straighten(s: Tableau, t: Tableau):
     head holds the same-shape terms (all strictly above S in the tableau
     order, with signs only); drop holds the column-rebalanced remainder.
     The identity [S:T] = head + drop is exact in the polynomial ring.
+    Returns (first violated row, head, drop).
     """
-    if s.shape != t.shape:
-        raise DomainError("shape mismatch")
-    cols_s, cols_t = s.columns(), t.columns()
-    if len(cols_s) != 2:
-        raise DomainError("two-column tableaux required")
-    if not (is_column_increasing(s) and is_column_increasing(t)):
-        raise DomainError("columns must be strictly increasing")
-    viol = first_row_violation(s)
-    if viol is None:
-        raise DomainError("left tableau has no row violation")
-
-    s1, s2 = cols_s
-    t1, t2 = cols_t
-    k, ell = len(s1), len(s2)
-    tv = viol
-
-    # auxiliary-matrix row labels: 1..k carry the first column of S,
-    # k+1..k+ell the second; columns 1..k carry T's first column, the rest
-    # its second.  Rows above the violation are zeroed on the right block,
-    # rows below it (in the second group) on the left block.
-    def row_label(h: int) -> Letter:
-        return s1[h - 1] if h <= k else s2[h - k - 1]
-
-    def col_label(h: int) -> Letter:
-        return t1[h - 1] if h <= k else t2[h - k - 1]
-
-    forced = list(range(1, tv))                      # must sit in the left minor
-    free = list(range(tv, k + 1)) + list(range(k + 1, k + tv + 1))
-    # (free rows: first-column rows tv..k and second-column rows 1..tv)
-
-    head_terms: list[BidetTerm] = []
-    base_sign = None
-    for chosen in itertools.combinations(free, k - tv + 1):
-        rows_in = sorted(forced + list(chosen))
-        rows_out = sorted(set(range(1, k + ell + 1)) - set(rows_in))
-        eps = _laplace_col_sign(rows_in, k)
-        u_col1 = [row_label(h) for h in rows_in]
-        u_col2 = [row_label(h) for h in rows_out]
-        if u_col1 == list(s1) and u_col2 == list(s2):
-            base_sign = eps
-            continue
-        sign, left, right = normalize_pair([u_col1, u_col2], [t1, t2])
-        if sign == 0:
-            continue
-        # solving for [S:T] negates the other column-expansion terms
-        head_terms.append(BidetTerm(-eps * sign, 0, left, right))
-    if base_sign != 1:
-        raise AssertionError("expansion lost the original bideterminant")
-    head = Combination(head_terms)
-
-    exp_rows = list(range(1, tv)) + list(range(k + tv + 1, k + ell + 1))
-    row_sum = sum(exp_rows)
-    drop_terms: list[BidetTerm] = []
-    for c1 in itertools.combinations(range(1, k + 1), tv - 1):
-        for c2 in itertools.combinations(range(k + 1, k + ell + 1), ell - tv):
-            cols_in = list(c1) + list(c2)
-            cols_out = sorted(set(range(1, k + ell + 1)) - set(cols_in))
-            delta = -1 if (row_sum + sum(cols_in)) % 2 else 1
-            big_left = [row_label(h) for h in range(tv, k + 1)] + \
-                       [row_label(h) for h in range(k + 1, k + tv + 1)]
-            big_right = [col_label(h) for h in cols_out]
-            small1_left = [row_label(h) for h in range(1, tv)]
-            small1_right = [col_label(h) for h in c1]
-            small2_left = [row_label(h) for h in range(k + tv + 1, k + ell + 1)]
-            small2_right = [col_label(h) for h in c2]
-            sign, left, right = normalize_pair(
-                [big_left, small1_left, small2_left],
-                [big_right, small1_right, small2_right],
-            )
-            if sign == 0:
-                continue
-            drop_terms.append(BidetTerm(delta * sign, 0, left, right))
-    drop = Combination(drop_terms)
-    return viol, head, drop
+    viol, head, drop = _two_column_terms(s.columns(), t.columns())
+    return viol, _combination(head), _combination(drop)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +384,14 @@ def splice_block(left: Tableau, right: Tableau, i: int, j: int,
                  rewrite, check) -> list[BidetTerm]:
     """Rewrite columns i < j of [left : right] as a two-column pair.
 
-    rewrite(s, t) gives the terms of the two-column pair; check(left,
-    new_left) is the rule's measure check on each spliced term.  A term that
-    keeps both column lengths goes back to columns i and j, which keeps the
-    tableau order comparison local to the block; any other term's columns
-    are inserted at i, since a bideterminant is a product of column minors
-    and normalize_pair sorts the columns by length.  The terms come back
-    unmerged: splicing the terms of a merged pair back is injective.
+    rewrite(s_cols, t_cols) gives the terms of the two-column pair of
+    column tuples as (coef, gamma_pow, left columns, right columns);
+    check(left, new_left) is the rule's measure check on each spliced term.
+    A term that keeps both column lengths goes back to columns i and j,
+    which keeps the tableau order comparison local to the block; any other
+    term's columns are inserted at i, since a bideterminant is a product of
+    column minors and normalize_pair sorts the columns by length.  The terms
+    come back unmerged: splicing the terms of a merged pair back is injective.
     """
     left_cols, right_cols = left.columns(), right.columns()
     lengths = (len(left_cols[i]), len(left_cols[j]))
@@ -392,21 +405,35 @@ def splice_block(left: Tableau, right: Tableau, i: int, j: int,
         return rest[:i] + list(block) + rest[i:]
 
     out = []
-    for term in rewrite(Tableau.from_columns([left_cols[i], left_cols[j]]),
-                        Tableau.from_columns([right_cols[i], right_cols[j]])):
-        sign, new_left, new_right = normalize_pair(
-            put_back(left_cols, term.left.columns()),
-            put_back(right_cols, term.right.columns()))
+    for coef, gamma_pow, block_left, block_right in rewrite(
+            (left_cols[i], left_cols[j]), (right_cols[i], right_cols[j])):
+        sign, new_left, new_right = normalize_pair(put_back(left_cols, block_left),
+                                                   put_back(right_cols, block_right))
         if sign == 0:
             continue
         check(left, new_left)
-        out.append(BidetTerm(term.coef * sign, term.gamma_pow, new_left, new_right))
+        out.append(BidetTerm(coef * sign, gamma_pow, new_left, new_right))
     return out
 
 
-def _two_column_rewrite(s: Tableau, t: Tableau) -> Combination:
-    _, head, drop = two_column_straighten(s, t)
-    return head + drop
+def _block_order(item):
+    """BidetTerm.sort_key of a gamma-free term given by its columns."""
+    (left, right), _ = item
+    shape = column_shape([len(c) for c in left])
+    return shape_key(shape), left[::-1], right[::-1]
+
+
+def _two_column_rewrite(s_cols, t_cols):
+    """head + drop of the two-column rewrite, in the order of their Combination.
+
+    That order fixes the order in which the driver expands the spliced
+    terms, and so the order of its trace.
+    """
+    _, terms, drop = _two_column_terms(s_cols, t_cols)
+    for key, coef in drop.items():
+        _add_term(terms, key, coef)
+    return [(coef, 0, left, right)
+            for (left, right), coef in sorted(terms.items(), key=_block_order)]
 
 
 def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:

@@ -396,7 +396,10 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
             if not letter_in_alphabet(x, n):
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
 
-    out = run_straightening(s, t, lambda left, right: _one_step(left, right, n),
+    # one standardness verdict per tableau for this call; a verdict is the
+    # first violation only, since a report holds two n/2-tuples
+    verdicts: dict = {}
+    out = run_straightening(s, t, lambda left, right: _one_step(left, right, n, verdicts),
                             fuel, trace)
     for term in out:
         if 2 * term.gamma_pow + term.left.size != s.size:
@@ -405,36 +408,53 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     # every rewrite is an identity of weight vectors of the diagonal torus
     weight = (torus_weight(s, n), torus_weight(t, n))
     for term in out:
-        if not on_standard_report(term.left, n).standard:
+        if _first_violation(term.left, n, verdicts) is not None:
             raise AssertionError("non-standard left tableau in output")
-        if not on_standard_report(term.right, n).standard:
+        if _first_violation(term.right, n, verdicts) is not None:
             raise AssertionError("non-standard right tableau in output")
         if (torus_weight(term.left, n), torus_weight(term.right, n)) != weight:
             raise AssertionError("output term changed the torus weight")
     return out
 
 
-def _one_step(left: Tableau, right: Tableau, n: int):
+def _first_violation(t: Tableau, n: int, verdicts: dict):
+    """The first O(n)-standardness violation of t, or None; scanned once per verdicts dict."""
+    try:
+        return verdicts[t]
+    except KeyError:
+        v = verdicts[t] = next(iter(on_standard_report(t, n).violations), None)
+        return v
+
+
+def _one_step(left: Tableau, right: Tableau, n: int, verdicts: dict):
     """One rewrite of [left : right] on GO(n) at unit coefficient; None when standard.
 
     The order is GL-left, GL-right, then the orthogonal repairs left and
-    right: the repairs need GL-standard input.
+    right: the repairs need GL-standard input.  verdicts holds the
+    standardness verdicts of the tableaux seen so far.
     """
     return (_gl_rule(left, right)
-            or _fix_left(left, right, n)
-            or on_right(_fix_left, left, right, n))
+            or _fix_left(left, right, n, verdicts)
+            or on_right(_fix_left, left, right, n, verdicts))
 
 
-def _fix_left(left: Tableau, right: Tableau, n: int):
+def _on_block(repair):
+    """A repair of two-column tableaux as a splice_block rewrite of column tuples."""
+    def rewrite(s_cols, t_cols):
+        return [(x.coef, x.gamma_pow, x.left.columns(), x.right.columns())
+                for x in repair(Tableau.from_columns(s_cols), Tableau.from_columns(t_cols))]
+    return rewrite
+
+
+def _fix_left(left: Tableau, right: Tableau, n: int, verdicts: dict):
     """The first orthogonal repair of the left side, or None when it is standard.
 
     The repair runs on the block of columns 1 and b (b = 2, or the column of
     an OS3 pair row) over Z[1/2], where every repair is an identity.
     """
-    rep = on_standard_report(left, n)
-    if rep.standard:
+    v = _first_violation(left, n, verdicts)
+    if v is None:
         return None
-    v = rep.violations[0]
     if v.kind == "COLSUM":
         def repair(s, t):
             return [reduce_tall_shape(s, t, GO, n)]
@@ -444,7 +464,7 @@ def _fix_left(left: Tableau, right: Tableau, n: int):
         def repair(s, t):
             return fix(s, t, v.witness, GO, n, ZHALF)
     b = v.column if v.kind == "OS3" else 2
-    return v.kind, v.witness, splice_block(left, right, 0, b - 1, repair,
+    return v.kind, v.witness, splice_block(left, right, 0, b - 1, _on_block(repair),
                                            _check_repair_measure)
 
 

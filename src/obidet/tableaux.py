@@ -156,6 +156,23 @@ def conjugate(shape: Shape) -> Shape:
     return tuple(sum(1 for p in shape if p >= i) for i in range(1, shape[0] + 1))
 
 
+def column_shape(heights) -> Shape:
+    """The shape with these column lengths, which must weakly decrease.
+
+    One pass from the right: the rows below the next column's height and
+    down to this column's height have this column's number as their length.
+    """
+    shape: list[int] = []
+    below = 0
+    for width in range(len(heights), 0, -1):
+        h = heights[width - 1]
+        if h < below:
+            raise DomainError(f"column lengths must be weakly decreasing: {list(heights)}")
+        shape += [width] * (h - below)
+        below = h
+    return tuple(shape)
+
+
 def dominance_le(lam: Shape, mu: Shape) -> bool:
     """lam is dominated by mu (prefix sums of lam never exceed mu's)."""
     lam, mu = check_shape(lam), check_shape(mu)
@@ -220,13 +237,9 @@ class Tableau:
 
     @classmethod
     def from_columns(cls, cols) -> "Tableau":
-        cols = tuple(c for c in map(tuple, cols) if c)
-        heights = [len(c) for c in cols]
-        for a, b in zip(heights, heights[1:]):
-            if a < b:
-                raise DomainError(f"column lengths must be weakly decreasing: {heights}")
+        cols = tuple(filter(None, map(tuple, cols)))
         t = object.__new__(cls)
-        t._store(cols, conjugate(heights))
+        t._store(cols, column_shape(tuple(map(len, cols))))
         return t
 
     def _store(self, cols, shape):

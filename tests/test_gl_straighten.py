@@ -14,6 +14,7 @@ from obidet.tableaux import (
     enumerate_gl_standard,
     is_gl_standard,
     partitions_of,
+    row_violation_column,
     tableau_prec_cmp,
 )
 from obidet.polyring import bideterminant, rational
@@ -21,7 +22,10 @@ from obidet.gl_straighten import (
     BidetTerm,
     CapExceeded,
     Combination,
+    _two_column_rewrite,
+    _two_column_terms,
     gl_straighten,
+    mead_step,
     normalize_pair,
     one_switch_expand,
     single_term,
@@ -187,6 +191,81 @@ def test_two_column_random_symbolic():
         count += 1
         _, head, drop = two_column_straighten(s, t)
         assert (head + drop).symbolic_poly(n) == bideterminant(s, t), (s, t)
+
+
+def two_column_tableaux(n, max_size):
+    """Every column-increasing two-column tableau over the size-n alphabet."""
+    letters = _letters(n)
+    for k in range(1, n + 1):
+        for ell in range(1, min(k, max_size - k) + 1):
+            for c1 in itertools.combinations(letters, k):
+                for c2 in itertools.combinations(letters, ell):
+                    yield Tableau.from_columns([c1, c2])
+
+
+def as_terms(terms):
+    """Kernel terms {(left cols, right cols): coef} as {(left, right): coef}."""
+    return {(Tableau.from_columns(left), Tableau.from_columns(right)): coef
+            for (left, right), coef in terms.items()}
+
+
+def combination_terms(comb):
+    return {(x.left, x.right): x.coef for x in comb}
+
+
+def test_column_kernel_matches_two_column_straighten():
+    # every two-column left side with a row violation at n = 4, 5 and size
+    # <= 6, against itself and a seeded right side of its shape
+    rng = random.Random(14)
+    cases = 0
+    for n in (4, 5):
+        by_shape = {}
+        for t in two_column_tableaux(n, 6):
+            by_shape.setdefault(t.shape, []).append(t)
+        for shape, tableaux in by_shape.items():
+            for s in tableaux:
+                if row_violation_column(s) is None:
+                    continue
+                for t in (s, rng.choice(tableaux)):
+                    viol, head, drop = two_column_straighten(s, t)
+                    k_viol, k_head, k_drop = _two_column_terms(s.columns(), t.columns())
+                    assert (k_viol, as_terms(k_head), as_terms(k_drop)) == (
+                        viol, combination_terms(head), combination_terms(drop))
+                    merged = [(x.coef, x.gamma_pow, x.left.columns(), x.right.columns())
+                              for x in head + drop]
+                    assert _two_column_rewrite(s.columns(), t.columns()) == merged
+                    cases += 1
+    assert cases == 386
+
+
+def reference_mead_step(left, right, c):
+    """The two-column rewrite of columns (c, c+1) spliced back, on tableaux."""
+    block = [Tableau.from_columns(side.columns()[c:c + 2]) for side in (left, right)]
+    _, head, drop = two_column_straighten(*block)
+    out = []
+    for term in head + drop:
+        new_cols = []
+        for side, part in ((left, term.left), (right, term.right)):
+            cols = list(side.columns())
+            cols[c:c + 2] = part.columns()
+            new_cols.append(cols)
+        sign, new_left, new_right = normalize_pair(*new_cols)
+        if sign:
+            out.append(BidetTerm(term.coef * sign, 0, new_left, new_right))
+    return out
+
+
+def test_mead_step_matches_reference_splice():
+    rng = random.Random(15)
+    checked = 0
+    while checked < 300:
+        n = rng.choice([4, 5, 6])
+        s, t = random_pair(n, 6, rng)
+        c = row_violation_column(s)
+        if c is None:
+            continue
+        assert mead_step(s, t, c) == reference_mead_step(s, t, c), (s, t)
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,17 @@ def test_group_point_constructor_rejects_bad_matrix():
     bad = LetterMatrix.diagonal(4, [rational(2), rational(1), rational(1), rational(1)])
     with pytest.raises(DomainError):
         GroupPoint.from_matrix(bad)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="similitude relation"):
         GroupPoint(LetterMatrix.diagonal(4, [2, 1, 1, 1]))
     with pytest.raises(DomainError):   # the integer form takes ints only
         GroupPoint(bad)
+    # ints throughout, so the reasons below are the relation, not the types:
+    # Gamma != d^2 on the identity, and a common factor 2 whose square
+    # does not divide Gamma
+    with pytest.raises(DomainError, match="similitude relation"):
+        GroupPoint(LetterMatrix.diagonal(4, [1, 1, 1, 1]), 1, 4)
+    with pytest.raises(DomainError, match="similitude relation"):
+        GroupPoint(LetterMatrix.diagonal(4, [2, 2, 2, 2]), 2, 3)
 
 
 def test_so_points_many_seeds():

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import importlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -509,6 +510,47 @@ def test_on_straighten_expands_each_distinct_term_once(monkeypatch):
         expanded.clear()
         on_straighten(s, t, mode, 7)
         assert len(expanded) == len(set(expanded))
+
+
+def test_on_straighten_scans_each_distinct_tableau_once(monkeypatch):
+    # the driver keeps one standardness verdict per tableau for the call;
+    # the repairs' own domain check on their two-column block is apart
+    on_module = importlib.import_module("obidet.on_straighten")
+    report, repair = on_module.on_standard_report, on_module._repair
+    scans = Counter()
+    repairing = []
+
+    def counting_report(t, n):
+        if not repairing:
+            scans[t] += 1
+        return report(t, n)
+
+    def marked_repair(*args):
+        repairing.append(True)
+        try:
+            return repair(*args)
+        finally:
+            repairing.pop()
+
+    monkeypatch.setattr(on_module, "on_standard_report", counting_report)
+    monkeypatch.setattr(on_module, "_repair", marked_repair)
+    s, t = SHARED_TERMS_CASE
+    for mode in (ON, GO):
+        scans.clear()
+        on_straighten(s, t, mode, 7)
+        assert scans and max(scans.values()) == 1
+
+
+def test_on_straighten_verdicts_stay_small_at_large_n():
+    # a standardness report holds two n/2-tuples; the verdicts keep none
+    tracemalloc.start()
+    try:
+        out = on_straighten(Tableau.parse("1 2"), Tableau.parse("1 2"), ON, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.certificate() == "1\t0\t1 2\t1 2"
+    assert peak < 45_000_000
 
 
 def test_on_straighten_shared_terms_case_at_points():

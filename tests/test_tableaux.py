@@ -9,6 +9,7 @@ from obidet.tableaux import (
     Letter,
     Tableau,
     ZERO,
+    _letters,
     alphabet,
     all_fillings,
     basic_tableau,
@@ -219,6 +220,36 @@ def test_tableau_entries_must_be_letters():
         Tableau.from_columns([[3]])
     with pytest.raises(DomainError):
         Tableau.from_columns([[L("1")], [L("1b"), L("2")]])
+
+
+def compositions(r):
+    """Every sequence of positive ints summing to r."""
+    for cuts in itertools.product((False, True), repeat=max(r - 1, 0)):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 0
+            run += 1
+        yield tuple(parts + [run]) if r else ()
+
+
+def test_from_columns_shape_is_the_conjugate_of_the_lengths():
+    letters = _letters(14)
+    checked = refused = 0
+    for r in range(8):
+        for lengths in compositions(r):
+            cols = [letters[:h] for h in lengths]
+            if all(a >= b for a, b in zip(lengths, lengths[1:])):
+                assert Tableau.from_columns(cols).shape == conjugate(lengths)
+                checked += 1
+            else:
+                with pytest.raises(DomainError, match="weakly decreasing"):
+                    Tableau.from_columns(cols)
+                refused += 1
+    assert (checked, refused) == (45, 83)   # partitions, and the other compositions
+    with pytest.raises(DomainError, match="must be letters"):
+        Tableau.from_columns([letters[:2], [letters[0].key]])
 
 
 def _prec_reference(t1, t2):
