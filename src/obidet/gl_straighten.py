@@ -4,23 +4,29 @@ Everything here is an identity in the polynomial ring itself (no group
 relation is used): a bideterminant with a row violation is rewritten via
 a double Laplace expansion of an auxiliary matrix into higher terms of the
 same shape plus terms whose columns are strictly more unbalanced.
+
+The kernels and the engine work on column tuples: a pair is the
+(left columns, right columns) of normal_columns, the engine keys its
+rewrite graph on such pairs, and only the standard leaves of a run become
+Tableaux.  two_column_straighten, mead_step, one_switch_expand and
+normalize_pair are thin adapters that take and give tableaux.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .tableaux import (
     DomainError,
     Letter,
     Tableau,
+    _columns_increasing,
     column_shape,
-    is_column_increasing,
     letter_in_alphabet,
     row_violation_column,
     shape_key,
-    tableau_prec_cmp,
 )
 from . import polyring
 from .polyring import CoeffDomain, Polynomial, QQ
@@ -233,11 +239,11 @@ def sort_letters(entries) -> tuple[int, tuple[Letter, ...]]:
     no inversion count.
     """
     entries = tuple(entries)
+    if all(map(operator.lt, entries, entries[1:])):
+        return 1, entries
     ordered = tuple(sorted(set(entries)))
     if len(ordered) < len(entries):
         return 0, ()
-    if ordered == entries:
-        return 1, entries
     return inversion_sign(entries), ordered
 
 
@@ -249,20 +255,18 @@ def normal_columns(left_cols, right_cols):
     dropped.  Returns (sign, left columns, right columns) as tuples of
     tuples, or (0, None, None) when some column has a repeated letter.
     """
-    pairs = [(tuple(a), tuple(b)) for a, b in zip(left_cols, right_cols)]
-    for a, b in pairs:
-        if len(a) != len(b):
-            raise DomainError("left and right columns must pair up in length")
     sign = 1
     sorted_pairs = []
-    for a, b in pairs:
-        if a:
-            sign_a, sa = sort_letters(a)
-            sign_b, sb = sort_letters(b)
+    for a, b in zip(left_cols, right_cols):
+        if len(a) != len(b):
+            raise DomainError("left and right columns must pair up in length")
+        if a and sign:
+            sign_a, a = sort_letters(a)
+            sign_b, b = sort_letters(b)
             sign *= sign_a * sign_b
-            if not sign:
-                return 0, None, None
-            sorted_pairs.append((sa, sb))
+            sorted_pairs.append((a, b))
+    if not sign:
+        return 0, None, None
     sorted_pairs.sort(key=lambda p: -len(p[0]))
     left, right = zip(*sorted_pairs) if sorted_pairs else ((), ())
     return sign, left, right
@@ -359,9 +363,15 @@ def _two_column_terms(s_cols, t_cols):
     return viol, head, drop
 
 
+def _bidet_terms(terms) -> list[BidetTerm]:
+    """Column-tuple terms (coef, gamma_pow, left, right) as BidetTerms."""
+    return [BidetTerm(coef, gamma_pow, Tableau.from_columns(left), Tableau.from_columns(right))
+            for coef, gamma_pow, left, right in terms]
+
+
 def _combination(terms: dict) -> Combination:
-    return Combination(BidetTerm(coef, 0, Tableau.from_columns(left), Tableau.from_columns(right))
-                       for (left, right), coef in terms.items())
+    return Combination(_bidet_terms((coef, 0, left, right)
+                                    for (left, right), coef in terms.items()))
 
 
 def two_column_straighten(s: Tableau, t: Tableau):
@@ -380,20 +390,18 @@ def two_column_straighten(s: Tableau, t: Tableau):
 # the straightening engine and full GL straightening
 # ---------------------------------------------------------------------------
 
-def splice_block(left: Tableau, right: Tableau, i: int, j: int,
-                 rewrite, check) -> list[BidetTerm]:
-    """Rewrite columns i < j of [left : right] as a two-column pair.
+def splice_block(left_cols, right_cols, i: int, j: int, rewrite, check) -> list:
+    """Rewrite columns i < j of the normalized column pair [left : right] as a two-column pair.
 
-    rewrite(s_cols, t_cols) gives the terms of the two-column pair of
-    column tuples as (coef, gamma_pow, left columns, right columns);
+    rewrite(s_cols, t_cols) gives the terms of the two-column pair as
+    (coef, gamma_pow, left columns, right columns), and so does this;
     check(left, new_left) is the rule's measure check on each spliced term.
     A term that keeps both column lengths goes back to columns i and j,
     which keeps the tableau order comparison local to the block; any other
     term's columns are inserted at i, since a bideterminant is a product of
-    column minors and normalize_pair sorts the columns by length.  The terms
+    column minors and normal_columns sorts the columns by length.  The terms
     come back unmerged: splicing the terms of a merged pair back is injective.
     """
-    left_cols, right_cols = left.columns(), right.columns()
     lengths = (len(left_cols[i]), len(left_cols[j]))
 
     def put_back(cols, block):
@@ -407,20 +415,20 @@ def splice_block(left: Tableau, right: Tableau, i: int, j: int,
     out = []
     for coef, gamma_pow, block_left, block_right in rewrite(
             (left_cols[i], left_cols[j]), (right_cols[i], right_cols[j])):
-        sign, new_left, new_right = normalize_pair(put_back(left_cols, block_left),
+        sign, new_left, new_right = normal_columns(put_back(left_cols, block_left),
                                                    put_back(right_cols, block_right))
         if sign == 0:
             continue
-        check(left, new_left)
-        out.append(BidetTerm(coef * sign, gamma_pow, new_left, new_right))
+        check(left_cols, new_left)
+        out.append((coef * sign, gamma_pow, new_left, new_right))
     return out
 
 
 def _block_order(item):
-    """BidetTerm.sort_key of a gamma-free term given by its columns."""
-    (left, right), _ = item
+    """BidetTerm.sort_key of a term given as ((left, right[, gamma_pow]), coef) in columns."""
+    (left, right, *gamma_pow), _ = item
     shape = column_shape([len(c) for c in left])
-    return shape_key(shape), left[::-1], right[::-1]
+    return (shape_key(shape), left[::-1], right[::-1], *gamma_pow)
 
 
 def _two_column_rewrite(s_cols, t_cols):
@@ -438,51 +446,55 @@ def _two_column_rewrite(s_cols, t_cols):
 
 def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:
     """Apply the two-column rewrite to columns (c, c+1) and reassemble."""
-    return splice_block(left, right, c, c + 1, _two_column_rewrite, _check_gl_measure)
+    return _bidet_terms(splice_block(left.columns(), right.columns(), c, c + 1,
+                                     _two_column_rewrite, _check_gl_measure))
 
 
-def _column_profile(t: Tableau):
-    return tuple(sorted((len(c) for c in t.columns()), reverse=True))
+def _check_gl_measure(old, new):
+    """Each rewrite must unbalance columns or raise the worked side.
 
-
-def _check_gl_measure(old: Tableau, new: Tableau):
-    """Each rewrite must unbalance columns or raise the worked side."""
-    po, pn = _column_profile(old), _column_profile(new)
+    old and new are normalized column tuples: their column lengths are the
+    sorted profile, and the reversed tuple is the tableau order key.
+    """
+    po, pn = tuple(map(len, old)), tuple(map(len, new))
     if pn != po:
         if pn <= po:
             raise AssertionError("rewrite did not increase the column profile")
         return
-    if tableau_prec_cmp(old, new) != -1:
+    if not old[::-1] < new[::-1]:
         raise AssertionError("same-shape rewrite did not move up in tableau order")
 
 
-def gl_left_step(left: Tableau, right: Tableau):
+def gl_left_step(left, right):
     """The two-column rewrite at the left side's first column violation.
 
-    Returns ("GL", column, terms) with the terms at unit coefficient, or
-    None when the left side is GL-standard.
+    left and right are the column tuples of a normalized pair.  Returns
+    ("GL", column, terms) with the column-tuple terms at unit coefficient,
+    or None when the left side is GL-standard.
     """
     c = row_violation_column(left)
     if c is None:
         return None
-    return "GL", c + 1, mead_step(left, right, c)
+    return "GL", c + 1, splice_block(left, right, c, c + 1, _two_column_rewrite,
+                                     _check_gl_measure)
 
 
-def on_right(step, left: Tableau, right: Tableau, *args):
+def on_right(step, left, right, *args):
     """Apply a left-side rewrite step to the right side of [left : right].
 
     [S:T](g) = [T:S](g^t), and transposition preserves GL, O and GO, so
-    the step runs on the swapped pair and its terms are swapped back.
+    the step runs on the swapped pair of column tuples and its terms are
+    swapped back.
     """
     out = step(right, left, *args)
     if out is None:
         return None
     kind, witness, produced = out
-    return kind, witness, [BidetTerm(x.coef, x.gamma_pow, x.right, x.left)
-                           for x in produced]
+    return kind, witness, [(coef, gamma_pow, new_left, new_right)
+                           for coef, gamma_pow, new_right, new_left in produced]
 
 
-def _gl_rule(left: Tableau, right: Tableau):
+def _gl_rule(left, right):
     return gl_left_step(left, right) or on_right(gl_left_step, left, right)
 
 
@@ -490,16 +502,17 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
                       trace: list | None = None) -> Combination:
     """Rewrite [S:T] by a rule until only standard terms remain.
 
-    rule(left, right) is None for a standard pair, else (kind, witness,
-    terms): one rewrite at unit coefficient, gamma_pow holding each term's
-    gamma step.  Each distinct pair is expanded once, depth first; the
+    The pairs are the column tuples of normalized pairs.  rule(left, right)
+    is None for a standard pair, else (kind, witness, terms): one rewrite
+    at unit coefficient, with terms (coef, gamma step, left columns, right
+    columns).  Each distinct pair is expanded once, depth first; the
     coefficients, one per gamma power, then flow to the standard leaves in
-    reverse postorder.  The rules' coefficients are integers and dyadic
-    rationals, so the result is exact over Z[1/2].  fuel bounds the number
-    of distinct pairs; trace, when given, gets (kind, witness, term count)
-    for each pair expanded.
+    reverse postorder, and only the leaves become tableaux.  The rules'
+    coefficients are integers and dyadic rationals, so the result is exact
+    over Z[1/2].  fuel bounds the number of distinct pairs; trace, when
+    given, gets (kind, witness, term count) for each pair expanded.
     """
-    sign, left, right = normalize_pair(s.columns(), t.columns())
+    sign, left, right = normal_columns(s.columns(), t.columns())
     if sign == 0:
         return Combination()
     root = (left, right)
@@ -523,7 +536,7 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
         if step is not None and trace is not None:
             trace.append((step[0], step[1], len(step[2])))
         edges[pair] = None if step is None else [
-            (x.coef, x.gamma_pow, (x.left, x.right)) for x in step[2]]
+            (coef, dgamma, (new_left, new_right)) for coef, dgamma, new_left, new_right in step[2]]
         open_pairs.add(pair)
         stack.append((pair, True))
         stack.extend((child, False) for _, _, child in edges[pair] or ())
@@ -535,7 +548,8 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
         if not weight:
             continue
         if edges[pair] is None:
-            done.extend(BidetTerm(c, g, *pair) for g, c in weight.items())
+            left, right = (Tableau.from_columns(cols) for cols in pair)
+            done.extend(BidetTerm(c, g, left, right) for g, c in weight.items())
             continue
         for coef, dgamma, child in edges[pair]:
             target = weights.setdefault(child, {})
@@ -589,22 +603,28 @@ def one_switch_expand(s: Tableau, t: Tableau, row: int) -> Combination:
     given 1-based row.  The result is the same-shape tail (all terms above
     S* in the tableau order) plus the column-rebalanced remainder.
     """
-    cols = s.columns()
-    if len(cols) != 2:
+    return _combination(_switch_terms(s.columns(), t.columns(), row))
+
+
+def _switch_terms(s_cols, t_cols, row: int) -> dict:
+    """one_switch_expand on tuples of column tuples: {(left cols, right cols): coef}, merged."""
+    if len(s_cols) != 2:
         raise DomainError("two-column tableau required")
-    if not (len(cols[0]) >= row and len(cols[1]) >= row):
+    c1, c2 = list(s_cols[0]), list(s_cols[1])
+    if not (len(c1) >= row and len(c2) >= row):
         raise DomainError("row out of range")
-    a, b = cols[0][row - 1], cols[1][row - 1]
+    a, b = c1[row - 1], c2[row - 1]
     if not a.barred or a.bar() != b:
         raise DomainError("row must contain the pair (bar i, i)")
-    c1 = list(cols[0])
-    c2 = list(cols[1])
     c1[row - 1], c2[row - 1] = b, a
-    star = Tableau.from_columns([c1, c2])
-    if not is_column_increasing(star):
+    star = (tuple(c1), tuple(c2))
+    if not _columns_increasing(star):
         raise DomainError("switched tableau is not column increasing")
-    _, head, drop = two_column_straighten(star, t)
-    base = head.coefficient(s, t)
-    if base != 1:
+    _, terms, drop = _two_column_terms(star, t_cols)
+    base = (s_cols, t_cols)
+    if terms.get(base) != 1:
         raise AssertionError("lowest term of the switch expansion is not [S:T]")
-    return (head + drop) - single_term(s, t)
+    for key, coef in drop.items():
+        _add_term(terms, key, coef)
+    _add_term(terms, base, -1)
+    return terms

@@ -9,6 +9,9 @@ The three replacement identities repair the orthogonal standardness
 conditions with the stacked sum (a replacement term is a stacked term with
 its rows permuted), the complementary-minor identity repairs the column
 condition, and the driver recurses to a combination of standard terms.
+All four repairs are one kernel on column tuples, _repair_terms, which
+takes the violation the driver found; fix_os1/2/3, reduce_tall_shape and
+relation_rhs are its adapters on tableaux.
 
 The rules work on the similitude group GO(n): each degree-d collapse
 carries a factor gamma^d and the column reduction trades det^2 for gamma^n,
@@ -27,25 +30,24 @@ from .tableaux import (
     Letter,
     Tableau,
     _letters,
+    column_violations,
     conjugate,
-    delete_pair,
     letter_in_alphabet,
     on_standard_report,
-    occurring_pairs,
-    tableau_prec_cmp,
-    torus_weight,
+    sparse_torus_weight,
 )
 from .gl_straighten import (
     BidetTerm,
     Combination,
-    _column_profile,
+    _add_term,
+    _bidet_terms,
+    _block_order,
     _gl_rule,
+    _switch_terms,
     inversion_sign,
-    normalize_pair,
+    normal_columns,
     on_right,
-    one_switch_expand,
     run_straightening,
-    single_term,
     sort_letters,
     splice_block,
 )
@@ -89,9 +91,11 @@ class RelationSpec:
 
     def stacked_columns(self, letters):
         """Raw column lists for the stack of the given letters atop s0."""
-        col1 = tuple(letters) + self.s0_col1
-        col2 = tuple(x.bar() for x in letters) + self.s0_col2
-        return col1, col2
+        return _stacked_columns(letters, self.s0_col1, self.s0_col2)
+
+
+def _stacked_columns(letters, s0_col1, s0_col2):
+    return tuple(letters) + s0_col1, tuple(x.bar() for x in letters) + s0_col2
 
 
 def _at_mode(comb: Combination, mode: str) -> Combination:
@@ -105,8 +109,8 @@ def _at_mode(comb: Combination, mode: str) -> Combination:
     return Combination(BidetTerm(x.coef, 0, x.left, x.right) for x in comb)
 
 
-def _pair_deletion_sign(t: Tableau, pair_set) -> int:
-    """Cofactor sign of deleting the pairs from the two columns.
+def _pair_deletion_sign(c1, c2, pair_set) -> int:
+    """Cofactor sign of deleting the pairs from the two columns c1 and c2.
 
     Fixing each deleted letter at its column position contributes the usual
     cofactor parity; the first-column positions are taken in increasing
@@ -114,9 +118,7 @@ def _pair_deletion_sign(t: Tableau, pair_set) -> int:
     count.  (The sign is +1 exactly when the pairs sit at aligned positions,
     which is the only case exercised by the usual textbook displays.)
     """
-    cols = t.columns()
-    c1, c2 = list(cols[0]), list(cols[1])
-    ordered = sorted(pair_set, key=lambda x: c1.index(x))
+    ordered = sorted(pair_set, key=c1.index)
     p_positions = [c1.index(x) + 1 for x in ordered]
     q_positions = [c2.index(x.bar()) + 1 for x in ordered]
     total = sum(p_positions) + sum(q_positions)
@@ -125,20 +127,32 @@ def _pair_deletion_sign(t: Tableau, pair_set) -> int:
 
 def relation_rhs(spec: RelationSpec) -> Combination:
     """The collapsed form of the relation sum: gamma^d times the terms with d pairs deleted."""
-    pairs = occurring_pairs(spec.t)
-    allowed = sorted(spec.excluded)
-    terms = []
+    return Combination(_bidet_terms(_collapsed_terms(
+        spec.s0_col1, spec.s0_col2, spec.t.columns(), spec.a, spec.excluded)))
+
+
+def _collapsed_terms(s0_col1, s0_col2, t_cols, a: int, excluded):
+    """relation_rhs on column tuples: (coef, d, left, right) normalized, unmerged.
+
+    t_cols are the two columns of the right tableau; a term with d pairs
+    deleted carries gamma^d.
+    """
+    t1, t2 = t_cols
+    pairs = sorted(x for x in t1 if x.bar() in t2)
+    allowed = sorted(excluded)
     # the excluded set is smaller than the stack, so at least one pair goes
-    for d in range(spec.a - len(allowed), spec.a + 1):
-        base_sign = -1 if (spec.a - d) % 2 else 1
+    for d in range(a - len(allowed), a + 1):
+        base_sign = -1 if (a - d) % 2 else 1
         for combo in itertools.combinations(pairs, d):
-            right_cols = delete_pair(spec.t, *combo).columns()
-            sign = base_sign * _pair_deletion_sign(spec.t, combo)
-            for stack in itertools.combinations(allowed, spec.a - d):
-                sorting, left, right = normalize_pair(spec.stacked_columns(stack), right_cols)
+            bars = {x.bar() for x in combo}
+            right_cols = (tuple(x for x in t1 if x not in combo),
+                          tuple(x for x in t2 if x not in bars))
+            sign = base_sign * _pair_deletion_sign(t1, t2, combo)
+            for stack in itertools.combinations(allowed, a - d):
+                sorting, left, right = normal_columns(
+                    _stacked_columns(stack, s0_col1, s0_col2), right_cols)
                 if sorting:
-                    terms.append(BidetTerm(sign * sorting, d, left, right))
-    return Combination(terms)
+                    yield sign * sorting, d, left, right
 
 
 def relation_lhs_terms(spec: RelationSpec):
@@ -221,118 +235,123 @@ def reduce_tall_shape(s: Tableau, t: Tableau, mode: str, n: int) -> BidetTerm:
     _require_mode(mode)
     if s.shape != t.shape:
         raise DomainError("shape mismatch")
-    cols_s, cols_t = s.columns(), t.columns()
-    if len(cols_s) != 2:
+    if len(s.columns()) != 2:
         raise DomainError("two-column tableaux required")
     conj = conjugate(s.shape)
     if conj[0] + conj[1] <= n:
         raise DomainError("column condition already holds")
-    e1, s1_bar, t1_bar = one_column_complement(cols_s[0], cols_t[0], n)
-    e2, s2_bar, t2_bar = one_column_complement(cols_s[1], cols_t[1], n)
-    left = Tableau.from_columns([s2_bar, s1_bar])
-    right = Tableau.from_columns([t2_bar, t1_bar])
-    gamma_pow = conj[0] + conj[1] - n if mode == GO else 0
-    return BidetTerm(e1 * e2, gamma_pow, left, right)
+    (term,) = _bidet_terms(_repair_terms("COLSUM", 0, s.columns(), t.columns(), n))
+    return term if mode == GO else BidetTerm(term.coef, 0, term.left, term.right)
 
 
 # ---------------------------------------------------------------------------
 # the replacement machinery behind the three standardness repairs
 # ---------------------------------------------------------------------------
 
-def _pair_context(s: Tableau, t: Tableau, n: int, j: int,
-                  drop_from_excluded: Letter | None):
-    """The replacement sum of S at index j as a relation sum against t.
+def _pair_context(c1, c2, j: int, dropped: Letter | None):
+    """The replacement sum of S = (c1, c2) at index j as a stacked relation sum.
 
-    Returns (spec, pairs, sign): each in-place term of the replacement sum
-    is sign times its stacked term in spec, whose rows it permutes.
+    Returns (pairs, excluded, sign, s0_col1, s0_col2): the stack of pairs
+    atop s0 is S with its rows permuted, and each in-place term of the
+    replacement sum is sign times its stacked term.
     """
-    cols = s.columns()
-    c1 = list(cols[0]) if cols else []
-    c2 = list(cols[1]) if len(cols) > 1 else []
-    top = Letter(j)
-    small = [x for x in _letters(n) if x <= top]
+    small = _letters(2 * j)          # the letters up to j
     in1, in2 = set(c1), set(c2)
-    pairs = [x for x in small if x in in1 and x.bar() in in2]
+    pairs = tuple(x for x in small if x in in1 and x.bar() in in2)
     if not pairs:
         raise DomainError("no replaceable pairs below the witness index")
     excluded = {x for x in small if x not in in1 and x.bar() not in in2}
-    if drop_from_excluded is not None:
-        if drop_from_excluded not in excluded:
-            raise DomainError(f"{drop_from_excluded} is not among the absent letters")
-        excluded.discard(drop_from_excluded)
+    if dropped is not None:
+        if dropped not in excluded:
+            raise DomainError(f"{dropped} is not among the absent letters")
+        excluded.discard(dropped)
     if len(excluded) >= len(pairs):
         raise DomainError("replacement sum needs more pairs than exclusions")
-    col1_positions = sorted(c1.index(x) for x in pairs)
-    # pair values increase down the strictly increasing first column
-    ordered_values = tuple(c1[p] for p in col1_positions)
-    col2_positions = [c2.index(x.bar()) for x in ordered_values]
-    sign = _selection_sign(len(c1), col1_positions) * _selection_sign(len(c2), col2_positions)
-    s0_col1 = tuple(x for i, x in enumerate(c1) if i not in set(col1_positions))
-    s0_col2 = tuple(x for i, x in enumerate(c2) if i not in set(col2_positions))
-    spec = RelationSpec(s0_col1, s0_col2, t, len(pairs), frozenset(excluded), n)
-    return spec, ordered_values, sign
+    bars = {x.bar() for x in pairs}
+    # the pairs are in alphabet order, their order down the increasing c1
+    sign = (_selection_sign(len(c1), [c1.index(x) for x in pairs])
+            * _selection_sign(len(c2), [c2.index(x.bar()) for x in pairs]))
+    s0_col1 = tuple(x for x in c1 if x not in pairs)
+    s0_col2 = tuple(x for x in c2 if x not in bars)
+    return pairs, excluded, sign, s0_col1, s0_col2
 
 
-def _replacement_fix(s: Tableau, t: Tableau, n: int, j: int,
-                     drop_from_excluded: Letter | None):
-    """Solve the replacement sum for [S:T].
+def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
+    """The COLSUM, OS1, OS2 or OS3 repair of the two-column pair [S:T] on GO(n).
 
-    The in-place sum is sign times the stacked relation sum, so
-    [S:T] + lam = sign * relation_rhs, where lam holds the other same-shape
-    terms.  Returns ([S:T] on the group, lam).
+    S and T are given by their (two) column tuples, and S has the violation
+    of this kind at index j, as found by the caller; nothing is rescanned.
+    The terms come as (coef, gamma_pow, left columns, right columns), merged,
+    with coefficients in Z[1/2] and in BidetTerm.sort_key order.
+
+    COLSUM trades both columns for their complements.  The other three solve
+    the replacement sum: [S:T] + lam = sign * relation_rhs, with lam the
+    other same-shape stacked terms.  They differ in the absent letter the
+    sum leaves out (none, bar j, j) and in the switch step that solves OS3.
     """
-    spec, pairs, sign = _pair_context(s, t, n, j, drop_from_excluded)
-    lam_terms = []
+    (s1, s2), (t1, t2) = s_cols, t_cols
+    if kind == "COLSUM":
+        e1, s1_bar, t1_bar = one_column_complement(s1, t1, n)
+        e2, s2_bar, t2_bar = one_column_complement(s2, t2, n)
+        return [(e1 * e2, len(s1) + len(s2) - n, tuple(filter(None, (s2_bar, s1_bar))),
+                 tuple(filter(None, (t2_bar, t1_bar))))]
+
+    dropped = {"OS1": None, "OS2": Letter(j).bar(), "OS3": Letter(j)}[kind]
+    pairs, excluded, sign, s0_col1, s0_col2 = _pair_context(s1, s2, j, dropped)
+    terms: dict = {}
+    # -lam; a stacked letter already in s0 repeats, so its terms vanish
+    letters = [x for x in _letters(n) if x not in excluded
+               and x not in s0_col1 and x.bar() not in s0_col2]
     identity_seen = False
-    for left_cols in relation_lhs_terms(spec):
-        if left_cols[0][:spec.a] == pairs:
+    for stack in itertools.combinations(letters, len(pairs)):
+        if stack == pairs:
             identity_seen = True
             continue
-        sorting, left, right = normalize_pair(left_cols, t.columns())
+        sorting, left, right = normal_columns(_stacked_columns(stack, s0_col1, s0_col2), t_cols)
         if sorting:
-            lam_terms.append(BidetTerm(sign * sorting, 0, left, right))
+            _add_term(terms, (left, right, 0), -sign * sorting)
     if not identity_seen:
         raise AssertionError("replacement sum lost the identity term")
-    lam = Combination(lam_terms)
-    return relation_rhs(spec).scale(sign) - lam, lam
+    for coef, d, left, right in _collapsed_terms(s0_col1, s0_col2, t_cols, len(pairs), excluded):
+        _add_term(terms, (left, right, d), sign * coef)
+
+    if kind == "OS3":
+        # the switched tableau: the row of (bar j, j) with the pair reversed
+        top, bar = Letter(j), Letter(j).bar()
+        row = s1.index(bar)
+        if s2[row] != top:
+            raise AssertionError("pair row lost")
+        star = (s1[:row] + (top,) + s1[row + 1:], s2[:row] + (bar,) + s2[row + 1:])
+        switch = _switch_terms(s_cols, t_cols, row + 1)
+        # every collapsed term carries gamma, so the gamma-free terms are -lam
+        if terms.get((star, t_cols, 0)) != -1:
+            raise AssertionError("replacement sum lost the switched term")
+        # [S:T] + [S*:T] + s3 = sign * rhs  and  [S*:T] - [S:T] = switch
+        # combine to 2 [S:T] = sign * rhs - s3 - switch, with s3 = lam - [S*:T]
+        _add_term(terms, (star, t_cols, 0), 1)
+        for (left, right), coef in switch.items():
+            _add_term(terms, (left, right, 0), -coef)
+        terms = {key: rational(coef, 2) for key, coef in terms.items()}
+
+    for coef in terms.values():
+        if not ZHALF.validate(coef):
+            raise AssertionError(f"coefficient {coef} left the domain")
+    return [(coef, gamma_pow, left, right)
+            for (left, right, gamma_pow), coef in sorted(terms.items(), key=_block_order)]
 
 
 def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
             domain: CoeffDomain) -> Combination:
-    """The OS1, OS2 or OS3 repair of a two-column pair at index j, on GO(n).
-
-    The three differ in the violation they need, in the absent letter the
-    replacement sum leaves out (none, bar j, j) and in the switch step that
-    solves OS3.
-    """
+    """The OS1, OS2 or OS3 repair of a two-column pair at index j, on GO(n)."""
     n = _require_n(n)
     if not any(v.kind == kind and v.witness == j and (kind != "OS3" or v.column == 2)
                for v in on_standard_report(s, n).violations):
         what = {"OS1": "count", "OS2": "protection", "OS3": "pair-row"}[kind]
         raise DomainError(f"no {what} violation at index {j}")
-    dropped = {"OS1": None, "OS2": Letter(j).bar(), "OS3": Letter(j)}[kind]
-    out, lam = _replacement_fix(s, t, n, j, dropped)
-    if kind != "OS3":
-        return out.reduce(domain)
-
-    # the switched tableau: the row of (bar j, j) with the pair reversed
-    cols = s.columns()
-    row = cols[0].index(Letter(j).bar()) + 1
-    if cols[1][row - 1] != Letter(j):
-        raise AssertionError("pair row lost")
-    switch = one_switch_expand(s, t, row)
-
-    c1 = list(cols[0])
-    c2 = list(cols[1])
-    c1[row - 1], c2[row - 1] = Letter(j), Letter(j).bar()
-    star = Tableau.from_columns([c1, c2])
-    if lam.coefficient(star, t) != 1:
-        raise AssertionError("replacement sum lost the switched term")
-
-    # [S:T] + [S*:T] + s3 = sign * rhs  and  [S*:T] - [S:T] = switch
-    # combine to 2 [S:T] = sign * rhs - s3 - switch, with s3 = lam - [S*:T]
-    doubled = out + single_term(star, t) - switch
-    return doubled.scale(rational(1, 2)).reduce(domain)
+    if s.shape != t.shape or len(s.columns()) != 2:
+        raise DomainError("two-column tableaux of one shape required")
+    return Combination(_bidet_terms(_repair_terms(kind, j, s.columns(), t.columns(), n))
+                       ).reduce(domain)
 
 
 def fix_os1(s: Tableau, t: Tableau, j: int, mode: str = ON,
@@ -396,8 +415,8 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
             if not letter_in_alphabet(x, n):
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
 
-    # one standardness verdict per tableau for this call; a verdict is the
-    # first violation only, since a report holds two n/2-tuples
+    # one standardness verdict per tableau for this call: its first
+    # violation, from a scan that builds nothing of size n
     verdicts: dict = {}
     out = run_straightening(s, t, lambda left, right: _one_step(left, right, n, verdicts),
                             fuel, trace)
@@ -406,47 +425,41 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
             raise AssertionError("gamma grading violated")
     out = _at_mode(out, mode).reduce(domain)
     # every rewrite is an identity of weight vectors of the diagonal torus
-    weight = (torus_weight(s, n), torus_weight(t, n))
+    weight = (sparse_torus_weight(s.columns()), sparse_torus_weight(t.columns()))
     for term in out:
-        if _first_violation(term.left, n, verdicts) is not None:
+        left, right = term.left.columns(), term.right.columns()
+        if _first_violation(left, n, verdicts) is not None:
             raise AssertionError("non-standard left tableau in output")
-        if _first_violation(term.right, n, verdicts) is not None:
+        if _first_violation(right, n, verdicts) is not None:
             raise AssertionError("non-standard right tableau in output")
-        if (torus_weight(term.left, n), torus_weight(term.right, n)) != weight:
+        if (sparse_torus_weight(left), sparse_torus_weight(right)) != weight:
             raise AssertionError("output term changed the torus weight")
     return out
 
 
-def _first_violation(t: Tableau, n: int, verdicts: dict):
-    """The first O(n)-standardness violation of t, or None; scanned once per verdicts dict."""
+def _first_violation(cols, n: int, verdicts: dict):
+    """The first O(n)-standardness violation of a column tuple, or None; scanned once per call."""
     try:
-        return verdicts[t]
+        return verdicts[cols]
     except KeyError:
-        v = verdicts[t] = next(iter(on_standard_report(t, n).violations), None)
+        v = verdicts[cols] = next(column_violations(cols, n), None)
         return v
 
 
-def _one_step(left: Tableau, right: Tableau, n: int, verdicts: dict):
+def _one_step(left, right, n: int, verdicts: dict):
     """One rewrite of [left : right] on GO(n) at unit coefficient; None when standard.
 
-    The order is GL-left, GL-right, then the orthogonal repairs left and
-    right: the repairs need GL-standard input.  verdicts holds the
-    standardness verdicts of the tableaux seen so far.
+    left and right are the column tuples of a normalized pair.  The order
+    is GL-left, GL-right, then the orthogonal repairs left and right: the
+    repairs need GL-standard input.  verdicts holds the standardness
+    verdicts of the tableaux seen so far.
     """
     return (_gl_rule(left, right)
             or _fix_left(left, right, n, verdicts)
             or on_right(_fix_left, left, right, n, verdicts))
 
 
-def _on_block(repair):
-    """A repair of two-column tableaux as a splice_block rewrite of column tuples."""
-    def rewrite(s_cols, t_cols):
-        return [(x.coef, x.gamma_pow, x.left.columns(), x.right.columns())
-                for x in repair(Tableau.from_columns(s_cols), Tableau.from_columns(t_cols))]
-    return rewrite
-
-
-def _fix_left(left: Tableau, right: Tableau, n: int, verdicts: dict):
+def _fix_left(left, right, n: int, verdicts: dict):
     """The first orthogonal repair of the left side, or None when it is standard.
 
     The repair runs on the block of columns 1 and b (b = 2, or the column of
@@ -455,30 +468,26 @@ def _fix_left(left: Tableau, right: Tableau, n: int, verdicts: dict):
     v = _first_violation(left, n, verdicts)
     if v is None:
         return None
-    if v.kind == "COLSUM":
-        def repair(s, t):
-            return [reduce_tall_shape(s, t, GO, n)]
-    else:
-        fix = {"OS1": fix_os1, "OS2": fix_os2, "OS3": fix_os3}[v.kind]
-
-        def repair(s, t):
-            return fix(s, t, v.witness, GO, n, ZHALF)
     b = v.column if v.kind == "OS3" else 2
-    return v.kind, v.witness, splice_block(left, right, 0, b - 1, _on_block(repair),
-                                           _check_repair_measure)
+    return v.kind, v.witness, splice_block(
+        left, right, 0, b - 1,
+        lambda s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n),
+        _check_repair_measure)
 
 
-def _check_repair_measure(old: Tableau, new: Tableau):
+def _check_repair_measure(old, new):
     """Each repair term must fall in the rewrite measure.
 
     Either the worked side moves strictly up at fixed shape, or the size
     shrinks (deleted pairs, column reduction), or on the size-preserving
-    rebalanced terms of the pair-row repair the column profile grows.
+    rebalanced terms of the pair-row repair the column profile grows.  old
+    and new are normalized column tuples, as in _check_gl_measure.
     """
-    if new.shape == old.shape:
-        if tableau_prec_cmp(old, new) != -1:
+    po, pn = tuple(map(len, old)), tuple(map(len, new))
+    if pn == po:
+        if not old[::-1] < new[::-1]:
             raise AssertionError("same-shape repair did not move up in tableau order")
-    elif new.size < old.size:
+    elif sum(pn) < sum(po):
         return
-    elif not (new.size == old.size and _column_profile(new) > _column_profile(old)):
+    elif not (sum(pn) == sum(po) and pn > po):
         raise AssertionError("repair changed the shape without falling in measure")

@@ -329,18 +329,16 @@ def tableau_prec_cmp(t1: Tableau, t2: Tableau) -> int:
 # standardness
 # ---------------------------------------------------------------------------
 
-def is_column_increasing(t: Tableau) -> bool:
-    return all(
-        all(a < b for a, b in zip(col, col[1:])) for col in t.columns()
-    )
+def _columns_increasing(cols) -> bool:
+    return all(a < b for col in cols for a, b in zip(col, col[1:]))
 
 
-def row_violation_column(t: Tableau) -> int | None:
+def row_violation_column(cols) -> int | None:
     """Leftmost column c (0-based) with an entry above its right neighbour, or None.
 
-    The rows are weakly increasing exactly when there is none.
+    The tableau is given by its column tuples; its rows are weakly
+    increasing exactly when there is none.
     """
-    cols = t.columns()
     for c in range(len(cols) - 1):
         if any(x > y for x, y in zip(cols[c], cols[c + 1])):
             return c
@@ -349,8 +347,12 @@ def row_violation_column(t: Tableau) -> int | None:
 
 def is_gl_standard(t: Tableau, n: int) -> bool:
     """At most n rows, rows weakly increasing, columns strictly increasing."""
-    return (len(t.shape) <= n and row_violation_column(t) is None
-            and is_column_increasing(t))
+    return _gl_standard(t.columns(), n)
+
+
+def _gl_standard(cols, n: int) -> bool:
+    return ((not cols or len(cols[0]) <= n) and row_violation_column(cols) is None
+            and _columns_increasing(cols))
 
 
 @dataclass(frozen=True)
@@ -368,71 +370,77 @@ class ONStandardReport:
     beta: tuple[int, ...]
 
 
+def _last_index(col1, col2, m: int) -> int:
+    """The last index i at which columns 1 and 2 can violate a condition.
+
+    Past the largest index in columns 1 and 2, alpha and beta are constant;
+    OS1 needs 2i < a + b <= |c1| + |c2|, and OS2 and OS3 need a + b = 2i.
+    """
+    return min(m, max(max((x >> 1 for x in col1 + col2 if x != _ZERO_CODE), default=0),
+                      (len(col1) + len(col2)) // 2))
+
+
+def column_violations(cols, n: int):
+    """The O(n)-standardness violations of a tableau given by its column tuples.
+
+    They come lazily, in dispatch priority: GL (and nothing after it), then
+    COLSUM, then the OS conditions at increasing witness index (at one index
+    at most one of OS1, OS2 and OS3 applies, and OS3 witnesses scan columns
+    left to right).  alpha_i and beta_i, the entries <= i in columns 1 and 2,
+    are counted as the scan goes, so the first violation costs no n/2 work.
+    """
+    if not _gl_standard(cols, n):
+        yield Violation("GL", 0)
+        return
+    col1 = cols[0] if len(cols) >= 1 else ()
+    col2 = cols[1] if len(cols) >= 2 else ()
+    if len(col1) + len(col2) > n:
+        yield Violation("COLSUM", 0)
+
+    a = b = 0
+    for i in range(1, _last_index(col1, col2, n // 2) + 1):
+        top, bar = 2 * i + 1, 2 * i          # the codes of the letters i and ib
+        # the columns increase, so the counts move down them
+        while a < len(col1) and col1[a] <= top:
+            a += 1
+        while b < len(col2) and col2[b] <= top:
+            b += 1
+        if a + b > 2 * i:
+            yield Violation("OS1", i)
+        elif a + b == 2 * i and a > b:
+            # positions are 1-based in the classical statement; a > b >= 1
+            # entries counted, so both index into their columns
+            if (b >= 1 and col1[a - 1] == top and col2[b - 1] == bar
+                    and not (a >= 2 and col1[a - 2] == bar)):
+                yield Violation("OS2", i)
+        elif a + b == 2 * i and len(col1) >= i and col1[i - 1] == bar:
+            # a == b: the pair must sit in row i, barred letter in column 1,
+            # and no bar i above the i in its column b
+            for col_b, col in enumerate(cols[1:], start=2):
+                if len(col) < i:
+                    break
+                if col[i - 1] == top and bar not in col[:i - 1]:
+                    yield Violation("OS3", i, col_b)
+
+
 def on_standard_report(t: Tableau, n: int) -> ONStandardReport:
     """Full report of the orthogonal standardness conditions.
 
     alpha[i-1] and beta[i-1] count the entries <= i in columns 1 and 2.
-    Violations are ordered by dispatch priority: GL, then COLSUM, then the
-    OS conditions at increasing witness index (OS1 before OS2 before OS3
-    at equal index, and OS3 witnesses scan columns left to right).
+    The violations are those of column_violations, in dispatch priority.
     """
     m = n // 2
     cols = t.columns()
     col1 = cols[0] if len(cols) >= 1 else ()
     col2 = cols[1] if len(cols) >= 2 else ()
-
-    # past the largest index in columns 1 and 2, alpha and beta are constant;
-    # OS1 needs 2i < a + b <= |c1| + |c2|, and OS2 and OS3 need a + b = 2i
-    last = min(m, max(max((x.index for x in col1 + col2), default=0),
-                      (len(col1) + len(col2)) // 2))
+    last = _last_index(col1, col2, m)
     tops = [Letter(i) for i in range(1, last + 1)]
     alpha = tuple(sum(1 for x in col1 if x <= top) for top in tops)
     beta = tuple(sum(1 for x in col2 if x <= top) for top in tops)
     alpha += (alpha[-1] if alpha else 0,) * (m - last)
     beta += (beta[-1] if beta else 0,) * (m - last)
-
-    violations: list[Violation] = []
-    if not is_gl_standard(t, n):
-        violations.append(Violation("GL", 0))
-        return ONStandardReport(False, tuple(violations), alpha, beta)
-
-    conj = conjugate(t.shape)
-    colsum = (conj[0] if len(conj) >= 1 else 0) + (conj[1] if len(conj) >= 2 else 0)
-    if colsum > n:
-        violations.append(Violation("COLSUM", 0))
-
-    os_violations: list[Violation] = []
-    for i, (letter, a, b) in enumerate(zip(tops, alpha, beta), start=1):
-        if a + b > 2 * i:
-            os_violations.append(Violation("OS1", i))
-            continue
-        if a + b == 2 * i and a > b:
-            # positions are 1-based in the classical statement
-            if (
-                a >= 1
-                and len(col1) >= a
-                and col1[a - 1] == letter
-                and b >= 1
-                and len(col2) >= b
-                and col2[b - 1] == letter.bar()
-            ):
-                protected = a >= 2 and col1[a - 2] == letter.bar()
-                if not protected:
-                    os_violations.append(Violation("OS2", i))
-            continue
-        if a + b == 2 * i and a == b:
-            # the pair must sit in row i, barred letter in column 1, and no
-            # bar i above the i in its column b
-            if len(col1) >= i and col1[i - 1] == letter.bar():
-                for col_b, col in enumerate(cols[1:], start=2):
-                    if len(col) < i:
-                        break
-                    if col[i - 1] == letter and letter.bar() not in col[:i - 1]:
-                        os_violations.append(Violation("OS3", i, col_b))
-
-    os_violations.sort(key=lambda v: (v.witness, {"OS1": 0, "OS2": 1, "OS3": 2}[v.kind], v.column))
-    violations.extend(os_violations)
-    return ONStandardReport(not violations, tuple(violations), alpha, beta)
+    violations = tuple(column_violations(cols, n))
+    return ONStandardReport(not violations, violations, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +454,28 @@ def torus_weight(t: Tableau, n: int) -> tuple[int, ...]:
     entry holds the parity of the number of 0 letters, the exponent of the
     sign at 0.  The diagonal matrix D with t_i at i, 1/t_i at ib and a sign
     at 0 lies in O(n); with this tableau as S, [S:T](D X) is [S:T](X) times
-    the monomial in the t_i and the sign with these exponents.
+    the monomial in the t_i and the sign with these exponents.  This is the
+    dense view of sparse_torus_weight.
     """
-    m = n // 2
-    weight = [0] * (m + n % 2)
-    for col in t.columns():
+    exponents, zeros = sparse_torus_weight(t.columns())
+    return (tuple(exponents.get(i, 0) for i in range(1, n // 2 + 1))
+            + (zeros,) * (n % 2))
+
+
+def sparse_torus_weight(cols) -> tuple[dict[int, int], int]:
+    """torus_weight of the letters in these columns, without the n/2 zeros.
+
+    Returns the nonzero exponents by index and the parity of the 0 letters.
+    """
+    exponents: dict[int, int] = {}
+    zeros = 0
+    for col in cols:
         for x in col:
             if x.index == 0:
-                weight[m] ^= 1
+                zeros ^= 1
             else:
-                weight[x.index - 1] += -1 if x.barred else 1
-    return tuple(weight)
+                exponents[x.index] = exponents.get(x.index, 0) + (-1 if x.barred else 1)
+    return {i: e for i, e in exponents.items() if e}, zeros
 
 
 def basic_tableau(shape: Shape, n: int) -> Tableau:

@@ -224,7 +224,7 @@ def test_column_kernel_matches_two_column_straighten():
             by_shape.setdefault(t.shape, []).append(t)
         for shape, tableaux in by_shape.items():
             for s in tableaux:
-                if row_violation_column(s) is None:
+                if row_violation_column(s.columns()) is None:
                     continue
                 for t in (s, rng.choice(tableaux)):
                     viol, head, drop = two_column_straighten(s, t)
@@ -261,7 +261,7 @@ def test_mead_step_matches_reference_splice():
     while checked < 300:
         n = rng.choice([4, 5, 6])
         s, t = random_pair(n, 6, rng)
-        c = row_violation_column(s)
+        c = row_violation_column(s.columns())
         if c is None:
             continue
         assert mead_step(s, t, c) == reference_mead_step(s, t, c), (s, t)

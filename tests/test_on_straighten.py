@@ -1,9 +1,12 @@
 import functools
 import hashlib
 import importlib
+import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,7 @@ from obidet.on_straighten import (
     on_straighten,
     one_column_complement,
     reduce_tall_shape,
+    _repair_terms,
     relation_lhs_terms,
     relation_rhs,
     verify_relation,
@@ -360,6 +364,66 @@ def test_fixes_raise_without_violation():
             fix_os3(good, good, j, ON, 7)
 
 
+def test_fixes_raise_on_a_pair_with_another_violation():
+    # each public repair checks for its own violation before it runs
+    cases = [(OS1, fix_os1, "count"), (OS2, fix_os2, "protection"), (OS3, fix_os3, "pair-row")]
+    for case, _, _ in cases:
+        s, t = case.inputs()
+        for other, fixer, what in cases:
+            if other is not case:
+                with pytest.raises(DomainError, match=f"no {what} violation at index 2"):
+                    fixer(s, t, 2, GO, case.n, ZHALF)
+
+
+def two_column_repair_cases():
+    """(n, S, T, violation) for every two-column S at n = 4..6 and size <= 6 with a repair.
+
+    S runs over the column-increasing two-column tableaux and the violation
+    over its COLSUM, OS1, OS2 and OS3 violations (an OS3 pair row of a
+    two-column tableau is in column 2); T is a seeded draw of S's shape.
+    """
+    rng = random.Random(15)
+    for n in (4, 5, 6):
+        letters = _letters(n)
+        by_shape = {}
+        for k in range(1, n + 1):
+            for ell in range(1, min(k, 6 - k) + 1):
+                for c1 in itertools.combinations(letters, k):
+                    for c2 in itertools.combinations(letters, ell):
+                        s = Tableau.from_columns([c1, c2])
+                        by_shape.setdefault(s.shape, []).append(s)
+        for tableaux in by_shape.values():
+            for s in tableaux:
+                for v in on_standard_report(s, n).violations:
+                    if v.kind != "GL":
+                        yield n, s, rng.choice(tableaux), v
+
+
+# the public repairs' certificates on two_column_repair_cases (GO, Z[1/2])
+REPAIR_CASES_SHA256 = "0320577b2dd4c4e859c9a3a0e84e2c3d618058708a672d067d99b70398718ff4"
+REPAIR_CASES_KINDS = {"COLSUM": 140, "OS1": 565, "OS2": 32, "OS3": 175}
+
+
+def test_column_repair_kernel_matches_the_public_repairs():
+    # the driver's kernel gives the public repairs' terms, in their order
+    fixers = {"OS1": fix_os1, "OS2": fix_os2, "OS3": fix_os3}
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for n, s, t, v in two_column_repair_cases():
+        if v.kind == "COLSUM":
+            public = Combination([reduce_tall_shape(s, t, GO, n)])
+        else:
+            public = fixers[v.kind](s, t, v.witness, GO, n, ZHALF)
+        kernel = _repair_terms(v.kind, v.witness, s.columns(), t.columns(), n)
+        assert kernel == [(x.coef, x.gamma_pow, x.left.columns(), x.right.columns())
+                          for x in public], (n, s.format(), t.format(), v)
+        kinds[v.kind] += 1
+        digest.update(f"{n} {s.format()} | {t.format()} {v.kind} {v.witness}\n"
+                      f"{public.certificate()}\n".encode())
+    assert dict(kinds) == REPAIR_CASES_KINDS
+    assert digest.hexdigest() == REPAIR_CASES_SHA256
+
+
 def test_fix_os3_prime_field():
     # checked at points of O(n) over F_7, not against the rational result
     s, t = OS3.inputs()
@@ -513,36 +577,36 @@ def test_on_straighten_expands_each_distinct_term_once(monkeypatch):
 
 
 def test_on_straighten_scans_each_distinct_tableau_once(monkeypatch):
-    # the driver keeps one standardness verdict per tableau for the call;
-    # the repairs' own domain check on their two-column block is apart
+    # the driver keeps one standardness verdict per tableau for the call,
+    # from the column scan; its repairs take the violation it found and
+    # scan nothing
     on_module = importlib.import_module("obidet.on_straighten")
-    report, repair = on_module.on_standard_report, on_module._repair
+    scan, report = on_module.column_violations, on_module.on_standard_report
     scans = Counter()
-    repairing = []
+    reports = []
+
+    def counting_scan(cols, n):
+        scans[cols] += 1
+        return scan(cols, n)
 
     def counting_report(t, n):
-        if not repairing:
-            scans[t] += 1
+        reports.append(t)
         return report(t, n)
 
-    def marked_repair(*args):
-        repairing.append(True)
-        try:
-            return repair(*args)
-        finally:
-            repairing.pop()
-
+    monkeypatch.setattr(on_module, "column_violations", counting_scan)
     monkeypatch.setattr(on_module, "on_standard_report", counting_report)
-    monkeypatch.setattr(on_module, "_repair", marked_repair)
     s, t = SHARED_TERMS_CASE
     for mode in (ON, GO):
         scans.clear()
-        on_straighten(s, t, mode, 7)
+        trace = []
+        on_straighten(s, t, mode, 7, trace=trace)
+        assert {"OS1", "OS2", "OS3"} & {kind for kind, _, _ in trace}
         assert scans and max(scans.values()) == 1
+        assert not reports
 
 
 def test_on_straighten_verdicts_stay_small_at_large_n():
-    # a standardness report holds two n/2-tuples; the verdicts keep none
+    # the verdict scan and the sparse torus weights build nothing of size n
     tracemalloc.start()
     try:
         out = on_straighten(Tableau.parse("1 2"), Tableau.parse("1 2"), ON, 2_000_000)
@@ -550,7 +614,7 @@ def test_on_straighten_verdicts_stay_small_at_large_n():
     finally:
         tracemalloc.stop()
     assert out.certificate() == "1\t0\t1 2\t1 2"
-    assert peak < 45_000_000
+    assert peak < 1_000_000
 
 
 def test_on_straighten_shared_terms_case_at_points():
@@ -673,3 +737,26 @@ def test_rewrite_graph_is_pinned():
                       f"{out.certificate()}\n{counts}\n".encode())
     assert dict(steps) == REWRITE_GRAPH_STEPS
     assert digest.hexdigest() == REWRITE_GRAPH_SHA256
+
+
+# every kept pair of the benchmark's deep pool: its certificate and its
+# ordered (kind, witness, term count) trace
+DEEP_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "deep_corpus.json"
+DEEP_CORPUS_SHA256 = "0d36f9539e6979d9395c141e6e942055bdaecefbb52d098cd7fc795a93a70005"
+DEEP_CORPUS_STEPS = {"GL": 5784, "COLSUM": 78, "OS1": 499, "OS2": 103, "OS3": 809}
+
+
+def test_deep_corpus_is_pinned():
+    kept = json.loads(DEEP_CORPUS.read_text(encoding="utf-8"))["kept"]
+    assert len(kept) == 311
+    digest = hashlib.sha256()
+    steps = Counter()
+    for e in kept:
+        trace = []
+        out = on_straighten(Tableau.parse(e["left"]), Tableau.parse(e["right"]),
+                            e["mode"], e["n"], trace=trace)
+        steps.update(kind for kind, _, _ in trace)
+        digest.update(f"{e['mode']} {e['n']} {e['left']} | {e['right']}\n"
+                      f"{out.certificate()}\n{trace}\n".encode())
+    assert dict(steps) == DEEP_CORPUS_STEPS
+    assert digest.hexdigest() == DEEP_CORPUS_SHA256

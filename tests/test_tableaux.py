@@ -14,6 +14,7 @@ from obidet.tableaux import (
     all_fillings,
     basic_tableau,
     check_shape,
+    column_violations,
     conjugate,
     delete_pair,
     dominance_lt,
@@ -24,6 +25,7 @@ from obidet.tableaux import (
     partitions_of,
     shape_key,
     shape_order_lt,
+    sparse_torus_weight,
     tableau_prec_cmp,
     torus_weight,
 )
@@ -400,6 +402,17 @@ def test_on_report_matches_a_full_scan(n):
         assert (report.alpha, report.beta) == _full_scan_report(t, n)[2:]
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_first_column_violation_matches_the_report(n):
+    # the driver's verdict is the first item of the lazy column scan; it
+    # must be the report's first violation on every filling, GL-standard or not
+    for size in range(5):
+        for shape in partitions_of(size, max_rows=n):
+            for t in all_fillings(shape, n):
+                first = tuple(itertools.islice(column_violations(t.columns(), n), 1))
+                assert first == on_standard_report(t, n).violations[:1], t.format()
+
+
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
@@ -523,3 +536,13 @@ def test_torus_weight():
     assert torus_weight(Tableau.parse("1b 0; 2b 0"), 5) == (-1, -1, 0)
     assert torus_weight(Tableau.parse("1b 1b; 2 2"), 4) == (-2, 2)
     assert torus_weight(Tableau(()), 3) == (0, 0)
+
+
+def test_sparse_torus_weight_is_the_nonzero_part():
+    # the nonzero exponents by index and the parity of the 0 letters
+    assert sparse_torus_weight(Tableau.parse("1b 1; 2 0").columns()) == ({2: 1}, 1)
+    assert sparse_torus_weight(Tableau.parse("1b 0; 2b 0").columns()) == ({1: -1, 2: -1}, 0)
+    assert sparse_torus_weight(()) == ({}, 0)
+    for t in all_fillings((2, 1), 5):
+        exponents, zeros = sparse_torus_weight(t.columns())
+        assert torus_weight(t, 5) == tuple(exponents.get(i, 0) for i in (1, 2)) + (zeros,)
