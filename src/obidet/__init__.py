@@ -39,6 +39,7 @@ from .gl_straighten import (
     gl_straighten,
     one_switch_expand,
     two_column_straighten,
+    verify_gl,
 )
 from .on_straighten import (
     GO,

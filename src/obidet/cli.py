@@ -12,7 +12,7 @@ import sys
 
 from .tableaux import DomainError, Tableau, check_shape, conjugate, enumerate_on_standard
 from .polyring import QQ, CoeffDomain
-from .gl_straighten import CapExceeded, gl_straighten, single_term
+from .gl_straighten import CapExceeded, gl_straighten, single_term, verify_gl
 from .on_straighten import GO, ON, on_straighten
 from .group_oracle import _suite_points, basis_suite, standard_points, verify_on_group
 from .golden import GOLDEN_CASES
@@ -50,7 +50,7 @@ def cmd_straighten(args) -> int:
     s, t = _read_pair(args)
     trace: list | None = [] if args.trace else None
     # every mode straightens over Q, is checked there, and maps to the domain
-    # once; GL identities hold at any matrix, so GL is checked at O(n) points
+    # once
     mode = GO if args.mode == "go" else ON
     if args.mode == "gl":
         result = gl_straighten(s, t, args.n, fuel=args.fuel, trace=trace)
@@ -60,12 +60,18 @@ def cmd_straighten(args) -> int:
         for kind, witness, produced in trace:
             print(f"# step {kind} witness={witness} terms ->{produced}", file=sys.stderr)
     if args.points:
-        # GO points carry gamma != 1, so the gamma powers are checked too;
-        # alphabet(n) lies in alphabet(3), so GL with n < 3 is checked on O(3)
-        size = max(args.n, 3) if args.mode == "gl" else args.n
-        points = _suite_points(size, args.points, args.seed, mode, QQ)
-        if not verify_on_group(single_term(s, t) - result, points):
-            print("error: certificate failed point verification", file=sys.stderr)
+        residual = single_term(s, t) - result
+        if args.mode == "gl":
+            # a GL identity holds in Z[X], and O(n) points cannot see an error
+            # in the ideal of O(n): GL is checked by polynomial equality, or at
+            # integer matrices when the expansion is too large
+            check, ok = verify_gl(residual, args.n, args.points, args.seed)
+        else:
+            # GO points carry gamma != 1, so the gamma powers are checked too
+            check, ok = "point", verify_on_group(
+                residual, _suite_points(args.n, args.points, args.seed, mode, QQ))
+        if not ok:
+            print(f"error: certificate failed {check} verification", file=sys.stderr)
             return 3
     _emit(args, result.reduce(domain).certificate())
     return 0

@@ -8,14 +8,22 @@ same shape plus terms whose columns are strictly more unbalanced.
 The kernels and the engine work on column tuples: a pair is the
 (left columns, right columns) of normal_columns, the engine keys its
 rewrite graph on such pairs, and only the standard leaves of a run become
-Tableaux.  two_column_straighten, mead_step, one_switch_expand and
-normalize_pair are thin adapters that take and give tableaux.
+Tableaux.  Every rewrite returns normalized blocks, so splice_block puts
+them back into a pair with no letter sorting.  Within one straightening
+call, the two-column rewrite is computed once per order pattern of its
+letters and relabelled for every other block with that pattern
+(_template_rewrite); the memo lives for the call.  two_column_straighten,
+mead_step, one_switch_expand and normalize_pair are thin adapters that
+take and give tableaux.  verify_gl checks a GL identity in the polynomial
+ring itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import random
 from dataclasses import dataclass
 
 from .tableaux import (
@@ -157,11 +165,12 @@ class Combination:
 
     def symbolic_poly(self, n: int) -> Polynomial:
         """The combination expanded in the polynomial ring (gamma included)."""
-        gamma = polyring.gamma_poly(n)
+        gamma = None
         total = Polynomial.zero()
         for t in self.terms():
             p = polyring.bideterminant(t.left, t.right).scale(t.coef)
             for _ in range(t.gamma_pow):
+                gamma = gamma or polyring.gamma_poly(n)
                 p = p * gamma
             total = total + p
         return total
@@ -396,31 +405,34 @@ def splice_block(left_cols, right_cols, i: int, j: int, rewrite, check) -> list:
     rewrite(s_cols, t_cols) gives the terms of the two-column pair as
     (coef, gamma_pow, left columns, right columns), and so does this;
     check(left, new_left) is the rule's measure check on each spliced term.
-    A term that keeps both column lengths goes back to columns i and j,
+    Every block a rewrite returns is normalized: its columns are strictly
+    increasing, their lengths do not increase, and none is empty.  So is the
+    rest of the pair, and splicing needs no sorting of letters and no sign.
+    A block that keeps both column lengths goes back to columns i and j,
     which keeps the tableau order comparison local to the block; any other
-    term's columns are inserted at i, since a bideterminant is a product of
-    column minors and normal_columns sorts the columns by length.  The terms
-    come back unmerged: splicing the terms of a merged pair back is injective.
+    block is inserted at i, and a stable sort by length puts the column
+    pairs back into a partition shape (a bideterminant is a product of
+    column minors, so reordering them is sign free).  The terms come back
+    unmerged: splicing the terms of a merged pair back is injective.
     """
     lengths = (len(left_cols[i]), len(left_cols[j]))
-
-    def put_back(cols, block):
-        rest = [c for k, c in enumerate(cols) if k not in (i, j)]
-        if tuple(len(c) for c in block) == lengths:
-            rest.insert(i, block[0])
-            rest.insert(j, block[1])
-            return rest
-        return rest[:i] + list(block) + rest[i:]
-
+    rest_left = left_cols[:i] + left_cols[i + 1:j] + left_cols[j + 1:]
+    rest_right = right_cols[:i] + right_cols[i + 1:j] + right_cols[j + 1:]
     out = []
     for coef, gamma_pow, block_left, block_right in rewrite(
             (left_cols[i], left_cols[j]), (right_cols[i], right_cols[j])):
-        sign, new_left, new_right = normal_columns(put_back(left_cols, block_left),
-                                                   put_back(right_cols, block_right))
-        if sign == 0:
-            continue
+        if tuple(map(len, block_left)) == lengths:
+            new_left = (*left_cols[:i], block_left[0], *left_cols[i + 1:j], block_left[1],
+                        *left_cols[j + 1:])
+            new_right = (*right_cols[:i], block_right[0], *right_cols[i + 1:j], block_right[1],
+                         *right_cols[j + 1:])
+        else:
+            pairs = sorted(zip(rest_left[:i] + block_left + rest_left[i:],
+                               rest_right[:i] + block_right + rest_right[i:]),
+                           key=lambda p: -len(p[0]))
+            new_left, new_right = zip(*pairs) if pairs else ((), ())
         check(left_cols, new_left)
-        out.append((coef * sign, gamma_pow, new_left, new_right))
+        out.append((coef, gamma_pow, new_left, new_right))
     return out
 
 
@@ -435,13 +447,38 @@ def _two_column_rewrite(s_cols, t_cols):
     """head + drop of the two-column rewrite, in the order of their Combination.
 
     That order fixes the order in which the driver expands the spliced
-    terms, and so the order of its trace.
+    terms, and so the order of its trace.  Every block is normalized, as
+    splice_block requires: it comes from normal_columns.
     """
     _, terms, drop = _two_column_terms(s_cols, t_cols)
     for key, coef in drop.items():
         _add_term(terms, key, coef)
     return [(coef, 0, left, right)
             for (left, right), coef in sorted(terms.items(), key=_block_order)]
+
+
+def _template_rewrite(s_cols, t_cols, templates: dict):
+    """_two_column_rewrite through a memo of templates keyed on the letters' order pattern.
+
+    The rewrite only compares and equates letters, the left ones with left
+    ones and the right ones with right ones.  So its terms on [S:T] are its
+    terms on the ranks of the letters among the distinct letters of each
+    side, relabelled back; the relabelling is monotone and injective, so it
+    keeps every merge, sign and the order of the terms.  templates maps a
+    rank pattern to its terms on plain ints; it lives for one call.
+    """
+    lefts = sorted({*s_cols[0], *s_cols[1]})
+    rights = sorted({*t_cols[0], *t_cols[1]})
+    left_rank = {x: r for r, x in enumerate(lefts)}
+    right_rank = {x: r for r, x in enumerate(rights)}
+    key = (tuple(tuple(map(left_rank.__getitem__, c)) for c in s_cols),
+           tuple(tuple(map(right_rank.__getitem__, c)) for c in t_cols))
+    template = templates.get(key)
+    if template is None:
+        template = templates[key] = _two_column_rewrite(*key)
+    return [(coef, 0, tuple(tuple(map(lefts.__getitem__, c)) for c in left),
+             tuple(tuple(map(rights.__getitem__, c)) for c in right))
+            for coef, _, left, right in template]
 
 
 def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:
@@ -465,18 +502,21 @@ def _check_gl_measure(old, new):
         raise AssertionError("same-shape rewrite did not move up in tableau order")
 
 
-def gl_left_step(left, right):
+def gl_left_step(left, right, templates: dict):
     """The two-column rewrite at the left side's first column violation.
 
-    left and right are the column tuples of a normalized pair.  Returns
+    left and right are the column tuples of a normalized pair, and templates
+    is the call's memo of _template_rewrite.  Returns
     ("GL", column, terms) with the column-tuple terms at unit coefficient,
     or None when the left side is GL-standard.
     """
     c = row_violation_column(left)
     if c is None:
         return None
-    return "GL", c + 1, splice_block(left, right, c, c + 1, _two_column_rewrite,
-                                     _check_gl_measure)
+    return "GL", c + 1, splice_block(
+        left, right, c, c + 1,
+        lambda s_cols, t_cols: _template_rewrite(s_cols, t_cols, templates),
+        _check_gl_measure)
 
 
 def on_right(step, left, right, *args):
@@ -494,8 +534,9 @@ def on_right(step, left, right, *args):
                            for coef, gamma_pow, new_right, new_left in produced]
 
 
-def _gl_rule(left, right):
-    return gl_left_step(left, right) or on_right(gl_left_step, left, right)
+def _gl_rule(left, right, templates: dict):
+    return (gl_left_step(left, right, templates)
+            or on_right(gl_left_step, left, right, templates))
 
 
 def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
@@ -573,7 +614,10 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
         for x in col:
             if not letter_in_alphabet(x, n):
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
-    out = run_straightening(s, t, _gl_rule, fuel, trace)
+    # the templates of the two-column rewrite seen in this call
+    templates: dict = {}
+    out = run_straightening(s, t, lambda left, right: _gl_rule(left, right, templates),
+                            fuel, trace)
     # the full diagonal torus acts on both sides: each keeps its letters
     content = (_content(s), _content(t))
     for term in out:
@@ -585,6 +629,44 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
         if (_content(term.left), _content(term.right)) != content:
             raise AssertionError("output term changed the letter content")
     return out
+
+
+# the largest expansion verify_gl proves by polynomial equality, in monomials
+GL_SYMBOLIC_MONOMIALS = 20000
+
+
+def verify_gl(comb: Combination, n: int, num_points: int, seed: int = 1) -> tuple[str, bool]:
+    """Whether a gamma-free combination over alphabet(n) is zero in Z[X], where GL identities hold.
+
+    No group relation may be used: points of O(n) cannot see an error that
+    lies in the ideal of O(n).  When the expansion has at most
+    GL_SYMBOLIC_MONOMIALS monomials (a column of length k has k! of them)
+    it is compared with the zero polynomial, which proves the identity.
+    Otherwise it is evaluated at num_points seeded integer matrices with
+    entries of absolute value at most 2^30 (Schwartz-Zippel: a nonzero
+    combination of degree r vanishes at one with probability at most
+    r / 2^31).  Only the letters of the combination index the matrices.
+    Returns ("polynomial" or "point", whether the check held).
+    """
+    if any(t.gamma_pow for t in comb):
+        raise DomainError("GL identities carry no gamma")
+    monomials = sum(math.prod(math.factorial(len(c)) for c in t.left.columns()) for t in comb)
+    if monomials <= GL_SYMBOLIC_MONOMIALS:
+        return "polynomial", comb.symbolic_poly(n).is_zero()
+    letters = {x for t in comb for side in (t.left, t.right) for col in side.columns()
+               for x in col}
+    # the smallest alphabet holding the letters; the zero letter makes it odd
+    size = 2 * max(x.index for x in letters) + (Letter(0) in letters)
+    rng = random.Random(seed)
+    bound = 2 ** 30
+    for _ in range(num_points):
+        matrix = polyring.LetterMatrix(size, [
+            [polyring.rational(rng.randint(-bound, bound)) for _ in range(size)]
+            for _ in range(size)])
+        if sum(t.coef * polyring.eval_columns_product(t.left.columns(), t.right.columns(), matrix)
+               for t in comb):
+            return "point", False
+    return "point", True
 
 
 def _content(t: Tableau) -> list:

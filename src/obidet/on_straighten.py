@@ -282,7 +282,9 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
     S and T are given by their (two) column tuples, and S has the violation
     of this kind at index j, as found by the caller; nothing is rescanned.
     The terms come as (coef, gamma_pow, left columns, right columns), merged,
-    with coefficients in Z[1/2] and in BidetTerm.sort_key order.
+    with coefficients in Z[1/2] and in BidetTerm.sort_key order.  Every
+    block is normalized, as splice_block requires: strictly increasing
+    columns, lengths that do not increase, and no empty column.
 
     COLSUM trades both columns for their complements.  The other three solve
     the replacement sum: [S:T] + lam = sign * relation_rhs, with lam the
@@ -416,10 +418,12 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
 
     # one standardness verdict per tableau for this call: its first
-    # violation, from a scan that builds nothing of size n
+    # violation, from a scan that builds nothing of size n; and the
+    # templates of the two-column rewrite seen in this call
     verdicts: dict = {}
-    out = run_straightening(s, t, lambda left, right: _one_step(left, right, n, verdicts),
-                            fuel, trace)
+    templates: dict = {}
+    out = run_straightening(
+        s, t, lambda left, right: _one_step(left, right, n, verdicts, templates), fuel, trace)
     for term in out:
         if 2 * term.gamma_pow + term.left.size != s.size:
             raise AssertionError("gamma grading violated")
@@ -446,15 +450,15 @@ def _first_violation(cols, n: int, verdicts: dict):
         return v
 
 
-def _one_step(left, right, n: int, verdicts: dict):
+def _one_step(left, right, n: int, verdicts: dict, templates: dict):
     """One rewrite of [left : right] on GO(n) at unit coefficient; None when standard.
 
     left and right are the column tuples of a normalized pair.  The order
     is GL-left, GL-right, then the orthogonal repairs left and right: the
     repairs need GL-standard input.  verdicts holds the standardness
-    verdicts of the tableaux seen so far.
+    verdicts of the tableaux seen so far, templates the two-column rewrites.
     """
-    return (_gl_rule(left, right)
+    return (_gl_rule(left, right, templates)
             or _fix_left(left, right, n, verdicts)
             or on_right(_fix_left, left, right, n, verdicts))
 

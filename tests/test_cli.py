@@ -1,3 +1,4 @@
+import importlib
 import re
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from obidet.gl_straighten import BidetTerm, Combination
 from obidet.on_straighten import on_straighten
 from obidet.polyring import ZHALF
 from obidet.golden import GOLDEN_CASES
-from obidet.tableaux import Tableau, enumerate_on_standard
+from obidet.tableaux import Tableau, _letters, enumerate_on_standard
+
+gl_module = importlib.import_module("obidet.gl_straighten")
 
 
 def run_cli(args, capsys):
@@ -56,7 +59,8 @@ def test_straighten_points_check_runs_over_prime_field(capsys, monkeypatch, mode
     monkeypatch.setattr(cli, name, off_by_one)
     code, out, err = run_cli(args, capsys)
     assert code == 3
-    assert "point verification" in err and not out
+    check = "polynomial" if mode == "gl" else "point"
+    assert f"{check} verification" in err and not out
 
 
 @pytest.mark.parametrize("n, left, right", [(1, "0 0", "0 0"), (2, "1b 1", "1 1b")])
@@ -75,7 +79,28 @@ def test_straighten_gl_points_check_below_three(capsys, monkeypatch, n, left, ri
     monkeypatch.setattr(cli, "gl_straighten", off_by_one)
     code, out, err = run_cli(args, capsys)
     assert code == 3
-    assert "point verification" in err and not out
+    assert "polynomial verification" in err and not out
+
+
+def test_straighten_gl_check_sees_errors_in_the_orthogonal_ideal(capsys, monkeypatch):
+    # the GL-straightened sum over i of [i bar(i) : 1 1b] - [i bar(i) : 2 2b]
+    # vanishes on O(4) but not in Z[X]; added to a GL result it must fail
+    # the GL check, by polynomial equality and at integer matrices
+    error = Combination()
+    for x in _letters(4):
+        row = Tableau.from_columns([[x], [x.bar()]])
+        error = (error + cli.gl_straighten(row, Tableau.parse("1 1b"), 4)
+                 - cli.gl_straighten(row, Tableau.parse("2 2b"), 4))
+    assert len(error) == 8
+    args = ["straighten", "--mode", "gl", "--n", "4", "--points", "3",
+            "--left", "2 1", "--right", "1b 2"]
+    straighten = cli.gl_straighten
+    monkeypatch.setattr(cli, "gl_straighten", lambda *a, **kw: straighten(*a, **kw) + error)
+    for bound, check in ((gl_module.GL_SYMBOLIC_MONOMIALS, "polynomial"), (0, "point")):
+        monkeypatch.setattr(gl_module, "GL_SYMBOLIC_MONOMIALS", bound)
+        code, out, err = run_cli(args, capsys)
+        assert code == 3
+        assert f"{check} verification" in err and not out
 
 
 def test_straighten_gl_large_alphabet(capsys):

@@ -17,11 +17,12 @@ from obidet.tableaux import (
     row_violation_column,
     tableau_prec_cmp,
 )
-from obidet.polyring import bideterminant, rational
+from obidet.polyring import QQ, bideterminant, rational
 from obidet.gl_straighten import (
     BidetTerm,
     CapExceeded,
     Combination,
+    _template_rewrite,
     _two_column_rewrite,
     _two_column_terms,
     gl_straighten,
@@ -30,7 +31,9 @@ from obidet.gl_straighten import (
     one_switch_expand,
     single_term,
     two_column_straighten,
+    verify_gl,
 )
+from obidet.group_oracle import _suite_points, verify_on_group
 from obidet.golden import GOLDEN_CASES
 
 
@@ -238,6 +241,33 @@ def test_column_kernel_matches_two_column_straighten():
     assert cases == 386
 
 
+def random_two_column_blocks(rng, n, count):
+    """Seeded two-column pairs (S cols, T cols) at n whose left side has a row violation."""
+    letters = _letters(n)
+    while count:
+        k = rng.randint(1, n)
+        ell = rng.randint(1, k)
+        s_cols = tuple(tuple(sorted(rng.sample(letters, m))) for m in (k, ell))
+        if row_violation_column(s_cols) is None:
+            continue
+        t_cols = tuple(tuple(sorted(rng.sample(letters, m))) for m in (k, ell))
+        count -= 1
+        yield s_cols, t_cols
+
+
+def test_template_rewrite_matches_the_raw_kernel_on_random_blocks():
+    # a template is the rewrite of the letters' ranks, relabelled back; one
+    # memo per n, as one straightening call keeps it
+    rng = random.Random(16)
+    for n in (4, 5, 6, 7):
+        templates = {}
+        blocks = list(random_two_column_blocks(rng, n, 150))
+        for s_cols, t_cols in blocks:
+            assert _template_rewrite(s_cols, t_cols, templates) == _two_column_rewrite(
+                s_cols, t_cols), (n, s_cols, t_cols)
+        assert len(templates) < len(blocks)
+
+
 def reference_mead_step(left, right, c):
     """The two-column rewrite of columns (c, c+1) spliced back, on tableaux."""
     block = [Tableau.from_columns(side.columns()[c:c + 2]) for side in (left, right)]
@@ -392,3 +422,59 @@ def test_output_with_other_letters_is_refused(monkeypatch):
     monkeypatch.setattr(gl_module, "run_straightening", lambda *args: run(*args) + stray)
     with pytest.raises(AssertionError, match="letter content"):
         gl_straighten(Tableau.parse("2 1"), Tableau.parse("1 2"), 4)
+
+
+# ---------------------------------------------------------------------------
+# checking GL identities
+# ---------------------------------------------------------------------------
+
+def orthogonal_ideal_combination():
+    """Sum over i of [i bar(i) : 1 1b] - [i bar(i) : 2 2b] at n = 4, GL-straightened.
+
+    Each sum is gamma on O(4), so the difference vanishes there; it is not
+    the zero polynomial.
+    """
+    comb = Combination()
+    for x in _letters(4):
+        row = Tableau.from_columns([[x], [x.bar()]])
+        comb = (comb + gl_straighten(row, Tableau.parse("1 1b"), 4)
+                - gl_straighten(row, Tableau.parse("2 2b"), 4))
+    return comb
+
+
+def test_verify_gl_rejects_an_error_in_the_orthogonal_ideal(monkeypatch):
+    comb = orthogonal_ideal_combination()
+    assert len(comb) == 8
+    assert not comb.symbolic_poly(4).is_zero()
+    # points of O(4) cannot see it
+    assert verify_on_group(comb, _suite_points(4, 20, 1, "ON", QQ))
+    assert verify_gl(comb, 4, 3) == ("polynomial", False)
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    monkeypatch.setattr(gl_module, "GL_SYMBOLIC_MONOMIALS", 0)
+    assert verify_gl(comb, 4, 3) == ("point", False)
+
+
+def test_verify_gl_accepts_straightened_pairs(monkeypatch):
+    rng = random.Random(17)
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    for bound in (gl_module.GL_SYMBOLIC_MONOMIALS, 0):
+        monkeypatch.setattr(gl_module, "GL_SYMBOLIC_MONOMIALS", bound)
+        check = "polynomial" if bound else "point"
+        for n in (1, 2, 5):
+            letters = _letters(n)
+            for _ in range(4):
+                s, t = (Tableau.from_columns([rng.choices(letters, k=1) for _ in range(3)])
+                        for _ in range(2))
+                residual = single_term(s, t) - gl_straighten(s, t, n)
+                assert verify_gl(residual, n, 2, seed=n)[1]
+                wrong = residual + single_term(s, s)
+                assert verify_gl(wrong, n, 2, seed=n) == (check, False)
+        case = GOLDEN_CASES[0]
+        s, t = case.inputs()
+        assert verify_gl(single_term(s, t) - gl_straighten(s, t, case.n), case.n, 2) == (
+            check, True)
+
+
+def test_verify_gl_refuses_gamma():
+    with pytest.raises(DomainError, match="gamma"):
+        verify_gl(single_term(Tableau.parse("1"), Tableau.parse("1"), gamma_pow=1), 3, 1)

@@ -30,7 +30,14 @@ from obidet.polyring import (
     is_dyadic,
     rational,
 )
-from obidet.gl_straighten import BidetTerm, CapExceeded, Combination, single_term
+from obidet.gl_straighten import (
+    BidetTerm,
+    CapExceeded,
+    Combination,
+    _two_column_rewrite,
+    normal_columns,
+    single_term,
+)
 from obidet.on_straighten import (
     GO,
     ON,
@@ -760,3 +767,164 @@ def test_deep_corpus_is_pinned():
                       f"{out.certificate()}\n{trace}\n".encode())
     assert dict(steps) == DEEP_CORPUS_STEPS
     assert digest.hexdigest() == DEEP_CORPUS_SHA256
+
+
+def deep_corpus_pairs():
+    """(mode, n, S, T) for every kept pair of the benchmark's deep pool."""
+    kept = json.loads(DEEP_CORPUS.read_text(encoding="utf-8"))["kept"]
+    return [(e["mode"], e["n"], Tableau.parse(e["left"]), Tableau.parse(e["right"]))
+            for e in kept]
+
+
+@pytest.fixture(scope="module")
+def deep_corpus_run():
+    """The deep corpus straightened once, with its rewrites and splices recorded.
+
+    Returns the outputs, every splice_block call as (left, right, i, j,
+    blocks, spliced terms), every memoized two-column rewrite as (S cols,
+    T cols, terms) and every repair as (kind, terms).
+    """
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    on_module = importlib.import_module("obidet.on_straighten")
+    splice, template, repair = (gl_module.splice_block, gl_module._template_rewrite,
+                                on_module._repair_terms)
+    run = {"outputs": [], "splices": [], "rewrites": [], "repairs": []}
+
+    def recording_splice(left, right, i, j, rewrite, check):
+        blocks = []
+
+        def recording_rewrite(s_cols, t_cols):
+            terms = rewrite(s_cols, t_cols)
+            blocks.extend(terms)
+            return terms
+
+        out = splice(left, right, i, j, recording_rewrite, check)
+        run["splices"].append((left, right, i, j, blocks, out))
+        return out
+
+    def recording_template(s_cols, t_cols, templates):
+        terms = template(s_cols, t_cols, templates)
+        run["rewrites"].append((s_cols, t_cols, terms))
+        return terms
+
+    def recording_repair(kind, *args):
+        terms = repair(kind, *args)
+        run["repairs"].append((kind, terms))
+        return terms
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gl_module, "splice_block", recording_splice)
+        mp.setattr(on_module, "splice_block", recording_splice)
+        mp.setattr(gl_module, "_template_rewrite", recording_template)
+        mp.setattr(on_module, "_repair_terms", recording_repair)
+        for mode, n, s, t in deep_corpus_pairs():
+            run["outputs"].append(on_straighten(s, t, mode, n))
+    return run
+
+
+def transposed(comb):
+    return Combination(BidetTerm(x.coef, x.gamma_pow, x.right, x.left) for x in comb)
+
+
+def test_transposition_agrees_on_the_deep_corpus(deep_corpus_run):
+    # [S:T](g) = [T:S](g^t) and the standard expansion is unique, so
+    # straightening [T:S] gives the terms of [S:T] with sides swapped; the
+    # driver repairs the left side first, so the two runs rewrite different
+    # sides
+    for (mode, n, s, t), out in zip(deep_corpus_pairs(), deep_corpus_run["outputs"]):
+        assert on_straighten(t, s, mode, n).certificate() == transposed(out).certificate(), (
+            mode, n, s.format(), t.format())
+
+
+def test_transposition_sees_a_wrong_repair_coefficient(monkeypatch):
+    on_module = importlib.import_module("obidet.on_straighten")
+    repair = on_module._repair_terms
+
+    def perturbed(kind, *args):
+        terms = repair(kind, *args)
+        if kind == "OS2":
+            (coef, gamma_pow, left, right), *rest = terms
+            terms = [(coef + 1, gamma_pow, left, right), *rest]
+        return terms
+
+    monkeypatch.setattr(on_module, "_repair_terms", perturbed)
+    assert any(on_straighten(t, s, mode, n) != transposed(on_straighten(s, t, mode, n))
+               for mode, n, s, t in deep_corpus_pairs())
+
+
+def normalizing_splice(left_cols, right_cols, i, j, blocks):
+    """The splice of blocks that are not known to be normalized, for reference.
+
+    Each term goes back to columns i and j when it keeps their lengths, else
+    at i, and the whole pair goes through normal_columns.
+    """
+    lengths = (len(left_cols[i]), len(left_cols[j]))
+
+    def put_back(cols, block):
+        rest = [c for k, c in enumerate(cols) if k not in (i, j)]
+        if tuple(len(c) for c in block) == lengths:
+            rest.insert(i, block[0])
+            rest.insert(j, block[1])
+            return rest
+        return rest[:i] + list(block) + rest[i:]
+
+    out = []
+    for coef, gamma_pow, block_left, block_right in blocks:
+        sign, new_left, new_right = normal_columns(put_back(left_cols, block_left),
+                                                   put_back(right_cols, block_right))
+        if sign:
+            out.append((coef * sign, gamma_pow, new_left, new_right))
+    return out
+
+
+def test_rewrite_blocks_are_normalized(deep_corpus_run):
+    # splice_block takes every block as it is, so each rule must return
+    # strictly increasing columns of non-increasing lengths, none empty
+    repairs = deep_corpus_run["repairs"]
+    assert {kind for kind, _ in repairs} == {"COLSUM", "OS1", "OS2", "OS3"}
+    blocks = [term for _, _, terms in deep_corpus_run["rewrites"] for term in terms]
+    blocks += [term for _, terms in repairs for term in terms]
+    assert len(blocks) > 10000
+    for _, _, left, right in blocks:
+        assert normal_columns(left, right) == (1, left, right)
+
+
+def test_splice_matches_the_normalizing_splice(deep_corpus_run):
+    splices = deep_corpus_run["splices"]
+    assert sum(len(out) for *_, out in splices) > 10000
+    for left, right, i, j, blocks, out in splices:
+        assert out == normalizing_splice(left, right, i, j, blocks)
+
+
+def test_template_rewrite_matches_the_raw_kernel(deep_corpus_run):
+    # on every two-column block of the deep corpus's rewrite graphs
+    rewrites = deep_corpus_run["rewrites"]
+    assert len(rewrites) == DEEP_CORPUS_STEPS["GL"]
+    for s_cols, t_cols, terms in rewrites:
+        assert terms == _two_column_rewrite(s_cols, t_cols)
+
+
+def test_templates_last_one_call(monkeypatch):
+    # each call computes its own templates, each once: none survive the
+    # call, and the call reuses them across blocks of one letter pattern
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    rewrite = gl_module._two_column_rewrite
+    computed = []
+
+    def counting_rewrite(s_cols, t_cols):
+        computed.append((s_cols, t_cols))
+        return rewrite(s_cols, t_cols)
+
+    monkeypatch.setattr(gl_module, "_two_column_rewrite", counting_rewrite)
+    s, t = Tableau.parse("1b 1 3 2b 2b"), Tableau.parse("3 2 0 3b 3")
+    for straighten in (functools.partial(on_straighten, s, t, GO, 7),
+                       functools.partial(gl_module.gl_straighten, s, t, 7)):
+        counts = []
+        for _ in range(2):
+            computed.clear()
+            trace = []
+            straighten(trace=trace)
+            counts.append(len(computed))
+            assert len(set(computed)) == len(computed)
+            assert 0 < len(computed) < sum(kind == "GL" for kind, _, _ in trace)
+        assert counts[0] == counts[1]
