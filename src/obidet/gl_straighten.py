@@ -9,10 +9,13 @@ The kernels and the engine work on column tuples: a pair is the
 (left columns, right columns) of normal_columns, the engine keys its
 rewrite graph on such pairs, and only the standard leaves of a run become
 Tableaux.  Every rewrite returns normalized blocks, so splice_block puts
-them back into a pair with no letter sorting.  Within one straightening
-call, the two-column rewrite is computed once per order pattern of its
-letters and relabelled for every other block with that pattern
-(_template_rewrite); the memo lives for the call.  two_column_straighten,
+them back into a pair with no letter sorting.  One rewrite rule, Rule,
+serves GL, O and GO: each straightening call checks its input
+(_check_input) and builds one, and the mode plugs in its orthogonal scan
+and repair (none in GL mode).  The rule holds the call's standardness verdicts, one per column
+tuple, and its two-column templates: the rewrite is computed once per
+order pattern of its letters and relabelled for every other block with
+that pattern (_template_rewrite).  two_column_straighten,
 mead_step, one_switch_expand and normalize_pair are thin adapters that
 take and give tableaux.  verify_gl checks a GL identity in the polynomial
 ring itself.
@@ -30,6 +33,7 @@ from .tableaux import (
     DomainError,
     Letter,
     Tableau,
+    Violation,
     _columns_increasing,
     column_shape,
     letter_in_alphabet,
@@ -502,41 +506,54 @@ def _check_gl_measure(old, new):
         raise AssertionError("same-shape rewrite did not move up in tableau order")
 
 
-def gl_left_step(left, right, templates: dict):
-    """The two-column rewrite at the left side's first column violation.
+class Rule:
+    """The rewrite rule of one straightening call: rule(left, right) for run_straightening.
 
-    left and right are the column tuples of a normalized pair, and templates
-    is the call's memo of _template_rewrite.  Returns
-    ("GL", column, terms) with the column-tuple terms at unit coefficient,
-    or None when the left side is GL-standard.
+    A side's verdict is its first row violation, Violation("GL", c) with c
+    the 1-based column, or else the mode's plug-in verdict scan(cols): in O
+    and GO mode the first orthogonal violation of the GL-standard side, and
+    none in GL mode, which has no plug-in.  The rule rewrites GL on the
+    left, GL on the right, then repairs the left and the right: the repairs
+    need GL-standard input.  It rewrites the right side as the left side of
+    the swapped pair: [S:T](g) = [T:S](g^t), and transposition preserves
+    GL, O and GO.  A GL violation at column c is rewritten on columns c and
+    c + 1 by the two-column rewrite; repair(verdict, left, right) gives the
+    plug-in's terms.  One call builds one rule, which holds the call's
+    verdicts, one per column tuple, and its two-column templates.
     """
-    c = row_violation_column(left)
-    if c is None:
-        return None
-    return "GL", c + 1, splice_block(
-        left, right, c, c + 1,
-        lambda s_cols, t_cols: _template_rewrite(s_cols, t_cols, templates),
-        _check_gl_measure)
 
+    def __init__(self, scan=None, repair=None):
+        self.scan, self.repair = scan, repair
+        self.verdicts: dict = {}
+        self.templates: dict = {}
 
-def on_right(step, left, right, *args):
-    """Apply a left-side rewrite step to the right side of [left : right].
+    def verdict(self, cols):
+        """The first violation of a column tuple, or None when it is standard."""
+        try:
+            return self.verdicts[cols]
+        except KeyError:
+            c = row_violation_column(cols)
+            v = self.verdicts[cols] = (Violation("GL", c + 1) if c is not None
+                                       else self.scan and self.scan(cols))
+            return v
 
-    [S:T](g) = [T:S](g^t), and transposition preserves GL, O and GO, so
-    the step runs on the swapped pair of column tuples and its terms are
-    swapped back.
-    """
-    out = step(right, left, *args)
-    if out is None:
-        return None
-    kind, witness, produced = out
-    return kind, witness, [(coef, gamma_pow, new_left, new_right)
-                           for coef, gamma_pow, new_right, new_left in produced]
+    def __call__(self, left, right):
+        vl = self.verdict(left)
+        if vl is None or vl.kind != "GL":
+            vr = self.verdict(right)
+            if vr is not None and (vr.kind == "GL" or vl is None):
+                kind, witness, terms = self._rewrite(vr, right, left)
+                return kind, witness, [(coef, gamma_pow, new_left, new_right)
+                                       for coef, gamma_pow, new_right, new_left in terms]
+        return vl and self._rewrite(vl, left, right)
 
-
-def _gl_rule(left, right, templates: dict):
-    return (gl_left_step(left, right, templates)
-            or on_right(gl_left_step, left, right, templates))
+    def _rewrite(self, v, left, right):
+        if v.kind != "GL":
+            return v.kind, v.witness, self.repair(v, left, right)
+        return "GL", v.witness, splice_block(
+            left, right, v.witness - 1, v.witness,
+            lambda s_cols, t_cols: _template_rewrite(s_cols, t_cols, self.templates),
+            _check_gl_measure)
 
 
 def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
@@ -600,6 +617,18 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
     return Combination(done)
 
 
+def _check_input(s: Tableau, t: Tableau, n: int):
+    """The input check of both straightening calls: one shape, at most n rows, alphabet(n)."""
+    if len(s.shape) > n or len(t.shape) > n:
+        raise DomainError(f"more than {n} rows")
+    if s.shape != t.shape:
+        raise DomainError("shape mismatch")
+    for col in (*s.columns(), *t.columns()):
+        for x in col:
+            if not letter_in_alphabet(x, n):
+                raise DomainError(f"letter {x} outside the alphabet of size {n}")
+
+
 def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
                   trace: list | None = None) -> Combination:
     """Express [S:T] in the basis of GL(n)-standard bideterminants.
@@ -608,16 +637,8 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
     are sums of signs, hence integers valid over any coefficient ring.
     Each term keeps the letters of each input side.
     """
-    if len(s.shape) > n or len(t.shape) > n:
-        raise DomainError(f"more than {n} rows")
-    for col in (*s.columns(), *t.columns()):
-        for x in col:
-            if not letter_in_alphabet(x, n):
-                raise DomainError(f"letter {x} outside the alphabet of size {n}")
-    # the templates of the two-column rewrite seen in this call
-    templates: dict = {}
-    out = run_straightening(s, t, lambda left, right: _gl_rule(left, right, templates),
-                            fuel, trace)
+    _check_input(s, t, n)
+    out = run_straightening(s, t, Rule(), fuel, trace)
     # the full diagonal torus acts on both sides: each keeps its letters
     content = (_content(s), _content(t))
     for term in out:

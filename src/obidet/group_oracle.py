@@ -55,6 +55,7 @@ from .polyring import (
     CoeffDomain,
     LetterMatrix,
     QQ,
+    _bareiss,
     rational,
 )
 from .gl_straighten import BidetTerm, single_term
@@ -292,60 +293,9 @@ def verify_on_group(f, points, domain: CoeffDomain = QQ) -> bool:
 # rank of evaluation matrices
 # ---------------------------------------------------------------------------
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    _mpz = int
-
-
 def bareiss_rank(rows) -> int:
     """Exact rank of an integer matrix."""
     return _bareiss(rows)[0]
-
-
-def _bareiss(rows) -> tuple[int, int]:
-    """Fraction-free Bareiss elimination over the integers: rank and determinant.
-
-    Pivots are chosen smallest in absolute value to slow entry growth;
-    all divisions are exact by the Bareiss identity.  Each pivot is the
-    leading minor of its order of the row-swapped matrix, so the last one,
-    signed by the swaps, is the determinant of a square matrix of full rank;
-    any other square matrix has determinant 0.  Both come back as plain
-    ints whatever integer type the elimination runs on.
-    """
-    m = [[_mpz(x) for x in r] for r in rows]
-    if not m or not m[0]:
-        return 0, 1
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = _mpz(1)
-    sign = 1
-    row = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(row, n_rows):
-            if m[r][col] and (pivot is None or abs(m[r][col]) < abs(m[pivot][col])):
-                pivot = r
-        if pivot is None:
-            continue
-        if pivot != row:
-            m[row], m[pivot] = m[pivot], m[row]
-            sign = -sign
-        lead = m[row][col]
-        for r in range(row + 1, n_rows):
-            head = m[r][col]
-            if head:
-                m[r] = [(lead * a - head * b) // prev
-                        for a, b in zip(m[r], m[row])]
-                m[r][col] = _mpz(0)
-            else:
-                m[r] = [(lead * a) // prev for a in m[r]]
-        prev = lead
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank, int(sign * prev) if rank == n_rows == n_cols else 0
 
 
 def _fraction_free_solve(a, b) -> "tuple[list[list[int]], int] | None":

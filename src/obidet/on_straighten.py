@@ -9,9 +9,13 @@ The three replacement identities repair the orthogonal standardness
 conditions with the stacked sum (a replacement term is a stacked term with
 its rows permuted), the complementary-minor identity repairs the column
 condition, and the driver recurses to a combination of standard terms.
-All four repairs are one kernel on column tuples, _repair_terms, which
-takes the violation the driver found; fix_os1/2/3, reduce_tall_shape and
-relation_rhs are its adapters on tableaux.
+on_straighten runs the engine's one rule (gl_straighten.Rule) and only
+plugs in the orthogonal part: the scan of a GL-standard tableau for its
+first violation (tableaux.orthogonal_violations) and the repair, spliced
+on the columns it names and checked by _check_repair_measure.  All four
+repairs are one kernel on column tuples, _repair_terms, which takes the
+violation the rule found; fix_os1/2/3, reduce_tall_shape and relation_rhs
+are its adapters on tableaux.
 
 The rules work on the similitude group GO(n): each degree-d collapse
 carries a factor gamma^d and the column reduction trades det^2 for gamma^n,
@@ -30,23 +34,22 @@ from .tableaux import (
     Letter,
     Tableau,
     _letters,
-    column_violations,
     conjugate,
-    letter_in_alphabet,
     on_standard_report,
+    orthogonal_violations,
     sparse_torus_weight,
 )
 from .gl_straighten import (
     BidetTerm,
     Combination,
+    Rule,
     _add_term,
     _bidet_terms,
     _block_order,
-    _gl_rule,
+    _check_input,
     _switch_terms,
     inversion_sign,
     normal_columns,
-    on_right,
     run_straightening,
     sort_letters,
     splice_block,
@@ -109,20 +112,20 @@ def _at_mode(comb: Combination, mode: str) -> Combination:
     return Combination(BidetTerm(x.coef, 0, x.left, x.right) for x in comb)
 
 
-def _pair_deletion_sign(c1, c2, pair_set) -> int:
-    """Cofactor sign of deleting the pairs from the two columns c1 and c2.
+def _selection_sign(total: int, front: list[int]) -> int:
+    """Sign of the permutation moving the listed positions to the front."""
+    return inversion_sign(list(front) + [i for i in range(total) if i not in front])
 
-    Fixing each deleted letter at its column position contributes the usual
-    cofactor parity; the first-column positions are taken in increasing
-    order, so the partner positions additionally contribute their inversion
-    count.  (The sign is +1 exactly when the pairs sit at aligned positions,
-    which is the only case exercised by the usual textbook displays.)
+
+def _pair_sign(c1, c2, pairs) -> int:
+    """Cofactor sign of deleting the pairs (x in c1, bar x in c2) from the columns c1 and c2.
+
+    The pairs are listed in alphabet order, which is their order down the
+    increasing c1: the sign moves them to the front of both columns in
+    that order.
     """
-    ordered = sorted(pair_set, key=c1.index)
-    p_positions = [c1.index(x) + 1 for x in ordered]
-    q_positions = [c2.index(x.bar()) + 1 for x in ordered]
-    total = sum(p_positions) + sum(q_positions)
-    return (-1 if total % 2 else 1) * inversion_sign(q_positions)
+    return (_selection_sign(len(c1), [c1.index(x) for x in pairs])
+            * _selection_sign(len(c2), [c2.index(x.bar()) for x in pairs]))
 
 
 def relation_rhs(spec: RelationSpec) -> Combination:
@@ -147,7 +150,7 @@ def _collapsed_terms(s0_col1, s0_col2, t_cols, a: int, excluded):
             bars = {x.bar() for x in combo}
             right_cols = (tuple(x for x in t1 if x not in combo),
                           tuple(x for x in t2 if x not in bars))
-            sign = base_sign * _pair_deletion_sign(t1, t2, combo)
+            sign = base_sign * _pair_sign(t1, t2, combo)
             for stack in itertools.combinations(allowed, a - d):
                 sorting, left, right = normal_columns(
                     _stacked_columns(stack, s0_col1, s0_col2), right_cols)
@@ -182,11 +185,6 @@ def verify_relation(spec: RelationSpec, points) -> bool:
 # ---------------------------------------------------------------------------
 # one-column complements and the column condition
 # ---------------------------------------------------------------------------
-
-def _selection_sign(total: int, front: list[int]) -> int:
-    """Sign of the permutation moving the listed positions to the front."""
-    return inversion_sign(list(front) + [i for i in range(total) if i not in set(front)])
-
 
 def one_column_complement(s_col, t_col, n: int):
     """Rewrite a single-column bideterminant through its complement.
@@ -268,9 +266,7 @@ def _pair_context(c1, c2, j: int, dropped: Letter | None):
     if len(excluded) >= len(pairs):
         raise DomainError("replacement sum needs more pairs than exclusions")
     bars = {x.bar() for x in pairs}
-    # the pairs are in alphabet order, their order down the increasing c1
-    sign = (_selection_sign(len(c1), [c1.index(x) for x in pairs])
-            * _selection_sign(len(c2), [c2.index(x.bar()) for x in pairs]))
+    sign = _pair_sign(c1, c2, pairs)
     s0_col1 = tuple(x for x in c1 if x not in pairs)
     s0_col2 = tuple(x for x in c2 if x not in bars)
     return pairs, excluded, sign, s0_col1, s0_col2
@@ -408,22 +404,19 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     """
     n = _require_n(n)
     _require_mode(mode)
-    if len(s.shape) > n or len(t.shape) > n:
-        raise DomainError(f"more than {n} rows")
-    if s.shape != t.shape:
-        raise DomainError("shape mismatch")
-    for col in (*s.columns(), *t.columns()):
-        for x in col:
-            if not letter_in_alphabet(x, n):
-                raise DomainError(f"letter {x} outside the alphabet of size {n}")
+    _check_input(s, t, n)
 
-    # one standardness verdict per tableau for this call: its first
-    # violation, from a scan that builds nothing of size n; and the
-    # templates of the two-column rewrite seen in this call
-    verdicts: dict = {}
-    templates: dict = {}
-    out = run_straightening(
-        s, t, lambda left, right: _one_step(left, right, n, verdicts, templates), fuel, trace)
+    def repair(v, left, right):
+        # on the block of columns 1 and b: b = 2, or the column of an OS3 pair row
+        return splice_block(
+            left, right, 0, (v.column if v.kind == "OS3" else 2) - 1,
+            lambda s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n),
+            _check_repair_measure)
+
+    # the plug-in: each GL-standard tableau's first orthogonal violation,
+    # from a scan that builds nothing of size n, and its repair over Z[1/2]
+    rule = Rule(lambda cols: next(orthogonal_violations(cols, n), None), repair)
+    out = run_straightening(s, t, rule, fuel, trace)
     for term in out:
         if 2 * term.gamma_pow + term.left.size != s.size:
             raise AssertionError("gamma grading violated")
@@ -432,51 +425,13 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     weight = (sparse_torus_weight(s.columns()), sparse_torus_weight(t.columns()))
     for term in out:
         left, right = term.left.columns(), term.right.columns()
-        if _first_violation(left, n, verdicts) is not None:
+        if rule.verdict(left) is not None:
             raise AssertionError("non-standard left tableau in output")
-        if _first_violation(right, n, verdicts) is not None:
+        if rule.verdict(right) is not None:
             raise AssertionError("non-standard right tableau in output")
         if (sparse_torus_weight(left), sparse_torus_weight(right)) != weight:
             raise AssertionError("output term changed the torus weight")
     return out
-
-
-def _first_violation(cols, n: int, verdicts: dict):
-    """The first O(n)-standardness violation of a column tuple, or None; scanned once per call."""
-    try:
-        return verdicts[cols]
-    except KeyError:
-        v = verdicts[cols] = next(column_violations(cols, n), None)
-        return v
-
-
-def _one_step(left, right, n: int, verdicts: dict, templates: dict):
-    """One rewrite of [left : right] on GO(n) at unit coefficient; None when standard.
-
-    left and right are the column tuples of a normalized pair.  The order
-    is GL-left, GL-right, then the orthogonal repairs left and right: the
-    repairs need GL-standard input.  verdicts holds the standardness
-    verdicts of the tableaux seen so far, templates the two-column rewrites.
-    """
-    return (_gl_rule(left, right, templates)
-            or _fix_left(left, right, n, verdicts)
-            or on_right(_fix_left, left, right, n, verdicts))
-
-
-def _fix_left(left, right, n: int, verdicts: dict):
-    """The first orthogonal repair of the left side, or None when it is standard.
-
-    The repair runs on the block of columns 1 and b (b = 2, or the column of
-    an OS3 pair row) over Z[1/2], where every repair is an identity.
-    """
-    v = _first_violation(left, n, verdicts)
-    if v is None:
-        return None
-    b = v.column if v.kind == "OS3" else 2
-    return v.kind, v.witness, splice_block(
-        left, right, 0, b - 1,
-        lambda s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n),
-        _check_repair_measure)
 
 
 def _check_repair_measure(old, new):

@@ -6,24 +6,29 @@ prime field is no number type of its own: CoeffDomain.reduce_rational maps
 an exact rational to its canonical residue, a plain int in [0, p).
 Determinants of submatrices of the generic matrix X, bideterminants, the
 full determinant and the similitude form gamma are all built here, together
-with exact evaluation at concrete matrices.
+with exact evaluation at concrete matrices: a determinant is one
+fraction-free Bareiss elimination over the integers (_bareiss, which group
+points use too) once each row is cleared of its denominators.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .tableaux import DomainError, Letter, Tableau, _letters
 
-try:  # gmpy2 rationals are a large constant factor faster; Fraction works too
-    from gmpy2 import mpq as _mpq
+try:  # gmpy2 numbers are a large constant factor faster; Fraction and int work too
+    from gmpy2 import mpq as _mpq, mpz as _mpz
 
     def rational(num=0, den=None):
         if den is None:
             return _mpq(num)
         return _mpq(num, den)
 except ImportError:  # pragma: no cover
+    _mpz = int
+
     def rational(num=0, den=None):
         if den is None:
             return Fraction(num)
@@ -180,31 +185,63 @@ class LetterMatrix:
 
 
 def det_rows(rows) -> object:
-    """Exact determinant of a small dense matrix (list of rows) over a field."""
-    rows = [list(r) for r in rows]
-    k = len(rows)
-    if k == 0:
-        return 1
+    """Exact determinant of a small dense matrix (list of rows) of rationals.
+
+    Each row is cleared of its denominators and the integer matrix goes to
+    the Bareiss kernel, so int entries give an int.
+    """
+    int_rows, den = [], 1
+    for row in rows:
+        d = math.lcm(*(int(x.denominator) for x in row))
+        int_rows.append([int(x.numerator) * (d // int(x.denominator)) for x in row])
+        den *= d
+    det = _bareiss(int_rows)[1]
+    return det if den == 1 else rational(det, den)
+
+
+def _bareiss(rows) -> tuple[int, int]:
+    """Fraction-free Bareiss elimination over the integers: rank and determinant.
+
+    Pivots are chosen smallest in absolute value to slow entry growth;
+    all divisions are exact by the Bareiss identity.  Each pivot is the
+    leading minor of its order of the row-swapped matrix, so the last one,
+    signed by the swaps, is the determinant of a square matrix of full rank;
+    any other square matrix has determinant 0.  Both come back as plain
+    ints whatever integer type the elimination runs on.
+    """
+    m = [[_mpz(x) for x in r] for r in rows]
+    if not m or not m[0]:
+        return 0, 1
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    prev = _mpz(1)
     sign = 1
-    det = None
-    for col in range(k):
+    row = 0
+    for col in range(n_cols):
         pivot = None
-        for r in range(col, k):
-            if rows[r][col]:
+        for r in range(row, n_rows):
+            if m[r][col] and (pivot is None or abs(m[r][col]) < abs(m[pivot][col])):
                 pivot = r
-                break
         if pivot is None:
-            return rows[0][0] * 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+            continue
+        if pivot != row:
+            m[row], m[pivot] = m[pivot], m[row]
             sign = -sign
-        pv = rows[col][col]
-        det = pv if det is None else det * pv
-        for r in range(col + 1, k):
-            if rows[r][col]:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det if sign == 1 else -det
+        lead = m[row][col]
+        for r in range(row + 1, n_rows):
+            head = m[r][col]
+            if head:
+                m[r] = [(lead * a - head * b) // prev
+                        for a, b in zip(m[r], m[row])]
+                m[r][col] = _mpz(0)
+            else:
+                m[r] = [(lead * a) // prev for a in m[r]]
+        prev = lead
+        rank += 1
+        row += 1
+        if row == n_rows:
+            break
+    return rank, int(sign * prev) if rank == n_rows == n_cols else 0
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,8 @@ def _gl_standard(cols, n: int) -> bool:
 @dataclass(frozen=True)
 class Violation:
     kind: str                 # GL | COLSUM | OS1 | OS2 | OS3
-    witness: int              # the index i (0 for GL/COLSUM)
+    witness: int              # the index i (0 for GL/COLSUM; a straightening
+                              # rule's GL verdict holds the 1-based column)
     column: int = 0           # 1-based column b for OS3, else 0
 
 
@@ -391,7 +392,12 @@ def column_violations(cols, n: int):
     """
     if not _gl_standard(cols, n):
         yield Violation("GL", 0)
-        return
+    else:
+        yield from orthogonal_violations(cols, n)
+
+
+def orthogonal_violations(cols, n: int):
+    """column_violations of a GL-standard tableau, which has no GL violation."""
     col1 = cols[0] if len(cols) >= 1 else ()
     col2 = cols[1] if len(cols) >= 2 else ()
     if len(col1) + len(col2) > n:

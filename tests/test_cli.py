@@ -128,6 +128,13 @@ def test_straighten_letter_index_bound(capsys):
     assert "2^61" in err and not out
 
 
+def test_straighten_gl_shape_mismatch_is_an_input_error(capsys):
+    code, out, err = run_cli(["straighten", "--mode", "gl", "--n", "4",
+                              "--left", "1 2", "--right", "1"], capsys)
+    assert code == 2
+    assert err == "error: shape mismatch\n" and not out
+
+
 NEGATIVE_BOUNDS = [
     (["straighten", "--n", "4", "--left", "1b", "--right", "1", "--points", "-2"], "--points"),
     (["verify", "--n", "3", "--degree", "1", "--points", "-3"], "--points"),

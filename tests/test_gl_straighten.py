@@ -342,6 +342,12 @@ def test_gl_straighten_rejects_foreign_letters():
         gl_straighten(s, s, 3)
 
 
+def test_gl_straighten_rejects_a_shape_mismatch():
+    # the rewrite pairs columns up, so unmatched ones would be dropped
+    with pytest.raises(DomainError, match="shape mismatch"):
+        gl_straighten(Tableau.parse("1 2"), Tableau.parse("1"), 4)
+
+
 def test_gl_straighten_fuel():
     s, t = GL_CASE.inputs()
     with pytest.raises(CapExceeded, match="fuel exhausted"):

@@ -26,7 +26,7 @@ from obidet.polyring import (
     gamma_poly,
     rational,
 )
-from obidet import group_oracle
+from obidet import group_oracle, polyring
 from obidet.gl_straighten import BidetTerm
 from obidet.on_straighten import GO, ON
 from obidet.group_oracle import (
@@ -578,7 +578,7 @@ def test_integer_minors_and_values_match_the_fraction_oracle():
 def test_kernel_values_are_plain_ints_whatever_the_elimination_type(monkeypatch):
     # with gmpy2 installed Bareiss runs on mpz, which is not int; Fraction
     # stands in for such a type here
-    monkeypatch.setattr(group_oracle, "_mpz", Fraction)
+    monkeypatch.setattr(polyring, "_mpz", Fraction)
     points = standard_points(3, 4, seed=2) + [random_go_point(3, 5, rational(5, 3))]
     letters = tuple(_letters(3))
     elements = standard_basis_elements(3, 2, GO)

@@ -569,28 +569,37 @@ def test_on_straighten_expands_each_distinct_term_once(monkeypatch):
     # the package attribute on_straighten is the function, not the module
     on_module = importlib.import_module("obidet.on_straighten")
     expanded = []
-    one_step = on_module._one_step
+    run = on_module.run_straightening
 
-    def counting_step(left, right, *args):
-        expanded.append((left, right))
-        return one_step(left, right, *args)
+    def counting_run(s, t, rule, *args):
+        def counting_rule(left, right):
+            expanded.append((left, right))
+            return rule(left, right)
 
-    monkeypatch.setattr(on_module, "_one_step", counting_step)
+        return run(s, t, counting_rule, *args)
+
+    monkeypatch.setattr(on_module, "run_straightening", counting_run)
     s, t = SHARED_TERMS_CASE
     for mode in (ON, GO):
         expanded.clear()
         on_straighten(s, t, mode, 7)
-        assert len(expanded) == len(set(expanded))
+        assert expanded and len(expanded) == len(set(expanded))
 
 
 def test_on_straighten_scans_each_distinct_tableau_once(monkeypatch):
-    # the driver keeps one standardness verdict per tableau for the call,
-    # from the column scan; its repairs take the violation it found and
-    # scan nothing
+    # the rule keeps one standardness verdict per tableau for the call:
+    # one row scan, then, on a GL-standard tableau, one orthogonal scan;
+    # its repairs take the violation it found and scan nothing
+    gl_module = importlib.import_module("obidet.gl_straighten")
     on_module = importlib.import_module("obidet.on_straighten")
-    scan, report = on_module.column_violations, on_module.on_standard_report
-    scans = Counter()
+    row_scan, scan, report = (gl_module.row_violation_column, on_module.orthogonal_violations,
+                              on_module.on_standard_report)
+    row_scans, scans = Counter(), Counter()
     reports = []
+
+    def counting_row_scan(cols):
+        row_scans[cols] += 1
+        return row_scan(cols)
 
     def counting_scan(cols, n):
         scans[cols] += 1
@@ -600,14 +609,17 @@ def test_on_straighten_scans_each_distinct_tableau_once(monkeypatch):
         reports.append(t)
         return report(t, n)
 
-    monkeypatch.setattr(on_module, "column_violations", counting_scan)
+    monkeypatch.setattr(gl_module, "row_violation_column", counting_row_scan)
+    monkeypatch.setattr(on_module, "orthogonal_violations", counting_scan)
     monkeypatch.setattr(on_module, "on_standard_report", counting_report)
     s, t = SHARED_TERMS_CASE
     for mode in (ON, GO):
+        row_scans.clear()
         scans.clear()
         trace = []
         on_straighten(s, t, mode, 7, trace=trace)
         assert {"OS1", "OS2", "OS3"} & {kind for kind, _, _ in trace}
+        assert row_scans and max(row_scans.values()) == 1
         assert scans and max(scans.values()) == 1
         assert not reports
 

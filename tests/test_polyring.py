@@ -133,6 +133,17 @@ def test_det_rows_matches_minor_eval():
     assert det_rows(m.rows) == eval_minor(letters, letters, m)
 
 
+def test_det_rows_is_exact():
+    # int entries give an int, with no rounding however large they are
+    b = 2 ** 60 + 1
+    for rows, det in (([[2, 1], [1, 2]], 3), ([[b, 1], [1, b]], b * b - 1),
+                      ([[1, 2], [2, 4]], 0), ([], 1)):
+        assert det_rows(rows) == det and type(det_rows(rows)) is int
+    half, third = rational(1, 2), rational(1, 3)
+    assert det_rows([[half, third], [rational(1, 5), rational(1, 7)]]) == rational(1, 210)
+    assert det_rows([[half, 1], [1, 2]]) == 0
+
+
 # ---------------------------------------------------------------------------
 # minors
 # ---------------------------------------------------------------------------
