@@ -41,7 +41,7 @@ from .tableaux import (
     shape_key,
 )
 from . import polyring
-from .polyring import CoeffDomain, Polynomial, QQ
+from .polyring import CoeffDomain, Polynomial, QQ, inversion_sign
 
 
 class CapExceeded(RuntimeError):
@@ -235,15 +235,6 @@ def single_term(left: Tableau, right: Tableau, coef=1, gamma_pow: int = 0) -> Co
 # ---------------------------------------------------------------------------
 # column sorting with signs
 # ---------------------------------------------------------------------------
-
-def inversion_sign(seq) -> int:
-    """(-1) to the number of inversions of a sequence of distinct values."""
-    sign = 1
-    for a, b in itertools.combinations(seq, 2):
-        if a > b:
-            sign = -sign
-    return sign
-
 
 def sort_letters(entries) -> tuple[int, tuple[Letter, ...]]:
     """Sort a column, returning (sign, sorted); sign 0 on a repeated letter.

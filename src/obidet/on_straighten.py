@@ -48,13 +48,12 @@ from .gl_straighten import (
     _block_order,
     _check_input,
     _switch_terms,
-    inversion_sign,
     normal_columns,
     run_straightening,
     sort_letters,
     splice_block,
 )
-from .polyring import CoeffDomain, QQ, ZHALF, rational
+from .polyring import CoeffDomain, QQ, ZHALF, inversion_sign, rational
 
 
 ON = "ON"

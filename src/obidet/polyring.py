@@ -402,39 +402,31 @@ class Polynomial:
 # minors and bideterminants
 # ---------------------------------------------------------------------------
 
+def inversion_sign(seq) -> int:
+    """(-1) to the number of inversions of a sequence of distinct values."""
+    sign = 1
+    for a, b in itertools.combinations(seq, 2):
+        if a > b:
+            sign = -sign
+    return sign
+
+
 def minor(rows, cols) -> Polynomial:
     """Determinant of the submatrix of X with the given row/column letters.
 
     Rows and columns are ordered lists; swapping two of them flips the sign,
-    and a repeated letter gives the zero polynomial.
+    and a repeated letter gives the zero polynomial.  The Leibniz sum has one
+    monomial per permutation of the columns, signed by its inversions.
     """
     rows, cols = list(rows), list(cols)
     if len(rows) != len(cols):
         raise DomainError("minor needs equally many row and column letters")
     if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
         return Polynomial.zero()
-    if not rows:
-        return Polynomial.constant(1)
-
-    memo: dict[tuple, Polynomial] = {}
-
-    def expand(row_sub: tuple, col_pos: int) -> Polynomial:
-        if not row_sub:
-            return Polynomial.constant(1)
-        key = (row_sub, col_pos)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        col = cols[col_pos]
-        total = Polynomial.zero()
-        for idx, r in enumerate(row_sub):
-            sub = expand(row_sub[:idx] + row_sub[idx + 1:], col_pos + 1)
-            term = Polynomial.variable(r, col).__mul__(sub)
-            total = total + (term if idx % 2 == 0 else -term)
-        memo[key] = total
-        return total
-
-    return expand(tuple(rows), 0)
+    return Polynomial({
+        tuple(sorted(((r, cols[j]), 1) for r, j in zip(rows, perm))): inversion_sign(perm)
+        for perm in itertools.permutations(range(len(cols)))
+    })
 
 
 def bideterminant(s: Tableau, t: Tableau) -> Polynomial:

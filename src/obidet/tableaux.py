@@ -520,40 +520,33 @@ def occurring_pairs(t: Tableau) -> list[Letter]:
 # ---------------------------------------------------------------------------
 
 def enumerate_gl_standard(shape: Shape, n: int):
-    """All GL(n)-standard tableaux of the given shape, in no particular order."""
-    shape = check_shape(shape)
-    if len(shape) > n:
-        return
+    """All GL(n)-standard tableaux of the given shape, in no particular order.
+
+    Each column is an increasing choice of letters, kept when every entry is
+    at least its left neighbour.
+    """
+    heights = conjugate(shape)
     letters = _letters(n)
-    cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
-    grid: list[list[Letter | None]] = [[None] * r for r in shape]
 
-    def fill(pos: int):
-        if pos == len(cells):
-            yield Tableau(grid)
+    def fill(cols):
+        if len(cols) == len(heights):
+            yield Tableau.from_columns(cols)
             return
-        i, j = cells[pos]
-        for letter in letters:
-            if j > 0 and letter < grid[i][j - 1]:
-                continue
-            if i > 0 and len(grid[i - 1]) > j and letter <= grid[i - 1][j]:
-                continue
-            grid[i][j] = letter
-            yield from fill(pos + 1)
-            grid[i][j] = None
+        left = cols[-1] if cols else ()
+        for col in itertools.combinations(letters, heights[len(cols)]):
+            if all(x >= y for x, y in zip(col, left)):
+                yield from fill(cols + (col,))
 
-    yield from fill(0)
+    yield from fill(())
 
 
 def enumerate_on_standard(shape: Shape, n: int):
     """All O(n)-standard tableaux of the given shape, in increasing tableau order."""
-    shape = check_shape(shape)
     conj = conjugate(shape)
-    colsum = (conj[0] if len(conj) >= 1 else 0) + (conj[1] if len(conj) >= 2 else 0)
-    if colsum > n:
+    if sum(conj[:2]) > n:
         return
     found = [t for t in enumerate_gl_standard(shape, n)
-             if on_standard_report(t, n).standard]
+             if next(orthogonal_violations(t.columns(), n), None) is None]
     found.sort(key=Tableau.prec_key)
     yield from found
 

@@ -376,6 +376,19 @@ def test_verify_small_prime_field_is_undecided(capsys):
     assert "batch 1 skipped: batch 0 holds all 48 points of O(3, F_3)" in lines
 
 
+@pytest.mark.parametrize("seed", [1, 3, 4, 5, 8])
+def test_verify_whole_group_first_draw_skips_batch_one(capsys, seed):
+    # at these seeds the first draw holds all 48 points of O(3, F_3); the
+    # skip rests on that draw, not on a retry that redraws fewer residues
+    code, out, _ = run_cli(["verify", "--n", "3", "--degree", "3", "--coeff", "f3",
+                            "--points", "48", "--seed", str(seed)], capsys)
+    assert code == 3
+    lines = out.strip().splitlines()
+    assert lines[-1] == "UNDECIDED"
+    assert sum(line.startswith("independence rank=") for line in lines) == 1
+    assert "batch 1 skipped: batch 0 holds all 48 points of O(3, F_3)" in lines
+
+
 def test_verify_zhalf_straightens_in_zhalf(capsys, monkeypatch):
     domains = []
 

@@ -36,6 +36,7 @@ from obidet.gl_straighten import (
     Combination,
     _two_column_rewrite,
     normal_columns,
+    normalize_pair,
     single_term,
 )
 from obidet.on_straighten import (
@@ -862,6 +863,82 @@ def test_transposition_sees_a_wrong_repair_coefficient(monkeypatch):
     monkeypatch.setattr(on_module, "_repair_terms", perturbed)
     assert any(on_straighten(t, s, mode, n) != transposed(on_straighten(s, t, mode, n))
                for mode, n, s, t in deep_corpus_pairs())
+
+
+def product_pairs():
+    """(mode, n, A, B): seeded factors of 1-2 column pairs of height <= 2 each."""
+    rng = random.Random(801)
+    pairs = []
+    for _ in range(150):
+        mode, n = rng.choice((ON, GO)), rng.randint(3, 5)
+        letters = _letters(n)
+
+        def factor():
+            heights = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+            return ([tuple(rng.sample(letters, h)) for h in heights],
+                    [tuple(rng.sample(letters, h)) for h in heights])
+
+        pairs.append((mode, n, factor(), factor()))
+    return pairs
+
+
+def straightened_columns(left_cols, right_cols, mode, n):
+    """on_straighten of the product of column minors [left_cols : right_cols]."""
+    sign, s, t = normalize_pair(left_cols, right_cols)
+    return on_straighten(s, t, mode, n).scale(sign) if sign else Combination()
+
+
+def straightened_product(a, b, mode, n):
+    """st(A) times st(B), multiplied out and each product term straightened again."""
+    terms = []
+    for x in a:
+        for y in b:
+            for z in straightened_columns(x.left.columns() + y.left.columns(),
+                                          x.right.columns() + y.right.columns(), mode, n):
+                terms.append(BidetTerm(z.coef * x.coef * y.coef,
+                                       z.gamma_pow + x.gamma_pow + y.gamma_pow,
+                                       z.left, z.right))
+    return Combination(terms)
+
+
+def products_disagree(mode, n, a, b):
+    whole = straightened_columns(a[0] + b[0], a[1] + b[1], mode, n)
+    return whole != straightened_product(straightened_columns(*a, mode, n),
+                                         straightened_columns(*b, mode, n), mode, n)
+
+
+def test_products_agree_with_their_straightened_factors(monkeypatch):
+    # [A u B : A' u B'] is the product [A : A'] [B : B'], and the standard
+    # expansion is unique: straightening the whole pair must give the product
+    # of the factors' expansions, each product term straightened again
+    on_module = importlib.import_module("obidet.on_straighten")
+    repair = on_module._repair_terms
+    kinds = Counter()
+
+    def counting(kind, *args):
+        kinds[kind] += 1
+        return repair(kind, *args)
+
+    monkeypatch.setattr(on_module, "_repair_terms", counting)
+    for mode, n, a, b in product_pairs():
+        assert not products_disagree(mode, n, a, b), (mode, n, a, b)
+    assert set(kinds) == {"COLSUM", "OS1", "OS2", "OS3"}
+
+
+@pytest.mark.parametrize("wrong_kind", ["COLSUM", "OS1", "OS2", "OS3"])
+def test_products_see_a_wrong_repair_coefficient(monkeypatch, wrong_kind):
+    on_module = importlib.import_module("obidet.on_straighten")
+    repair = on_module._repair_terms
+
+    def perturbed(kind, *args):
+        terms = repair(kind, *args)
+        if kind == wrong_kind and terms:
+            (coef, gamma_pow, left, right), *rest = terms
+            terms = [(coef + 1, gamma_pow, left, right), *rest]
+        return terms
+
+    monkeypatch.setattr(on_module, "_repair_terms", perturbed)
+    assert any(products_disagree(*pair) for pair in product_pairs())
 
 
 def normalizing_splice(left_cols, right_cols, i, j, blocks):

@@ -174,6 +174,22 @@ def test_minor_length_mismatch():
         minor([L("1")], [L("1"), L("2")])
 
 
+def test_minor_is_the_leibniz_sum():
+    # k! monomials of coefficient +-1, one per permutation, and the value at
+    # an integer matrix is the determinant of its submatrix
+    rng = random.Random(18)
+    n = 7
+    letters = _letters(n)
+    point = LetterMatrix(n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    for k in range(7):
+        rows, cols = rng.sample(letters, k), rng.sample(letters, k)
+        got = minor(rows, cols)
+        assert len(got.terms) == math.factorial(k)
+        assert set(got.terms.values()) <= {1, -1}
+        assert got.evaluate(point) == det_rows(
+            [[point.entry(r, c) for c in cols] for r in rows])
+
+
 def test_minor_antisymmetry():
     rng = random.Random(2)
     letters = _letters(5)
