@@ -12,7 +12,7 @@ import sys
 
 from .tableaux import DomainError, Tableau, check_shape, conjugate, enumerate_on_standard
 from .polyring import QQ, CoeffDomain
-from .gl_straighten import CapExceeded, gl_straighten, single_term, verify_gl
+from .gl_straighten import FUEL, CapExceeded, gl_straighten, single_term, verify_gl
 from .on_straighten import GO, ON, on_straighten
 from .group_oracle import _suite_points, basis_suite, standard_points, verify_on_group
 from .golden import GOLDEN_CASES
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", help="left tableau, rows ; separated")
     p.add_argument("--right", help="right tableau")
     p.add_argument("--file", help="file with two tableau lines")
-    p.add_argument("--max-terms", type=at_least(0), default=200000, dest="fuel",
+    p.add_argument("--max-terms", type=at_least(0), default=FUEL, dest="fuel",
                    help="straightening fuel: most distinct terms to expand")
     p.add_argument("--trace", action="store_true",
                    help="log each rewrite step to stderr")

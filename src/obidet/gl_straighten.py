@@ -8,17 +8,20 @@ same shape plus terms whose columns are strictly more unbalanced.
 The kernels and the engine work on column tuples: a pair is the
 (left columns, right columns) of normal_columns, the engine keys its
 rewrite graph on such pairs, and only the standard leaves of a run become
-Tableaux.  Every rewrite returns normalized blocks, so splice_block puts
-them back into a pair with no letter sorting.  One rewrite rule, Rule,
-serves GL, O and GO: each straightening call checks its input
-(_check_input) and builds one, and the mode plugs in its orthogonal scan
-and repair (none in GL mode).  The rule holds the call's standardness verdicts, one per column
-tuple, and its two-column templates: the rewrite is computed once per
-order pattern of its letters and relabelled for every other block with
-that pattern (_template_rewrite).  two_column_straighten,
-mead_step, one_switch_expand and normalize_pair are thin adapters that
-take and give tableaux.  verify_gl checks a GL identity in the polynomial
-ring itself.
+Tableaux.  One rewrite rule, Rule, serves GL, O and GO: each
+straightening call checks its input (_check_input) and builds one, and
+the mode plugs in its orthogonal scan and repair terms (none in GL
+mode).  The rule is the one splice site: every rewrite returns normalized
+blocks, and splice_block puts them back into the pair with no letter
+sorting and checks each term against the one well-founded measure
+(_check_measure).  The rule holds the call's standardness verdicts, one
+per column tuple, and its two-column templates: the rewrite
+(_two_column_terms, one term map) is computed once per order pattern of
+its letters and relabelled for every other block with that pattern
+(_template_rewrite).  term_order is the one order of terms.
+two_column_straighten, mead_step, one_switch_expand and normalize_pair
+are thin adapters that take and give tableaux.  verify_gl checks a GL
+identity in the polynomial ring itself.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .tableaux import (
     Tableau,
     Violation,
     _columns_increasing,
+    _gl_standard,
     column_shape,
     letter_in_alphabet,
     row_violation_column,
@@ -46,6 +50,10 @@ from .polyring import CoeffDomain, Polynomial, QQ, inversion_sign
 
 class CapExceeded(RuntimeError):
     """Raised when a straightening run expands more distinct terms than its fuel."""
+
+
+# the default fuel of every straightening call, in distinct terms expanded
+FUEL = 200000
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +79,7 @@ class BidetTerm:
         return (self.gamma_pow, self.left, self.right)
 
     def sort_key(self):
-        return (
-            shape_key(self.left.shape),
-            self.left.prec_key(),
-            self.right.prec_key(),
-            self.gamma_pow,
-        )
+        return term_order(self.left.columns(), self.right.columns(), self.gamma_pow)
 
     def degree(self) -> int:
         """2 gamma_pow + |shape|: gamma is quadratic in the entries."""
@@ -232,6 +235,11 @@ def single_term(left: Tableau, right: Tableau, coef=1, gamma_pow: int = 0) -> Co
     return Combination([BidetTerm(coef, gamma_pow, left, right)])
 
 
+def term_order(left, right, gamma_pow: int = 0):
+    """The order of terms on column tuples: shape, left and right tableau order, gamma power."""
+    return shape_key(column_shape(tuple(map(len, left)))), left[::-1], right[::-1], gamma_pow
+
+
 # ---------------------------------------------------------------------------
 # column sorting with signs
 # ---------------------------------------------------------------------------
@@ -298,12 +306,14 @@ def _add_term(terms: dict, key, coef):
 
 
 def _two_column_terms(s_cols, t_cols):
-    """The two-column rewrite of [S:T] on raw columns: (viol, head, drop).
+    """The two-column rewrite of [S:T] on raw columns: (viol, terms).
 
     S = (s1, s2) and T = (t1, t2) are column tuples of a two-column pair
     whose left side has a row violation; viol is its first row (1-based).
-    head and drop map (left columns, right columns), normalized, to their
-    merged nonzero coefficients, the terms of two_column_straighten.
+    terms maps (left columns, right columns), normalized, to their merged
+    nonzero coefficients, the head and drop of two_column_straighten in one
+    map: head terms keep the column lengths of S and drop terms have a
+    longer first column, so no key is in both.
     """
     if tuple(map(len, s_cols)) != tuple(map(len, t_cols)):
         raise DomainError("shape mismatch")
@@ -330,7 +340,7 @@ def _two_column_terms(s_cols, t_cols):
 
     # the Laplace column sign is the parity of the 1-based rows_in and k(k+1)/2
     offset = k + k * (k + 1) // 2
-    head: dict = {}
+    terms: dict = {}
     base_sign = None
     for chosen in itertools.combinations(free, k - tv + 1):
         rows_in = forced + chosen
@@ -344,7 +354,7 @@ def _two_column_terms(s_cols, t_cols):
         sign, left, right = normal_columns((u_col1, u_col2), t_cols)
         if sign:
             # solving for [S:T] negates the other column-expansion terms
-            _add_term(head, (left, right), -eps * sign)
+            _add_term(terms, (left, right), -eps * sign)
     if base_sign != 1:
         raise AssertionError("expansion lost the original bideterminant")
 
@@ -353,7 +363,6 @@ def _two_column_terms(s_cols, t_cols):
     # sign is the parity of those rows and the 1-based chosen columns
     offset = (tv - 1) * tv // 2 + sum(range(k + tv + 1, k + ell + 1)) + ell - 1
     block_left = (rows[tv - 1:k + tv], s1[:tv - 1], s2[tv:])
-    drop: dict = {}
     for c1 in itertools.combinations(range(k), tv - 1):
         for c2 in itertools.combinations(range(k, k + ell), ell - tv):
             cols_in = set(c1 + c2)
@@ -363,8 +372,8 @@ def _two_column_terms(s_cols, t_cols):
                 tuple(cols[h] for h in c1),
                 tuple(cols[h] for h in c2)))
             if sign:
-                _add_term(drop, (left, right), delta * sign)
-    return viol, head, drop
+                _add_term(terms, (left, right), delta * sign)
+    return viol, terms
 
 
 def _bidet_terms(terms) -> list[BidetTerm]:
@@ -386,7 +395,10 @@ def two_column_straighten(s: Tableau, t: Tableau):
     The identity [S:T] = head + drop is exact in the polynomial ring.
     Returns (first violated row, head, drop).
     """
-    viol, head, drop = _two_column_terms(s.columns(), t.columns())
+    lengths = tuple(map(len, s.columns()))
+    viol, terms = _two_column_terms(s.columns(), t.columns())
+    head = {key: coef for key, coef in terms.items() if tuple(map(len, key[0])) == lengths}
+    drop = {key: coef for key, coef in terms.items() if key not in head}
     return viol, _combination(head), _combination(drop)
 
 
@@ -394,14 +406,14 @@ def two_column_straighten(s: Tableau, t: Tableau):
 # the straightening engine and full GL straightening
 # ---------------------------------------------------------------------------
 
-def splice_block(left_cols, right_cols, i: int, j: int, rewrite, check) -> list:
+def splice_block(left_cols, right_cols, i: int, j: int, rewrite) -> list:
     """Rewrite columns i < j of the normalized column pair [left : right] as a two-column pair.
 
     rewrite(s_cols, t_cols) gives the terms of the two-column pair as
-    (coef, gamma_pow, left columns, right columns), and so does this;
-    check(left, new_left) is the rule's measure check on each spliced term.
-    Every block a rewrite returns is normalized: its columns are strictly
-    increasing, their lengths do not increase, and none is empty.  So is the
+    (coef, gamma_pow, left columns, right columns), and so does this; each
+    spliced term must descend the measure (_check_measure).  Every block a
+    rewrite returns is normalized: its columns are strictly increasing,
+    their lengths do not increase, and none is empty.  So is the
     rest of the pair, and splicing needs no sorting of letters and no sign.
     A block that keeps both column lengths goes back to columns i and j,
     which keeps the tableau order comparison local to the block; any other
@@ -426,30 +438,39 @@ def splice_block(left_cols, right_cols, i: int, j: int, rewrite, check) -> list:
                                rest_right[:i] + block_right + rest_right[i:]),
                            key=lambda p: -len(p[0]))
             new_left, new_right = zip(*pairs) if pairs else ((), ())
-        check(left_cols, new_left)
+        _check_measure(left_cols, new_left)
         out.append((coef, gamma_pow, new_left, new_right))
     return out
 
 
-def _block_order(item):
-    """BidetTerm.sort_key of a term given as ((left, right[, gamma_pow]), coef) in columns."""
-    (left, right, *gamma_pow), _ = item
-    shape = column_shape([len(c) for c in left])
-    return (shape_key(shape), left[::-1], right[::-1], *gamma_pow)
+def _check_measure(old, new):
+    """A rewrite term must descend the well-founded measure of straightening.
+
+    The measure is size (down), then column profile (up), then tableau
+    order (up).  old and new are normalized column tuples: their column
+    lengths are the sorted profile, and the reversed tuple is the tableau
+    order key.
+    """
+    po, pn = tuple(map(len, old)), tuple(map(len, new))
+    if pn == po:
+        if not old[::-1] < new[::-1]:
+            raise AssertionError("same-shape rewrite did not move up in tableau order")
+    elif sum(pn) < sum(po):
+        return
+    elif not (sum(pn) == sum(po) and pn > po):
+        raise AssertionError("rewrite changed the shape without falling in measure")
 
 
 def _two_column_rewrite(s_cols, t_cols):
-    """head + drop of the two-column rewrite, in the order of their Combination.
+    """The terms of the two-column rewrite as a list, in term_order.
 
     That order fixes the order in which the driver expands the spliced
     terms, and so the order of its trace.  Every block is normalized, as
     splice_block requires: it comes from normal_columns.
     """
-    _, terms, drop = _two_column_terms(s_cols, t_cols)
-    for key, coef in drop.items():
-        _add_term(terms, key, coef)
-    return [(coef, 0, left, right)
-            for (left, right), coef in sorted(terms.items(), key=_block_order)]
+    _, terms = _two_column_terms(s_cols, t_cols)
+    return [(coef, 0, left, right) for (left, right), coef in sorted(
+        terms.items(), key=lambda item: term_order(*item[0]))]
 
 
 def _template_rewrite(s_cols, t_cols, templates: dict):
@@ -479,22 +500,7 @@ def _template_rewrite(s_cols, t_cols, templates: dict):
 def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:
     """Apply the two-column rewrite to columns (c, c+1) and reassemble."""
     return _bidet_terms(splice_block(left.columns(), right.columns(), c, c + 1,
-                                     _two_column_rewrite, _check_gl_measure))
-
-
-def _check_gl_measure(old, new):
-    """Each rewrite must unbalance columns or raise the worked side.
-
-    old and new are normalized column tuples: their column lengths are the
-    sorted profile, and the reversed tuple is the tableau order key.
-    """
-    po, pn = tuple(map(len, old)), tuple(map(len, new))
-    if pn != po:
-        if pn <= po:
-            raise AssertionError("rewrite did not increase the column profile")
-        return
-    if not old[::-1] < new[::-1]:
-        raise AssertionError("same-shape rewrite did not move up in tableau order")
+                                     _two_column_rewrite))
 
 
 class Rule:
@@ -507,10 +513,13 @@ class Rule:
     left, GL on the right, then repairs the left and the right: the repairs
     need GL-standard input.  It rewrites the right side as the left side of
     the swapped pair: [S:T](g) = [T:S](g^t), and transposition preserves
-    GL, O and GO.  A GL violation at column c is rewritten on columns c and
-    c + 1 by the two-column rewrite; repair(verdict, left, right) gives the
-    plug-in's terms.  One call builds one rule, which holds the call's
-    verdicts, one per column tuple, and its two-column templates.
+    GL, O and GO.  The rule splices every rewrite (splice_block): a GL
+    violation at column c is rewritten on columns c and c + 1 by the
+    two-column rewrite, and a plug-in verdict on columns 1 and b, with b the
+    column of an OS3 pair row and 2 otherwise; repair(verdict, s_cols,
+    t_cols) gives the terms of that two-column block.  One call builds one
+    rule, which holds the call's verdicts, one per column tuple, and its
+    two-column templates.
     """
 
     def __init__(self, scan=None, repair=None):
@@ -539,12 +548,13 @@ class Rule:
         return vl and self._rewrite(vl, left, right)
 
     def _rewrite(self, v, left, right):
-        if v.kind != "GL":
-            return v.kind, v.witness, self.repair(v, left, right)
-        return "GL", v.witness, splice_block(
-            left, right, v.witness - 1, v.witness,
-            lambda s_cols, t_cols: _template_rewrite(s_cols, t_cols, self.templates),
-            _check_gl_measure)
+        if v.kind == "GL":
+            i, j = v.witness - 1, v.witness
+            rewrite = lambda s_cols, t_cols: _template_rewrite(s_cols, t_cols, self.templates)
+        else:
+            i, j = 0, (v.column if v.kind == "OS3" else 2) - 1
+            rewrite = lambda s_cols, t_cols: self.repair(v, s_cols, t_cols)
+        return v.kind, v.witness, splice_block(left, right, i, j, rewrite)
 
 
 def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
@@ -620,7 +630,7 @@ def _check_input(s: Tableau, t: Tableau, n: int):
                 raise DomainError(f"letter {x} outside the alphabet of size {n}")
 
 
-def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
+def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = FUEL,
                   trace: list | None = None) -> Combination:
     """Express [S:T] in the basis of GL(n)-standard bideterminants.
 
@@ -633,11 +643,9 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = 200000,
     # the full diagonal torus acts on both sides: each keeps its letters
     content = (_content(s), _content(t))
     for term in out:
-        if len(term.left.shape) > n:
-            # a strictly increasing column longer than the alphabet is zero,
-            # so only row counts beyond n with short columns could survive;
-            # those cannot appear since columns are sorted
-            raise AssertionError("unreachable: standard tableau with too many rows")
+        # a fresh check, not the rule's verdicts, which made each leaf a leaf
+        if not (_gl_standard(term.left.columns(), n) and _gl_standard(term.right.columns(), n)):
+            raise AssertionError("non-standard tableau in output")
         if (_content(term.left), _content(term.right)) != content:
             raise AssertionError("output term changed the letter content")
     return out
@@ -714,11 +722,9 @@ def _switch_terms(s_cols, t_cols, row: int) -> dict:
     star = (tuple(c1), tuple(c2))
     if not _columns_increasing(star):
         raise DomainError("switched tableau is not column increasing")
-    _, terms, drop = _two_column_terms(star, t_cols)
+    _, terms = _two_column_terms(star, t_cols)
     base = (s_cols, t_cols)
     if terms.get(base) != 1:
         raise AssertionError("lowest term of the switch expansion is not [S:T]")
-    for key, coef in drop.items():
-        _add_term(terms, key, coef)
     _add_term(terms, base, -1)
     return terms

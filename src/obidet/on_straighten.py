@@ -11,11 +11,12 @@ its rows permuted), the complementary-minor identity repairs the column
 condition, and the driver recurses to a combination of standard terms.
 on_straighten runs the engine's one rule (gl_straighten.Rule) and only
 plugs in the orthogonal part: the scan of a GL-standard tableau for its
-first violation (tableaux.orthogonal_violations) and the repair, spliced
-on the columns it names and checked by _check_repair_measure.  All four
-repairs are one kernel on column tuples, _repair_terms, which takes the
-violation the rule found; fix_os1/2/3, reduce_tall_shape and relation_rhs
-are its adapters on tableaux.
+first violation (tableaux.orthogonal_violations) and the terms of its
+repair; the rule splices them on the columns the violation names and
+checks them against its one measure.  All four repairs are one kernel on
+column tuples, _repair_terms, which takes the violation the rule found;
+fix_os1/2/3, reduce_tall_shape and relation_rhs are its adapters on
+tableaux.
 
 The rules work on the similitude group GO(n): each degree-d collapse
 carries a factor gamma^d and the column reduction trades det^2 for gamma^n,
@@ -34,24 +35,25 @@ from .tableaux import (
     Letter,
     Tableau,
     _letters,
+    column_violations,
     conjugate,
     on_standard_report,
     orthogonal_violations,
     sparse_torus_weight,
 )
 from .gl_straighten import (
+    FUEL,
     BidetTerm,
     Combination,
     Rule,
     _add_term,
     _bidet_terms,
-    _block_order,
     _check_input,
     _switch_terms,
     normal_columns,
     run_straightening,
     sort_letters,
-    splice_block,
+    term_order,
 )
 from .polyring import CoeffDomain, QQ, ZHALF, inversion_sign, rational
 
@@ -277,9 +279,9 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
     S and T are given by their (two) column tuples, and S has the violation
     of this kind at index j, as found by the caller; nothing is rescanned.
     The terms come as (coef, gamma_pow, left columns, right columns), merged,
-    with coefficients in Z[1/2] and in BidetTerm.sort_key order.  Every
-    block is normalized, as splice_block requires: strictly increasing
-    columns, lengths that do not increase, and no empty column.
+    with coefficients in Z[1/2] and in term_order.  Every block is
+    normalized, as splice_block requires: strictly increasing columns,
+    lengths that do not increase, and no empty column.
 
     COLSUM trades both columns for their complements.  The other three solve
     the replacement sum: [S:T] + lam = sign * relation_rhs, with lam the
@@ -334,7 +336,8 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
         if not ZHALF.validate(coef):
             raise AssertionError(f"coefficient {coef} left the domain")
     return [(coef, gamma_pow, left, right)
-            for (left, right, gamma_pow), coef in sorted(terms.items(), key=_block_order)]
+            for (left, right, gamma_pow), coef in sorted(
+                terms.items(), key=lambda item: term_order(*item[0]))]
 
 
 def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
@@ -390,7 +393,7 @@ def _require_n(n):
 # ---------------------------------------------------------------------------
 
 def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
-                  domain: CoeffDomain = QQ, fuel: int = 500000,
+                  domain: CoeffDomain = QQ, fuel: int = FUEL,
                   trace: list | None = None) -> Combination:
     """Express [S:T] on the group in the standard-bideterminant basis.
 
@@ -404,17 +407,10 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     n = _require_n(n)
     _require_mode(mode)
     _check_input(s, t, n)
-
-    def repair(v, left, right):
-        # on the block of columns 1 and b: b = 2, or the column of an OS3 pair row
-        return splice_block(
-            left, right, 0, (v.column if v.kind == "OS3" else 2) - 1,
-            lambda s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n),
-            _check_repair_measure)
-
     # the plug-in: each GL-standard tableau's first orthogonal violation,
     # from a scan that builds nothing of size n, and its repair over Z[1/2]
-    rule = Rule(lambda cols: next(orthogonal_violations(cols, n), None), repair)
+    rule = Rule(lambda cols: next(orthogonal_violations(cols, n), None),
+                lambda v, s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n))
     out = run_straightening(s, t, rule, fuel, trace)
     for term in out:
         if 2 * term.gamma_pow + term.left.size != s.size:
@@ -424,28 +420,10 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     weight = (sparse_torus_weight(s.columns()), sparse_torus_weight(t.columns()))
     for term in out:
         left, right = term.left.columns(), term.right.columns()
-        if rule.verdict(left) is not None:
-            raise AssertionError("non-standard left tableau in output")
-        if rule.verdict(right) is not None:
-            raise AssertionError("non-standard right tableau in output")
+        # a fresh scan, not the rule's verdicts, which made each leaf a leaf
+        if next(column_violations(left, n), None) or next(column_violations(right, n), None):
+            raise AssertionError("non-standard tableau in output")
         if (sparse_torus_weight(left), sparse_torus_weight(right)) != weight:
             raise AssertionError("output term changed the torus weight")
     return out
 
-
-def _check_repair_measure(old, new):
-    """Each repair term must fall in the rewrite measure.
-
-    Either the worked side moves strictly up at fixed shape, or the size
-    shrinks (deleted pairs, column reduction), or on the size-preserving
-    rebalanced terms of the pair-row repair the column profile grows.  old
-    and new are normalized column tuples, as in _check_gl_measure.
-    """
-    po, pn = tuple(map(len, old)), tuple(map(len, new))
-    if pn == po:
-        if not old[::-1] < new[::-1]:
-            raise AssertionError("same-shape repair did not move up in tableau order")
-    elif sum(pn) < sum(po):
-        return
-    elif not (sum(pn) == sum(po) and pn > po):
-        raise AssertionError("repair changed the shape without falling in measure")

@@ -30,6 +30,7 @@ from obidet.gl_straighten import (
     normalize_pair,
     one_switch_expand,
     single_term,
+    splice_block,
     two_column_straighten,
     verify_gl,
 )
@@ -231,9 +232,13 @@ def test_column_kernel_matches_two_column_straighten():
                     continue
                 for t in (s, rng.choice(tableaux)):
                     viol, head, drop = two_column_straighten(s, t)
-                    k_viol, k_head, k_drop = _two_column_terms(s.columns(), t.columns())
-                    assert (k_viol, as_terms(k_head), as_terms(k_drop)) == (
-                        viol, combination_terms(head), combination_terms(drop))
+                    k_viol, k_terms = _two_column_terms(s.columns(), t.columns())
+                    # one map: head and drop share no term
+                    assert (k_viol, as_terms(k_terms)) == (
+                        viol, combination_terms(head) | combination_terms(drop))
+                    assert len(k_terms) == len(head) + len(drop)
+                    assert all(x.left.shape == s.shape for x in head)
+                    assert not any(x.left.shape == s.shape for x in drop)
                     merged = [(x.coef, x.gamma_pow, x.left.columns(), x.right.columns())
                               for x in head + drop]
                     assert _two_column_rewrite(s.columns(), t.columns()) == merged
@@ -296,6 +301,47 @@ def test_mead_step_matches_reference_splice():
             continue
         assert mead_step(s, t, c) == reference_mead_step(s, t, c), (s, t)
         checked += 1
+
+
+def block_rewrite(*blocks):
+    """A two-column rewrite that returns these (left, right) blocks at unit coefficient."""
+    return lambda s_cols, t_cols: [(1, 0, left, right) for left, right in blocks]
+
+
+def test_splice_block_rejects_a_size_increase():
+    # the measure falls in size first: profile (2, 1) -> (2, 1, 1) grows the
+    # profile but also the size, so it is no descent
+    left = Tableau.parse("1b 2b; 1").columns()
+    grown = Tableau.parse("1b 2b 2; 1").columns()
+    with pytest.raises(AssertionError, match="without falling in measure"):
+        splice_block(left, left, 0, 1, block_rewrite((grown, grown)))
+    # a smaller size, or the same size with a larger profile, descends
+    for block in (Tableau.parse("1b; 1").columns(), Tableau.parse("1b; 1; 2b").columns()):
+        assert splice_block(left, left, 0, 1, block_rewrite((block, block))) == [
+            (1, 0, block, block)]
+
+
+def test_splice_block_rejects_a_same_shape_term_that_does_not_move_up():
+    left = Tableau.parse("1b 1; 2b").columns()
+    up = Tableau.parse("1b 2; 2b").columns()
+    down = Tableau.parse("1 1b; 2b").columns()
+    assert splice_block(left, left, 0, 1, block_rewrite((up, left))) == [(1, 0, up, left)]
+    for block in (left, down):
+        with pytest.raises(AssertionError, match="did not move up in tableau order"):
+            splice_block(left, left, 0, 1, block_rewrite((block, left)))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_output_check_sees_a_missed_row_violation(monkeypatch, swap):
+    # the output check scans each side afresh: with a row scan that misses
+    # every violation the rule rewrites nothing, and the non-standard input
+    # side comes back as a leaf
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    monkeypatch.setattr(gl_module, "row_violation_column", lambda cols: None)
+    s, t = GL_CASE.inputs()
+    assert not is_gl_standard(s, 6) and is_gl_standard(t, 6)
+    with pytest.raises(AssertionError, match="non-standard tableau in output"):
+        gl_straighten(*((t, s) if swap else (s, t)), 6)
 
 
 # ---------------------------------------------------------------------------

@@ -803,7 +803,7 @@ def deep_corpus_run():
                                 on_module._repair_terms)
     run = {"outputs": [], "splices": [], "rewrites": [], "repairs": []}
 
-    def recording_splice(left, right, i, j, rewrite, check):
+    def recording_splice(left, right, i, j, rewrite):
         blocks = []
 
         def recording_rewrite(s_cols, t_cols):
@@ -811,7 +811,7 @@ def deep_corpus_run():
             blocks.extend(terms)
             return terms
 
-        out = splice(left, right, i, j, recording_rewrite, check)
+        out = splice(left, right, i, j, recording_rewrite)
         run["splices"].append((left, right, i, j, blocks, out))
         return out
 
@@ -827,7 +827,6 @@ def deep_corpus_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gl_module, "splice_block", recording_splice)
-        mp.setattr(on_module, "splice_block", recording_splice)
         mp.setattr(gl_module, "_template_rewrite", recording_template)
         mp.setattr(on_module, "_repair_terms", recording_repair)
         for mode, n, s, t in deep_corpus_pairs():
@@ -837,6 +836,27 @@ def deep_corpus_run():
 
 def transposed(comb):
     return Combination(BidetTerm(x.coef, x.gamma_pow, x.right, x.left) for x in comb)
+
+
+def test_output_check_sees_a_missed_orthogonal_violation(monkeypatch):
+    # the output check scans each side afresh: with a plug-in scan that never
+    # reports OS1, some runs end in a leaf with a count violation, and those
+    # must raise instead of returning it
+    on_module = importlib.import_module("obidet.on_straighten")
+    scan = on_module.orthogonal_violations
+    monkeypatch.setattr(on_module, "orthogonal_violations",
+                        lambda cols, n: (v for v in scan(cols, n) if v.kind != "OS1"))
+    raised = 0
+    for mode, n, s, t in deep_corpus_pairs()[:120]:
+        try:
+            out = on_straighten(s, t, mode, n)
+        except AssertionError as exc:
+            assert str(exc) == "non-standard tableau in output"
+            raised += 1
+            continue
+        assert all(on_standard_report(side, n).standard
+                   for x in out for side in (x.left, x.right)), (mode, n, s, t)
+    assert raised
 
 
 def test_transposition_agrees_on_the_deep_corpus(deep_corpus_run):
