@@ -138,6 +138,10 @@ class Combination:
     def __iter__(self):
         return iter(self.terms())
 
+    def unsorted(self):
+        """The terms in merge order, for callers that need no order."""
+        return self._terms.values()
+
     def __len__(self):
         return len(self._terms)
 

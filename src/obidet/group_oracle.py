@@ -10,10 +10,11 @@ column (odd n) or swaps the 1b and 1 columns (even n), and a similitude
 point by c = a/b scales every column (odd n) or the barred ones (even n)
 by a, the others by b, and d by b.  Each point is built and checked as a
 GroupPoint once, checked as G^t J G = Gamma J and det(G)^2 = Gamma^n; its
-rational matrix is derived from G.
+rational matrix is built from G only for callers that read it.
 Functions are evaluated by one integer kernel: a function of degree m has
 the value d^-m times an integer combination of the minors of G (cached on
-the point) and powers of Gamma.  verify_on_group checks identities and
+the point; a small one expands from cached ones of one order less) and
+powers of Gamma.  verify_on_group checks identities and
 evaluation_rank takes ranks on these integers, each lifted by d^(r - m)
 to the largest degree r in play; the evaluation matrix is then the
 rational one with the column of each point scaled by the unit d^r.
@@ -28,9 +29,11 @@ The basis suite certifies independence one torus-weight block at a time:
 every standard element is a weight vector for the diagonal torus acting on
 both sides (and for the dilations in GO mode), and distinct characters are
 linearly independent over an infinite field, so the rank of the elements
-is the sum of the ranks of their weight blocks, each taken at a batch of
-(largest block + 6) points.  Over F_p this holds over the algebraic
-closure, so full block ranks prove more than one full-matrix rank could.
+is the sum of the ranks of their weight blocks.  A batch holds (largest
+block + 6) points and each block is ranked at its first len + 6 of them,
+then, if short there, at the whole batch.  Over F_p this holds over the
+algebraic closure, so full block ranks prove more than one full-matrix
+rank could.
 """
 
 from __future__ import annotations
@@ -71,6 +74,14 @@ def form_matrix(n: int) -> LetterMatrix:
     ))
 
 
+# GroupPoint.minor expands minors up to this order from cached ones of one
+# order less and runs Bareiss above it.  Cold, at n = 8 (CPython 3.11, no
+# gmpy2, one Xeon core), an order-3 minor takes 20 us by expansion against
+# 24 us by Bareiss, an order-4 one 47 us against 35 us; at n = 12 an
+# order-12 minor takes 36 ms (4,095 cached sub-minors) against 0.5 ms.
+_EXPANSION_ORDER = 3
+
+
 class GroupPoint:
     """An exact matrix g with g^t J g = gamma J; det^2 = gamma^n.
 
@@ -78,13 +89,13 @@ class GroupPoint:
     denominator d and Gamma = d^2 gamma (default d^2, a point of O(n)),
     an integer because G^t J G = Gamma J.  The gcd of d and the entries of
     G is divided out, so d is the lcm of the entry denominators of g.  The
-    form is checked as G^t J G = Gamma J and det(G)^2 = Gamma^n, and the
-    rational matrix g is derived from G.  The point caches the integer
-    minors of G it is asked for.
+    form is checked as G^t J G = Gamma J and det(G)^2 = Gamma^n.  The point
+    caches the integer minors of G it is asked for; the rational matrix g
+    is built from G only when it is first read.
     """
 
-    __slots__ = ("matrix", "n", "gamma_value", "det_value",
-                 "denominator", "integer_gamma", "_integer_rows", "_minors")
+    __slots__ = ("n", "gamma_value", "det_value", "denominator", "integer_gamma",
+                 "_integer_rows", "_index", "_minors", "_matrix")
 
     def __init__(self, integer_matrix: LetterMatrix, denominator: int = 1,
                  integer_gamma: int | None = None):
@@ -113,15 +124,15 @@ class GroupPoint:
         det = _bareiss(rows)[1]
         if det * det != gamma ** n:
             raise DomainError("determinant inconsistent with the similitude factor")
-        object.__setattr__(self, "matrix",
-                           LetterMatrix(n, ((rational(x, d) for x in row) for row in rows)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gamma_value", rational(gamma, d * d))
         object.__setattr__(self, "det_value", rational(det, d ** n))
         object.__setattr__(self, "denominator", d)
         object.__setattr__(self, "integer_gamma", gamma)
         object.__setattr__(self, "_integer_rows", rows)
+        object.__setattr__(self, "_index", integer_matrix._index)
         object.__setattr__(self, "_minors", {})
+        object.__setattr__(self, "_matrix", None)
 
     @classmethod
     def from_matrix(cls, matrix: LetterMatrix, gamma_value=1) -> "GroupPoint":
@@ -136,17 +147,45 @@ class GroupPoint:
     def __setattr__(self, name, value):
         raise AttributeError("GroupPoint is immutable")
 
+    @property
+    def matrix(self) -> LetterMatrix:
+        """The rational matrix g = G / d."""
+        if self._matrix is None:
+            d = self.denominator
+            object.__setattr__(self, "_matrix", LetterMatrix(
+                self.n, ((rational(x, d) for x in row) for row in self._integer_rows)))
+        return self._matrix
+
     def entry(self, i: Letter, j: Letter):
         return self.matrix.entry(i, j)
 
     def minor(self, rows: tuple, cols: tuple) -> int:
-        """The minor of G on these row and column letters: d^k times that of g."""
+        """The minor of G on these row and column letters: d^k times that of g.
+
+        Letters may come unsorted or repeated; the minor is the determinant
+        of the submatrix in the order given.  Up to _EXPANSION_ORDER it is
+        the Laplace expansion along the first row through the cached minors
+        of one order less; above it, one Bareiss elimination.
+        """
         key = (rows, cols)
         value = self._minors.get(key)
         if value is None:
-            index, g = self.matrix._index, self._integer_rows
-            value = self._minors[key] = _bareiss(
-                [[g[index[r]][index[c]] for c in cols] for r in rows])[1]
+            index, g = self._index, self._integer_rows
+            k = len(rows)
+            if k > _EXPANSION_ORDER:
+                value = _bareiss([[g[index[r]][index[c]] for c in cols] for r in rows])[1]
+            elif k == 1:
+                value = g[index[rows[0]]][index[cols[0]]]
+            elif not k:
+                value = 1
+            else:
+                top, rest, value = g[index[rows[0]]], rows[1:], 0
+                for i, c in enumerate(cols):
+                    x = top[index[c]]
+                    if x:
+                        x *= self.minor(rest, cols[:i] + cols[i + 1:])
+                        value += -x if i % 2 else x
+            self._minors[key] = value
         return value
 
     def minor_product(self, left_cols, right_cols) -> int:
@@ -238,7 +277,7 @@ def random_go_point(n: int, seed: int, c, spread: int = 2) -> GroupPoint:
     # scale every column for odd n; for even n, g times the dilation of the
     # barred letters: c = a/b scales those columns of G by a, the rest by b
     a, b = int(c.numerator), int(c.denominator)
-    scaled = [n % 2 or x.barred for x in g.matrix.letters]
+    scaled = [n % 2 or x.barred for x in _letters(n)]
     rows = ((a * x if s else b * x for x, s in zip(r, scaled)) for r in g._integer_rows)
     gamma = g.integer_gamma * (a * a if n % 2 else a * b)
     return GroupPoint(LetterMatrix(n, rows), g.denominator * b, gamma)
@@ -449,9 +488,12 @@ def _weight_blocks(elements, n: int, mode: str) -> list[list[BidetTerm]]:
     [S:T](X), and in GO mode the dilation c I scales gamma^k [S:T] by
     c^(2k + |shape|); so each block is one weight space of the torus.
     """
-    weights = {}
+    weight_of, weights = {}, {}
     for e in elements:
-        key = (torus_weight(e.left, n), torus_weight(e.right, n))
+        for t in (e.left, e.right):
+            if t not in weight_of:
+                weight_of[t] = torus_weight(t, n)
+        key = (weight_of[e.left], weight_of[e.right])
         weights.setdefault(key + (e.degree(),) if mode == GO else key, []).append(e)
     return list(weights.values())
 
@@ -496,8 +538,9 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     dilations in GO mode.  Distinct characters are linearly independent over
     an infinite field, so the elements are independent exactly when each
     block is, and the rank is the sum of the block ranks.  Each batch draws
-    num_points points (default: the largest block plus 6) and ranks every
-    block at them; a retry redraws and re-ranks only the short blocks.  A
+    num_points points (default: the largest block plus 6) and ranks each
+    block at the first len + 6 of them, and a block short there at the
+    whole batch; a retry redraws and re-ranks only the short blocks.  A
     short batch names its short blocks and the largest of them.
 
     Over F_p a short rank leaves the batch undecided rather than failed: the
@@ -526,7 +569,13 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
         # could only redraw the same residues, and a second batch too
         whole = (domain.is_prime_field
                  and len(points) == _orthogonal_group_order(n, domain.p))
-        block_ranks = [evaluation_rank(b, points, domain) for b in weight_blocks]
+        # each block at its own first len + 6 points; a block short there is
+        # re-ranked at the whole batch, so it is short exactly when the batch
+        # cannot certify it
+        block_ranks = [evaluation_rank(b, points[:len(b) + 6], domain) for b in weight_blocks]
+        for i, b in enumerate(weight_blocks):
+            if block_ranks[i] < len(b) and len(points) > len(b) + 6:
+                block_ranks[i] = evaluation_rank(b, points, domain)
         short = [i for i, b in enumerate(weight_blocks) if block_ranks[i] < len(b)]
         retries, asked = 0, want_points
         # a batch short of the points it asked for found no new residues, so

@@ -110,7 +110,7 @@ def _at_mode(comb: Combination, mode: str) -> Combination:
     """
     if mode == GO:
         return comb
-    return Combination(BidetTerm(x.coef, 0, x.left, x.right) for x in comb)
+    return Combination(BidetTerm(x.coef, 0, x.left, x.right) for x in comb.unsorted())
 
 
 def _selection_sign(total: int, front: list[int]) -> int:
@@ -412,13 +412,13 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     rule = Rule(lambda cols: next(orthogonal_violations(cols, n), None),
                 lambda v, s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n))
     out = run_straightening(s, t, rule, fuel, trace)
-    for term in out:
+    for term in out.unsorted():
         if 2 * term.gamma_pow + term.left.size != s.size:
             raise AssertionError("gamma grading violated")
     out = _at_mode(out, mode).reduce(domain)
     # every rewrite is an identity of weight vectors of the diagonal torus
     weight = (sparse_torus_weight(s.columns()), sparse_torus_weight(t.columns()))
-    for term in out:
+    for term in out.unsorted():
         left, right = term.left.columns(), term.right.columns()
         # a fresh scan, not the rule's verdicts, which made each leaf a leaf
         if next(column_violations(left, n), None) or next(column_violations(right, n), None):

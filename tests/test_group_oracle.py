@@ -588,6 +588,52 @@ def test_kernel_values_are_plain_ints_whatever_the_elimination_type(monkeypatch)
         assert all(type(e.scaled_value(p, 2)) is int for e in elements)
 
 
+def _bareiss_minor(p, rows, cols):
+    """The minor of G by one elimination on the submatrix, letters as given."""
+    index = {x: i for i, x in enumerate(_letters(p.n))}
+    g = p._integer_rows
+    return polyring._bareiss([[g[index[r]][index[c]] for c in cols] for r in rows])[1]
+
+
+def test_expanded_minors_match_bareiss():
+    rng = random.Random(20)
+    for n in range(3, 8):
+        letters = _letters(n)
+        for p in standard_points(n, 2, seed=n) + [random_go_point(n, n, rational(5, 3))]:
+            for k in range(7):
+                for _ in range(4):
+                    # unsorted letters; where k > n they must repeat
+                    rows, cols = (tuple(rng.sample(letters, k) if k <= n
+                                        else rng.choices(letters, k=k)) for _ in "rc")
+                    assert p.minor(rows, cols) == _bareiss_minor(p, rows, cols)
+                if 2 <= k <= n:
+                    rows, cols = tuple(rng.sample(letters, k)), tuple(rng.sample(letters, k))
+                    twice = rows[:1] + rows[:-1]   # first letter repeated
+                    assert p.minor(twice, cols) == p.minor(cols, twice) == 0
+
+
+def test_minor_eliminates_only_above_the_expansion_order(monkeypatch):
+    p = random_on_point(8, 3)
+    letters = tuple(_letters(8))
+    eliminations = []
+    bareiss = group_oracle._bareiss
+
+    def counted(rows):
+        eliminations.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(group_oracle, "_bareiss", counted)
+    for k in range(group_oracle._EXPANSION_ORDER + 2):
+        p.minor(letters[:k], letters[8 - k:])
+    assert eliminations == [group_oracle._EXPANSION_ORDER + 1]
+    # a tall minor is one elimination and one cache entry, not its sub-minors
+    q = random_on_point(12, 5)
+    letters = tuple(_letters(12))
+    cached = len(q._minors)
+    assert q.minor(letters, letters) == q.det_value * q.denominator ** 12
+    assert len(q._minors) == cached + 1
+
+
 def test_prime_field_rank_refuses_a_point_without_residues():
     p = random_so_point(4, 9)   # entry denominators 1 and 3
     assert p.denominator == 3
@@ -729,3 +775,58 @@ def test_basis_suite_fails_on_a_duplicated_element(monkeypatch):
     assert not report.passed and not report.undecided
     assert report.text().endswith("FAIL")
     assert any(line.startswith("short blocks=") for line in report.lines)
+
+
+def _recording_suite_points(monkeypatch):
+    """Patch _suite_points to record each batch it returns; returns the record."""
+    batches = []
+    suite_points = group_oracle._suite_points
+
+    def recording(*args, **kwargs):
+        batches.append(suite_points(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(group_oracle, "_suite_points", recording)
+    return batches
+
+
+def test_a_block_short_at_its_prefix_is_reranked_at_the_whole_batch(monkeypatch):
+    batches = _recording_suite_points(monkeypatch)
+    text = basis_suite(3, 2, ON, seed=1).text()
+    draws, width = len(batches), len(batches[0])
+    batches.clear()
+    target, wide = [], []
+    evaluation = group_oracle.evaluation_rank
+
+    def short_at_prefix(functions, points, domain):
+        # the first block of two reads short at its prefix only, as if the
+        # first points happened to miss it
+        if not target and len(functions) == 2:
+            target.append(functions)
+        is_target = bool(target) and functions is target[0]
+        rank = evaluation(functions, points, domain)
+        if len(points) != len(functions) + 6:
+            wide.append((is_target, len(points)))
+        elif is_target:
+            return rank - 1
+        return rank
+
+    monkeypatch.setattr(group_oracle, "evaluation_rank", short_at_prefix)
+    assert width == 9
+    assert basis_suite(3, 2, ON, seed=1).text() == text
+    assert len(batches) == draws
+    # every other block is ranked at its prefix alone, in both batches
+    assert wide == [(True, width)] * 2
+
+
+def test_basis_suite_builds_no_rational_matrix(monkeypatch):
+    batches = _recording_suite_points(monkeypatch)
+    assert basis_suite(3, 2).passed
+    assert batches and all(p._matrix is None for points in batches for p in points)
+
+
+def test_basis_suite_o4_degree_four():
+    report = basis_suite(4, 4, cap=5000)
+    assert report.passed
+    assert [line for line in report.lines if line.startswith("independence")] == [
+        "independence rank=2369 expected=2369"] * 2
