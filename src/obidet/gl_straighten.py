@@ -18,7 +18,10 @@ sorting and checks each term against the one well-founded measure
 per column tuple, and its two-column templates: the rewrite
 (_two_column_terms, one term map) is computed once per order pattern of
 its letters and relabelled for every other block with that pattern
-(_template_rewrite).  term_order is the one order of terms.
+(_template_rewrite).  term_order is the one order of terms.  A term is
+(coef, left columns, right columns): its gamma power is not carried but
+read off its size drop where column tuples become BidetTerms
+(_bidet_terms), and the measure rejects an odd drop.
 two_column_straighten, mead_step, one_switch_expand and normalize_pair
 are thin adapters that take and give tableaux.  verify_gl checks a GL
 identity in the polynomial ring itself.
@@ -380,15 +383,14 @@ def _two_column_terms(s_cols, t_cols):
     return viol, terms
 
 
-def _bidet_terms(terms) -> list[BidetTerm]:
-    """Column-tuple terms (coef, gamma_pow, left, right) as BidetTerms."""
-    return [BidetTerm(coef, gamma_pow, Tableau.from_columns(left), Tableau.from_columns(right))
-            for coef, gamma_pow, left, right in terms]
+def _bidet_terms(terms, size: int) -> list[BidetTerm]:
+    """Terms (coef, left, right) of a pair of this size as BidetTerms: 2k boxes less is gamma^k."""
+    return [BidetTerm(coef, (size - sum(map(len, left))) // 2, Tableau.from_columns(left),
+                      Tableau.from_columns(right)) for coef, left, right in terms]
 
 
-def _combination(terms: dict) -> Combination:
-    return Combination(_bidet_terms((coef, 0, left, right)
-                                    for (left, right), coef in terms.items()))
+def _combination(terms: dict, size: int) -> Combination:
+    return Combination(_bidet_terms(((c, *key) for key, c in terms.items()), size))
 
 
 def two_column_straighten(s: Tableau, t: Tableau):
@@ -403,7 +405,7 @@ def two_column_straighten(s: Tableau, t: Tableau):
     viol, terms = _two_column_terms(s.columns(), t.columns())
     head = {key: coef for key, coef in terms.items() if tuple(map(len, key[0])) == lengths}
     drop = {key: coef for key, coef in terms.items() if key not in head}
-    return viol, _combination(head), _combination(drop)
+    return viol, _combination(head, s.size), _combination(drop, s.size)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +416,8 @@ def splice_block(left_cols, right_cols, i: int, j: int, rewrite) -> list:
     """Rewrite columns i < j of the normalized column pair [left : right] as a two-column pair.
 
     rewrite(s_cols, t_cols) gives the terms of the two-column pair as
-    (coef, gamma_pow, left columns, right columns), and so does this; each
-    spliced term must descend the measure (_check_measure).  Every block a
+    (coef, left columns, right columns), and so does this; each spliced
+    term must descend the measure (_check_measure).  Every block a
     rewrite returns is normalized: its columns are strictly increasing,
     their lengths do not increase, and none is empty.  So is the
     rest of the pair, and splicing needs no sorting of letters and no sign.
@@ -430,7 +432,7 @@ def splice_block(left_cols, right_cols, i: int, j: int, rewrite) -> list:
     rest_left = left_cols[:i] + left_cols[i + 1:j] + left_cols[j + 1:]
     rest_right = right_cols[:i] + right_cols[i + 1:j] + right_cols[j + 1:]
     out = []
-    for coef, gamma_pow, block_left, block_right in rewrite(
+    for coef, block_left, block_right in rewrite(
             (left_cols[i], left_cols[j]), (right_cols[i], right_cols[j])):
         if tuple(map(len, block_left)) == lengths:
             new_left = (*left_cols[:i], block_left[0], *left_cols[i + 1:j], block_left[1],
@@ -443,7 +445,7 @@ def splice_block(left_cols, right_cols, i: int, j: int, rewrite) -> list:
                            key=lambda p: -len(p[0]))
             new_left, new_right = zip(*pairs) if pairs else ((), ())
         _check_measure(left_cols, new_left)
-        out.append((coef, gamma_pow, new_left, new_right))
+        out.append((coef, new_left, new_right))
     return out
 
 
@@ -453,14 +455,15 @@ def _check_measure(old, new):
     The measure is size (down), then column profile (up), then tableau
     order (up).  old and new are normalized column tuples: their column
     lengths are the sorted profile, and the reversed tuple is the tableau
-    order key.
+    order key.  A size falls by an even number: two entries per gamma.
     """
     po, pn = tuple(map(len, old)), tuple(map(len, new))
     if pn == po:
         if not old[::-1] < new[::-1]:
             raise AssertionError("same-shape rewrite did not move up in tableau order")
     elif sum(pn) < sum(po):
-        return
+        if (sum(po) - sum(pn)) % 2:
+            raise AssertionError("rewrite dropped the size by an odd number")
     elif not (sum(pn) == sum(po) and pn > po):
         raise AssertionError("rewrite changed the shape without falling in measure")
 
@@ -473,7 +476,7 @@ def _two_column_rewrite(s_cols, t_cols):
     splice_block requires: it comes from normal_columns.
     """
     _, terms = _two_column_terms(s_cols, t_cols)
-    return [(coef, 0, left, right) for (left, right), coef in sorted(
+    return [(coef, left, right) for (left, right), coef in sorted(
         terms.items(), key=lambda item: term_order(*item[0]))]
 
 
@@ -496,15 +499,15 @@ def _template_rewrite(s_cols, t_cols, templates: dict):
     template = templates.get(key)
     if template is None:
         template = templates[key] = _two_column_rewrite(*key)
-    return [(coef, 0, tuple(tuple(map(lefts.__getitem__, c)) for c in left),
+    return [(coef, tuple(tuple(map(lefts.__getitem__, c)) for c in left),
              tuple(tuple(map(rights.__getitem__, c)) for c in right))
-            for coef, _, left, right in template]
+            for coef, left, right in template]
 
 
 def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:
     """Apply the two-column rewrite to columns (c, c+1) and reassemble."""
     return _bidet_terms(splice_block(left.columns(), right.columns(), c, c + 1,
-                                     _two_column_rewrite))
+                                     _two_column_rewrite), left.size)
 
 
 class Rule:
@@ -547,8 +550,8 @@ class Rule:
             vr = self.verdict(right)
             if vr is not None and (vr.kind == "GL" or vl is None):
                 kind, witness, terms = self._rewrite(vr, right, left)
-                return kind, witness, [(coef, gamma_pow, new_left, new_right)
-                                       for coef, gamma_pow, new_right, new_left in terms]
+                return kind, witness, [(coef, new_left, new_right)
+                                       for coef, new_right, new_left in terms]
         return vl and self._rewrite(vl, left, right)
 
     def _rewrite(self, v, left, right):
@@ -567,10 +570,11 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
 
     The pairs are the column tuples of normalized pairs.  rule(left, right)
     is None for a standard pair, else (kind, witness, terms): one rewrite
-    at unit coefficient, with terms (coef, gamma step, left columns, right
-    columns).  Each distinct pair is expanded once, depth first; the
-    coefficients, one per gamma power, then flow to the standard leaves in
-    reverse postorder, and only the leaves become tableaux.  The rules'
+    at unit coefficient, with terms (coef, left columns, right columns).
+    Each distinct pair is expanded once, depth first; the coefficients,
+    one per pair, then flow to the standard leaves in reverse postorder,
+    and only the leaves become tableaux, with the gamma power of their
+    size drop from the root (_bidet_terms).  The rules'
     coefficients are integers and dyadic rationals, so the result is exact
     over Z[1/2].  fuel bounds the number of distinct pairs; trace, when
     given, gets (kind, witness, term count) for each pair expanded.
@@ -579,7 +583,7 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
     if sign == 0:
         return Combination()
     root = (left, right)
-    edges: dict = {}          # pair -> [(coef, dgamma, child)], None when standard
+    edges: dict = {}          # pair -> [(coef, child)], None when standard
     postorder: list = []
     open_pairs: set = set()   # expanded but not finished: the current path
     stack = [(root, False)]
@@ -599,27 +603,23 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
         if step is not None and trace is not None:
             trace.append((step[0], step[1], len(step[2])))
         edges[pair] = None if step is None else [
-            (coef, dgamma, (new_left, new_right)) for coef, dgamma, new_left, new_right in step[2]]
+            (coef, (new_left, new_right)) for coef, new_left, new_right in step[2]]
         open_pairs.add(pair)
         stack.append((pair, True))
-        stack.extend((child, False) for _, _, child in edges[pair] or ())
+        stack.extend((child, False) for _, child in edges[pair] or ())
 
-    weights = {root: {0: sign}}
-    done: list[BidetTerm] = []
+    weights = {root: sign}
+    leaves = []
     for pair in reversed(postorder):
-        weight = {g: c for g, c in weights.pop(pair, {}).items() if c}
+        weight = weights.pop(pair, 0)
         if not weight:
             continue
         if edges[pair] is None:
-            left, right = (Tableau.from_columns(cols) for cols in pair)
-            done.extend(BidetTerm(c, g, left, right) for g, c in weight.items())
+            leaves.append((weight, *pair))
             continue
-        for coef, dgamma, child in edges[pair]:
-            target = weights.setdefault(child, {})
-            for g, c in weight.items():
-                k = g + dgamma
-                target[k] = target[k] + c * coef if k in target else c * coef
-    return Combination(done)
+        for coef, child in edges[pair]:
+            weights[child] = weights.get(child, 0) + weight * coef
+    return Combination(_bidet_terms(leaves, s.size))
 
 
 def _check_input(s: Tableau, t: Tableau, n: int):
@@ -709,7 +709,7 @@ def one_switch_expand(s: Tableau, t: Tableau, row: int) -> Combination:
     given 1-based row.  The result is the same-shape tail (all terms above
     S* in the tableau order) plus the column-rebalanced remainder.
     """
-    return _combination(_switch_terms(s.columns(), t.columns(), row))
+    return _combination(_switch_terms(s.columns(), t.columns(), row), s.size)
 
 
 def _switch_terms(s_cols, t_cols, row: int) -> dict:

@@ -89,7 +89,8 @@ class GroupPoint:
     denominator d and Gamma = d^2 gamma (default d^2, a point of O(n)),
     an integer because G^t J G = Gamma J.  The gcd of d and the entries of
     G is divided out, so d is the lcm of the entry denominators of g.  The
-    form is checked as G^t J G = Gamma J and det(G)^2 = Gamma^n.  The point
+    form is checked as G^t J G = Gamma J with Gamma != 0: a similitude is
+    invertible, and det(G)^2 = Gamma^n follows from the form.  The point
     caches the integer minors of G it is asked for; the rational matrix g
     is built from G only when it is first read.
     """
@@ -121,9 +122,9 @@ class GroupPoint:
         if any(sum(map(operator.mul, ca, cb)) != (gamma if b == bar[a] else 0)
                for a, ca in enumerate(cols) for b, cb in enumerate(jg_cols)):
             raise DomainError("matrix does not satisfy the similitude relation")
+        if not gamma:
+            raise DomainError("a similitude factor of 0 is no similitude: the matrix is singular")
         det = _bareiss(rows)[1]
-        if det * det != gamma ** n:
-            raise DomainError("determinant inconsistent with the similitude factor")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gamma_value", rational(gamma, d * d))
         object.__setattr__(self, "det_value", rational(det, d ** n))

@@ -19,10 +19,11 @@ fix_os1/2/3, reduce_tall_shape and relation_rhs are its adapters on
 tableaux.
 
 The rules work on the similitude group GO(n): each degree-d collapse
-carries a factor gamma^d and the column reduction trades det^2 for gamma^n,
-so every rewrite keeps 2 * gamma_pow + |shape| fixed.  O(n) is the subgroup
-where gamma = 1, so ON mode is GO mode with every gamma power set to 0 at
-the end; by the grading, no two terms merge when it is.
+deletes d pairs for gamma^d and the column reduction trades det^2 for
+gamma^n, so 2 * gamma_pow + |shape| is the input's size, and the terms
+carry no gamma power: it is read off the size drop (_bidet_terms).  O(n)
+is the subgroup where gamma = 1, so ON mode is GO mode with every gamma
+power set to 0 at the end; by the grading, no two terms merge when it is.
 """
 
 from __future__ import annotations
@@ -132,14 +133,14 @@ def _pair_sign(c1, c2, pairs) -> int:
 def relation_rhs(spec: RelationSpec) -> Combination:
     """The collapsed form of the relation sum: gamma^d times the terms with d pairs deleted."""
     return Combination(_bidet_terms(_collapsed_terms(
-        spec.s0_col1, spec.s0_col2, spec.t.columns(), spec.a, spec.excluded)))
+        spec.s0_col1, spec.s0_col2, spec.t.columns(), spec.a, spec.excluded), spec.t.size))
 
 
 def _collapsed_terms(s0_col1, s0_col2, t_cols, a: int, excluded):
-    """relation_rhs on column tuples: (coef, d, left, right) normalized, unmerged.
+    """relation_rhs on column tuples: (coef, left, right) normalized, unmerged.
 
     t_cols are the two columns of the right tableau; a term with d pairs
-    deleted carries gamma^d.
+    deleted is 2d smaller than the sum, which gives it gamma^d.
     """
     t1, t2 = t_cols
     pairs = sorted(x for x in t1 if x.bar() in t2)
@@ -156,7 +157,7 @@ def _collapsed_terms(s0_col1, s0_col2, t_cols, a: int, excluded):
                 sorting, left, right = normal_columns(
                     _stacked_columns(stack, s0_col1, s0_col2), right_cols)
                 if sorting:
-                    yield sign * sorting, d, left, right
+                    yield sign * sorting, left, right
 
 
 def relation_lhs_terms(spec: RelationSpec):
@@ -239,7 +240,7 @@ def reduce_tall_shape(s: Tableau, t: Tableau, mode: str, n: int) -> BidetTerm:
     conj = conjugate(s.shape)
     if conj[0] + conj[1] <= n:
         raise DomainError("column condition already holds")
-    (term,) = _bidet_terms(_repair_terms("COLSUM", 0, s.columns(), t.columns(), n))
+    (term,) = _bidet_terms(_repair_terms("COLSUM", 0, s.columns(), t.columns(), n), s.size)
     return term if mode == GO else BidetTerm(term.coef, 0, term.left, term.right)
 
 
@@ -278,8 +279,8 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
 
     S and T are given by their (two) column tuples, and S has the violation
     of this kind at index j, as found by the caller; nothing is rescanned.
-    The terms come as (coef, gamma_pow, left columns, right columns), merged,
-    with coefficients in Z[1/2] and in term_order.  Every block is
+    The terms come as (coef, left columns, right columns), merged, with
+    coefficients in Z[1/2] and in term_order.  Every block is
     normalized, as splice_block requires: strictly increasing columns,
     lengths that do not increase, and no empty column.
 
@@ -292,7 +293,7 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
     if kind == "COLSUM":
         e1, s1_bar, t1_bar = one_column_complement(s1, t1, n)
         e2, s2_bar, t2_bar = one_column_complement(s2, t2, n)
-        return [(e1 * e2, len(s1) + len(s2) - n, tuple(filter(None, (s2_bar, s1_bar))),
+        return [(e1 * e2, tuple(filter(None, (s2_bar, s1_bar))),
                  tuple(filter(None, (t2_bar, t1_bar))))]
 
     dropped = {"OS1": None, "OS2": Letter(j).bar(), "OS3": Letter(j)}[kind]
@@ -308,11 +309,11 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
             continue
         sorting, left, right = normal_columns(_stacked_columns(stack, s0_col1, s0_col2), t_cols)
         if sorting:
-            _add_term(terms, (left, right, 0), -sign * sorting)
+            _add_term(terms, (left, right), -sign * sorting)
     if not identity_seen:
         raise AssertionError("replacement sum lost the identity term")
-    for coef, d, left, right in _collapsed_terms(s0_col1, s0_col2, t_cols, len(pairs), excluded):
-        _add_term(terms, (left, right, d), sign * coef)
+    for coef, left, right in _collapsed_terms(s0_col1, s0_col2, t_cols, len(pairs), excluded):
+        _add_term(terms, (left, right), sign * coef)
 
     if kind == "OS3":
         # the switched tableau: the row of (bar j, j) with the pair reversed
@@ -322,22 +323,21 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
             raise AssertionError("pair row lost")
         star = (s1[:row] + (top,) + s1[row + 1:], s2[:row] + (bar,) + s2[row + 1:])
         switch = _switch_terms(s_cols, t_cols, row + 1)
-        # every collapsed term carries gamma, so the gamma-free terms are -lam
-        if terms.get((star, t_cols, 0)) != -1:
+        # every collapsed term is smaller than S, so the terms of S's size are -lam
+        if terms.get((star, t_cols)) != -1:
             raise AssertionError("replacement sum lost the switched term")
         # [S:T] + [S*:T] + s3 = sign * rhs  and  [S*:T] - [S:T] = switch
         # combine to 2 [S:T] = sign * rhs - s3 - switch, with s3 = lam - [S*:T]
-        _add_term(terms, (star, t_cols, 0), 1)
-        for (left, right), coef in switch.items():
-            _add_term(terms, (left, right, 0), -coef)
+        _add_term(terms, (star, t_cols), 1)
+        for key, coef in switch.items():
+            _add_term(terms, key, -coef)
         terms = {key: rational(coef, 2) for key, coef in terms.items()}
 
     for coef in terms.values():
         if not ZHALF.validate(coef):
             raise AssertionError(f"coefficient {coef} left the domain")
-    return [(coef, gamma_pow, left, right)
-            for (left, right, gamma_pow), coef in sorted(
-                terms.items(), key=lambda item: term_order(*item[0]))]
+    return [(coef, left, right) for (left, right), coef in sorted(
+        terms.items(), key=lambda item: term_order(*item[0]))]
 
 
 def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
@@ -350,8 +350,8 @@ def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
         raise DomainError(f"no {what} violation at index {j}")
     if s.shape != t.shape or len(s.columns()) != 2:
         raise DomainError("two-column tableaux of one shape required")
-    return Combination(_bidet_terms(_repair_terms(kind, j, s.columns(), t.columns(), n))
-                       ).reduce(domain)
+    return Combination(_bidet_terms(_repair_terms(kind, j, s.columns(), t.columns(), n),
+                                    s.size)).reduce(domain)
 
 
 def fix_os1(s: Tableau, t: Tableau, j: int, mode: str = ON,
@@ -411,11 +411,7 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     # from a scan that builds nothing of size n, and its repair over Z[1/2]
     rule = Rule(lambda cols: next(orthogonal_violations(cols, n), None),
                 lambda v, s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n))
-    out = run_straightening(s, t, rule, fuel, trace)
-    for term in out.unsorted():
-        if 2 * term.gamma_pow + term.left.size != s.size:
-            raise AssertionError("gamma grading violated")
-    out = _at_mode(out, mode).reduce(domain)
+    out = _at_mode(run_straightening(s, t, rule, fuel, trace), mode).reduce(domain)
     # every rewrite is an identity of weight vectors of the diagonal torus
     weight = (sparse_torus_weight(s.columns()), sparse_torus_weight(t.columns()))
     for term in out.unsorted():

@@ -98,19 +98,38 @@ class CoeffDomain:
             return cls("q")
         if text == "zhalf":
             return cls("zhalf")
-        if text.startswith("f") and text[1:].isdigit():
+        if text.startswith("f") and text[1:].isdecimal():
+            if len(text[1:].lstrip("0")) > 20:   # 2^64 has 20 digits
+                raise DomainError("a prime field modulus must be below 2^64")
             return cls("fp", int(text[1:]))
         raise DomainError(f"bad coefficient domain {text!r}")
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
+    """Deterministic Miller-Rabin with the prime bases up to 37; p >= 2^64 is refused.
+
+    These bases are exact below 3.18 * 10^23, so no composite below 2^64 passes.
+    """
+    if p >= 1 << 64:
+        raise DomainError("a prime field modulus must be below 2^64")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or p in bases:
+        return p in bases
+    if any(p % b == 0 for b in bases):
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -226,7 +226,7 @@ def partitions_of(r: int, max_rows: int | None = None):
 class Tableau:
     """An immutable filled Young diagram, stored as its columns (left justified)."""
 
-    __slots__ = ("_cols", "shape", "_hash")
+    __slots__ = ("_cols", "shape", "size", "_hash")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -249,16 +249,13 @@ class Tableau:
                     raise DomainError(f"tableau entries must be letters, got {x!r}")
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "size", sum(shape))
         object.__setattr__(self, "_hash", hash(cols))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
 
     # -- structure --------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return sum(self.shape)
 
     @property
     def num_cols(self) -> int:

@@ -426,6 +426,19 @@ def test_verify_rejects_negative_degree(capsys):
         assert "error:" in err and not out
 
 
+def test_modulus_of_2_to_the_64_or_more_exits_2_at_once(capsys):
+    for command in (["straighten", "--n", "4", "--left", "1 2", "--right", "1 2"],
+                    ["verify", "--n", "3", "--degree", "1"]):
+        for p in (2 ** 64 + 13, 2 ** 127 - 1):
+            start = time.perf_counter()
+            code, out, err = run_cli(command + ["--coeff", f"f{p}"], capsys)
+            assert code == 2 and not out and "below 2^64" in err
+            assert time.perf_counter() - start < 1
+    code, out, _ = run_cli(["straighten", "--n", "4", "--left", "1 2", "--right", "1 2",
+                            "--coeff", f"f{2 ** 61 - 1}"], capsys)
+    assert code == 0 and out
+
+
 def test_verify_cap_exit(capsys):
     code, out, _ = run_cli([
         "verify", "--n", "4", "--degree", "2", "--mode", "on", "--cap", "5",

@@ -239,7 +239,7 @@ def test_column_kernel_matches_two_column_straighten():
                     assert len(k_terms) == len(head) + len(drop)
                     assert all(x.left.shape == s.shape for x in head)
                     assert not any(x.left.shape == s.shape for x in drop)
-                    merged = [(x.coef, x.gamma_pow, x.left.columns(), x.right.columns())
+                    merged = [(x.coef, x.left.columns(), x.right.columns())
                               for x in head + drop]
                     assert _two_column_rewrite(s.columns(), t.columns()) == merged
                     cases += 1
@@ -305,7 +305,7 @@ def test_mead_step_matches_reference_splice():
 
 def block_rewrite(*blocks):
     """A two-column rewrite that returns these (left, right) blocks at unit coefficient."""
-    return lambda s_cols, t_cols: [(1, 0, left, right) for left, right in blocks]
+    return lambda s_cols, t_cols: [(1, left, right) for left, right in blocks]
 
 
 def test_splice_block_rejects_a_size_increase():
@@ -315,17 +315,27 @@ def test_splice_block_rejects_a_size_increase():
     grown = Tableau.parse("1b 2b 2; 1").columns()
     with pytest.raises(AssertionError, match="without falling in measure"):
         splice_block(left, left, 0, 1, block_rewrite((grown, grown)))
-    # a smaller size, or the same size with a larger profile, descends
-    for block in (Tableau.parse("1b; 1").columns(), Tableau.parse("1b; 1; 2b").columns()):
+    # a size smaller by an even number, or the same size with a larger
+    # profile, descends
+    for block in (Tableau.parse("1b").columns(), Tableau.parse("1b; 1; 2b").columns()):
         assert splice_block(left, left, 0, 1, block_rewrite((block, block))) == [
-            (1, 0, block, block)]
+            (1, block, block)]
+
+
+def test_splice_block_rejects_an_odd_size_drop():
+    # gamma is quadratic in the entries: a term whose size drops by an odd
+    # number has no gamma power, so it is no rewrite of GO(n)
+    left = Tableau.parse("1b 2b; 1").columns()
+    for block in (Tableau.parse("1b; 1").columns(), Tableau.parse("-").columns()):
+        with pytest.raises(AssertionError, match="odd number"):
+            splice_block(left, left, 0, 1, block_rewrite((block, block)))
 
 
 def test_splice_block_rejects_a_same_shape_term_that_does_not_move_up():
     left = Tableau.parse("1b 1; 2b").columns()
     up = Tableau.parse("1b 2; 2b").columns()
     down = Tableau.parse("1 1b; 2b").columns()
-    assert splice_block(left, left, 0, 1, block_rewrite((up, left))) == [(1, 0, up, left)]
+    assert splice_block(left, left, 0, 1, block_rewrite((up, left))) == [(1, up, left)]
     for block in (left, down):
         with pytest.raises(AssertionError, match="did not move up in tableau order"):
             splice_block(left, left, 0, 1, block_rewrite((block, left)))

@@ -82,6 +82,15 @@ def test_group_point_constructor_rejects_bad_matrix():
         GroupPoint(LetterMatrix.diagonal(4, [2, 2, 2, 2]), 2, 3)
 
 
+def test_group_point_rejects_a_singular_matrix():
+    # columns spanning an isotropic subspace satisfy G^t J G = 0 J, so the
+    # form alone admits them; a similitude is invertible, so Gamma != 0
+    with pytest.raises(DomainError, match="singular"):
+        GroupPoint(LetterMatrix(3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]), 1, 0)
+    with pytest.raises(DomainError, match="singular"):
+        GroupPoint.from_matrix(LetterMatrix(3, [[0] * 3] * 3), 0)
+
+
 def test_so_points_many_seeds():
     for n in (3, 4, 5, 6):
         for seed in range(25):

@@ -209,6 +209,52 @@ def test_relation_gamma_weights_on_similitudes():
     assert verify_relation(spec, pts)
 
 
+def grading_failures():
+    """The point-free grading checks that fail, out of 550, for n = 3..7 in ON and GO mode.
+
+    On GO(n), g^t J g = gamma J and g J g^t = gamma J give, for every
+    letter pair (a, b), sum_i [i bar(i) : a b] = J_ab gamma and
+    sum_j [a b : j bar(j)] = J_ab gamma, and det^2 = gamma^n; O(n) sets
+    gamma = 1.  Each side straightens to exactly that constant.
+    """
+    empty = Tableau(())
+    failures = checks = 0
+    for n, mode in itertools.product(range(3, 8), (ON, GO)):
+        letters = _letters(n)
+
+        def constant(coef, gamma_pow):
+            return single_term(empty, empty, coef, gamma_pow if mode == GO else 0)
+
+        def straightened_sum(pairs):
+            return sum((on_straighten(Tableau([s_row]), Tableau([t_row]), mode, n)
+                        for s_row, t_row in pairs), Combination())
+
+        for a, b in itertools.product(letters, repeat=2):
+            expected = constant(1, 1) if b == a.bar() else Combination()
+            for pairs in ([((i, i.bar()), (a, b)) for i in letters],
+                          [((a, b), (j, j.bar())) for j in letters]):
+                checks += 1
+                failures += straightened_sum(pairs) != expected
+        full = Tableau.from_columns([letters, letters])
+        checks += 1
+        failures += on_straighten(full, full, mode, n) != constant(1, n)
+    assert checks == 550
+    return failures
+
+
+def test_gamma_grading_without_points():
+    assert grading_failures() == 0
+
+
+def test_gamma_grading_sees_a_shifted_gamma_power(monkeypatch):
+    # the power is derived in one place; one more gamma there must show
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    derive = gl_module._bidet_terms
+    monkeypatch.setattr(gl_module, "_bidet_terms", lambda terms, size: [
+        BidetTerm(x.coef, x.gamma_pow + 1, x.left, x.right) for x in derive(terms, size)])
+    assert grading_failures()
+
+
 # ---------------------------------------------------------------------------
 # complements and the column condition
 # ---------------------------------------------------------------------------
@@ -423,7 +469,7 @@ def test_column_repair_kernel_matches_the_public_repairs():
         else:
             public = fixers[v.kind](s, t, v.witness, GO, n, ZHALF)
         kernel = _repair_terms(v.kind, v.witness, s.columns(), t.columns(), n)
-        assert kernel == [(x.coef, x.gamma_pow, x.left.columns(), x.right.columns())
+        assert kernel == [(x.coef, x.left.columns(), x.right.columns())
                           for x in public], (n, s.format(), t.format(), v)
         kinds[v.kind] += 1
         digest.update(f"{n} {s.format()} | {t.format()} {v.kind} {v.witness}\n"
@@ -876,8 +922,8 @@ def test_transposition_sees_a_wrong_repair_coefficient(monkeypatch):
     def perturbed(kind, *args):
         terms = repair(kind, *args)
         if kind == "OS2":
-            (coef, gamma_pow, left, right), *rest = terms
-            terms = [(coef + 1, gamma_pow, left, right), *rest]
+            (coef, left, right), *rest = terms
+            terms = [(coef + 1, left, right), *rest]
         return terms
 
     monkeypatch.setattr(on_module, "_repair_terms", perturbed)
@@ -953,8 +999,8 @@ def test_products_see_a_wrong_repair_coefficient(monkeypatch, wrong_kind):
     def perturbed(kind, *args):
         terms = repair(kind, *args)
         if kind == wrong_kind and terms:
-            (coef, gamma_pow, left, right), *rest = terms
-            terms = [(coef + 1, gamma_pow, left, right), *rest]
+            (coef, left, right), *rest = terms
+            terms = [(coef + 1, left, right), *rest]
         return terms
 
     monkeypatch.setattr(on_module, "_repair_terms", perturbed)
@@ -978,11 +1024,11 @@ def normalizing_splice(left_cols, right_cols, i, j, blocks):
         return rest[:i] + list(block) + rest[i:]
 
     out = []
-    for coef, gamma_pow, block_left, block_right in blocks:
+    for coef, block_left, block_right in blocks:
         sign, new_left, new_right = normal_columns(put_back(left_cols, block_left),
                                                    put_back(right_cols, block_right))
         if sign:
-            out.append((coef * sign, gamma_pow, new_left, new_right))
+            out.append((coef * sign, new_left, new_right))
     return out
 
 
@@ -994,7 +1040,7 @@ def test_rewrite_blocks_are_normalized(deep_corpus_run):
     blocks = [term for _, _, terms in deep_corpus_run["rewrites"] for term in terms]
     blocks += [term for _, terms in repairs for term in terms]
     assert len(blocks) > 10000
-    for _, _, left, right in blocks:
+    for _, left, right in blocks:
         assert normal_columns(left, right) == (1, left, right)
 
 

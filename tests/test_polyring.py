@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from obidet.polyring import (
     Polynomial,
     QQ,
     ZHALF,
+    _is_prime,
     bideterminant,
     det_poly,
     det_rows,
@@ -48,6 +50,29 @@ def test_domain_parsing():
         CoeffDomain.parse("f2")
     with pytest.raises(DomainError):
         CoeffDomain.parse("r")
+
+
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_primality_is_fast_and_exact():
+    # Miller-Rabin with the prime bases up to 37 agrees with trial division
+    assert all(_is_prime(p) == trial_division_is_prime(p) for p in range(10 ** 5))
+    start = time.perf_counter()
+    assert CoeffDomain.parse(f"f{2 ** 61 - 1}") == GF(2 ** 61 - 1)
+    assert _is_prime(2 ** 64 - 59)          # the largest prime below 2^64
+    assert time.perf_counter() - start < 1
+    for carmichael in (561, 41041):
+        assert not _is_prime(carmichael)
+        with pytest.raises(DomainError):
+            GF(carmichael)
+    # above 2^64 the bases are not known to be exact, so the modulus is refused
+    for text in (f"f{2 ** 64 + 13}", f"f{2 ** 89 - 1}", "f" + "9" * 5000):
+        with pytest.raises(DomainError, match="below 2"):
+            CoeffDomain.parse(text)
+    with pytest.raises(DomainError):
+        CoeffDomain.parse("f\u00b2")   # a digit that int() does not read
 
 
 def test_dyadic_membership():

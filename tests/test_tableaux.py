@@ -114,6 +114,16 @@ def test_letter_copies_keep_the_letter():
 # partitions
 # ---------------------------------------------------------------------------
 
+def test_tableau_size_is_stored_with_the_shape():
+    # evaluation reads the size of every term at every point: it is a slot
+    # filled once, not a sum over the shape on each read
+    assert "size" in Tableau.__slots__
+    for t in (T("-"), T("1b 2; 1"), Tableau.from_columns([[L("1b"), L("1")], [L("2")], []])):
+        assert t.size == sum(t.shape)
+    with pytest.raises(AttributeError):
+        T("1").size = 2
+
+
 def test_conjugate_examples():
     assert conjugate((2, 2, 1)) == (3, 2)
     assert conjugate((4, 1)) == (2, 1, 1, 1)
