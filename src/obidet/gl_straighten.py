@@ -7,13 +7,13 @@ same shape plus terms whose columns are strictly more unbalanced.
 
 The kernels and the engine work on column tuples: a pair is the
 (left columns, right columns) of normal_columns, the engine keys its
-rewrite graph on such pairs, and only the standard leaves of a run become
-Tableaux.  One rewrite rule, Rule, serves GL, O and GO: each
+rewrite graph on such pairs in canonical order (_canonical): only standard
+leaves become Tableaux.  One rewrite rule, Rule, serves GL, O and GO: each
 straightening call checks its input (_check_input) and builds one, and
 the mode plugs in its orthogonal scan and repair terms (none in GL
 mode).  The rule is the one splice site: every rewrite returns normalized
-blocks, and splice_block puts them back into the pair with no letter
-sorting and checks each term against the one well-founded measure
+blocks, and splice_block puts them back in canonical order with no letter
+sorting and checks each term against the one pair measure
 (_check_measure).  The rule holds the call's standardness verdicts, one
 per column tuple, and its two-column templates: the rewrite
 (_two_column_terms, one term map) is computed once per order pattern of
@@ -134,6 +134,9 @@ class Combination:
 
     def __setattr__(self, name, value):
         raise AttributeError("Combination is immutable")
+
+    def __reduce__(self):
+        return Combination, (tuple(self._terms.values()),)
 
     def terms(self) -> list[BidetTerm]:
         return sorted(self._terms.values(), key=BidetTerm.sort_key)
@@ -412,39 +415,32 @@ def two_column_straighten(s: Tableau, t: Tableau):
 # the straightening engine and full GL straightening
 # ---------------------------------------------------------------------------
 
+def _canonical(pairs):
+    """Column pairs sorted by (-length, left column, right column), unzipped: the engine's key.
+
+    Column minors commute, so the order is sign free.
+    """
+    pairs = sorted(pairs, key=lambda p: (-len(p[0]), p))
+    return tuple(zip(*pairs)) if pairs else ((), ())
+
+
 def splice_block(left_cols, right_cols, i: int, j: int, rewrite) -> list:
-    """Rewrite columns i < j of the normalized column pair [left : right] as a two-column pair.
+    """Rewrite columns i < j of the canonical column pair [left : right] as a two-column pair.
 
     rewrite(s_cols, t_cols) gives the terms of the two-column pair as
-    (coef, left columns, right columns), and so does this; each spliced
-    term must descend the measure (_check_measure).  Every block a
-    rewrite returns is normalized: its columns are strictly increasing,
-    their lengths do not increase, and none is empty.  So is the
-    rest of the pair, and splicing needs no sorting of letters and no sign.
-    A block that keeps both column lengths goes back to columns i and j,
-    which keeps the tableau order comparison local to the block; any other
-    block is inserted at i, and a stable sort by length puts the column
-    pairs back into a partition shape (a bideterminant is a product of
-    column minors, so reordering them is sign free).  The terms come back
-    unmerged: splicing the terms of a merged pair back is injective.
+    (coef, left columns, right columns), and so does this.  Every block a
+    rewrite returns is normalized (strictly increasing columns, lengths that
+    do not increase, none empty), so splicing needs no sorting of letters
+    and no sign: the block's column pairs and the rest go through
+    _canonical, and each term must descend the measure (_check_measure).
+    The terms come back unmerged.
     """
-    lengths = (len(left_cols[i]), len(left_cols[j]))
-    rest_left = left_cols[:i] + left_cols[i + 1:j] + left_cols[j + 1:]
-    rest_right = right_cols[:i] + right_cols[i + 1:j] + right_cols[j + 1:]
+    rest = [p for k, p in enumerate(zip(left_cols, right_cols)) if k != i and k != j]
     out = []
     for coef, block_left, block_right in rewrite(
             (left_cols[i], left_cols[j]), (right_cols[i], right_cols[j])):
-        if tuple(map(len, block_left)) == lengths:
-            new_left = (*left_cols[:i], block_left[0], *left_cols[i + 1:j], block_left[1],
-                        *left_cols[j + 1:])
-            new_right = (*right_cols[:i], block_right[0], *right_cols[i + 1:j], block_right[1],
-                         *right_cols[j + 1:])
-        else:
-            pairs = sorted(zip(rest_left[:i] + block_left + rest_left[i:],
-                               rest_right[:i] + block_right + rest_right[i:]),
-                           key=lambda p: -len(p[0]))
-            new_left, new_right = zip(*pairs) if pairs else ((), ())
-        _check_measure(left_cols, new_left)
+        new_left, new_right = _canonical([*rest, *zip(block_left, block_right)])
+        _check_measure((left_cols, right_cols), (new_left, new_right))
         out.append((coef, new_left, new_right))
     return out
 
@@ -452,14 +448,21 @@ def splice_block(left_cols, right_cols, i: int, j: int, rewrite) -> list:
 def _check_measure(old, new):
     """A rewrite term must descend the well-founded measure of straightening.
 
-    The measure is size (down), then column profile (up), then tableau
-    order (up).  old and new are normalized column tuples: their column
-    lengths are the sorted profile, and the reversed tuple is the tableau
-    order key.  A size falls by an even number: two entries per gamma.
+    On pairs (left columns, right columns): the size falls by an even
+    number (two entries per gamma), or it stays and the column profile
+    rises, or that stays and (left key, right key) rises, a key being the
+    reversed column tuple (the tableau order).  Sorting an equal-length run
+    ascending maximises the reversed key over the arrangements of that run.
+    So a same-shape left rewrite raises the canonical left side:
+    canon(L*) >= L* > L = canon(L).  A same-shape right rewrite keeps the
+    left multiset, so the canonical left is the same tuple and the right
+    moves only within ties of equal left columns, which can only raise the
+    right key.
     """
-    po, pn = tuple(map(len, old)), tuple(map(len, new))
+    (old_left, old_right), (new_left, new_right) = old, new
+    po, pn = tuple(map(len, old_left)), tuple(map(len, new_left))
     if pn == po:
-        if not old[::-1] < new[::-1]:
+        if not (old_left[::-1], old_right[::-1]) < (new_left[::-1], new_right[::-1]):
             raise AssertionError("same-shape rewrite did not move up in tableau order")
     elif sum(pn) < sum(po):
         if (sum(po) - sum(pn)) % 2:
@@ -505,7 +508,7 @@ def _template_rewrite(s_cols, t_cols, templates: dict):
 
 
 def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:
-    """Apply the two-column rewrite to columns (c, c+1) and reassemble."""
+    """Apply the two-column rewrite to columns (c, c+1) and reassemble in canonical order."""
     return _bidet_terms(splice_block(left.columns(), right.columns(), c, c + 1,
                                      _two_column_rewrite), left.size)
 
@@ -518,15 +521,15 @@ class Rule:
     and GO mode the first orthogonal violation of the GL-standard side, and
     none in GL mode, which has no plug-in.  The rule rewrites GL on the
     left, GL on the right, then repairs the left and the right: the repairs
-    need GL-standard input.  It rewrites the right side as the left side of
-    the swapped pair: [S:T](g) = [T:S](g^t), and transposition preserves
-    GL, O and GO.  The rule splices every rewrite (splice_block): a GL
-    violation at column c is rewritten on columns c and c + 1 by the
-    two-column rewrite, and a plug-in verdict on columns 1 and b, with b the
-    column of an OS3 pair row and 2 otherwise; repair(verdict, s_cols,
-    t_cols) gives the terms of that two-column block.  One call builds one
-    rule, which holds the call's verdicts, one per column tuple, and its
-    two-column templates.
+    need GL-standard input.  A GL violation at column c is rewritten on
+    columns c and c + 1 by the two-column rewrite, and a plug-in verdict on
+    columns 1 and b, with b the column of an OS3 pair row and 2 otherwise;
+    repair(verdict, s_cols, t_cols) gives the terms of that two-column
+    block.  splice_block always works in the pair's own orientation: a right
+    verdict's block rewrite sees (right block, left block), as [S:T](g) =
+    [T:S](g^t) and transposition preserves GL, O and GO, and its terms are
+    swapped back.  One call builds one rule, which holds the call's
+    verdicts, one per column tuple, and its two-column templates.
     """
 
     def __init__(self, scan=None, repair=None):
@@ -549,26 +552,23 @@ class Rule:
         if vl is None or vl.kind != "GL":
             vr = self.verdict(right)
             if vr is not None and (vr.kind == "GL" or vl is None):
-                kind, witness, terms = self._rewrite(vr, right, left)
-                return kind, witness, [(coef, new_left, new_right)
-                                       for coef, new_right, new_left in terms]
-        return vl and self._rewrite(vl, left, right)
+                i, j, rewrite = self._block(vr)
+                return vr.kind, vr.witness, splice_block(left, right, i, j, lambda s_cols, t_cols: [
+                    (coef, s, t) for coef, t, s in rewrite(t_cols, s_cols)])
+        return vl and (vl.kind, vl.witness, splice_block(left, right, *self._block(vl)))
 
-    def _rewrite(self, v, left, right):
+    def _block(self, v):
+        """The columns i < j a violation names and the rewrite of that block."""
         if v.kind == "GL":
-            i, j = v.witness - 1, v.witness
-            rewrite = lambda s_cols, t_cols: _template_rewrite(s_cols, t_cols, self.templates)
-        else:
-            i, j = 0, (v.column if v.kind == "OS3" else 2) - 1
-            rewrite = lambda s_cols, t_cols: self.repair(v, s_cols, t_cols)
-        return v.kind, v.witness, splice_block(left, right, i, j, rewrite)
+            return v.witness - 1, v.witness, lambda *cols: _template_rewrite(*cols, self.templates)
+        return 0, (v.column if v.kind == "OS3" else 2) - 1, lambda *cols: self.repair(v, *cols)
 
 
 def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
                       trace: list | None = None) -> Combination:
     """Rewrite [S:T] by a rule until only standard terms remain.
 
-    The pairs are the column tuples of normalized pairs.  rule(left, right)
+    The pairs are canonical column tuples (_canonical).  rule(left, right)
     is None for a standard pair, else (kind, witness, terms): one rewrite
     at unit coefficient, with terms (coef, left columns, right columns).
     Each distinct pair is expanded once, depth first; the coefficients,
@@ -582,7 +582,7 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
     sign, left, right = normal_columns(s.columns(), t.columns())
     if sign == 0:
         return Combination()
-    root = (left, right)
+    root = _canonical(zip(left, right))
     edges: dict = {}          # pair -> [(coef, child)], None when standard
     postorder: list = []
     open_pairs: set = set()   # expanded but not finished: the current path

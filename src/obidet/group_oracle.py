@@ -148,6 +148,11 @@ class GroupPoint:
     def __setattr__(self, name, value):
         raise AttributeError("GroupPoint is immutable")
 
+    def __reduce__(self):
+        """Rebuild through the constructor: the form is checked again, with no cached minors."""
+        return GroupPoint, (LetterMatrix(self.n, self._integer_rows), self.denominator,
+                            self.integer_gamma)
+
     @property
     def matrix(self) -> LetterMatrix:
         """The rational matrix g = G / d."""

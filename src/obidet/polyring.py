@@ -163,6 +163,9 @@ class LetterMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("LetterMatrix is immutable")
 
+    def __reduce__(self):
+        return LetterMatrix, (self.n, self.rows)
+
     def entry(self, i: Letter, j: Letter):
         return self.rows[self._index[i]][self._index[j]]
 
@@ -297,6 +300,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.terms,)
 
     @classmethod
     def zero(cls) -> "Polynomial":

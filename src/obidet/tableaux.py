@@ -255,6 +255,9 @@ class Tableau:
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
 
+    def __reduce__(self):
+        return Tableau.from_columns, (self._cols,)
+
     # -- structure --------------------------------------------------------
 
     @property

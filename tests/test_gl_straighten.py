@@ -274,7 +274,11 @@ def test_template_rewrite_matches_the_raw_kernel_on_random_blocks():
 
 
 def reference_mead_step(left, right, c):
-    """The two-column rewrite of columns (c, c+1) spliced back, on tableaux."""
+    """The two-column rewrite of columns (c, c+1) spliced back, on tableaux.
+
+    The column pairs of each term are sorted by (-length, left column,
+    right column).
+    """
     block = [Tableau.from_columns(side.columns()[c:c + 2]) for side in (left, right)]
     _, head, drop = two_column_straighten(*block)
     out = []
@@ -286,7 +290,10 @@ def reference_mead_step(left, right, c):
             new_cols.append(cols)
         sign, new_left, new_right = normalize_pair(*new_cols)
         if sign:
-            out.append(BidetTerm(term.coef * sign, 0, new_left, new_right))
+            pairs = sorted(zip(new_left.columns(), new_right.columns()),
+                           key=lambda p: (-len(p[0]), p))
+            out.append(BidetTerm(term.coef * sign, 0, Tableau.from_columns(p[0] for p in pairs),
+                                 Tableau.from_columns(p[1] for p in pairs)))
     return out
 
 
@@ -339,6 +346,19 @@ def test_splice_block_rejects_a_same_shape_term_that_does_not_move_up():
     for block in (left, down):
         with pytest.raises(AssertionError, match="did not move up in tableau order"):
             splice_block(left, left, 0, 1, block_rewrite((block, left)))
+
+
+def test_splice_block_measure_is_on_the_pair():
+    # a same-shape term that keeps the left side must raise the right side
+    left = Tableau.parse("1b 1; 2b").columns()
+    up = Tableau.parse("1b 2; 2b").columns()
+    down = Tableau.parse("1 1b; 2b").columns()
+    assert splice_block(left, left, 0, 1, block_rewrite((left, up))) == [(1, left, up)]
+    for block in (left, down):
+        with pytest.raises(AssertionError, match="did not move up in tableau order"):
+            splice_block(left, left, 0, 1, block_rewrite((left, block)))
+    # the left key comes first: a term that raises it may lower the right
+    assert splice_block(left, left, 0, 1, block_rewrite((up, down))) == [(1, up, down)]
 
 
 @pytest.mark.parametrize("swap", [False, True])

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from obidet.polyring import (
     rational,
 )
 from obidet import group_oracle, polyring
-from obidet.gl_straighten import BidetTerm
+from obidet.gl_straighten import BidetTerm, Combination
 from obidet.on_straighten import GO, ON
 from obidet.group_oracle import (
     GroupPoint,
@@ -330,6 +332,25 @@ def test_group_point_integer_form():
             assert p.minor(letters, letters) == p.det_value * d ** n
     with pytest.raises(DomainError):
         GroupPoint(LetterMatrix.identity(4), rational(4))
+
+
+def test_value_types_survive_pickle_and_copy():
+    # each immutable type rebuilds through its public constructor; a point
+    # checks its form again and starts with no cached minors
+    p = random_go_point(4, 3, rational(5, 3))
+    p.minor(tuple(_letters(4))[:2], tuple(_letters(4))[:2])
+    s, t = Tableau.parse("1b 2; 1"), Tableau.parse("1 2b; 2")
+    term = BidetTerm(rational(-3, 2), 1, s, t)
+    values = [s, term, Combination([term, BidetTerm(2, 0, t, s)]), gamma_poly(3), p.matrix]
+    for x in values + [p]:
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is type(x)
+            if isinstance(x, GroupPoint):
+                assert (y.matrix, y.gamma_value, y.det_value) == (x.matrix, x.gamma_value,
+                                                                  x.det_value)
+                assert y._minors == {} and x._minors
+            else:
+                assert y == x
 
 
 # ---------------------------------------------------------------------------

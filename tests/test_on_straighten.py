@@ -773,8 +773,8 @@ def test_on_straighten_deep_case_with_os3_wide_column():
 
 # the rewrite graph of 40 seeded pairs (n 4..7, size 3..5, ON and GO): each
 # certificate and the multiset of its (kind, witness, term count) steps
-REWRITE_GRAPH_SHA256 = "aa65f38c23a00bbfe91b8980ecc705698f7a3f2eb4287abb8983cfe51ce803b4"
-REWRITE_GRAPH_STEPS = {"GL": 1726, "COLSUM": 7, "OS1": 67, "OS2": 7, "OS3": 169}
+REWRITE_GRAPH_SHA256 = "f3b555347a0f3dad841937d3eaff67f1f9bff068dad95c9f13c2cdfc3d561fe1"
+REWRITE_GRAPH_STEPS = {"GL": 1288, "COLSUM": 6, "OS1": 65, "OS2": 7, "OS3": 162}
 
 
 def seeded_rewrite_pairs(seed=3, count=40):
@@ -808,8 +808,8 @@ def test_rewrite_graph_is_pinned():
 # every kept pair of the benchmark's deep pool: its certificate and its
 # ordered (kind, witness, term count) trace
 DEEP_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "deep_corpus.json"
-DEEP_CORPUS_SHA256 = "0d36f9539e6979d9395c141e6e942055bdaecefbb52d098cd7fc795a93a70005"
-DEEP_CORPUS_STEPS = {"GL": 5784, "COLSUM": 78, "OS1": 499, "OS2": 103, "OS3": 809}
+DEEP_CORPUS_SHA256 = "992d35aa8c7f3b108fdac464f0c3797b1ad40592c9000c3732470d372e8ac987"
+DEEP_CORPUS_STEPS = {"GL": 3155, "COLSUM": 69, "OS1": 455, "OS2": 100, "OS3": 712}
 
 
 def test_deep_corpus_is_pinned():
@@ -833,6 +833,44 @@ def deep_corpus_pairs():
     kept = json.loads(DEEP_CORPUS.read_text(encoding="utf-8"))["kept"]
     return [(e["mode"], e["n"], Tableau.parse(e["left"]), Tableau.parse(e["right"]))
             for e in kept]
+
+
+# the certificates alone, without the traces: the standard expansion is
+# unique, so these do not move when the rewrite graph does
+@pytest.mark.parametrize("pairs, expected", [
+    (deep_corpus_pairs, "f5876f45003abebb68bb1f85b1bb5ba43c9f91c2441fbebca822cc0535a507e2"),
+    (seeded_rewrite_pairs, "451fd169339b168942acb69a23f624abef6a55f3554a9ac823a57b1f05d22815"),
+])
+def test_certificates_are_pinned(pairs, expected):
+    digest = hashlib.sha256()
+    for mode, n, s, t in pairs():
+        digest.update(f"{mode} {n} {s.format()} | {t.format()}\n"
+                      f"{on_straighten(s, t, mode, n).certificate()}\n".encode())
+    assert digest.hexdigest() == expected
+
+
+def test_shuffled_column_pairs_give_one_trace():
+    # column minors commute, so the engine keys its graph on one canonical
+    # arrangement: shuffling the equal-length column pairs of the input
+    # changes neither the certificate nor a single step of the trace
+    rng = random.Random(5)
+    shuffled = 0
+    for mode, n, s, t in deep_corpus_pairs():
+        pairs = list(zip(s.columns(), t.columns()))
+        lengths = sorted({len(a) for a, _ in pairs}, reverse=True)
+        if len(lengths) == len(pairs):
+            continue
+        runs = [[p for p in pairs if len(p[0]) == k] for k in lengths]
+        for run in runs:
+            rng.shuffle(run)
+        shuffled += 1
+        s2, t2 = (Tableau.from_columns(side) for side in zip(*itertools.chain(*runs)))
+        trace, trace2 = [], []
+        out = on_straighten(s, t, mode, n, trace=trace)
+        out2 = on_straighten(s2, t2, mode, n, trace=trace2)
+        assert out2.certificate() == out.certificate()
+        assert trace2 == trace, (mode, n, s.format(), t.format())
+    assert shuffled == 179
 
 
 @pytest.fixture(scope="module")
@@ -1011,7 +1049,8 @@ def normalizing_splice(left_cols, right_cols, i, j, blocks):
     """The splice of blocks that are not known to be normalized, for reference.
 
     Each term goes back to columns i and j when it keeps their lengths, else
-    at i, and the whole pair goes through normal_columns.
+    at i, the whole pair goes through normal_columns, and its column pairs
+    are sorted by (-length, left column, right column).
     """
     lengths = (len(left_cols[i]), len(left_cols[j]))
 
@@ -1028,7 +1067,8 @@ def normalizing_splice(left_cols, right_cols, i, j, blocks):
         sign, new_left, new_right = normal_columns(put_back(left_cols, block_left),
                                                    put_back(right_cols, block_right))
         if sign:
-            out.append((coef * sign, new_left, new_right))
+            pairs = sorted(zip(new_left, new_right), key=lambda p: (-len(p[0]), p))
+            out.append((coef * sign, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)))
     return out
 
 
