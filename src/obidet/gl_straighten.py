@@ -6,22 +6,22 @@ a double Laplace expansion of an auxiliary matrix into higher terms of the
 same shape plus terms whose columns are strictly more unbalanced.
 
 The kernels and the engine work on column tuples: a pair is the
-(left columns, right columns) of normal_columns, the engine keys its
-rewrite graph on such pairs in canonical order (_canonical): only standard
-leaves become Tableaux.  One rewrite rule, Rule, serves GL, O and GO: each
+(left columns, right columns) of normal_columns, the engine works on such
+pairs in canonical order (_canonical): only standard leaves become
+Tableaux.  One rewrite rule, Rule, serves GL, O and GO: each
 straightening call checks its input (_check_input) and builds one, and
 the mode plugs in its orthogonal scan and repair terms (none in GL
 mode).  The rule is the one splice site: every rewrite returns normalized
 blocks, and splice_block puts them back in canonical order with no letter
-sorting and checks each term against the one pair measure
-(_check_measure).  The rule holds the call's standardness verdicts, one
-per column tuple, and its two-column templates: the rewrite
-(_two_column_terms, one term map) is computed once per order pattern of
-its letters and relabelled for every other block with that pattern
-(_template_rewrite).  term_order is the one order of terms.  A term is
-(coef, left columns, right columns): its gamma power is not carried but
-read off its size drop where column tuples become BidetTerms
-(_bidet_terms), and the measure rejects an odd drop.
+sorting and checks each term against the one pair measure, _measure_key
+(_check_measure), in whose order the engine takes the pairs.  The rule
+holds the call's standardness verdicts, one per column tuple, and its
+two-column templates: the rewrite (_two_column_terms, one term map) is
+computed once per order pattern of its letters and relabelled for every
+other block with that pattern (_template_rewrite).  term_order is the one
+order of output terms.  A term is (coef, left columns, right columns): its
+gamma power is not carried but read off its size drop where column tuples
+become BidetTerms (_bidet_terms), and the measure rejects an odd drop.
 two_column_straighten, mead_step, one_switch_expand and normalize_pair
 are thin adapters that take and give tableaux.  verify_gl checks a GL
 identity in the polynomial ring itself.
@@ -29,6 +29,7 @@ identity in the polynomial ring itself.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -432,24 +433,25 @@ def splice_block(left_cols, right_cols, i: int, j: int, rewrite) -> list:
     rewrite returns is normalized (strictly increasing columns, lengths that
     do not increase, none empty), so splicing needs no sorting of letters
     and no sign: the block's column pairs and the rest go through
-    _canonical, and each term must descend the measure (_check_measure).
+    _canonical, and each term must rise in the measure (_check_measure).
     The terms come back unmerged.
     """
     rest = [p for k, p in enumerate(zip(left_cols, right_cols)) if k != i and k != j]
+    old = _measure_key((left_cols, right_cols))
     out = []
     for coef, block_left, block_right in rewrite(
             (left_cols[i], left_cols[j]), (right_cols[i], right_cols[j])):
         new_left, new_right = _canonical([*rest, *zip(block_left, block_right)])
-        _check_measure((left_cols, right_cols), (new_left, new_right))
+        _check_measure(old, _measure_key((new_left, new_right)))
         out.append((coef, new_left, new_right))
     return out
 
 
-def _check_measure(old, new):
-    """A rewrite term must descend the well-founded measure of straightening.
+def _measure_key(pair):
+    """The well-founded measure of straightening on a pair (left columns, right columns).
 
-    On pairs (left columns, right columns): the size falls by an even
-    number (two entries per gamma), or it stays and the column profile
+    Every rewrite term has a larger key than its pair: the size falls by an
+    even number (two entries per gamma), or it stays and the column profile
     rises, or that stays and (left key, right key) rises, a key being the
     reversed column tuple (the tableau order).  Sorting an equal-length run
     ascending maximises the reversed key over the arrangements of that run.
@@ -457,30 +459,31 @@ def _check_measure(old, new):
     canon(L*) >= L* > L = canon(L).  A same-shape right rewrite keeps the
     left multiset, so the canonical left is the same tuple and the right
     moves only within ties of equal left columns, which can only raise the
-    right key.
+    right key.  The key determines the pair, so no two pairs tie.
     """
-    (old_left, old_right), (new_left, new_right) = old, new
-    po, pn = tuple(map(len, old_left)), tuple(map(len, new_left))
-    if pn == po:
-        if not (old_left[::-1], old_right[::-1]) < (new_left[::-1], new_right[::-1]):
-            raise AssertionError("same-shape rewrite did not move up in tableau order")
-    elif sum(pn) < sum(po):
-        if (sum(po) - sum(pn)) % 2:
+    left, right = pair
+    profile = tuple(map(len, left))
+    return -sum(profile), profile, left[::-1], right[::-1]
+
+
+def _check_measure(old, new):
+    """A rewrite term's key must rise above its pair's key, and a size drop must be even."""
+    if new[0] > old[0]:
+        if (new[0] - old[0]) % 2:
             raise AssertionError("rewrite dropped the size by an odd number")
-    elif not (sum(pn) == sum(po) and pn > po):
-        raise AssertionError("rewrite changed the shape without falling in measure")
+    elif not old < new:
+        raise AssertionError("same-shape rewrite did not move up in tableau order"
+                             if new[1] == old[1] else
+                             "rewrite changed the shape without falling in measure")
 
 
 def _two_column_rewrite(s_cols, t_cols):
-    """The terms of the two-column rewrite as a list, in term_order.
+    """The terms (coef, left columns, right columns) of the two-column rewrite as a list.
 
-    That order fixes the order in which the driver expands the spliced
-    terms, and so the order of its trace.  Every block is normalized, as
-    splice_block requires: it comes from normal_columns.
+    Every block is normalized, as splice_block requires: it comes from normal_columns.
     """
     _, terms = _two_column_terms(s_cols, t_cols)
-    return [(coef, left, right) for (left, right), coef in sorted(
-        terms.items(), key=lambda item: term_order(*item[0]))]
+    return [(coef, left, right) for (left, right), coef in terms.items()]
 
 
 def _template_rewrite(s_cols, t_cols, templates: dict):
@@ -571,53 +574,44 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
     The pairs are canonical column tuples (_canonical).  rule(left, right)
     is None for a standard pair, else (kind, witness, terms): one rewrite
     at unit coefficient, with terms (coef, left columns, right columns).
-    Each distinct pair is expanded once, depth first; the coefficients,
-    one per pair, then flow to the standard leaves in reverse postorder,
-    and only the leaves become tableaux, with the gamma power of their
+    The pairs leave a heap in increasing measure (_measure_key), after every
+    pair that rewrites to them, so each leaves with its final coefficient:
+    it is expanded once, or never when that is 0.  No graph is stored, and
+    only the standard leaves become tableaux, with the gamma power of their
     size drop from the root (_bidet_terms).  The rules'
     coefficients are integers and dyadic rationals, so the result is exact
-    over Z[1/2].  fuel bounds the number of distinct pairs; trace, when
-    given, gets (kind, witness, term count) for each pair expanded.
+    over Z[1/2].  fuel bounds the number of rule calls; trace, when given,
+    gets (kind, witness, term count) for each pair rewritten.
     """
     sign, left, right = normal_columns(s.columns(), t.columns())
     if sign == 0:
         return Combination()
     root = _canonical(zip(left, right))
-    edges: dict = {}          # pair -> [(coef, child)], None when standard
-    postorder: list = []
-    open_pairs: set = set()   # expanded but not finished: the current path
-    stack = [(root, False)]
-    while stack:
-        pair, finished = stack.pop()
-        if finished:
-            open_pairs.discard(pair)
-            postorder.append(pair)
-            continue
-        if pair in open_pairs:
-            raise AssertionError("rewrite returned to a term it was expanding")
-        if pair in edges:
-            continue
-        if len(edges) >= fuel:
-            raise CapExceeded("straightening fuel exhausted")
-        step = rule(*pair)
-        if step is not None and trace is not None:
-            trace.append((step[0], step[1], len(step[2])))
-        edges[pair] = None if step is None else [
-            (coef, (new_left, new_right)) for coef, new_left, new_right in step[2]]
-        open_pairs.add(pair)
-        stack.append((pair, True))
-        stack.extend((child, False) for _, child in edges[pair] or ())
-
     weights = {root: sign}
+    heap = [(_measure_key(root), root)]
+    last = ()                 # the key that left the heap last; () is below every key
     leaves = []
-    for pair in reversed(postorder):
-        weight = weights.pop(pair, 0)
+    while heap:
+        key, pair = heapq.heappop(heap)
+        if not last < key:
+            raise AssertionError("rewrite did not rise in the measure")
+        last = key
+        weight = weights.pop(pair)
         if not weight:
             continue
-        if edges[pair] is None:
+        if fuel <= 0:
+            raise CapExceeded("straightening fuel exhausted")
+        fuel -= 1
+        step = rule(*pair)
+        if step is None:
             leaves.append((weight, *pair))
             continue
-        for coef, child in edges[pair]:
+        if trace is not None:
+            trace.append((step[0], step[1], len(step[2])))
+        for coef, new_left, new_right in step[2]:
+            child = new_left, new_right
+            if child not in weights:
+                heapq.heappush(heap, (_measure_key(child), child))
             weights[child] = weights.get(child, 0) + weight * coef
     return Combination(_bidet_terms(leaves, s.size))
 
@@ -646,7 +640,7 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = FUEL,
     out = run_straightening(s, t, Rule(), fuel, trace)
     # the full diagonal torus acts on both sides: each keeps its letters
     content = (_content(s), _content(t))
-    for term in out:
+    for term in out.unsorted():
         # a fresh check, not the rule's verdicts, which made each leaf a leaf
         if not (_gl_standard(term.left.columns(), n) and _gl_standard(term.right.columns(), n)):
             raise AssertionError("non-standard tableau in output")
@@ -709,11 +703,11 @@ def one_switch_expand(s: Tableau, t: Tableau, row: int) -> Combination:
     given 1-based row.  The result is the same-shape tail (all terms above
     S* in the tableau order) plus the column-rebalanced remainder.
     """
-    return _combination(_switch_terms(s.columns(), t.columns(), row), s.size)
+    return _combination(_switch_terms(s.columns(), t.columns(), row)[1], s.size)
 
 
-def _switch_terms(s_cols, t_cols, row: int) -> dict:
-    """one_switch_expand on tuples of column tuples: {(left cols, right cols): coef}, merged."""
+def _switch_terms(s_cols, t_cols, row: int):
+    """one_switch_expand on column tuples: (S* columns, {(left cols, right cols): coef}), merged."""
     if len(s_cols) != 2:
         raise DomainError("two-column tableau required")
     c1, c2 = list(s_cols[0]), list(s_cols[1])
@@ -731,4 +725,4 @@ def _switch_terms(s_cols, t_cols, row: int) -> dict:
     if terms.get(base) != 1:
         raise AssertionError("lowest term of the switch expansion is not [S:T]")
     _add_term(terms, base, -1)
-    return terms
+    return star, terms

@@ -54,7 +54,6 @@ from .gl_straighten import (
     normal_columns,
     run_straightening,
     sort_letters,
-    term_order,
 )
 from .polyring import CoeffDomain, QQ, ZHALF, inversion_sign, rational
 
@@ -280,9 +279,9 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
     S and T are given by their (two) column tuples, and S has the violation
     of this kind at index j, as found by the caller; nothing is rescanned.
     The terms come as (coef, left columns, right columns), merged, with
-    coefficients in Z[1/2] and in term_order.  Every block is
-    normalized, as splice_block requires: strictly increasing columns,
-    lengths that do not increase, and no empty column.
+    coefficients in Z[1/2].  Every block is normalized, as splice_block
+    requires: strictly increasing columns, lengths that do not increase,
+    and no empty column.
 
     COLSUM trades both columns for their complements.  The other three solve
     the replacement sum: [S:T] + lam = sign * relation_rhs, with lam the
@@ -317,12 +316,7 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
 
     if kind == "OS3":
         # the switched tableau: the row of (bar j, j) with the pair reversed
-        top, bar = Letter(j), Letter(j).bar()
-        row = s1.index(bar)
-        if s2[row] != top:
-            raise AssertionError("pair row lost")
-        star = (s1[:row] + (top,) + s1[row + 1:], s2[:row] + (bar,) + s2[row + 1:])
-        switch = _switch_terms(s_cols, t_cols, row + 1)
+        star, switch = _switch_terms(s_cols, t_cols, s1.index(Letter(j).bar()) + 1)
         # every collapsed term is smaller than S, so the terms of S's size are -lam
         if terms.get((star, t_cols)) != -1:
             raise AssertionError("replacement sum lost the switched term")
@@ -336,8 +330,7 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
     for coef in terms.values():
         if not ZHALF.validate(coef):
             raise AssertionError(f"coefficient {coef} left the domain")
-    return [(coef, left, right) for (left, right), coef in sorted(
-        terms.items(), key=lambda item: term_order(*item[0]))]
+    return [(coef, left, right) for (left, right), coef in terms.items()]
 
 
 def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
