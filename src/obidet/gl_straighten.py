@@ -89,15 +89,18 @@ class BidetTerm:
         """2 gamma_pow + |shape|: gamma is quadratic in the entries."""
         return 2 * self.gamma_pow + self.left.size
 
+    def integer_value(self, point):
+        """coef * minors(G) * Gamma^gamma_pow: d^m times the value at g = G/d, m the degree."""
+        minors = point.minor_product(self.left.columns(), self.right.columns())
+        return self.coef * minors * point.integer_gamma ** self.gamma_pow
+
     def scaled_value(self, point, degree: int):
         """d^degree times the value at a group point g = G/d; degree >= self.degree().
 
-        coef * minors(G) * Gamma^gamma_pow is d^m times the value, m the
-        degree of the term, so d^(degree - m) lifts it to the given degree.
+        The integer value is d^m times the value, m the degree of the term,
+        so d^(degree - m) lifts it to the given degree.
         """
-        minors = point.minor_product(self.left.columns(), self.right.columns())
-        return (self.coef * minors * point.integer_gamma ** self.gamma_pow
-                * point.denominator ** (degree - self.degree()))
+        return self.integer_value(point) * point.denominator ** (degree - self.degree())
 
     def evaluate(self, point, gamma_value=None):
         """The value at a group point, with gamma from the point unless given.
@@ -200,6 +203,10 @@ class Combination:
     def scaled_value(self, point, degree: int):
         """d^degree times the value at a group point; see BidetTerm.scaled_value."""
         return sum(t.scaled_value(point, degree) for t in self._terms.values())
+
+    def integer_value(self, point):
+        """d^m times the value at a group point, m the degree."""
+        return self.scaled_value(point, self.degree())
 
     def evaluate(self, point, gamma_value=None):
         return sum(t.evaluate(point, gamma_value) for t in self._terms.values())

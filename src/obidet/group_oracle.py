@@ -8,9 +8,10 @@ built from its integer form G = d g, Gamma = d^2 gamma.  Reflections and
 dilations are column maps on G: a negative-determinant point negates the 0
 column (odd n) or swaps the 1b and 1 columns (even n), and a similitude
 point by c = a/b scales every column (odd n) or the barred ones (even n)
-by a, the others by b, and d by b.  Each point is built and checked as a
-GroupPoint once, checked as G^t J G = Gamma J and det(G)^2 = Gamma^n; its
-rational matrix is built from G only for callers that read it.
+by a, the others by b, and d by b.  Each point, a similitude point too, is
+built and checked as a GroupPoint once, checked as G^t J G = Gamma J and
+det(G)^2 = Gamma^n; its rational matrix is built from G only for callers
+that read it.
 Functions are evaluated by one integer kernel: a function of degree m has
 the value d^-m times an integer combination of the minors of G (cached on
 the point; a small one expands from cached ones of one order less) and
@@ -22,18 +23,20 @@ A prime-field batch keeps the rational points whose residue matrices are
 new, drawing lazily until it holds enough of them; the values of a
 Z[1/2]-polynomial function at a p-integral point reduce to its values at
 the residue point, so F_p values and ranks are residues of exact values.
-Over Q the rank is certified modulo the prime 2^61 - 1 when it is full,
-and computed by fraction-free Bareiss elimination over the integers
-otherwise; over F_p it is the rank of the residues.
+evaluation_rank reads its points one at a time into one echelon modulo a
+prime and stops at the point that makes the rank full.  Over Q that prime
+is 2^61 - 1, and a full rank modulo it is full over Q; a rank short after
+the last point is computed by fraction-free Bareiss elimination over the
+integers.  Over F_p it is the rank of the residues.
 The basis suite certifies independence one torus-weight block at a time:
 every standard element is a weight vector for the diagonal torus acting on
 both sides (and for the dilations in GO mode), and distinct characters are
 linearly independent over an infinite field, so the rank of the elements
 is the sum of the ranks of their weight blocks.  A batch holds (largest
-block + 6) points and each block is ranked at its first len + 6 of them,
-then, if short there, at the whole batch.  Over F_p this holds over the
-algebraic closure, so full block ranks prove more than one full-matrix
-rank could.
+block + 6) points, drawn as they are first read.  Each block is ranked at
+the shortest prefix of its first len + 6 points that fills it, and, if
+short there, at the whole batch.  Over F_p this holds over the algebraic
+closure, so full block ranks prove more than one full-matrix rank could.
 """
 
 from __future__ import annotations
@@ -257,36 +260,50 @@ def random_so_point(n: int, seed: int, spread: int = 2) -> GroupPoint:
     return random_on_point(n, seed, "PLUS", spread)
 
 
-def random_on_point(n: int, seed: int, component: str = "PLUS", spread: int = 2) -> GroupPoint:
-    """A point of the chosen determinant component of the orthogonal group."""
+def _component_rows(n: int, seed: int, component: str, spread: int):
+    """Integer rows X and d of a Cayley point of the chosen component, g = X / d."""
     if component not in ("PLUS", "MINUS"):
         raise DomainError(f"component must be PLUS or MINUS, got {component!r}")
     rows, det = _cayley(n, seed, spread)
     if component == "MINUS":
         # g times a reflection: negate the 0 column (the last letter) for odd n,
         # swap the 1b and 1 columns (the first two letters) for even n
-        rows = (r[:-1] + [-r[-1]] if n % 2 else [r[1], r[0]] + r[2:] for r in rows)
-    point = GroupPoint(LetterMatrix(n, rows), det)
-    if point.det_value != (1 if component == "PLUS" else -1):
-        raise AssertionError(f"{component} point with determinant {point.det_value}")
+        rows = [r[:-1] + [-r[-1]] if n % 2 else [r[1], r[0]] + r[2:] for r in rows]
+    return rows, det
+
+
+def _checked_det(point: GroupPoint, det) -> GroupPoint:
+    if point.det_value != det:
+        raise AssertionError(f"a point with determinant {point.det_value}, expected {det}")
     return point
 
 
+def random_on_point(n: int, seed: int, component: str = "PLUS", spread: int = 2) -> GroupPoint:
+    """A point of the chosen determinant component of the orthogonal group."""
+    rows, d = _component_rows(n, seed, component, spread)
+    return _checked_det(GroupPoint(LetterMatrix(n, rows), d), 1 if component == "PLUS" else -1)
+
+
 def random_go_point(n: int, seed: int, c, spread: int = 2) -> GroupPoint:
-    """A similitude point; gamma is c for even n and c^2 for odd n."""
+    """A similitude point; gamma is c for even n and c^2 for odd n.
+
+    It is the O(n) point of seed + 1 (its component drawn from seed) times
+    a dilation, built and checked as one point: for odd n, c times every
+    column; for even n, c times the barred columns, so that c = a/b scales
+    those columns of the integer rows by a, the rest by b, and d by b.
+    """
     c = rational(c)
     if not c:
         raise DomainError("the similitude scale must be nonzero")
     rng = random.Random(seed)
     component = "PLUS" if rng.random() < 0.5 else "MINUS"
-    g = random_on_point(n, seed + 1, component, spread)
-    # scale every column for odd n; for even n, g times the dilation of the
-    # barred letters: c = a/b scales those columns of G by a, the rest by b
+    rows, d = _component_rows(n, seed + 1, component, spread)
     a, b = int(c.numerator), int(c.denominator)
     scaled = [n % 2 or x.barred for x in _letters(n)]
-    rows = ((a * x if s else b * x for x, s in zip(r, scaled)) for r in g._integer_rows)
-    gamma = g.integer_gamma * (a * a if n % 2 else a * b)
-    return GroupPoint(LetterMatrix(n, rows), g.denominator * b, gamma)
+    rows = ((a * x if s else b * x for x, s in zip(r, scaled)) for r in rows)
+    gamma = d * d * (a * a if n % 2 else a * b)
+    point = GroupPoint(LetterMatrix(n, rows), d * b, gamma)
+    return _checked_det(point, (1 if component == "PLUS" else -1) * c ** (n if n % 2 else n // 2))
 
 
 def _draws(n: int, count: int, seed: int, spread: int):
@@ -379,59 +396,90 @@ def _fraction_free_solve(a, b) -> "tuple[list[list[int]], int] | None":
 _RANK_PRIME = (1 << 61) - 1
 
 
-def _rank_mod(rows, p: int) -> int:
-    """Rank of an integer matrix modulo the prime p, by forward elimination in place.
+class _Echelon:
+    """The span of integer vectors modulo a prime p, in echelon form, one vector at a time.
 
-    A pivot row stays unnormalised: each row below it with a nonzero head
-    adds -head/pivot times the pivot row, on the trailing columns only.
+    A vector is reduced by the kept ones in the order they were kept; what
+    is left, if nonzero modulo p, is kept from its first nonzero entry (its
+    pivot) on, scaled so the pivot is 1.  A kept vector is zero before its
+    pivot and at every earlier pivot, so each reduction touches only the
+    tail from its pivot and undoes none of the earlier ones.  Entries are
+    taken modulo p only where a pivot entry is read and once at the end:
+    the integers in between stay congruent, and subtracting is cheaper than
+    dividing.  The rank is the number of kept vectors.
     """
-    m = [[x % p for x in r] for r in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        i = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if i is None:
-            continue
-        m[rank], m[i] = m[i], m[rank]
-        tail = m[rank][col + 1:]
-        inv = p - pow(m[rank][col], -1, p)
-        rank += 1
-        for r in m[rank:]:
-            if r[col]:
-                f = r[col] * inv % p
-                r[col + 1:] = [(a + f * b) % p for a, b in zip(r[col + 1:], tail)]
-        if rank == len(m):
+
+    __slots__ = ("p", "kept")
+
+    def __init__(self, p: int):
+        self.p, self.kept = p, []
+
+    def add(self, vector) -> None:
+        p = self.p
+        x = [v % p for v in vector]
+        for i, tail in self.kept:
+            f = x[i] % p
+            if f:
+                x[i:] = [a - f * b for a, b in zip(x[i:], tail)]
+        x = [v % p for v in x]
+        i = next((i for i, v in enumerate(x) if v), None)
+        if i is not None:
+            inv = pow(x[i], -1, p)
+            self.kept.append((i, [v * inv % p for v in x[i:]]))
+
+    @property
+    def rank(self) -> int:
+        return len(self.kept)
+
+
+def _rank_mod(vectors, p: int) -> int:
+    """Rank of integer vectors modulo the prime p."""
+    echelon = _Echelon(p)
+    for v in vectors:
+        echelon.add(v)
+        if echelon.rank == len(v):
             break
-    return rank
+    return echelon.rank
+
+
+def _integer_column(values, domain: CoeffDomain) -> list:
+    """Values at one point as integers of the same rank.
+
+    Over F_p each value becomes its residue; over Q the column is scaled by
+    the lcm of its denominators.  Evaluations at one point share
+    denominator structure, so column multipliers stay small where row
+    multipliers blow up, and column scaling by nonzero rationals preserves
+    the rank.
+    """
+    if all(type(x) is int for x in values):
+        return values
+    if domain.is_prime_field:
+        values = [x if type(x) is int else domain.reduce_rational(x) for x in values]
+        if None in values:
+            raise DomainError(f"a value is not integral at {domain.p}")
+        return values
+    m = math.lcm(*(int(x.denominator) for x in values))
+    return [int(x * m) for x in values]
 
 
 def matrix_rank(rows, domain: CoeffDomain = QQ) -> int:
     """Exact rank.  Over F_p it is the rank of the residues.
 
-    Over Q an integer matrix goes to the certificate as it is; a matrix
-    with rational entries is cleared to integers first.  Clearing runs per
-    column: evaluations at one point share denominator structure, so column
-    multipliers stay small where row multipliers blow up, and column scaling
-    by nonzero rationals preserves the rank.  The rank modulo
-    _RANK_PRIME of an integer matrix is at most its rank over Q, which
-    is at most min(rows, columns); so a modular rank equal to that bound is
-    exact.  Only a smaller modular rank falls back to Bareiss elimination
-    over the integers.
+    Each column is made integral by _integer_column.  Over Q the rank
+    modulo _RANK_PRIME of an integer matrix is at most its rank over Q,
+    which is at most min(rows, columns); so a modular rank equal to that
+    bound is exact.  Only a smaller modular rank falls back to Bareiss
+    elimination over the integers.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
+    columns = [_integer_column(list(c), domain) for c in zip(*rows)]
+    if not columns:
         return 0
     if domain.is_prime_field:
-        rows = [[x if type(x) is int else domain.reduce_rational(x) for x in r] for r in rows]
-        if any(None in r for r in rows):
-            raise DomainError(f"a value is not integral at {domain.p}")
-        return _rank_mod(rows, domain.p)
-    if any(type(x) is not int for r in rows for x in r):
-        multipliers = [math.lcm(*(int(x.denominator) for x in col)) for col in zip(*rows)]
-        rows = [[int(x * m) for x, m in zip(r, multipliers)] for r in rows]
-    rank = _rank_mod(rows, _RANK_PRIME)
-    if rank == min(len(rows), len(rows[0])):
+        return _rank_mod(columns, domain.p)
+    rank = _rank_mod(columns, _RANK_PRIME)
+    if rank == min(len(columns), len(columns[0])):
         return rank
-    return bareiss_rank(rows)
+    return bareiss_rank(columns)
 
 
 def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
@@ -439,13 +487,39 @@ def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
 
     The matrix holds d^r f(point), r the largest degree of the functions:
     the rational matrix with the column of each point scaled by its d^r,
-    a unit over Q and, at a point with a residue image, over F_p.
+    a unit over Q and, at a point with a residue image, over F_p.  Each
+    function's value d^m f(point), m its degree, is lifted by d^(r - m).
+
+    The points are read one at a time, and each column goes into one
+    echelon modulo a prime: p over F_p, _RANK_PRIME over Q.  The rank is
+    returned once it equals the number of functions, and no further point is
+    read: full rank modulo a prime is full rank over Q.  Over F_p the
+    modular rank is the rank.  Over Q a rank still short after the last
+    point is decided by matrix_rank on the evaluated columns.  A point is
+    checked for a residue image over F_p when it is read.
     """
-    if _lacks_image(points, domain):
-        raise DomainError(f"a point is not integral at {domain.p}")
-    r = max((f.degree() for f in functions), default=0)
-    return matrix_rank([[f.scaled_value(point, r) for point in points] for f in functions],
-                       domain)
+    if not functions:
+        return 0
+    prime = domain.is_prime_field
+    degrees = [f.degree() for f in functions]
+    r = max(degrees)
+    lifts = [r - m for m in degrees]
+    echelon = _Echelon(domain.p if prime else _RANK_PRIME)
+    columns = []
+    for point in points:
+        d = point.denominator
+        if prime and not d % domain.p:
+            raise DomainError(f"a point is not integral at {domain.p}")
+        powers = [d ** k for k in range(r + 1)]
+        column = _integer_column([f.integer_value(point) * powers[k]
+                                  for f, k in zip(functions, lifts)], domain)
+        echelon.add(column)
+        if echelon.rank == len(functions):
+            return echelon.rank
+        columns.append(column)
+    if prime:
+        return echelon.rank
+    return matrix_rank([list(row) for row in zip(*columns)], domain)
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +617,15 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     weight vector of weight (wt S, wt T), and of its degree under the
     dilations in GO mode.  Distinct characters are linearly independent over
     an infinite field, so the elements are independent exactly when each
-    block is, and the rank is the sum of the block ranks.  Each batch draws
-    num_points points (default: the largest block plus 6) and ranks each
-    block at the first len + 6 of them, and a block short there at the
-    whole batch; a retry redraws and re-ranks only the short blocks.  A
-    short batch names its short blocks and the largest of them.
+    block is, and the rank is the sum of the block ranks.  Each batch holds
+    num_points points (default: the largest block plus 6), drawn as they
+    are first read.  Each block is ranked at the shortest prefix of its
+    first len + 6 points that fills it, and a block short there at the
+    whole batch; a retry redraws and re-ranks only the short blocks.  So a
+    batch draws only the points some block reads: all of them only for a
+    block short at its prefix, for a retry, or when a prime-field batch
+    may hold the whole group.  A short batch names its short blocks and the
+    largest of them.
 
     Over F_p a short rank leaves the batch undecided rather than failed: the
     functions may be dependent on the finite group O(n, F_p), which says
@@ -570,30 +648,32 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
 
     undecided = False
     for batch in (0, 1):
-        points = _suite_points(n, want_points, seed + 31 * batch, mode, domain)
-        # a draw that holds all of O(n, F_p) is the whole group: a retry
-        # could only redraw the same residues, and a second batch too
-        whole = (domain.is_prime_field
-                 and len(points) == _orthogonal_group_order(n, domain.p))
-        # each block at its own first len + 6 points; a block short there is
-        # re-ranked at the whole batch, so it is short exactly when the batch
-        # cannot certify it
-        block_ranks = [evaluation_rank(b, points[:len(b) + 6], domain) for b in weight_blocks]
+        points = _Batch(_suite_draws(n, want_points, seed + 31 * batch, mode, domain))
+        # each block at the shortest prefix of its first len + 6 points that
+        # fills it; a block short there is re-ranked at the whole batch, so it
+        # is short exactly when the batch cannot certify it
+        block_ranks = [evaluation_rank(b, points.first(len(b) + 6), domain)
+                       for b in weight_blocks]
         for i, b in enumerate(weight_blocks):
-            if block_ranks[i] < len(b) and len(points) > len(b) + 6:
-                block_ranks[i] = evaluation_rank(b, points, domain)
+            if block_ranks[i] < len(b) and points.count(want_points) > len(b) + 6:
+                block_ranks[i] = evaluation_rank(b, points.first(want_points), domain)
         short = [i for i, b in enumerate(weight_blocks) if block_ranks[i] < len(b)]
+        # a draw that holds all of O(n, F_p) is the whole group: a retry
+        # could only redraw the same residues, and a second batch too.  Only
+        # a batch that asks for that many points can hold them
+        order = _orthogonal_group_order(n, domain.p) if domain.is_prime_field else 0
+        whole = 0 < order <= want_points and points.count(want_points) == order
         retries, asked = 0, want_points
         # a batch short of the points it asked for found no new residues, so
         # a retry could only redraw the same ones
-        while short and not whole and retries < 3 and len(points) >= asked:
+        while short and not whole and retries < 3 and points.count(asked) >= asked:
             retries += 1
             asked = want_points + 8 * retries
-            points = _suite_points(n, asked, seed + 31 * batch + 101 * retries, mode,
-                                   domain, spread=2 + retries)
+            points = _Batch(_suite_draws(n, asked, seed + 31 * batch + 101 * retries, mode,
+                                         domain, spread=2 + retries))
             for i in short:
-                block_ranks[i] = max(block_ranks[i],
-                                     evaluation_rank(weight_blocks[i], points, domain))
+                block_ranks[i] = max(block_ranks[i], evaluation_rank(
+                    weight_blocks[i], points.first(asked), domain))
             short = [i for i in short if block_ranks[i] < len(weight_blocks[i])]
         undecided_mark = " undecided" if short and domain.is_prime_field else ""
         lines.append(f"independence rank={sum(block_ranks)} expected={count}{undecided_mark}")
@@ -605,7 +685,7 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
         elif short:
             ok = False
         if batch == 0 and whole:
-            lines.append(f"batch 1 skipped: batch 0 holds all {len(points)} points "
+            lines.append(f"batch 1 skipped: batch 0 holds all {order} points "
                          f"of O({n}, F_{domain.p})")
             break
 
@@ -635,25 +715,32 @@ def _orthogonal_group_order(n: int, p: int) -> int:
 
 def _suite_points(n: int, count: int, seed: int, mode: str,
                   domain: CoeffDomain, spread: int = 2) -> list[GroupPoint]:
+    """A batch of at most count suite points: GO points with gamma != 1 in GO mode."""
     _require_mode(mode)
+    return list(_suite_draws(n, count, seed, mode, domain, spread))
+
+
+def _suite_draws(n: int, count: int, seed: int, mode: str, domain: CoeffDomain,
+                 spread: int = 2):
+    """The points of _suite_points in draw order, each drawn when it is read."""
     if mode == GO:
-        points, i = [], 0
         rng = random.Random(seed)
-        while len(points) < count:
+        i = 0
+        while count > 0:
             c = rational(rng.randint(2, 5 + spread), rng.randint(1, 3))
-            if c == 1:
-                i += 1
-                continue
-            points.append(random_go_point(n, seed + 13 * i, c, spread))
+            if c != 1:
+                yield random_go_point(n, seed + 13 * i, c, spread)
+                count -= 1
             i += 1
-        return points
+        return
     if not domain.is_prime_field:
-        return standard_points(n, count, seed, spread)
+        yield from itertools.islice(_draws(n, count, seed, spread), count)
+        return
     # residues repeat: many rational points collapse to one residue matrix,
     # so draw widely and keep the points whose residues are new, until the
     # batch is full or holds every element of the finite group
     full = min(count, _orthogonal_group_order(n, domain.p))
-    kept, seen = [], set()
+    seen = set()
     for attempt in range(8):
         size = (2 + 2 * attempt) * count
         draws = _draws(n, size, seed + 1009 * attempt, spread + attempt)
@@ -662,7 +749,30 @@ def _suite_points(n: int, count: int, seed: int, mode: str,
             if residues is None or residues in seen:
                 continue
             seen.add(residues)
-            kept.append(p)
-            if len(kept) == full:
-                return kept
-    return kept
+            yield p
+            if len(seen) == full:
+                return
+
+
+class _Batch:
+    """A batch of suite points drawn as it is read: each point once, in draw order."""
+
+    __slots__ = ("_draws", "_drawn")
+
+    def __init__(self, draws):
+        self._draws, self._drawn = draws, []
+
+    def first(self, k: int):
+        """The first k points (all of them if the batch holds fewer), drawn as read."""
+        drawn = self._drawn
+        for i in range(k):
+            if i == len(drawn):
+                point = next(self._draws, None)
+                if point is None:
+                    return
+                drawn.append(point)
+            yield drawn[i]
+
+    def count(self, k: int) -> int:
+        """How many points the first k hold; the batch is drawn that far."""
+        return sum(1 for _ in self.first(k))

@@ -405,6 +405,10 @@ class Polynomial:
             total += val
         return total
 
+    def integer_value(self, point):
+        """d^m times the value at a group point g = G/d, m the degree."""
+        return self.scaled_value(point, self.degree())
+
     def serialize(self) -> str:
         """One term per line, graded-lex order, letters in text encoding."""
         if not self.terms:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import re
 import subprocess
@@ -402,6 +403,21 @@ def test_verify_zhalf_straightens_in_zhalf(capsys, monkeypatch):
     assert code == 0
     assert out.strip().endswith("PASS")
     assert domains and set(domains) == {ZHALF}
+
+
+def test_verify_reports_are_pinned(capsys):
+    # the reports byte for byte, over suites with full, short and retried
+    # blocks, a whole prime-field group and UNDECIDED verdicts: changes to
+    # point draws or to ranking must keep every certificate
+    digest = hashlib.sha256()
+    for n, r, mode, coeff in ((3, 3, "on", "q"), (4, 2, "go", "q"), (4, 2, "on", "f7"),
+                              (3, 3, "on", "f3"), (3, 2, "go", "q"), (3, 3, "on", "f5")):
+        for seed in range(1, 9):
+            code, out, _ = run_cli(["verify", "--n", str(n), "--degree", str(r), "--mode", mode,
+                                    "--coeff", coeff, "--seed", str(seed)], capsys)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "c09d5f664c7d4eedc83cd292b581ea37d4670c148061271af90cd70491f59f43")
 
 
 def test_verify_rejects_gl_mode(capsys):

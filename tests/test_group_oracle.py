@@ -283,10 +283,10 @@ def test_points_are_built_once_and_drawn_lazily(monkeypatch):
             built.clear()
             random_on_point(n, s, "MINUS")
             assert len(built) == 1
-            # the O(n) point and its scaled copy
+            # the scaled point only: its O(n) factor is never built
             built.clear()
             random_go_point(n, s, rational(3, 2))
-            assert len(built) == 2
+            assert len(built) == 1
             built.clear()
             assert len(standard_points(n, 6, seed=s)) == len(built) == 6
 
@@ -508,6 +508,58 @@ def test_matrix_rank_falls_back_to_bareiss(monkeypatch):
     assert len(calls) == 2
 
 
+def _read_at_most(points, k):
+    """The first k points, then an error: a rank that reads more reads too far."""
+    yield from points[:k]
+    raise AssertionError(f"read a point after the first {k}")
+
+
+@pytest.mark.parametrize("n, domain", [(3, QQ), (4, QQ), (3, GF(7)), (4, GF(5))])
+def test_evaluation_rank_reads_no_point_after_the_one_that_fills_it(n, domain):
+    elements = standard_basis_elements(n, 1, ON)
+    for block in group_oracle._weight_blocks(elements, n, ON) + [elements]:
+        points = _suite_points(n, len(block) + 6, 3, ON, domain)
+        # the first prefix at which the rank is full, by the whole-matrix rank
+        fill = next(k for k in range(1, len(points) + 1) if matrix_rank(
+            [[e.scaled_value(p, 1) for p in points[:k]] for e in block], domain) == len(block))
+        assert evaluation_rank(block, _read_at_most(points, fill), domain) == len(block)
+        with pytest.raises(AssertionError):
+            evaluation_rank(block, _read_at_most(points, fill - 1), domain)
+
+
+def test_evaluation_rank_short_modulo_the_prime_is_certified_by_bareiss(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return bareiss_rank(rows)
+
+    monkeypatch.setattr(group_oracle, "bareiss_rank", counted)
+    monkeypatch.setattr(group_oracle, "_RANK_PRIME", 7)
+    s, t = Tableau.parse("1 2"), Tableau.parse("1b 2")
+    u = Tableau.parse("1b 2b")
+    # independent over Q, but 7 [S:U] vanishes modulo 7: the modular rank is 1
+    block = [BidetTerm(1, 0, s, t), BidetTerm(7, 0, s, u)]
+    points = standard_points(4, 8, seed=1)
+    assert evaluation_rank(block, points, QQ) == 2
+    assert len(calls) == 1 and len(calls[0]) == len(points)
+    # a block full modulo the prime needs no fallback
+    assert evaluation_rank(block[:1], points, QQ) == 1
+    assert len(calls) == 1
+
+
+def test_prime_field_rank_refuses_a_point_without_residues_when_it_reads_it():
+    bad = random_so_point(4, 9)   # entry denominators 1 and 3
+    assert bad.denominator == 3
+    good = [p for p in standard_points(4, 6, seed=2) if p.denominator % 3]
+    elements = standard_basis_elements(4, 1, ON)
+    with pytest.raises(DomainError):
+        evaluation_rank(elements, good[:1] + [bad], GF(3))
+    # a rank full before the point is read never reads it
+    one = [BidetTerm(1, 0, Tableau(()), Tableau(()))]
+    assert evaluation_rank(one, good[:1] + [bad], GF(3)) == 1
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_gf_matrix_rank_mixed_entries(p):
     d = GF(p)
@@ -556,6 +608,7 @@ def test_degree_lift_separates_one_and_gamma_only_off_o_n():
     go_points = _suite_points(4, 6, 3, GO, QQ)
     assert all(p.gamma_value != 1 for p in go_points)
     assert evaluation_rank([one, gamma], go_points, QQ) == 2
+    assert evaluation_rank([Combination([one]), Combination([gamma])], go_points, QQ) == 2
 
 
 @pytest.mark.parametrize("n, r, mode", [(3, 2, ON), (4, 2, GO)])
@@ -807,25 +860,31 @@ def test_basis_suite_fails_on_a_duplicated_element(monkeypatch):
     assert any(line.startswith("short blocks=") for line in report.lines)
 
 
-def _recording_suite_points(monkeypatch):
-    """Patch _suite_points to record each batch it returns; returns the record."""
+def _recording_suite_draws(monkeypatch):
+    """Patch _suite_draws to record the points each batch draws; returns the record.
+
+    The batches are drawn as they are read, so a record holds only the
+    points some block read (all of them for _suite_points).
+    """
     batches = []
-    suite_points = group_oracle._suite_points
+    suite_draws = group_oracle._suite_draws
 
     def recording(*args, **kwargs):
-        batches.append(suite_points(*args, **kwargs))
-        return batches[-1]
+        batches.append([])
+        for point in suite_draws(*args, **kwargs):
+            batches[-1].append(point)
+            yield point
 
-    monkeypatch.setattr(group_oracle, "_suite_points", recording)
+    monkeypatch.setattr(group_oracle, "_suite_draws", recording)
     return batches
 
 
 def test_a_block_short_at_its_prefix_is_reranked_at_the_whole_batch(monkeypatch):
-    batches = _recording_suite_points(monkeypatch)
+    batches = _recording_suite_draws(monkeypatch)
     text = basis_suite(3, 2, ON, seed=1).text()
-    draws, width = len(batches), len(batches[0])
+    draws = len(batches)
     batches.clear()
-    target, wide = [], []
+    target, read = [], []
     evaluation = group_oracle.evaluation_rank
 
     def short_at_prefix(functions, points, domain):
@@ -834,25 +893,30 @@ def test_a_block_short_at_its_prefix_is_reranked_at_the_whole_batch(monkeypatch)
         if not target and len(functions) == 2:
             target.append(functions)
         is_target = bool(target) and functions is target[0]
+        points = list(points)
         rank = evaluation(functions, points, domain)
         if len(points) != len(functions) + 6:
-            wide.append((is_target, len(points)))
+            read.append((is_target, len(points)))
         elif is_target:
             return rank - 1
         return rank
 
     monkeypatch.setattr(group_oracle, "evaluation_rank", short_at_prefix)
-    assert width == 9
     assert basis_suite(3, 2, ON, seed=1).text() == text
     assert len(batches) == draws
-    # every other block is ranked at its prefix alone, in both batches
-    assert wide == [(True, width)] * 2
+    # the largest block has 3 elements, so each batch holds 9 points; the
+    # target's re-rank draws them all, and every other block is ranked at
+    # its prefix alone, in both batches
+    assert [len(b) for b in batches[:2]] == [9, 9]
+    assert read == [(True, 9)] * 2
 
 
 def test_basis_suite_builds_no_rational_matrix(monkeypatch):
-    batches = _recording_suite_points(monkeypatch)
+    batches = _recording_suite_draws(monkeypatch)
     assert basis_suite(3, 2).passed
-    assert batches and all(p._matrix is None for points in batches for p in points)
+    # both independence batches and the spanning points
+    assert len(batches) == 3 and all(batches)
+    assert all(p._matrix is None for points in batches for p in points)
 
 
 def test_basis_suite_o4_degree_four():
