@@ -22,6 +22,8 @@ other block with that pattern (_template_rewrite).  term_order is the one
 order of output terms.  A term is (coef, left columns, right columns): its
 gamma power is not carried but read off its size drop where column tuples
 become BidetTerms (_bidet_terms), and the measure rejects an odd drop.
+The coefficients lie in Z[1/2], and the engine computes on ints: each
+weight is an int over one power of two per root (run_straightening).
 two_column_straighten, mead_step, one_switch_expand and normalize_pair
 are thin adapters that take and give tableaux.  verify_gl checks a GL
 identity in the polynomial ring itself.
@@ -209,7 +211,28 @@ class Combination:
         return self.scaled_value(point, self.degree())
 
     def evaluate(self, point, gamma_value=None):
-        return sum(t.evaluate(point, gamma_value) for t in self._terms.values())
+        """The value at a group point, with gamma from the point unless given.
+
+        One integer sum: with L the lcm of the coefficient denominators and m
+        the degree, it is the sum of L coef * minors(G) * Gamma^k * d^(m - deg)
+        over the terms, divided once by L d^m; Gamma = gamma d^2.
+        """
+        if not self._terms:
+            return 0
+        d, m = point.denominator, self.degree()
+        gamma = point.integer_gamma
+        if gamma_value is not None:
+            # an integral Gamma, as at the point's own gamma, keeps the sum in ints
+            gamma = polyring.rational(gamma_value) * d * d
+            if gamma.denominator == 1:
+                gamma = int(gamma.numerator)
+        lcm = math.lcm(*(int(t.coef.denominator) for t in self._terms.values()))
+        total = sum(
+            int(t.coef.numerator) * (lcm // int(t.coef.denominator))
+            * point.minor_product(t.left.columns(), t.right.columns())
+            * gamma ** t.gamma_pow * d ** (m - t.degree())
+            for t in self._terms.values())
+        return polyring.rational(total, lcm * d ** m)
 
     # -- line-oriented certificate format -----------------------------------
 
@@ -580,15 +603,19 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
 
     The pairs are canonical column tuples (_canonical).  rule(left, right)
     is None for a standard pair, else (kind, witness, terms): one rewrite
-    at unit coefficient, with terms (coef, left columns, right columns).
-    The pairs leave a heap in increasing measure (_measure_key), after every
-    pair that rewrites to them, so each leaves with its final coefficient:
-    it is expanded once, or never when that is 0.  No graph is stored, and
-    only the standard leaves become tableaux, with the gamma power of their
-    size drop from the root (_bidet_terms).  The rules'
-    coefficients are integers and dyadic rationals, so the result is exact
-    over Z[1/2].  fuel bounds the number of rule calls; trace, when given,
-    gets (kind, witness, term count) for each pair rewritten.
+    at unit coefficient, with terms (coef, left columns, right columns) and
+    coefficients in Z[1/2].  The pairs leave a heap in increasing measure
+    (_measure_key), after every pair that rewrites to them, so each leaves
+    with its final coefficient: it is expanded once, or never when that is
+    0.  No graph is stored, and only the standard leaves become tableaux,
+    with the gamma power of their size drop from the root (_bidet_terms).
+    Every pending and leaf weight is an int w standing for w / 2^exp, with
+    one exponent for the whole run, starting at 0: a coefficient a / 2^h
+    adds weight * a / 2^h, and only when that division is not exact are
+    all weights doubled and exp raised by one.  The leaves become rationals
+    once at the end, and stay ints when exp is 0, as it always is in GL
+    mode.  fuel bounds the number of rule calls; trace, when given, gets
+    (kind, witness, term count) for each pair rewritten.
     """
     sign, left, right = normal_columns(s.columns(), t.columns())
     if sign == 0:
@@ -597,7 +624,8 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
     weights = {root: sign}
     heap = [(_measure_key(root), root)]
     last = ()                 # the key that left the heap last; () is below every key
-    leaves = []
+    leaves = {}
+    exp = 0
     while heap:
         key, pair = heapq.heappop(heap)
         if not last < key:
@@ -611,16 +639,31 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
         fuel -= 1
         step = rule(*pair)
         if step is None:
-            leaves.append((weight, *pair))
+            leaves[pair] = weight
             continue
         if trace is not None:
             trace.append((step[0], step[1], len(step[2])))
         for coef, new_left, new_right in step[2]:
+            if type(coef) is int:
+                add = weight * coef
+            else:
+                num, den = int(coef.numerator), int(coef.denominator)
+                if den & (den - 1):
+                    raise AssertionError(f"rewrite coefficient {coef} left Z[1/2]")
+                while weight * num % den:
+                    exp += 1
+                    weight *= 2
+                    for held in (weights, leaves):
+                        for k in held:
+                            held[k] *= 2
+                add = weight * num // den
             child = new_left, new_right
             if child not in weights:
                 heapq.heappush(heap, (_measure_key(child), child))
-            weights[child] = weights.get(child, 0) + weight * coef
-    return Combination(_bidet_terms(leaves, s.size))
+            weights[child] = weights.get(child, 0) + add
+    if exp:
+        leaves = {pair: polyring.rational(w, 2 ** exp) for pair, w in leaves.items()}
+    return Combination(_bidet_terms(((w, *pair) for pair, w in leaves.items()), s.size))
 
 
 def _check_input(s: Tableau, t: Tableau, n: int):
@@ -646,14 +689,21 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = FUEL,
     _check_input(s, t, n)
     out = run_straightening(s, t, Rule(), fuel, trace)
     # the full diagonal torus acts on both sides: each keeps its letters
-    content = (_content(s), _content(t))
-    for term in out.unsorted():
-        # a fresh check, not the rule's verdicts, which made each leaf a leaf
-        if not (_gl_standard(term.left.columns(), n) and _gl_standard(term.right.columns(), n)):
-            raise AssertionError("non-standard tableau in output")
-        if (_content(term.left), _content(term.right)) != content:
-            raise AssertionError("output term changed the letter content")
+    for side, tableaux in zip((s, t), _distinct_sides(out)):
+        content = _content(side)
+        for tab in tableaux:
+            # a fresh check, not the rule's verdicts, which made each leaf a leaf
+            if not _gl_standard(tab.columns(), n):
+                raise AssertionError("non-standard tableau in output")
+            if _content(tab) != content:
+                raise AssertionError("output term changed the letter content")
     return out
+
+
+def _distinct_sides(comb: Combination):
+    """The distinct left and the distinct right tableaux of a combination's terms."""
+    terms = comb.unsorted()
+    return dict.fromkeys(x.left for x in terms), dict.fromkeys(x.right for x in terms)
 
 
 # the largest expansion verify_gl proves by polynomial equality, in monomials

@@ -50,6 +50,7 @@ from .gl_straighten import (
     _add_term,
     _bidet_terms,
     _check_input,
+    _distinct_sides,
     _switch_terms,
     normal_columns,
     run_straightening,
@@ -406,13 +407,14 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
                 lambda v, s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n))
     out = _at_mode(run_straightening(s, t, rule, fuel, trace), mode).reduce(domain)
     # every rewrite is an identity of weight vectors of the diagonal torus
-    weight = (sparse_torus_weight(s.columns()), sparse_torus_weight(t.columns()))
-    for term in out.unsorted():
-        left, right = term.left.columns(), term.right.columns()
-        # a fresh scan, not the rule's verdicts, which made each leaf a leaf
-        if next(column_violations(left, n), None) or next(column_violations(right, n), None):
-            raise AssertionError("non-standard tableau in output")
-        if (sparse_torus_weight(left), sparse_torus_weight(right)) != weight:
-            raise AssertionError("output term changed the torus weight")
+    for side, tableaux in zip((s, t), _distinct_sides(out)):
+        weight = sparse_torus_weight(side.columns())
+        for tab in tableaux:
+            cols = tab.columns()
+            # a fresh scan, not the rule's verdicts, which made each leaf a leaf
+            if next(column_violations(cols, n), None):
+                raise AssertionError("non-standard tableau in output")
+            if sparse_torus_weight(cols) != weight:
+                raise AssertionError("output term changed the torus weight")
     return out
 

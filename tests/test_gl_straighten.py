@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from obidet.gl_straighten import (
     BidetTerm,
     CapExceeded,
     Combination,
+    _bidet_terms,
     _canonical,
     _measure_key,
     _template_rewrite,
@@ -411,6 +413,44 @@ def test_driver_never_expands_a_cancelled_pair():
     assert out == single_term(Tableau.parse("1"), Tableau.parse("1"), 1, gamma_pow=1)
 
 
+def expand_in_fractions(graph, pair, weight, leaves):
+    """The leaves of graph below pair with their summed Fraction weights: the driver's oracle."""
+    if pair not in graph:
+        leaves[pair] = leaves.get(pair, 0) + weight
+    for coef, child in graph.get(pair, ()):
+        expand_in_fractions(graph, child, weight * Fraction(coef), leaves)
+    return leaves
+
+
+def test_driver_weights_are_ints_over_one_power_of_two():
+    # the driver keeps every weight as an int over 2^E: a 1/2 or 1/4 that
+    # does not divide a weight doubles all of them (the pending ones, the
+    # popped one and the leaves already out), here three times, and the
+    # result is the graph's expansion in Fractions
+    s = Tableau.parse("1b 1 2")
+    root, leaf, b, a, c, d = map(canonical_pair, ("1b 1 2", "1b 1; 2", "1b 2; 1", "1b; 1; 2",
+                                                  "1", "2"))
+    keys = [_measure_key(pair) for pair in (root, leaf, b, a, c, d)]
+    assert keys == sorted(keys)
+    half, quarter = rational(1, 2), rational(1, 4)
+    graph = {root: [(half, a), (3, b), (5, leaf)],
+             b: [(quarter, c), (-half, d)],
+             a: [(quarter, d), (2, c)]}
+    calls = []
+    out = run_straightening(s, s, graph_rule(graph, calls), fuel=10)
+    assert calls == [root, leaf, b, a, c, d]
+    leaves = expand_in_fractions(graph, root, Fraction(1), {})
+    assert leaves == {leaf: 5, c: Fraction(7, 4), d: Fraction(-11, 8)}
+    assert out == Combination(_bidet_terms(((w, *p) for p, w in leaves.items()), s.size))
+
+
+def test_driver_refuses_a_coefficient_outside_z_half():
+    s = Tableau.parse("1b 1 2")
+    root, a = canonical_pair("1b 1 2"), canonical_pair("1b; 1; 2")
+    with pytest.raises(AssertionError, match="left Z\\[1/2\\]"):
+        run_straightening(s, s, graph_rule({root: [(rational(1, 3), a)]}, []), fuel=10)
+
+
 @pytest.mark.parametrize("child", ["1b 1 2", "1b 1"])
 def test_driver_rejects_a_term_that_does_not_rise(child):
     # a rule that bypasses splice_block with a term whose key is not above
@@ -452,7 +492,7 @@ def test_gl_straighten_random_symbolic_identity():
         for term in out:
             assert is_gl_standard(term.left, n)
             assert is_gl_standard(term.right, n)
-            assert int(term.coef) == term.coef  # integral after merging
+            assert type(term.coef) is int  # no 1/2 in GL mode, so E stays 0
 
 
 def test_gl_straighten_rejects_too_many_rows():

@@ -658,6 +658,32 @@ def test_integer_minors_and_values_match_the_fraction_oracle():
             assert poly.scaled_value(p, r) == poly.evaluate(p) * p.denominator ** r
 
 
+def test_combination_value_is_the_sum_of_its_term_values():
+    # Combination.evaluate is one integer sum over a common denominator; the
+    # term-by-term sum of BidetTerm.evaluate is its oracle
+    n = 4
+    on_point = standard_points(n, 1, seed=3)[0]
+    go_point = random_go_point(n, 3, rational(5, 3))
+    assert Combination().evaluate(on_point) == 0
+    assert Combination().evaluate(go_point, rational(2, 7)) == 0
+    assert go_point.gamma_value != 1 and go_point.denominator > 1
+    rng = random.Random(12)
+    # mixed degrees, dyadic and other denominators, gamma powers 0..2
+    comb = Combination(
+        BidetTerm(coef, j, *_random_nonstandard_pair(n, size, rng))
+        for coef, j, size in ((rational(3, 2), 0, 3), (rational(-5, 4), 1, 2),
+                              (rational(7, 3), 2, 1), (2, 0, 1), (-1, 1, 3)))
+    reduced = comb.reduce(GF(7))
+    assert len(comb) == 5 and all(type(t.coef) is int for t in reduced.unsorted())
+    # an explicit gamma other than the point's, integral or not once scaled by d^2
+    for point, gamma in ((on_point, None), (go_point, None), (go_point, 1),
+                         (go_point, rational(2, 7)), (go_point, go_point.gamma_value)):
+        for c in (comb, reduced):
+            value = c.evaluate(point, gamma)
+            assert value == sum(t.evaluate(point, gamma) for t in c.unsorted())
+    assert comb.evaluate(go_point) != comb.evaluate(go_point, 1)
+
+
 def test_kernel_values_are_plain_ints_whatever_the_elimination_type(monkeypatch):
     # with gmpy2 installed Bareiss runs on mpz, which is not int; Fraction
     # stands in for such a type here
