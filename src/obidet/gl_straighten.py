@@ -96,19 +96,11 @@ class BidetTerm:
         minors = point.minor_product(self.left.columns(), self.right.columns())
         return self.coef * minors * point.integer_gamma ** self.gamma_pow
 
-    def scaled_value(self, point, degree: int):
-        """d^degree times the value at a group point g = G/d; degree >= self.degree().
-
-        The integer value is d^m times the value, m the degree of the term,
-        so d^(degree - m) lifts it to the given degree.
-        """
-        return self.integer_value(point) * point.denominator ** (degree - self.degree())
-
     def evaluate(self, point, gamma_value=None):
         """The value at a group point, with gamma from the point unless given.
 
         It is minors(G) / d^|shape| times gamma^gamma_pow; with the point's
-        gamma, that is scaled_value over d^m.
+        gamma, that is integer_value over d^m, m the degree.
         """
         minors = point.minor_product(self.left.columns(), self.right.columns())
         v = polyring.rational(self.coef * minors, point.denominator ** self.left.size)
@@ -202,13 +194,14 @@ class Combination:
         """The largest term degree; -1 for the zero combination."""
         return max((t.degree() for t in self._terms.values()), default=-1)
 
-    def scaled_value(self, point, degree: int):
-        """d^degree times the value at a group point; see BidetTerm.scaled_value."""
-        return sum(t.scaled_value(point, degree) for t in self._terms.values())
-
     def integer_value(self, point):
-        """d^m times the value at a group point, m the degree."""
-        return self.scaled_value(point, self.degree())
+        """d^m times the value at a group point, m the degree.
+
+        A term of degree k has the integer value d^k times its value, so
+        d^(m - k) lifts it to the degree of the combination.
+        """
+        d, m = point.denominator, self.degree()
+        return sum(t.integer_value(point) * d ** (m - t.degree()) for t in self._terms.values())
 
     def evaluate(self, point, gamma_value=None):
         """The value at a group point, with gamma from the point unless given.

@@ -15,10 +15,10 @@ that read it.
 Functions are evaluated by one integer kernel: a function of degree m has
 the value d^-m times an integer combination of the minors of G (cached on
 the point; a small one expands from cached ones of one order less) and
-powers of Gamma.  verify_on_group checks identities and
-evaluation_rank takes ranks on these integers, each lifted by d^(r - m)
-to the largest degree r in play; the evaluation matrix is then the
-rational one with the column of each point scaled by the unit d^r.
+powers of Gamma.  verify_on_group checks identities on these integers;
+evaluation_rank ranks them, each lifted by d^(r - m) to the largest
+degree r in play, so the evaluation matrix is the rational one with the
+column of each point scaled by the unit d^r.
 A prime-field batch keeps the rational points whose residue matrices are
 new, drawing lazily until it holds enough of them; the values of a
 Z[1/2]-polynomial function at a p-integral point reduce to its values at
@@ -33,9 +33,9 @@ every standard element is a weight vector for the diagonal torus acting on
 both sides (and for the dilations in GO mode), and distinct characters are
 linearly independent over an infinite field, so the rank of the elements
 is the sum of the ranks of their weight blocks.  A batch holds (largest
-block + 6) points, drawn as they are first read.  Each block is ranked at
-the shortest prefix of its first len + 6 points that fills it, and, if
-short there, at the whole batch.  Over F_p this holds over the algebraic
+block + 6) points, drawn as they are first read.  Each block is ranked
+once per batch, at the shortest prefix of the batch that fills it, or at
+the whole batch if none does.  Over F_p this holds over the algebraic
 closure, so full block ranks prove more than one full-matrix rank could.
 """
 
@@ -341,14 +341,14 @@ def _lacks_image(points, domain: CoeffDomain) -> bool:
 def verify_on_group(f, points, domain: CoeffDomain = QQ) -> bool:
     """True when f vanishes at every point; over F_p, when every value reduces to 0.
 
-    The values are d^r f(point), r the degree of f: d is a unit over Q and,
-    at a point with a residue image, over F_p.  A point whose d the prime
-    divides has no image, so the check fails there.
+    The values are f.integer_value(point), d^m f(point) with m the degree
+    of f: d is a unit over Q and, at a point with a residue image, over
+    F_p.  A point whose d the prime divides has no image, so the check
+    fails there.
     """
-    r = f.degree()
     if _lacks_image(points, domain):
         return False
-    return all(domain.reduce_rational(f.scaled_value(point, r)) == 0 for point in points)
+    return all(domain.reduce_rational(f.integer_value(point)) == 0 for point in points)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +495,7 @@ def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
     returned once it equals the number of functions, and no further point is
     read: full rank modulo a prime is full rank over Q.  Over F_p the
     modular rank is the rank.  Over Q a rank still short after the last
-    point is decided by matrix_rank on the evaluated columns.  A point is
+    point is decided by bareiss_rank on the evaluated columns.  A point is
     checked for a residue image over F_p when it is read.
     """
     if not functions:
@@ -519,7 +519,7 @@ def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
         columns.append(column)
     if prime:
         return echelon.rank
-    return matrix_rank([list(row) for row in zip(*columns)], domain)
+    return bareiss_rank(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -538,23 +538,21 @@ def standard_basis_elements(n: int, r_max: int, mode: str = ON,
 
 
 def _standard_blocks(n: int, r_max: int, mode: str, degree_exact: bool = False):
-    """The basis as blocks (k, tableaux): the pairs gamma^k [S:T] of one shape.
+    """The basis as blocks (k, tableaux), lazily: the pairs gamma^k [S:T] of one shape.
 
-    Each shape is enumerated once, however many gamma levels it appears at.
+    Each shape is enumerated once, when its first block is read, however
+    many gamma levels it appears at.
     """
     _require_mode(mode)
     if r_max < 0:
         raise DomainError(f"degree must be >= 0, got {r_max}")
-    by_size: dict[int, list] = {0: [[Tableau(())]]}
-    blocks = []
+    by_shape = {(): [Tableau(())]}
     for r in [r_max] if degree_exact else range(r_max + 1):
         for k in range(r // 2 + 1) if mode == GO else (0,):
-            size = r - 2 * k
-            if size not in by_size:
-                by_size[size] = [list(enumerate_on_standard(shape, n))
-                                 for shape in partitions_of(size, max_rows=n)]
-            blocks.extend((k, tableaux) for tableaux in by_size[size])
-    return blocks
+            for shape in partitions_of(r - 2 * k, max_rows=n):
+                if shape not in by_shape:
+                    by_shape[shape] = list(enumerate_on_standard(shape, n))
+                yield k, by_shape[shape]
 
 
 def _block_terms(blocks) -> list[BidetTerm]:
@@ -619,13 +617,15 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     an infinite field, so the elements are independent exactly when each
     block is, and the rank is the sum of the block ranks.  Each batch holds
     num_points points (default: the largest block plus 6), drawn as they
-    are first read.  Each block is ranked at the shortest prefix of its
-    first len + 6 points that fills it, and a block short there at the
-    whole batch; a retry redraws and re-ranks only the short blocks.  So a
-    batch draws only the points some block reads: all of them only for a
-    block short at its prefix, for a retry, or when a prime-field batch
-    may hold the whole group.  A short batch names its short blocks and the
-    largest of them.
+    are first read.  Each block is ranked by one evaluation_rank call over
+    the batch, which reads it up to the point that fills the block; a retry
+    redraws and re-ranks only the short blocks, one call each.  So a batch
+    draws only the points some block reads: all of them only for a short
+    block, for a retry, or when a prime-field batch may hold the whole
+    group.  A short batch names its short blocks and the largest of them.
+    The standard tableaux are enumerated one shape at a time, and a suite
+    is refused at the first shape that takes the element count past the
+    cap, before any element is built.
 
     Over F_p a short rank leaves the batch undecided rather than failed: the
     functions may be dependent on the finite group O(n, F_p), which says
@@ -637,10 +637,13 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     """
     if mode == GO and domain.is_prime_field:
         raise DomainError("similitude mode runs over the rationals only")
-    blocks = _standard_blocks(n, r_max, mode)
-    count = sum(len(tableaux) ** 2 for _, tableaux in blocks)
-    if count > cap:
-        return SuiteReport([f"refused: {count} standard elements exceed the cap {cap}"], False)
+    blocks, count = [], 0
+    for k, tableaux in _standard_blocks(n, r_max, mode):
+        blocks.append((k, tableaux))
+        count += len(tableaux) ** 2
+        if count > cap:
+            return SuiteReport(
+                [f"refused: at least {count} standard elements exceed the cap {cap}"], False)
     weight_blocks = _weight_blocks(_block_terms(blocks), n, mode)
     lines = []
     ok = True
@@ -649,31 +652,26 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     undecided = False
     for batch in (0, 1):
         points = _Batch(_suite_draws(n, want_points, seed + 31 * batch, mode, domain))
-        # each block at the shortest prefix of its first len + 6 points that
-        # fills it; a block short there is re-ranked at the whole batch, so it
-        # is short exactly when the batch cannot certify it
-        block_ranks = [evaluation_rank(b, points.first(len(b) + 6), domain)
-                       for b in weight_blocks]
-        for i, b in enumerate(weight_blocks):
-            if block_ranks[i] < len(b) and points.count(want_points) > len(b) + 6:
-                block_ranks[i] = evaluation_rank(b, points.first(want_points), domain)
+        # each block reads the batch up to the point that fills it, so it is
+        # short exactly when the whole batch cannot certify it
+        block_ranks = [evaluation_rank(b, points, domain) for b in weight_blocks]
         short = [i for i, b in enumerate(weight_blocks) if block_ranks[i] < len(b)]
         # a draw that holds all of O(n, F_p) is the whole group: a retry
         # could only redraw the same residues, and a second batch too.  Only
         # a batch that asks for that many points can hold them
         order = _orthogonal_group_order(n, domain.p) if domain.is_prime_field else 0
-        whole = 0 < order <= want_points and points.count(want_points) == order
+        whole = 0 < order <= want_points and points.count() == order
         retries, asked = 0, want_points
         # a batch short of the points it asked for found no new residues, so
         # a retry could only redraw the same ones
-        while short and not whole and retries < 3 and points.count(asked) >= asked:
+        while short and not whole and retries < 3 and points.count() >= asked:
             retries += 1
             asked = want_points + 8 * retries
             points = _Batch(_suite_draws(n, asked, seed + 31 * batch + 101 * retries, mode,
                                          domain, spread=2 + retries))
             for i in short:
                 block_ranks[i] = max(block_ranks[i], evaluation_rank(
-                    weight_blocks[i], points.first(asked), domain))
+                    weight_blocks[i], points, domain))
             short = [i for i in short if block_ranks[i] < len(weight_blocks[i])]
         undecided_mark = " undecided" if short and domain.is_prime_field else ""
         lines.append(f"independence rank={sum(block_ranks)} expected={count}{undecided_mark}")
@@ -755,24 +753,20 @@ def _suite_draws(n: int, count: int, seed: int, mode: str, domain: CoeffDomain,
 
 
 class _Batch:
-    """A batch of suite points drawn as it is read: each point once, in draw order."""
+    """Suite points, each drawn once, when first read; every iteration starts at the first."""
 
     __slots__ = ("_draws", "_drawn")
 
     def __init__(self, draws):
         self._draws, self._drawn = draws, []
 
-    def first(self, k: int):
-        """The first k points (all of them if the batch holds fewer), drawn as read."""
+    def __iter__(self):
         drawn = self._drawn
-        for i in range(k):
-            if i == len(drawn):
-                point = next(self._draws, None)
-                if point is None:
-                    return
-                drawn.append(point)
-            yield drawn[i]
+        yield from drawn
+        for point in self._draws:
+            drawn.append(point)
+            yield point
 
-    def count(self, k: int) -> int:
-        """How many points the first k hold; the batch is drawn that far."""
-        return sum(1 for _ in self.first(k))
+    def count(self) -> int:
+        """How many points the batch holds; it is drawn to its end."""
+        return sum(1 for _ in self)

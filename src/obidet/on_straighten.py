@@ -172,15 +172,18 @@ def verify_relation(spec: RelationSpec, points) -> bool:
 
     The sum side is evaluated from the raw stacked columns, without sorting,
     by the point's integer minors: both sides are compared as d^r times
-    their values, r the largest degree in play.
+    their values, r the largest degree in play, each integer value lifted
+    from its own degree to r.
     """
     rhs = relation_rhs(spec)
     t_cols = spec.t.columns()
     lhs = list(relation_lhs_terms(spec))
-    r = max(spec.t.size, rhs.degree())
+    size, m = spec.t.size, rhs.degree()
+    r = max(size, m)
     return all(
         sum(point.minor_product(left_cols, t_cols) for left_cols in lhs)
-        * point.denominator ** (r - spec.t.size) == rhs.scaled_value(point, r)
+        * point.denominator ** (r - size)
+        == rhs.integer_value(point) * point.denominator ** (r - m)
         for point in points)
 
 

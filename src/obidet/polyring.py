@@ -391,23 +391,19 @@ class Polynomial:
             return 0
         return total
 
-    def scaled_value(self, point, degree: int):
-        """d^degree times the value at a group point g = G/d; degree >= self.degree().
+    def integer_value(self, point):
+        """d^m times the value at a group point g = G/d, m the degree.
 
         A monomial of degree k in the entries of G is d^k times its value in
-        those of g, so d^(degree - k) lifts it to the given degree.
+        those of g, so d^(m - k) lifts it to the degree of the polynomial.
         """
-        total = 0
+        d, m, total = point.denominator, self.degree(), 0
         for mono, coeff in self.terms.items():
-            val = coeff * point.denominator ** (degree - _mono_degree(mono))
+            val = coeff * d ** (m - _mono_degree(mono))
             for (i, j), e in mono:
                 val *= point.minor((i,), (j,)) ** e
             total += val
         return total
-
-    def integer_value(self, point):
-        """d^m times the value at a group point g = G/d, m the degree."""
-        return self.scaled_value(point, self.degree())
 
     def serialize(self) -> str:
         """One term per line, graded-lex order, letters in text encoding."""

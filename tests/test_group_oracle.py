@@ -521,7 +521,8 @@ def test_evaluation_rank_reads_no_point_after_the_one_that_fills_it(n, domain):
         points = _suite_points(n, len(block) + 6, 3, ON, domain)
         # the first prefix at which the rank is full, by the whole-matrix rank
         fill = next(k for k in range(1, len(points) + 1) if matrix_rank(
-            [[e.scaled_value(p, 1) for p in points[:k]] for e in block], domain) == len(block))
+            [[e.integer_value(p) * p.denominator ** (1 - e.degree()) for p in points[:k]]
+             for e in block], domain) == len(block))
         assert evaluation_rank(block, _read_at_most(points, fill), domain) == len(block)
         with pytest.raises(AssertionError):
             evaluation_rank(block, _read_at_most(points, fill - 1), domain)
@@ -618,15 +619,16 @@ def test_rank_matrix_is_the_rational_one_with_scaled_columns(monkeypatch, n, r, 
     assert len({e.degree() for e in elements}) > 1 and any(p.denominator > 1 for p in points)
     seen = []
 
-    def capture(rows, domain):
-        seen.append(rows)
+    def capture(columns):
+        seen.append(columns)
         return 0
 
-    monkeypatch.setattr(group_oracle, "matrix_rank", capture)
+    # more elements than points: the rank is short, and Bareiss gets the columns
+    monkeypatch.setattr(group_oracle, "bareiss_rank", capture)
     evaluation_rank(elements, points, QQ)
     # the Fraction oracle at the bare rational matrix, column p times d_p^r
     expected = [[eval_bideterminant(e.left, e.right, p.matrix) * p.gamma_value ** e.gamma_pow
-                 * p.denominator ** r for p in points] for e in elements]
+                 * p.denominator ** r for e in elements] for p in points]
     assert seen == [expected]
     assert all(type(x) is int for row in seen[0] for x in row)
 
@@ -651,11 +653,10 @@ def test_integer_minors_and_values_match_the_fraction_oracle():
             term = BidetTerm(rational(3, 2), j, s, t)
             oracle = rational(3, 2) * eval_bideterminant(s, t, p.matrix) * p.gamma_value ** j
             assert term.evaluate(p) == oracle
-            assert term.scaled_value(p, term.degree() + 1) == oracle * p.denominator ** (
-                term.degree() + 1)
+            assert term.integer_value(p) == oracle * p.denominator ** term.degree()
+            # mixed degrees: the constant is lifted to the degree of the polynomial
             poly = bideterminant(s, t) * gamma_poly(n) - Polynomial.constant(7)
-            r = poly.degree() + 1
-            assert poly.scaled_value(p, r) == poly.evaluate(p) * p.denominator ** r
+            assert poly.integer_value(p) == poly.evaluate(p) * p.denominator ** poly.degree()
 
 
 def test_combination_value_is_the_sum_of_its_term_values():
@@ -681,6 +682,9 @@ def test_combination_value_is_the_sum_of_its_term_values():
         for c in (comb, reduced):
             value = c.evaluate(point, gamma)
             assert value == sum(t.evaluate(point, gamma) for t in c.unsorted())
+            if gamma is None:
+                # each term's integer value lifted to the top degree
+                assert c.integer_value(point) == value * point.denominator ** c.degree()
     assert comb.evaluate(go_point) != comb.evaluate(go_point, 1)
 
 
@@ -694,7 +698,7 @@ def test_kernel_values_are_plain_ints_whatever_the_elimination_type(monkeypatch)
     for p in points:
         assert type(p.integer_gamma) is int
         assert all(type(p.minor(letters[:k], letters[-k:])) is int for k in (1, 2, 3))
-        assert all(type(e.scaled_value(p, 2)) is int for e in elements)
+        assert all(type(e.integer_value(p)) is int for e in elements)
 
 
 def _bareiss_minor(p, rows, cols):
@@ -813,8 +817,28 @@ def test_basis_suite_refuses_before_building_terms(monkeypatch):
 
     monkeypatch.setattr(BidetTerm, "__post_init__", counting_post_init)
     report = basis_suite(8, 4)
-    assert report.lines == ["refused: 668679 standard elements exceed the cap 800"]
+    assert report.lines == ["refused: at least 1290 standard elements exceed the cap 800"]
     assert not built
+
+
+def test_basis_suite_stops_enumerating_at_the_first_shape_past_the_cap(monkeypatch):
+    enumerated = []
+    enumerate_on_standard = group_oracle.enumerate_on_standard
+
+    def counting(shape, n):
+        # the empty shape's constant, and the elements of each shape so far
+        assert 1 + sum(len(t) ** 2 for _, t in enumerated) <= 10, (
+            f"shape {shape} enumerated past the cap")
+        tableaux = list(enumerate_on_standard(shape, n))
+        enumerated.append((shape, tableaux))
+        return iter(tableaux)
+
+    monkeypatch.setattr(group_oracle, "enumerate_on_standard", counting)
+    report = basis_suite(8, 10, cap=10)
+    # shape (1) alone has 8 x 8 elements; every other shape up to size 10 is
+    # left unenumerated
+    assert report.lines == ["refused: at least 65 standard elements exceed the cap 10"]
+    assert [shape for shape, _ in enumerated] == [(1,)]
 
 
 def test_basis_suite_prime_field():
@@ -871,15 +895,20 @@ def test_go_weight_blocks_split_by_degree():
         assert len({e.degree() for e in block}) == 1
 
 
-def test_basis_suite_fails_on_a_duplicated_element(monkeypatch):
+def _duplicate_an_element(monkeypatch):
+    """Patch _standard_blocks to repeat a tableau of the last shape: a dependent suite."""
     standard_blocks = group_oracle._standard_blocks
 
     def with_duplicate(*args, **kwargs):
-        blocks = standard_blocks(*args, **kwargs)
+        blocks = list(standard_blocks(*args, **kwargs))
         k, tableaux = blocks[-1]
         return blocks[:-1] + [(k, tableaux + tableaux[:1])]
 
     monkeypatch.setattr(group_oracle, "_standard_blocks", with_duplicate)
+
+
+def test_basis_suite_fails_on_a_duplicated_element(monkeypatch):
+    _duplicate_an_element(monkeypatch)
     report = basis_suite(3, 2, ON, seed=1)
     assert not report.passed and not report.undecided
     assert report.text().endswith("FAIL")
@@ -905,36 +934,57 @@ def _recording_suite_draws(monkeypatch):
     return batches
 
 
-def test_a_block_short_at_its_prefix_is_reranked_at_the_whole_batch(monkeypatch):
-    batches = _recording_suite_draws(monkeypatch)
-    text = basis_suite(3, 2, ON, seed=1).text()
-    draws = len(batches)
-    batches.clear()
-    target, read = [], []
+def _recording_evaluation_rank(monkeypatch):
+    """Patch evaluation_rank to record each call as (block, points read, rank)."""
+    calls = []
     evaluation = group_oracle.evaluation_rank
 
-    def short_at_prefix(functions, points, domain):
-        # the first block of two reads short at its prefix only, as if the
-        # first points happened to miss it
-        if not target and len(functions) == 2:
-            target.append(functions)
-        is_target = bool(target) and functions is target[0]
-        points = list(points)
-        rank = evaluation(functions, points, domain)
-        if len(points) != len(functions) + 6:
-            read.append((is_target, len(points)))
-        elif is_target:
-            return rank - 1
+    def recording(functions, points, domain):
+        read = []
+
+        def reading():
+            for point in points:
+                read.append(point)
+                yield point
+
+        rank = evaluation(functions, reading(), domain)
+        calls.append((functions, read, rank))
         return rank
 
-    monkeypatch.setattr(group_oracle, "evaluation_rank", short_at_prefix)
-    assert basis_suite(3, 2, ON, seed=1).text() == text
-    assert len(batches) == draws
-    # the largest block has 3 elements, so each batch holds 9 points; the
-    # target's re-rank draws them all, and every other block is ranked at
-    # its prefix alone, in both batches
-    assert [len(b) for b in batches[:2]] == [9, 9]
-    assert read == [(True, 9)] * 2
+    monkeypatch.setattr(group_oracle, "evaluation_rank", recording)
+    return calls
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_each_block_is_ranked_once_per_batch_up_to_its_filling_point(monkeypatch, duplicate):
+    if duplicate:
+        _duplicate_an_element(monkeypatch)
+    batches = _recording_suite_draws(monkeypatch)
+    calls = _recording_evaluation_rank(monkeypatch)
+    assert basis_suite(3, 2, ON, seed=1).passed != duplicate
+    # the calls grouped by batch: each call reads at least one point, and
+    # each batch draws its own
+    by_batch = {}
+    for functions, read, _ in calls:
+        by_batch.setdefault(id(read[0]), []).append(id(functions))
+    ranked = list(by_batch.values())
+    # the two independence batches, each followed by three retries when it
+    # has short blocks; the last batch drawn holds the spanning points
+    assert len(ranked) == len(batches) - 1 == (8 if duplicate else 2)
+    blocks = set(ranked[0])
+    short = {id(f) for f, _, rank in calls if rank < len(f)}
+    assert len(blocks) == 34 and bool(short) == duplicate
+    for i, ids in enumerate(ranked):
+        # one call per block: every block in an independence batch, and only
+        # the short ones in a retry
+        assert sorted(ids) == sorted(blocks if i in (0, len(ranked) // 2) else short)
+    for functions, read, rank in calls:
+        if rank == len(functions):
+            # a full block reads no point after the one that fills it
+            assert evaluation_rank(functions, read[:-1], QQ) < rank
+        else:
+            # a short block reads its whole batch
+            assert read == next(b for b in batches if b[0] is read[0])
 
 
 def test_basis_suite_builds_no_rational_matrix(monkeypatch):
