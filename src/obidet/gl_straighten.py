@@ -230,9 +230,12 @@ class Combination:
     # -- line-oriented certificate format -----------------------------------
 
     def certificate(self) -> str:
+        text = {}   # each distinct tableau is formatted once
         lines = []
         for t in self.terms():
-            lines.append(f"{t.coef}\t{t.gamma_pow}\t{t.left.format()}\t{t.right.format()}")
+            left = text.get(t.left) or text.setdefault(t.left, t.left.format())
+            right = text.get(t.right) or text.setdefault(t.right, t.right.format())
+            lines.append(f"{t.coef}\t{t.gamma_pow}\t{left}\t{right}")
         return "\n".join(lines)
 
     @classmethod

@@ -23,9 +23,10 @@ A prime-field batch keeps the rational points whose residue matrices are
 new, drawing lazily until it holds enough of them; the values of a
 Z[1/2]-polynomial function at a p-integral point reduce to its values at
 the residue point, so F_p values and ranks are residues of exact values.
-evaluation_rank reads its points one at a time into one echelon modulo a
-prime and stops at the point that makes the rank full.  Over Q that prime
-is 2^61 - 1, and a full rank modulo it is full over Q; a rank short after
+_block_ranks ranks blocks of functions in one pass over the points, each
+into its own echelon modulo a prime, up to the point that fills the last
+open block; evaluation_rank is its one-block case.  Over Q that prime is
+2^61 - 1, and a full rank modulo it is full over Q; a rank short after
 the last point is computed by fraction-free Bareiss elimination over the
 integers.  Over F_p it is the rank of the residues.
 The basis suite certifies independence one torus-weight block at a time:
@@ -33,10 +34,12 @@ every standard element is a weight vector for the diagonal torus acting on
 both sides (and for the dilations in GO mode), and distinct characters are
 linearly independent over an infinite field, so the rank of the elements
 is the sum of the ranks of their weight blocks.  A batch holds (largest
-block + 6) points, drawn as they are first read.  Each block is ranked
-once per batch, at the shortest prefix of the batch that fills it, or at
-the whole batch if none does.  Over F_p this holds over the algebraic
-closure, so full block ranks prove more than one full-matrix rank could.
+block + 6) points, drawn as they are first read.  One pass over a batch
+ranks every block, each at the shortest prefix of the batch that fills
+it, or at the whole batch if none does.  Over F_p this holds over the
+algebraic closure, so full block ranks prove more than one full-matrix
+rank could.  Spanning residuals are checked at batch 0's first 10 points,
+or at 10 of their own when batch 0 asks for fewer.
 """
 
 from __future__ import annotations
@@ -489,37 +492,57 @@ def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
     the rational matrix with the column of each point scaled by its d^r,
     a unit over Q and, at a point with a residue image, over F_p.  Each
     function's value d^m f(point), m its degree, is lifted by d^(r - m).
+    It is the one-block case of _block_ranks.
+    """
+    return _block_ranks([functions], points, domain)[0]
 
-    The points are read one at a time, and each column goes into one
-    echelon modulo a prime: p over F_p, _RANK_PRIME over Q.  The rank is
-    returned once it equals the number of functions, and no further point is
-    read: full rank modulo a prime is full rank over Q.  Over F_p the
+
+def _block_ranks(blocks, points, domain: CoeffDomain = QQ) -> list[int]:
+    """The evaluation_rank of each block, from one pass over the points.
+
+    Each point is read once, with its powers of d computed once, and each
+    block still short of full rank adds its column, lifted to its own top
+    degree, to its own echelon modulo a prime: p over F_p, _RANK_PRIME over
+    Q.  A full block drops out, since full rank modulo a prime is full rank
+    over Q, and no point is read once every block is full.  Over F_p the
     modular rank is the rank.  Over Q a rank still short after the last
-    point is decided by bareiss_rank on the evaluated columns.  A point is
+    point is decided by bareiss_rank on the block's columns, evaluated
+    again at the points read: only then are they needed.  A point is
     checked for a residue image over F_p when it is read.
     """
-    if not functions:
-        return 0
     prime = domain.is_prime_field
-    degrees = [f.degree() for f in functions]
-    r = max(degrees)
-    lifts = [r - m for m in degrees]
-    echelon = _Echelon(domain.p if prime else _RANK_PRIME)
-    columns = []
-    for point in points:
+    p = domain.p if prime else _RANK_PRIME
+    ranks, short, read, top = [0] * len(blocks), [], [], 0
+    for i, functions in enumerate(blocks):
+        if functions:
+            degrees = [f.degree() for f in functions]
+            r = max(degrees)
+            top = max(top, r)
+            short.append((i, functions, [r - m for m in degrees], _Echelon(p)))
+    for point in points if short else ():
         d = point.denominator
-        if prime and not d % domain.p:
-            raise DomainError(f"a point is not integral at {domain.p}")
-        powers = [d ** k for k in range(r + 1)]
-        column = _integer_column([f.integer_value(point) * powers[k]
-                                  for f, k in zip(functions, lifts)], domain)
-        echelon.add(column)
-        if echelon.rank == len(functions):
-            return echelon.rank
-        columns.append(column)
-    if prime:
-        return echelon.rank
-    return bareiss_rank(columns)
+        if prime and not d % p:
+            raise DomainError(f"a point is not integral at {p}")
+        powers = [d ** k for k in range(top + 1)]
+        read.append((point, powers))
+        for i, functions, lifts, echelon in short:
+            echelon.add(_lifted_column(functions, lifts, point, powers, domain))
+            ranks[i] = echelon.rank
+        # a full block drops out, and its echelon with it
+        short = [block for block in short if ranks[block[0]] < len(block[1])]
+        if not short:
+            break
+    if not prime:
+        for i, functions, lifts, _ in short:
+            ranks[i] = bareiss_rank([_lifted_column(functions, lifts, point, powers, domain)
+                                     for point, powers in read])
+    return ranks
+
+
+def _lifted_column(functions, lifts, point, powers, domain: CoeffDomain) -> list:
+    """Each d^m f(point), lifted by powers[r - m] to d^r f(point), as integers of one rank."""
+    return _integer_column([f.integer_value(point) * powers[k]
+                            for f, k in zip(functions, lifts)], domain)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +627,7 @@ class SuiteReport:
 
 
 _SPANNING_SAMPLES = 5
+_SPANNING_POINTS = 10
 
 
 def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = None,
@@ -617,12 +641,14 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     an infinite field, so the elements are independent exactly when each
     block is, and the rank is the sum of the block ranks.  Each batch holds
     num_points points (default: the largest block plus 6), drawn as they
-    are first read.  Each block is ranked by one evaluation_rank call over
-    the batch, which reads it up to the point that fills the block; a retry
-    redraws and re-ranks only the short blocks, one call each.  So a batch
+    are first read.  One _block_ranks pass ranks every block over the
+    batch, and stops at the point that fills the last open block; a retry
+    redraws and re-ranks only the short blocks, in one pass.  So a batch
     draws only the points some block reads: all of them only for a short
     block, for a retry, or when a prime-field batch may hold the whole
     group.  A short batch names its short blocks and the largest of them.
+    Spanning residuals are checked at the first 10 points of batch 0's own
+    draw (not a retry's), or at 10 of their own if batch 0 asks for fewer.
     The standard tableaux are enumerated one shape at a time, and a suite
     is refused at the first shape that takes the element count past the
     cap, before any element is built.
@@ -652,9 +678,11 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     undecided = False
     for batch in (0, 1):
         points = _Batch(_suite_draws(n, want_points, seed + 31 * batch, mode, domain))
-        # each block reads the batch up to the point that fills it, so it is
-        # short exactly when the whole batch cannot certify it
-        block_ranks = [evaluation_rank(b, points, domain) for b in weight_blocks]
+        if batch == 0:
+            first = points
+        # the batch is read up to the point that fills the last open block,
+        # so a block is short exactly when the whole batch cannot certify it
+        block_ranks = _block_ranks(weight_blocks, points, domain)
         short = [i for i, b in enumerate(weight_blocks) if block_ranks[i] < len(b)]
         # a draw that holds all of O(n, F_p) is the whole group: a retry
         # could only redraw the same residues, and a second batch too.  Only
@@ -669,9 +697,9 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
             asked = want_points + 8 * retries
             points = _Batch(_suite_draws(n, asked, seed + 31 * batch + 101 * retries, mode,
                                          domain, spread=2 + retries))
-            for i in short:
-                block_ranks[i] = max(block_ranks[i], evaluation_rank(
-                    weight_blocks[i], points, domain))
+            ranks = _block_ranks([weight_blocks[i] for i in short], points, domain)
+            for i, rank in zip(short, ranks):
+                block_ranks[i] = max(block_ranks[i], rank)
             short = [i for i in short if block_ranks[i] < len(weight_blocks[i])]
         undecided_mark = " undecided" if short and domain.is_prime_field else ""
         lines.append(f"independence rank={sum(block_ranks)} expected={count}{undecided_mark}")
@@ -688,7 +716,8 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
             break
 
     rng = random.Random(seed + 999)
-    points = _suite_points(n, 10, seed + 500, mode, domain)
+    points = (list(itertools.islice(first, _SPANNING_POINTS)) if want_points >= _SPANNING_POINTS
+              else _suite_points(n, _SPANNING_POINTS, seed + 500, mode, domain))
     zero_count = 0
     for _ in range(_SPANNING_SAMPLES):
         s, t = _random_nonstandard_pair(n, max(1, min(r_max, 4)), rng)

@@ -528,6 +528,13 @@ def test_evaluation_rank_reads_no_point_after_the_one_that_fills_it(n, domain):
             evaluation_rank(block, _read_at_most(points, fill - 1), domain)
 
 
+def _reading(points, read):
+    """The points, each appended to read as it is read."""
+    for point in points:
+        read.append(point)
+        yield point
+
+
 def test_evaluation_rank_short_modulo_the_prime_is_certified_by_bareiss(monkeypatch):
     calls = []
 
@@ -547,6 +554,11 @@ def test_evaluation_rank_short_modulo_the_prime_is_certified_by_bareiss(monkeypa
     # a block full modulo the prime needs no fallback
     assert evaluation_rank(block[:1], points, QQ) == 1
     assert len(calls) == 1
+    # ranked in one pass with a full block and an empty one, the short block
+    # alone goes to Bareiss, again on all of its columns
+    full = standard_basis_elements(4, 1, ON)[:3]
+    assert group_oracle._block_ranks([full, block, [], block[:1]], points, QQ) == [3, 2, 0, 1]
+    assert len(calls) == 2 and len(calls[1]) == len(points)
 
 
 def test_prime_field_rank_refuses_a_point_without_residues_when_it_reads_it():
@@ -559,6 +571,21 @@ def test_prime_field_rank_refuses_a_point_without_residues_when_it_reads_it():
     # a rank full before the point is read never reads it
     one = [BidetTerm(1, 0, Tableau(()), Tableau(()))]
     assert evaluation_rank(one, good[:1] + [bad], GF(3)) == 1
+    # in one pass over many blocks: the constant fills at the first point,
+    # and the elements read the second, where the pass refuses, in either
+    # block order; blocks all full before it never read it
+    points = good[:1] + [bad] + good[1:]
+    for blocks in ([one, elements], [elements, one]):
+        read = []
+        with pytest.raises(DomainError):
+            group_oracle._block_ranks(blocks, _reading(points, read), GF(3))
+        assert read == points[:2]
+    read = []
+    assert group_oracle._block_ranks([one, [], one], _reading(points, read), GF(3)) == [1, 0, 1]
+    assert read == points[:1]
+    # and blocks that are all empty read no point at all
+    assert group_oracle._block_ranks([[], []], _reading(points, read), GF(3)) == [0, 0]
+    assert read == points[:1]
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -925,33 +952,42 @@ def _recording_suite_draws(monkeypatch):
     suite_draws = group_oracle._suite_draws
 
     def recording(*args, **kwargs):
-        batches.append([])
+        # a batch may be read again after later ones are drawn
+        drawn = []
+        batches.append(drawn)
         for point in suite_draws(*args, **kwargs):
-            batches[-1].append(point)
+            drawn.append(point)
             yield point
 
     monkeypatch.setattr(group_oracle, "_suite_draws", recording)
     return batches
 
 
-def _recording_evaluation_rank(monkeypatch):
-    """Patch evaluation_rank to record each call as (block, points read, rank)."""
+def _recording_block_ranks(monkeypatch):
+    """Patch _block_ranks to record each call as (blocks, points read, ranks).
+
+    The points read are recorded per block, in the order read: a block
+    reads a point when its first function is evaluated there (a short
+    rational block is evaluated again at the same points for Bareiss).
+    """
     calls = []
-    evaluation = group_oracle.evaluation_rank
+    block_ranks = group_oracle._block_ranks
+    integer_value = BidetTerm.integer_value
+    evaluated = {}
 
-    def recording(functions, points, domain):
-        read = []
+    def recording_value(self, point):
+        evaluated.setdefault(id(self), {}).setdefault(id(point), point)
+        return integer_value(self, point)
 
-        def reading():
-            for point in points:
-                read.append(point)
-                yield point
+    def recording(blocks, points, domain):
+        evaluated.clear()
+        ranks = block_ranks(blocks, points, domain)
+        calls.append((blocks, [list(evaluated.get(id(b[0]), {}).values()) for b in blocks],
+                      ranks))
+        return ranks
 
-        rank = evaluation(functions, reading(), domain)
-        calls.append((functions, read, rank))
-        return rank
-
-    monkeypatch.setattr(group_oracle, "evaluation_rank", recording)
+    monkeypatch.setattr(BidetTerm, "integer_value", recording_value)
+    monkeypatch.setattr(group_oracle, "_block_ranks", recording)
     return calls
 
 
@@ -960,31 +996,97 @@ def test_each_block_is_ranked_once_per_batch_up_to_its_filling_point(monkeypatch
     if duplicate:
         _duplicate_an_element(monkeypatch)
     batches = _recording_suite_draws(monkeypatch)
-    calls = _recording_evaluation_rank(monkeypatch)
+    calls = _recording_block_ranks(monkeypatch)
     assert basis_suite(3, 2, ON, seed=1).passed != duplicate
-    # the calls grouped by batch: each call reads at least one point, and
-    # each batch draws its own
-    by_batch = {}
-    for functions, read, _ in calls:
-        by_batch.setdefault(id(read[0]), []).append(id(functions))
-    ranked = list(by_batch.values())
-    # the two independence batches, each followed by three retries when it
-    # has short blocks; the last batch drawn holds the spanning points
-    assert len(ranked) == len(batches) - 1 == (8 if duplicate else 2)
-    blocks = set(ranked[0])
-    short = {id(f) for f, _, rank in calls if rank < len(f)}
+    monkeypatch.undo()
+    # one call per batch drawn: the two independence batches, each followed
+    # by three retries when it has short blocks.  The spanning points are a
+    # batch of their own, except when the duplicate's block of 4 makes batch
+    # 0 ask for 10 points: then they are its first 10
+    assert len(calls) == len(batches) - (not duplicate) == (8 if duplicate else 2)
+    blocks = calls[0][0]
+    short = {id(b) for ranked, _, ranks in calls for b, rank in zip(ranked, ranks)
+             if rank < len(b)}
     assert len(blocks) == 34 and bool(short) == duplicate
-    for i, ids in enumerate(ranked):
-        # one call per block: every block in an independence batch, and only
-        # the short ones in a retry
-        assert sorted(ids) == sorted(blocks if i in (0, len(ranked) // 2) else short)
-    for functions, read, rank in calls:
-        if rank == len(functions):
-            # a full block reads no point after the one that fills it
-            assert evaluation_rank(functions, read[:-1], QQ) < rank
-        else:
-            # a short block reads its whole batch
-            assert read == next(b for b in batches if b[0] is read[0])
+    for i, ((ranked, reads, ranks), batch) in enumerate(zip(calls, batches)):
+        # every block in an independence batch, and only the short ones in a
+        # retry, each once
+        assert [id(b) for b in ranked] == [
+            id(b) for b in blocks if i in (0, len(calls) // 2) or id(b) in short]
+        # the pass draws no point after the one that fills the last open block
+        assert len(batch) == max(map(len, reads))
+        for functions, read, rank in zip(ranked, reads, ranks):
+            # each block reads its batch in order
+            assert read == batch[:len(read)]
+            if rank == len(functions):
+                # a full block reads no point after the one that fills it
+                assert evaluation_rank(functions, read[:-1], QQ) < rank
+            else:
+                # a short block reads its whole batch
+                assert read == batch
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(5), GF(7)], ids=["Q", "F5", "F7"])
+@pytest.mark.parametrize("n, r", [(3, 2), (4, 1), (3, 3)])
+def test_block_ranks_are_the_per_block_evaluation_ranks(n, r, domain):
+    blocks = group_oracle._weight_blocks(standard_basis_elements(n, r, ON), n, ON)
+    # a dependent block: an element repeated
+    blocks.append(blocks[-1] + blocks[-1][:1])
+    points = _suite_points(n, max(map(len, blocks)) + 6, 5, ON, domain)
+    ranks = group_oracle._block_ranks(blocks, points, domain)
+    assert ranks == [evaluation_rank(b, points, domain) for b in blocks]
+    # and the rank of each block's whole evaluation matrix, lifted to its
+    # top degree
+    assert ranks == [matrix_rank(
+        [[e.integer_value(p) * p.denominator ** (max(f.degree() for f in b) - e.degree())
+          for p in points] for e in b], domain) for b in blocks]
+    assert ranks[-1] == len(blocks[-1]) - 1
+    # the pass reads the batch up to the point that fills its last open
+    # block, and a short block reads all of it
+    read = []
+    assert group_oracle._block_ranks(blocks[:-1], _reading(points, read), domain) == ranks[:-1]
+    assert len(read) == max(next((k for k in range(len(points) + 1)
+                                  if evaluation_rank(b, points[:k], domain) == len(b)),
+                                 len(points)) for b in blocks[:-1])
+
+
+def _recording_spanning_points(monkeypatch):
+    """Patch verify_on_group to record the points of each spanning check."""
+    checked = []
+    verify = group_oracle.verify_on_group
+
+    def recording(f, points, domain=QQ):
+        checked.append(points)
+        return verify(f, points, domain)
+
+    monkeypatch.setattr(group_oracle, "verify_on_group", recording)
+    return checked
+
+
+def test_spanning_reads_the_first_points_of_batch_zero(monkeypatch):
+    batches = _recording_suite_draws(monkeypatch)
+    checked = _recording_spanning_points(monkeypatch)
+    # the largest block holds 4 elements, so batch 0 asks for 10 points
+    assert basis_suite(3, 3, ON, seed=1).passed
+    assert len(batches) == 2
+    assert len(checked) == group_oracle._SPANNING_SAMPLES
+    assert all(points == batches[0][:10] and len(points) == 10 for points in checked)
+
+
+@pytest.mark.parametrize("num_points", [None, 3])
+def test_spanning_draws_its_own_points_after_a_short_batch_zero(monkeypatch, num_points):
+    batches = _recording_suite_draws(monkeypatch)
+    checked = _recording_spanning_points(monkeypatch)
+    # batch 0 asks for 9 points (largest block 3, plus 6), or for 3
+    assert basis_suite(3, 2, ON, num_points, seed=1).passed
+    assert len(batches[0]) <= (num_points or 9)
+    spanning = batches[-1]
+    assert len(spanning) == 10
+    assert len(checked) == group_oracle._SPANNING_SAMPLES
+    assert all(points == spanning for points in checked)
+    # drawn as before, at seed + 500
+    assert [(p.denominator, p._integer_rows) for p in spanning] == [
+        (p.denominator, p._integer_rows) for p in _suite_points(3, 10, 501, ON, QQ)]
 
 
 def test_basis_suite_builds_no_rational_matrix(monkeypatch):
