@@ -61,7 +61,6 @@ from .group_oracle import (
     form_matrix,
     random_go_point,
     random_on_point,
-    random_so_point,
     standard_points,
     verify_on_group,
 )

@@ -99,14 +99,9 @@ class BidetTerm:
     def evaluate(self, point, gamma_value=None):
         """The value at a group point, with gamma from the point unless given.
 
-        It is minors(G) / d^|shape| times gamma^gamma_pow; with the point's
-        gamma, that is integer_value over d^m, m the degree.
+        It is the one-term case of Combination.evaluate.
         """
-        minors = point.minor_product(self.left.columns(), self.right.columns())
-        v = polyring.rational(self.coef * minors, point.denominator ** self.left.size)
-        if self.gamma_pow:
-            v *= (point.gamma_value if gamma_value is None else gamma_value) ** self.gamma_pow
-        return v
+        return Combination((self,)).evaluate(point, gamma_value)
 
 
 class Combination:
@@ -197,35 +192,41 @@ class Combination:
     def integer_value(self, point):
         """d^m times the value at a group point, m the degree.
 
-        A term of degree k has the integer value d^k times its value, so
-        d^(m - k) lifts it to the degree of the combination.
+        One sum: with L the lcm of the coefficient denominators, it is the
+        sum of L coef * minors(G) * Gamma^k * d^(m - deg) over the terms,
+        divided once by L.  A term of degree deg is d^deg times its value at
+        g = G/d, and d^(m - deg) lifts it to the degree of the combination.
         """
-        d, m = point.denominator, self.degree()
-        return sum(t.integer_value(point) * d ** (m - t.degree()) for t in self._terms.values())
+        return self._value_sum(point, point.integer_gamma, 1)
 
     def evaluate(self, point, gamma_value=None):
         """The value at a group point, with gamma from the point unless given.
 
-        One integer sum: with L the lcm of the coefficient denominators and m
-        the degree, it is the sum of L coef * minors(G) * Gamma^k * d^(m - deg)
-        over the terms, divided once by L d^m; Gamma = gamma d^2.
+        It is the sum of integer_value divided once by L d^m; a given gamma
+        enters that sum as Gamma = gamma d^2.
         """
-        if not self._terms:
-            return 0
-        d, m = point.denominator, self.degree()
+        d = point.denominator
         gamma = point.integer_gamma
         if gamma_value is not None:
             # an integral Gamma, as at the point's own gamma, keeps the sum in ints
             gamma = polyring.rational(gamma_value) * d * d
             if gamma.denominator == 1:
                 gamma = int(gamma.numerator)
+        return self._value_sum(point, gamma, d)
+
+    def _value_sum(self, point, gamma, base: int):
+        """The one integer sum of integer_value and evaluate at this Gamma, over L base^m."""
+        if not self._terms:
+            return 0
+        d, m = point.denominator, self.degree()
         lcm = math.lcm(*(int(t.coef.denominator) for t in self._terms.values()))
         total = sum(
             int(t.coef.numerator) * (lcm // int(t.coef.denominator))
             * point.minor_product(t.left.columns(), t.right.columns())
             * gamma ** t.gamma_pow * d ** (m - t.degree())
             for t in self._terms.values())
-        return polyring.rational(total, lcm * d ** m)
+        den = lcm * base ** m
+        return total if den == 1 else polyring.rational(total, den)
 
     # -- line-oriented certificate format -----------------------------------
 

@@ -258,11 +258,6 @@ def _cayley(n: int, seed: int, spread: int) -> tuple[list[list[int]], int]:
     raise DomainError(f"could not draw an invertible Cayley point after {_CAYLEY_TRIES} tries")
 
 
-def random_so_point(n: int, seed: int, spread: int = 2) -> GroupPoint:
-    """Cayley transform of a random J-skew matrix: an exact point with det 1."""
-    return random_on_point(n, seed, "PLUS", spread)
-
-
 def _component_rows(n: int, seed: int, component: str, spread: int):
     """Integer rows X and d of a Cayley point of the chosen component, g = X / d."""
     if component not in ("PLUS", "MINUS"):

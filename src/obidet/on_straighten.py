@@ -170,21 +170,13 @@ def relation_lhs_terms(spec: RelationSpec):
 def verify_relation(spec: RelationSpec, points) -> bool:
     """Exact check that the sum collapses as claimed at each group point.
 
-    The sum side is evaluated from the raw stacked columns, without sorting,
-    by the point's integer minors: both sides are compared as d^r times
-    their values, r the largest degree in play, each integer value lifted
-    from its own degree to r.
+    The sum side is built from the raw stacked columns, without sorting,
+    and the residual sum - relation_rhs(spec) must have integer value 0.
     """
-    rhs = relation_rhs(spec)
-    t_cols = spec.t.columns()
-    lhs = list(relation_lhs_terms(spec))
-    size, m = spec.t.size, rhs.degree()
-    r = max(size, m)
-    return all(
-        sum(point.minor_product(left_cols, t_cols) for left_cols in lhs)
-        * point.denominator ** (r - size)
-        == rhs.integer_value(point) * point.denominator ** (r - m)
-        for point in points)
+    lhs = Combination(BidetTerm(1, 0, Tableau.from_columns(cols), spec.t)
+                      for cols in relation_lhs_terms(spec))
+    residual = lhs - relation_rhs(spec)
+    return all(residual.integer_value(point) == 0 for point in points)
 
 
 # ---------------------------------------------------------------------------

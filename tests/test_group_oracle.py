@@ -45,7 +45,6 @@ from obidet.group_oracle import (
     matrix_rank,
     random_go_point,
     random_on_point,
-    random_so_point,
     standard_basis_elements,
     standard_points,
     verify_on_group,
@@ -96,7 +95,7 @@ def test_group_point_rejects_a_singular_matrix():
 def test_so_points_many_seeds():
     for n in (3, 4, 5, 6):
         for seed in range(25):
-            p = random_so_point(n, seed)
+            p = random_on_point(n, seed)
             assert p.det_value == 1
             assert p.gamma_value == 1
 
@@ -307,7 +306,7 @@ def test_points_are_built_once_and_drawn_lazily(monkeypatch):
 
 
 def test_reduce_mod():
-    p = random_so_point(4, 9)   # entry denominators 1 and 3
+    p = random_on_point(4, 9)   # entry denominators 1 and 3
     d = GF(5)
     residues = p.reduce_mod(d)
     assert residues == tuple(tuple(d.reduce_rational(x) for x in row)
@@ -562,7 +561,7 @@ def test_evaluation_rank_short_modulo_the_prime_is_certified_by_bareiss(monkeypa
 
 
 def test_prime_field_rank_refuses_a_point_without_residues_when_it_reads_it():
-    bad = random_so_point(4, 9)   # entry denominators 1 and 3
+    bad = random_on_point(4, 9)   # entry denominators 1 and 3
     assert bad.denominator == 3
     good = [p for p in standard_points(4, 6, seed=2) if p.denominator % 3]
     elements = standard_basis_elements(4, 1, ON)
@@ -687,8 +686,9 @@ def test_integer_minors_and_values_match_the_fraction_oracle():
 
 
 def test_combination_value_is_the_sum_of_its_term_values():
-    # Combination.evaluate is one integer sum over a common denominator; the
-    # term-by-term sum of BidetTerm.evaluate is its oracle
+    # Combination.evaluate is one integer sum over a common denominator; its
+    # oracle is the sum of coef * [S:T](g) * gamma^k, each bideterminant
+    # evaluated on the rational matrix g
     n = 4
     on_point = standard_points(n, 1, seed=3)[0]
     go_point = random_go_point(n, 3, rational(5, 3))
@@ -708,9 +708,11 @@ def test_combination_value_is_the_sum_of_its_term_values():
                          (go_point, rational(2, 7)), (go_point, go_point.gamma_value)):
         for c in (comb, reduced):
             value = c.evaluate(point, gamma)
-            assert value == sum(t.evaluate(point, gamma) for t in c.unsorted())
+            g = point.gamma_value if gamma is None else gamma
+            assert value == sum(t.coef * eval_bideterminant(t.left, t.right, point.matrix)
+                                * g ** t.gamma_pow for t in c.unsorted())
             if gamma is None:
-                # each term's integer value lifted to the top degree
+                # integer_value is the same sum, not divided by d^m
                 assert c.integer_value(point) == value * point.denominator ** c.degree()
     assert comb.evaluate(go_point) != comb.evaluate(go_point, 1)
 
@@ -775,7 +777,7 @@ def test_minor_eliminates_only_above_the_expansion_order(monkeypatch):
 
 
 def test_prime_field_rank_refuses_a_point_without_residues():
-    p = random_so_point(4, 9)   # entry denominators 1 and 3
+    p = random_on_point(4, 9)   # entry denominators 1 and 3
     assert p.denominator == 3
     elements = standard_basis_elements(4, 1, ON)
     with pytest.raises(DomainError):

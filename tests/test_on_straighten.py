@@ -211,6 +211,28 @@ def test_relation_gamma_weights_on_similitudes():
     assert verify_relation(spec, pts)
 
 
+def test_verify_relation_rejects_a_wrong_collapse(monkeypatch):
+    # relation_rhs with one coefficient negated, on the term of the highest
+    # gamma power: verify_relation must fail at every point
+    true_rhs = relation_rhs
+
+    def flipped(spec):
+        rhs = true_rhs(spec)
+        t = max(rhs.terms(), key=lambda term: term.gamma_pow)
+        return rhs - single_term(t.left, t.right, 2 * t.coef, t.gamma_pow)
+
+    t = Tableau.from_columns(cols("1b 2b 3", "1 2"))
+    go_spec = RelationSpec((L("3"),), (), t, a=2, excluded=frozenset({L("2")}), n=6)
+    go_points = [random_go_point(6, 40 + i, rational(i + 2)) for i in range(3)]
+    assert all(p.gamma_value != 1 for p in go_points)
+    cases = [(worked_relation_spec(), standard_points(18, 2, seed=9)), (go_spec, go_points)]
+    assert all(verify_relation(spec, pts) for spec, pts in cases)
+    monkeypatch.setattr(importlib.import_module("obidet.on_straighten"), "relation_rhs", flipped)
+    for spec, pts in cases:
+        assert max(term.gamma_pow for term in true_rhs(spec).unsorted()) > 0
+        assert not any(verify_relation(spec, [p]) for p in pts)
+
+
 def grading_failures():
     """The point-free grading checks that fail, out of 550, for n = 3..7 in ON and GO mode.
 
