@@ -8,6 +8,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .tableaux import DomainError, Tableau, check_shape, conjugate, enumerate_on_standard
@@ -132,7 +133,9 @@ def at_least(low: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="obidet",
         description="Straighten bideterminants and certify standard bases "

@@ -733,8 +733,7 @@ def verify_gl(comb: Combination, n: int, num_points: int, seed: int = 1) -> tupl
     bound = 2 ** 30
     for _ in range(num_points):
         matrix = polyring.LetterMatrix(size, [
-            [polyring.rational(rng.randint(-bound, bound)) for _ in range(size)]
-            for _ in range(size)])
+            [rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)])
         if sum(t.coef * polyring.eval_columns_product(t.left.columns(), t.right.columns(), matrix)
                for t in comb):
             return "point", False

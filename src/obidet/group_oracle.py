@@ -23,23 +23,24 @@ A prime-field batch keeps the rational points whose residue matrices are
 new, drawing lazily until it holds enough of them; the values of a
 Z[1/2]-polynomial function at a p-integral point reduce to its values at
 the residue point, so F_p values and ranks are residues of exact values.
-_block_ranks ranks blocks of functions in one pass over the points, each
-into its own echelon modulo a prime, up to the point that fills the last
-open block; evaluation_rank is its one-block case.  Over Q that prime is
-2^61 - 1, and a full rank modulo it is full over Q; a rank short after
-the last point is computed by fraction-free Bareiss elimination over the
-integers.  Over F_p it is the rank of the residues.
+One loop, _rank, ranks for evaluation_rank and matrix_rank: it adds the
+columns one at a time to one echelon modulo a prime and stops at full
+rank.  Over Q that prime is 2^61 - 1, and a full rank modulo it is full
+over Q; a rank short after the last column is computed by fraction-free
+Bareiss elimination over the integers.  Over F_p it is the rank of the
+residues.
 The basis suite certifies independence one torus-weight block at a time:
 every standard element is a weight vector for the diagonal torus acting on
 both sides (and for the dilations in GO mode), and distinct characters are
 linearly independent over an infinite field, so the rank of the elements
 is the sum of the ranks of their weight blocks.  A batch holds (largest
-block + 6) points, drawn as they are first read.  One pass over a batch
-ranks every block, each at the shortest prefix of the batch that fills
-it, or at the whole batch if none does.  Over F_p this holds over the
-algebraic closure, so full block ranks prove more than one full-matrix
-rank could.  Spanning residuals are checked at batch 0's first 10 points,
-or at 10 of their own when batch 0 asks for fewer.
+block + 6) points, drawn as they are first read.  Each block is ranked
+by its own evaluation_rank call over the batch, at the shortest prefix
+that fills it, or at the whole batch if none does, so one echelon is
+alive at a time.  Over F_p this holds over the algebraic closure, so full
+block ranks prove more than one full-matrix rank could.  Spanning
+residuals are checked at batch 0's first 10 points, or at 10 of their
+own when batch 0 asks for fewer.
 """
 
 from __future__ import annotations
@@ -430,16 +431,6 @@ class _Echelon:
         return len(self.kept)
 
 
-def _rank_mod(vectors, p: int) -> int:
-    """Rank of integer vectors modulo the prime p."""
-    echelon = _Echelon(p)
-    for v in vectors:
-        echelon.add(v)
-        if echelon.rank == len(v):
-            break
-    return echelon.rank
-
-
 def _integer_column(values, domain: CoeffDomain) -> list:
     """Values at one point as integers of the same rank.
 
@@ -460,24 +451,34 @@ def _integer_column(values, domain: CoeffDomain) -> list:
     return [int(x * m) for x in values]
 
 
+def _rank(columns, full: int, domain: CoeffDomain, again) -> int:
+    """The rank of integer columns, at most full, read one at a time up to full rank.
+
+    The columns go into one echelon modulo p over F_p, where that is the
+    rank, or modulo _RANK_PRIME over Q, where a full rank modulo it is
+    exact; a Q rank still short after the last column is
+    bareiss_rank(again()), the columns built again.
+    """
+    echelon = _Echelon(domain.p if domain.is_prime_field else _RANK_PRIME)
+    for column in columns if full else ():
+        echelon.add(column)
+        if echelon.rank == full:
+            return full
+    if domain.is_prime_field or echelon.rank == full:
+        return echelon.rank
+    return bareiss_rank(again())
+
+
 def matrix_rank(rows, domain: CoeffDomain = QQ) -> int:
     """Exact rank.  Over F_p it is the rank of the residues.
 
-    Each column is made integral by _integer_column.  Over Q the rank
-    modulo _RANK_PRIME of an integer matrix is at most its rank over Q,
-    which is at most min(rows, columns); so a modular rank equal to that
-    bound is exact.  Only a smaller modular rank falls back to Bareiss
-    elimination over the integers.
+    Each column is made integral by _integer_column and the columns are
+    ranked by _rank, full at min(rows, columns): only a rank short of it
+    modulo _RANK_PRIME falls back to Bareiss elimination over Q.
     """
     columns = [_integer_column(list(c), domain) for c in zip(*rows)]
-    if not columns:
-        return 0
-    if domain.is_prime_field:
-        return _rank_mod(columns, domain.p)
-    rank = _rank_mod(columns, _RANK_PRIME)
-    if rank == min(len(columns), len(columns[0])):
-        return rank
-    return bareiss_rank(columns)
+    full = min(len(columns), len(columns[0])) if columns else 0
+    return _rank(columns, full, domain, lambda: columns)
 
 
 def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
@@ -487,57 +488,27 @@ def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
     the rational matrix with the column of each point scaled by its d^r,
     a unit over Q and, at a point with a residue image, over F_p.  Each
     function's value d^m f(point), m its degree, is lifted by d^(r - m).
-    It is the one-block case of _block_ranks.
+    The points are read one at a time by _rank, up to the one that makes
+    the rank full; over F_p a point without a residue image is refused when
+    read, and a rank short over Q is decided by Bareiss at the points read.
     """
-    return _block_ranks([functions], points, domain)[0]
+    degrees = [f.degree() for f in functions]
+    top = max(degrees, default=0)
+    read = []
 
-
-def _block_ranks(blocks, points, domain: CoeffDomain = QQ) -> list[int]:
-    """The evaluation_rank of each block, from one pass over the points.
-
-    Each point is read once, with its powers of d computed once, and each
-    block still short of full rank adds its column, lifted to its own top
-    degree, to its own echelon modulo a prime: p over F_p, _RANK_PRIME over
-    Q.  A full block drops out, since full rank modulo a prime is full rank
-    over Q, and no point is read once every block is full.  Over F_p the
-    modular rank is the rank.  Over Q a rank still short after the last
-    point is decided by bareiss_rank on the block's columns, evaluated
-    again at the points read: only then are they needed.  A point is
-    checked for a residue image over F_p when it is read.
-    """
-    prime = domain.is_prime_field
-    p = domain.p if prime else _RANK_PRIME
-    ranks, short, read, top = [0] * len(blocks), [], [], 0
-    for i, functions in enumerate(blocks):
-        if functions:
-            degrees = [f.degree() for f in functions]
-            r = max(degrees)
-            top = max(top, r)
-            short.append((i, functions, [r - m for m in degrees], _Echelon(p)))
-    for point in points if short else ():
+    def column(point):
         d = point.denominator
-        if prime and not d % p:
-            raise DomainError(f"a point is not integral at {p}")
-        powers = [d ** k for k in range(top + 1)]
-        read.append((point, powers))
-        for i, functions, lifts, echelon in short:
-            echelon.add(_lifted_column(functions, lifts, point, powers, domain))
-            ranks[i] = echelon.rank
-        # a full block drops out, and its echelon with it
-        short = [block for block in short if ranks[block[0]] < len(block[1])]
-        if not short:
-            break
-    if not prime:
-        for i, functions, lifts, _ in short:
-            ranks[i] = bareiss_rank([_lifted_column(functions, lifts, point, powers, domain)
-                                     for point, powers in read])
-    return ranks
+        return _integer_column([f.integer_value(point) * d ** (top - m)
+                                for f, m in zip(functions, degrees)], domain)
 
+    def columns():
+        for point in points:
+            if _lacks_image((point,), domain):
+                raise DomainError(f"a point is not integral at {domain.p}")
+            read.append(point)
+            yield column(point)
 
-def _lifted_column(functions, lifts, point, powers, domain: CoeffDomain) -> list:
-    """Each d^m f(point), lifted by powers[r - m] to d^r f(point), as integers of one rank."""
-    return _integer_column([f.integer_value(point) * powers[k]
-                            for f, k in zip(functions, lifts)], domain)
+    return _rank(columns(), len(functions), domain, lambda: [column(p) for p in read])
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +607,13 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     an infinite field, so the elements are independent exactly when each
     block is, and the rank is the sum of the block ranks.  Each batch holds
     num_points points (default: the largest block plus 6), drawn as they
-    are first read.  One _block_ranks pass ranks every block over the
-    batch, and stops at the point that fills the last open block; a retry
-    redraws and re-ranks only the short blocks, in one pass.  So a batch
-    draws only the points some block reads: all of them only for a short
-    block, for a retry, or when a prime-field batch may hold the whole
-    group.  A short batch names its short blocks and the largest of them.
-    Spanning residuals are checked at the first 10 points of batch 0's own
+    are first read.  Each block is ranked by one evaluation_rank call over
+    the batch, which reads it up to the point that fills the block; a
+    retry redraws and re-ranks only the short blocks.  So a batch draws
+    only the points some block reads: all of them only for a short block,
+    for a retry, or when a prime-field batch may hold the whole group.  A
+    short batch names its short blocks and the largest of them.  Spanning
+    residuals are checked at the first 10 points of batch 0's own
     draw (not a retry's), or at 10 of their own if batch 0 asks for fewer.
     The standard tableaux are enumerated one shape at a time, and a suite
     is refused at the first shape that takes the element count past the
@@ -675,9 +646,9 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
         points = _Batch(_suite_draws(n, want_points, seed + 31 * batch, mode, domain))
         if batch == 0:
             first = points
-        # the batch is read up to the point that fills the last open block,
-        # so a block is short exactly when the whole batch cannot certify it
-        block_ranks = _block_ranks(weight_blocks, points, domain)
+        # each block reads the batch up to the point that fills it, so a
+        # block is short exactly when the whole batch cannot certify it
+        block_ranks = [evaluation_rank(b, points, domain) for b in weight_blocks]
         short = [i for i, b in enumerate(weight_blocks) if block_ranks[i] < len(b)]
         # a draw that holds all of O(n, F_p) is the whole group: a retry
         # could only redraw the same residues, and a second batch too.  Only
@@ -692,9 +663,9 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
             asked = want_points + 8 * retries
             points = _Batch(_suite_draws(n, asked, seed + 31 * batch + 101 * retries, mode,
                                          domain, spread=2 + retries))
-            ranks = _block_ranks([weight_blocks[i] for i in short], points, domain)
-            for i, rank in zip(short, ranks):
-                block_ranks[i] = max(block_ranks[i], rank)
+            for i in short:
+                block_ranks[i] = max(block_ranks[i],
+                                     evaluation_rank(weight_blocks[i], points, domain))
             short = [i for i in short if block_ranks[i] < len(weight_blocks[i])]
         undecided_mark = " undecided" if short and domain.is_prime_field else ""
         lines.append(f"independence rank={sum(block_ranks)} expected={count}{undecided_mark}")

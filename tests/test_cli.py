@@ -469,6 +469,21 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_refused_parse_leaves_the_shared_parser_as_it_was(capsys):
+    # every call parses with one parser: a parse refused after reading
+    # --seed, --points and --n must leave none of them to the next call
+    code, out, err = run_cli(["verify", "--n", "4", "--degree", "2", "--seed", "7",
+                              "--points", "3", "--mode", "gl"], capsys)
+    assert code == 2 and not out and "invalid choice" in err
+    code, out, _ = run_cli(["verify", "--n", "3", "--degree", "2"], capsys)
+    assert code == 0
+    assert out == group_oracle.basis_suite(3, 2).text() + "\n"
+
+
 def test_straighten_point_verification_flag(capsys):
     case = GOLDEN_CASES[1]
     code, out, _ = run_cli([

@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -553,10 +554,12 @@ def test_evaluation_rank_short_modulo_the_prime_is_certified_by_bareiss(monkeypa
     # a block full modulo the prime needs no fallback
     assert evaluation_rank(block[:1], points, QQ) == 1
     assert len(calls) == 1
-    # ranked in one pass with a full block and an empty one, the short block
-    # alone goes to Bareiss, again on all of its columns
+    # ranked one block after another over one batch, with a full block and
+    # an empty one, the short block alone goes to Bareiss, again on all of
+    # its columns
     full = standard_basis_elements(4, 1, ON)[:3]
-    assert group_oracle._block_ranks([full, block, [], block[:1]], points, QQ) == [3, 2, 0, 1]
+    batch = group_oracle._Batch(iter(points))
+    assert [evaluation_rank(b, batch, QQ) for b in (full, block, [], block[:1])] == [3, 2, 0, 1]
     assert len(calls) == 2 and len(calls[1]) == len(points)
 
 
@@ -570,20 +573,23 @@ def test_prime_field_rank_refuses_a_point_without_residues_when_it_reads_it():
     # a rank full before the point is read never reads it
     one = [BidetTerm(1, 0, Tableau(()), Tableau(()))]
     assert evaluation_rank(one, good[:1] + [bad], GF(3)) == 1
-    # in one pass over many blocks: the constant fills at the first point,
-    # and the elements read the second, where the pass refuses, in either
-    # block order; blocks all full before it never read it
+    # block after block over one lazily drawn batch: the constant fills at
+    # the first point, and the elements read the second, where the rank
+    # refuses, in either block order; blocks all full before it never read it
     points = good[:1] + [bad] + good[1:]
     for blocks in ([one, elements], [elements, one]):
         read = []
+        batch = group_oracle._Batch(_reading(points, read))
         with pytest.raises(DomainError):
-            group_oracle._block_ranks(blocks, _reading(points, read), GF(3))
+            for b in blocks:
+                evaluation_rank(b, batch, GF(3))
         assert read == points[:2]
     read = []
-    assert group_oracle._block_ranks([one, [], one], _reading(points, read), GF(3)) == [1, 0, 1]
+    batch = group_oracle._Batch(_reading(points, read))
+    assert [evaluation_rank(b, batch, GF(3)) for b in (one, [], one)] == [1, 0, 1]
     assert read == points[:1]
     # and blocks that are all empty read no point at all
-    assert group_oracle._block_ranks([[], []], _reading(points, read), GF(3)) == [0, 0]
+    assert [evaluation_rank([], _reading(points, read), GF(3)) for _ in range(2)] == [0, 0]
     assert read == points[:1]
 
 
@@ -965,15 +971,16 @@ def _recording_suite_draws(monkeypatch):
     return batches
 
 
-def _recording_block_ranks(monkeypatch):
-    """Patch _block_ranks to record each call as (blocks, points read, ranks).
+def _recording_evaluation_ranks(monkeypatch):
+    """Patch evaluation_rank to record each call as (functions, points, points read, rank).
 
-    The points read are recorded per block, in the order read: a block
-    reads a point when its first function is evaluated there (a short
-    rational block is evaluated again at the same points for Bareiss).
+    The points read are recorded in the order read: a block reads a point
+    when its first function is evaluated there (a short rational block is
+    evaluated again at the same points for Bareiss).  The record keeps each
+    batch alive, so calls over one batch share the identity of its points.
     """
     calls = []
-    block_ranks = group_oracle._block_ranks
+    rank = group_oracle.evaluation_rank
     integer_value = BidetTerm.integer_value
     evaluated = {}
 
@@ -981,15 +988,14 @@ def _recording_block_ranks(monkeypatch):
         evaluated.setdefault(id(self), {}).setdefault(id(point), point)
         return integer_value(self, point)
 
-    def recording(blocks, points, domain):
+    def recording(functions, points, domain):
         evaluated.clear()
-        ranks = block_ranks(blocks, points, domain)
-        calls.append((blocks, [list(evaluated.get(id(b[0]), {}).values()) for b in blocks],
-                      ranks))
-        return ranks
+        r = rank(functions, points, domain)
+        calls.append((functions, points, list(evaluated.get(id(functions[0]), {}).values()), r))
+        return r
 
     monkeypatch.setattr(BidetTerm, "integer_value", recording_value)
-    monkeypatch.setattr(group_oracle, "_block_ranks", recording)
+    monkeypatch.setattr(group_oracle, "evaluation_rank", recording)
     return calls
 
 
@@ -998,26 +1004,27 @@ def test_each_block_is_ranked_once_per_batch_up_to_its_filling_point(monkeypatch
     if duplicate:
         _duplicate_an_element(monkeypatch)
     batches = _recording_suite_draws(monkeypatch)
-    calls = _recording_block_ranks(monkeypatch)
+    calls = _recording_evaluation_ranks(monkeypatch)
     assert basis_suite(3, 2, ON, seed=1).passed != duplicate
     monkeypatch.undo()
-    # one call per batch drawn: the two independence batches, each followed
+    # the calls over one batch, in order
+    per_batch = [list(group) for _, group in itertools.groupby(calls, key=lambda c: id(c[1]))]
+    # one group per batch drawn: the two independence batches, each followed
     # by three retries when it has short blocks.  The spanning points are a
     # batch of their own, except when the duplicate's block of 4 makes batch
     # 0 ask for 10 points: then they are its first 10
-    assert len(calls) == len(batches) - (not duplicate) == (8 if duplicate else 2)
-    blocks = calls[0][0]
-    short = {id(b) for ranked, _, ranks in calls for b, rank in zip(ranked, ranks)
-             if rank < len(b)}
+    assert len(per_batch) == len(batches) - (not duplicate) == (8 if duplicate else 2)
+    blocks = [functions for functions, _, _, _ in per_batch[0]]
+    short = {id(functions) for functions, _, _, r in calls if r < len(functions)}
     assert len(blocks) == 34 and bool(short) == duplicate
-    for i, ((ranked, reads, ranks), batch) in enumerate(zip(calls, batches)):
-        # every block in an independence batch, and only the short ones in a
-        # retry, each once
-        assert [id(b) for b in ranked] == [
-            id(b) for b in blocks if i in (0, len(calls) // 2) or id(b) in short]
-        # the pass draws no point after the one that fills the last open block
-        assert len(batch) == max(map(len, reads))
-        for functions, read, rank in zip(ranked, reads, ranks):
+    for i, (group, batch) in enumerate(zip(per_batch, batches)):
+        # one call for every block in an independence batch, and for only
+        # the short ones in a retry
+        assert [id(functions) for functions, _, _, _ in group] == [
+            id(b) for b in blocks if i in (0, len(per_batch) // 2) or id(b) in short]
+        # the batch draws no point after the longest read
+        assert len(batch) == max(len(read) for _, _, read, _ in group)
+        for functions, _, read, rank in group:
             # each block reads its batch in order
             assert read == batch[:len(read)]
             if rank == len(functions):
@@ -1028,6 +1035,23 @@ def test_each_block_is_ranked_once_per_batch_up_to_its_filling_point(monkeypatch
                 assert read == batch
 
 
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_basis_suite_holds_one_echelon_at_a_time(monkeypatch, duplicate):
+    if duplicate:
+        _duplicate_an_element(monkeypatch)
+    alive, most = weakref.WeakSet(), [0]
+
+    class Tracked(group_oracle._Echelon):
+        def __init__(self, p):
+            super().__init__(p)
+            alive.add(self)
+            most[0] = max(most[0], len(alive))
+
+    monkeypatch.setattr(group_oracle, "_Echelon", Tracked)
+    assert basis_suite(3, 2, ON, seed=1).passed != duplicate
+    assert most[0] == 1
+
+
 @pytest.mark.parametrize("domain", [QQ, GF(5), GF(7)], ids=["Q", "F5", "F7"])
 @pytest.mark.parametrize("n, r", [(3, 2), (4, 1), (3, 3)])
 def test_block_ranks_are_the_per_block_evaluation_ranks(n, r, domain):
@@ -1035,7 +1059,10 @@ def test_block_ranks_are_the_per_block_evaluation_ranks(n, r, domain):
     # a dependent block: an element repeated
     blocks.append(blocks[-1] + blocks[-1][:1])
     points = _suite_points(n, max(map(len, blocks)) + 6, 5, ON, domain)
-    ranks = group_oracle._block_ranks(blocks, points, domain)
+    # block after block over one lazily drawn batch, as the suite ranks
+    read = []
+    batch = group_oracle._Batch(_reading(points, read))
+    ranks = [evaluation_rank(b, batch, domain) for b in blocks]
     assert ranks == [evaluation_rank(b, points, domain) for b in blocks]
     # and the rank of each block's whole evaluation matrix, lifted to its
     # top degree
@@ -1043,10 +1070,13 @@ def test_block_ranks_are_the_per_block_evaluation_ranks(n, r, domain):
         [[e.integer_value(p) * p.denominator ** (max(f.degree() for f in b) - e.degree())
           for p in points] for e in b], domain) for b in blocks]
     assert ranks[-1] == len(blocks[-1]) - 1
-    # the pass reads the batch up to the point that fills its last open
-    # block, and a short block reads all of it
+    # the short block reads the whole batch
+    assert read == points
+    # without it, the batch is read up to the point that fills its last
+    # full block
     read = []
-    assert group_oracle._block_ranks(blocks[:-1], _reading(points, read), domain) == ranks[:-1]
+    batch = group_oracle._Batch(_reading(points, read))
+    assert [evaluation_rank(b, batch, domain) for b in blocks[:-1]] == ranks[:-1]
     assert len(read) == max(next((k for k in range(len(points) + 1)
                                   if evaluation_rank(b, points[:k], domain) == len(b)),
                                  len(points)) for b in blocks[:-1])
