@@ -9,9 +9,11 @@ dilations are column maps on G: a negative-determinant point negates the 0
 column (odd n) or swaps the 1b and 1 columns (even n), and a similitude
 point by c = a/b scales every column (odd n) or the barred ones (even n)
 by a, the others by b, and d by b.  Each point, a similitude point too, is
-built and checked as a GroupPoint once, checked as G^t J G = Gamma J and
-det(G)^2 = Gamma^n; its rational matrix is built from G only for callers
-that read it.
+built and checked as a GroupPoint once, checked as G^t J G = Gamma J with
+Gamma != 0.  det(G)^2 = Gamma^n follows from the form, so |det G| is the
+square root of Gamma^n and its sign is det G modulo a small prime; each
+constructor compares it with the component it built.  The rational matrix
+of a point is built from G only for callers that read it.
 Functions are evaluated by one integer kernel: a function of degree m has
 the value d^-m times an integer combination of the minors of G (cached on
 the point; a small one expands from cached ones of one order less) and
@@ -25,10 +27,11 @@ Z[1/2]-polynomial function at a p-integral point reduce to its values at
 the residue point, so F_p values and ranks are residues of exact values.
 One loop, _rank, ranks for evaluation_rank and matrix_rank: it adds the
 columns one at a time to one echelon modulo a prime and stops at full
-rank.  Over Q that prime is 2^61 - 1, and a full rank modulo it is full
-over Q; a rank short after the last column is computed by fraction-free
-Bareiss elimination over the integers.  Over F_p it is the rank of the
-residues.
+rank; the column that fills the rank is counted, not kept, since nothing
+is reduced by it.  Over Q that prime is 2^61 - 1, and a full rank modulo
+it is full over Q; a rank short after the last column is computed by
+fraction-free Bareiss elimination over the integers.  Over F_p it is the
+rank of the residues.
 The basis suite certifies independence one torus-weight block at a time:
 every standard element is a weight vector for the diagonal torus acting on
 both sides (and for the dilations in GO mode), and distinct characters are
@@ -66,6 +69,7 @@ from .polyring import (
     LetterMatrix,
     QQ,
     _bareiss,
+    _is_prime,
     rational,
 )
 from .gl_straighten import BidetTerm, single_term
@@ -79,6 +83,51 @@ def form_matrix(n: int) -> LetterMatrix:
     return LetterMatrix(n, tuple(
         tuple(one if j == i.bar() else zero for j in letters) for i in letters
     ))
+
+
+def _bar_positions(n: int) -> list[int]:
+    """The position of each letter's bar in _letters(n): kb and k swap, 0 stays last."""
+    return [i ^ 1 for i in range(n - n % 2)] + [n - 1] * (n % 2)
+
+
+def _signed_det(rows, gamma: int) -> int:
+    """det G of an integer matrix with G^t J G = Gamma J and Gamma != 0.
+
+    The form gives det(G)^2 = Gamma^n, so |det G| is the square root of
+    Gamma^n, and its sign is that of det G modulo the smallest odd prime q
+    that does not divide Gamma: +|det G| and -|det G| differ there.
+    """
+    size = math.isqrt(gamma ** len(rows))
+    q = next(q for q in itertools.count(3, 2) if gamma % q and _is_prime(q))
+    residue = _det_mod(rows, q)
+    if residue == size % q:
+        return size
+    if residue == -size % q:
+        return -size
+    raise AssertionError(f"det G is {residue} mod {q}, not +-{size}")
+
+
+def _det_mod(rows, q: int) -> int:
+    """The determinant of an integer matrix modulo the prime q, in 0..q-1.
+
+    Gaussian elimination: each step takes the first row with a nonzero
+    first entry as the pivot, moving it past the rows above it, and drops
+    the finished column.
+    """
+    m = [[x % q for x in row] for row in rows]
+    det = 1
+    while m:
+        for k, top in enumerate(m):
+            if top[0]:
+                break
+        else:
+            return 0
+        del m[k]
+        det = (-det if k % 2 else det) * top[0] % q
+        inv, tail = pow(top[0], -1, q), top[1:]
+        m = [[(a - f * b) % q for a, b in zip(row[1:], tail)] if (f := row[0] * inv % q)
+             else row[1:] for row in m]
+    return det
 
 
 # GroupPoint.minor expands minors up to this order from cached ones of one
@@ -97,9 +146,10 @@ class GroupPoint:
     an integer because G^t J G = Gamma J.  The gcd of d and the entries of
     G is divided out, so d is the lcm of the entry denominators of g.  The
     form is checked as G^t J G = Gamma J with Gamma != 0: a similitude is
-    invertible, and det(G)^2 = Gamma^n follows from the form.  The point
-    caches the integer minors of G it is asked for; the rational matrix g
-    is built from G only when it is first read.
+    invertible, and det(G)^2 = Gamma^n follows from the form, which gives
+    det G by _signed_det.  The point caches the integer minors of G it is
+    asked for; the rational matrix g is built from G only when it is first
+    read.
     """
 
     __slots__ = ("n", "gamma_value", "det_value", "denominator", "integer_gamma",
@@ -109,8 +159,8 @@ class GroupPoint:
                  integer_gamma: int | None = None):
         n, rows, d = integer_matrix.n, integer_matrix.rows, denominator
         gamma = d * d if integer_gamma is None else integer_gamma
-        if type(d) is not int or type(gamma) is not int or not d or any(
-                type(x) is not int for row in rows for x in row):
+        if type(d) is not int or type(gamma) is not int or not d or not set(
+                map(type, itertools.chain.from_iterable(rows))) <= {int}:
             raise DomainError("a point needs an int matrix, a nonzero int d and an int Gamma")
         k = math.gcd(d, *itertools.chain.from_iterable(rows))
         if d < 0:
@@ -121,17 +171,18 @@ class GroupPoint:
             gamma, rest = divmod(gamma, k * k)
             if rest:  # G^t J G is divisible by k^2
                 raise DomainError("matrix does not satisfy the similitude relation")
-        # J permutes rows by bar: column b of J G is column b of G read in bar order
-        letters = integer_matrix.letters
-        bar = [letters.index(x.bar()) for x in letters]
+        # J permutes rows by bar: column b of J G is column b of G read in bar
+        # order.  G^t J G is symmetric, so its entries on and above the
+        # diagonal decide the form, and the check stops at the first wrong one
+        bar = _bar_positions(n)
         cols = tuple(zip(*rows))
         jg_cols = tuple(zip(*(rows[i] for i in bar)))
-        if any(sum(map(operator.mul, ca, cb)) != (gamma if b == bar[a] else 0)
-               for a, ca in enumerate(cols) for b, cb in enumerate(jg_cols)):
+        if any(sum(map(operator.mul, cols[a], jg_cols[b])) != (gamma if b == bar[a] else 0)
+               for a in range(n) for b in range(a, n)):
             raise DomainError("matrix does not satisfy the similitude relation")
         if not gamma:
             raise DomainError("a similitude factor of 0 is no similitude: the matrix is singular")
-        det = _bareiss(rows)[1]
+        det = _signed_det(rows, gamma)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gamma_value", rational(gamma, d * d))
         object.__setattr__(self, "det_value", rational(det, d ** n))
@@ -176,9 +227,10 @@ class GroupPoint:
         """The minor of G on these row and column letters: d^k times that of g.
 
         Letters may come unsorted or repeated; the minor is the determinant
-        of the submatrix in the order given.  Up to _EXPANSION_ORDER it is
-        the Laplace expansion along the first row through the cached minors
-        of one order less; above it, one Bareiss elimination.
+        of the submatrix in the order given.  Up to order 2 it is read off
+        the entries; up to _EXPANSION_ORDER it is the Laplace expansion
+        along the first row through the cached minors of one order less;
+        above it, one Bareiss elimination.
         """
         key = (rows, cols)
         value = self._minors.get(key)
@@ -189,6 +241,10 @@ class GroupPoint:
                 value = _bareiss([[g[index[r]][index[c]] for c in cols] for r in rows])[1]
             elif k == 1:
                 value = g[index[rows[0]]][index[cols[0]]]
+            elif k == 2:
+                top, bottom = g[index[rows[0]]], g[index[rows[1]]]
+                a, b = index[cols[0]], index[cols[1]]
+                value = top[a] * bottom[b] - top[b] * bottom[a]
             elif not k:
                 value = 1
             else:
@@ -203,9 +259,10 @@ class GroupPoint:
 
     def minor_product(self, left_cols, right_cols) -> int:
         """The product of the minors of G on these pairs of letter columns."""
-        value = 1
-        for cs, ct in zip(left_cols, right_cols):
-            value *= self.minor(cs, ct)
+        minors, value = self._minors, 1
+        for key in zip(left_cols, right_cols):
+            minor = minors.get(key)
+            value *= self.minor(*key) if minor is None else minor
             if not value:
                 break
         return value
@@ -239,8 +296,7 @@ def _cayley(n: int, seed: int, spread: int) -> tuple[list[list[int]], int]:
     if n < 3:
         raise DomainError("need n >= 3")
     rng = random.Random(seed)
-    letters = _letters(n)
-    bar = [letters.index(x.bar()) for x in letters]
+    bar = _bar_positions(n)
     above = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for _ in range(_CAYLEY_TRIES):
         draws = [(rng.randint(-spread, spread), rng.randint(1, spread)) for _ in above]
@@ -249,10 +305,13 @@ def _cayley(n: int, seed: int, spread: int) -> tuple[list[list[int]], int]:
         for (i, j), (num, den) in zip(above, draws):
             b[i][j] = num * (lcm // den)
             b[j][i] = -b[i][j]
-        # J B is J-skew: (JB)^t J + J (JB) = -B J J + B = 0; J permutes rows by bar
-        a = [b[i] for i in bar]
-        i_plus = [[lcm * (r == c) + x for c, x in enumerate(row)] for r, row in enumerate(a)]
-        i_minus = [[lcm * (r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)]
+        # J B is J-skew: (JB)^t J + J (JB) = -B J J + B = 0; J permutes rows by
+        # bar, so the rows of D I + J (D B) are those of D B in bar order
+        i_plus = [b[i] for i in bar]
+        i_minus = [[-x for x in row] for row in i_plus]
+        for r in range(n):
+            i_plus[r][r] += lcm
+            i_minus[r][r] += lcm
         solved = _fraction_free_solve(i_plus, i_minus)
         if solved is not None:
             return solved
@@ -298,7 +357,7 @@ def random_go_point(n: int, seed: int, c, spread: int = 2) -> GroupPoint:
     component = "PLUS" if rng.random() < 0.5 else "MINUS"
     rows, d = _component_rows(n, seed + 1, component, spread)
     a, b = int(c.numerator), int(c.denominator)
-    scaled = [n % 2 or x.barred for x in _letters(n)]
+    scaled = [n % 2 or not i % 2 for i in range(n)]   # barred letters sit at even positions
     rows = ((a * x if s else b * x for x, s in zip(r, scaled)) for r in rows)
     gamma = d * d * (a * a if n % 2 else a * b)
     point = GroupPoint(LetterMatrix(n, rows), d * b, gamma)
@@ -372,8 +431,10 @@ def _fraction_free_solve(a, b) -> "tuple[list[list[int]], int] | None":
     rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     prev = sign = 1
     for col in range(len(rows)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][0]), None)
-        if pivot is None:
+        for pivot in range(col, len(rows)):
+            if rows[pivot][0]:
+                break
+        else:
             return None
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -399,36 +460,40 @@ class _Echelon:
     """The span of integer vectors modulo a prime p, in echelon form, one vector at a time.
 
     A vector is reduced by the kept ones in the order they were kept; what
-    is left, if nonzero modulo p, is kept from its first nonzero entry (its
-    pivot) on, scaled so the pivot is 1.  A kept vector is zero before its
-    pivot and at every earlier pivot, so each reduction touches only the
-    tail from its pivot and undoes none of the earlier ones.  Entries are
-    taken modulo p only where a pivot entry is read and once at the end:
-    the integers in between stay congruent, and subtracting is cheaper than
-    dividing.  The rank is the number of kept vectors.
+    is left, if nonzero modulo p, raises the rank and is kept from its
+    first nonzero entry (its pivot) on, scaled so the pivot is 1.  A kept
+    vector is zero before its pivot and at every earlier pivot, so each
+    reduction touches only the tail from its pivot and undoes none of the
+    earlier ones.  Entries are taken modulo p only where a pivot entry is
+    read, up to the new pivot, and once when the vector is kept: the
+    integers in between stay congruent, and subtracting is cheaper than
+    dividing.  The vector that fills a rank, which nothing reduces
+    afterwards, is counted, not kept.
     """
 
-    __slots__ = ("p", "kept")
+    __slots__ = ("p", "kept", "rank")
 
     def __init__(self, p: int):
-        self.p, self.kept = p, []
+        self.p, self.kept, self.rank = p, [], 0
 
-    def add(self, vector) -> None:
+    def add(self, vector, last: bool = False) -> None:
+        """Reduce vector; if it raises the rank, count it, and keep it unless last."""
         p = self.p
-        x = [v % p for v in vector]
+        x = list(vector)
         for i, tail in self.kept:
             f = x[i] % p
             if f:
                 x[i:] = [a - f * b for a, b in zip(x[i:], tail)]
-        x = [v % p for v in x]
-        i = next((i for i, v in enumerate(x) if v), None)
-        if i is not None:
-            inv = pow(x[i], -1, p)
-            self.kept.append((i, [v * inv % p for v in x[i:]]))
-
-    @property
-    def rank(self) -> int:
-        return len(self.kept)
+        for i, v in enumerate(x):
+            v %= p
+            if v:
+                break
+        else:
+            return
+        self.rank += 1
+        if not last:
+            inv = pow(v, -1, p)
+            self.kept.append((i, [a * inv % p for a in x[i:]]))
 
 
 def _integer_column(values, domain: CoeffDomain) -> list:
@@ -440,7 +505,7 @@ def _integer_column(values, domain: CoeffDomain) -> list:
     multipliers blow up, and column scaling by nonzero rationals preserves
     the rank.
     """
-    if all(type(x) is int for x in values):
+    if set(map(type, values)) <= {int}:
         return values
     if domain.is_prime_field:
         values = [x if type(x) is int else domain.reduce_rational(x) for x in values]
@@ -459,12 +524,13 @@ def _rank(columns, full: int, domain: CoeffDomain, again) -> int:
     exact; a Q rank still short after the last column is
     bareiss_rank(again()), the columns built again.
     """
-    echelon = _Echelon(domain.p if domain.is_prime_field else _RANK_PRIME)
+    prime = domain.is_prime_field
+    echelon = _Echelon(domain.p if prime else _RANK_PRIME)
     for column in columns if full else ():
-        echelon.add(column)
+        echelon.add(column, echelon.rank == full - 1)
         if echelon.rank == full:
             return full
-    if domain.is_prime_field or echelon.rank == full:
+    if prime or echelon.rank == full:
         return echelon.rank
     return bareiss_rank(again())
 
@@ -494,16 +560,18 @@ def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
     """
     degrees = [f.degree() for f in functions]
     top = max(degrees, default=0)
+    lifts = [top - m for m in degrees]
+    prime = domain.is_prime_field
     read = []
 
     def column(point):
         d = point.denominator
-        return _integer_column([f.integer_value(point) * d ** (top - m)
-                                for f, m in zip(functions, degrees)], domain)
+        return _integer_column([f.integer_value(point) * d ** k if k else f.integer_value(point)
+                                for f, k in zip(functions, lifts)], domain)
 
     def columns():
         for point in points:
-            if _lacks_image((point,), domain):
+            if prime and _lacks_image((point,), domain):
                 raise DomainError(f"a point is not integral at {domain.p}")
             read.append(point)
             yield column(point)
@@ -565,10 +633,14 @@ def _weight_blocks(elements, n: int, mode: str) -> list[list[BidetTerm]]:
     return list(weights.values())
 
 
-def _random_nonstandard_pair(n: int, max_size: int, rng: random.Random):
-    """A random same-shape pair of column-increasing tableaux."""
+def _pair_shapes(n: int, max_size: int) -> list:
+    """The shapes _random_nonstandard_pair draws from: sizes 1 to max_size, at most n rows."""
+    return [sh for r in range(1, max_size + 1) for sh in partitions_of(r, max_rows=n)]
+
+
+def _random_nonstandard_pair(n: int, shapes: list, rng: random.Random):
+    """A random same-shape pair of column-increasing tableaux, of a shape from shapes."""
     letters = _letters(n)
-    shapes = [sh for r in range(1, max_size + 1) for sh in partitions_of(r, max_rows=n)]
     shape = rng.choice(shapes)
     conj = conjugate(shape)
 
@@ -684,9 +756,10 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     rng = random.Random(seed + 999)
     points = (list(itertools.islice(first, _SPANNING_POINTS)) if want_points >= _SPANNING_POINTS
               else _suite_points(n, _SPANNING_POINTS, seed + 500, mode, domain))
+    shapes = _pair_shapes(n, max(1, min(r_max, 4)))
     zero_count = 0
     for _ in range(_SPANNING_SAMPLES):
-        s, t = _random_nonstandard_pair(n, max(1, min(r_max, 4)), rng)
+        s, t = _random_nonstandard_pair(n, shapes, rng)
         residual = single_term(s, t) - on_straighten(s, t, mode, n, domain)
         zero_count += verify_on_group(residual, points, domain)
     lines.append(f"spanning residuals_zero={zero_count}/{_SPANNING_SAMPLES}")

@@ -22,6 +22,7 @@ from obidet.polyring import (
     LetterMatrix,
     Polynomial,
     QQ,
+    _bareiss,
     bideterminant,
     det_poly,
     det_rows,
@@ -37,6 +38,7 @@ from obidet.group_oracle import (
     _cayley,
     _fraction_free_solve,
     _orthogonal_group_order,
+    _pair_shapes,
     _random_nonstandard_pair,
     _suite_points,
     bareiss_rank,
@@ -82,6 +84,12 @@ def test_group_point_constructor_rejects_bad_matrix():
         GroupPoint(LetterMatrix.diagonal(4, [1, 1, 1, 1]), 1, 4)
     with pytest.raises(DomainError, match="similitude relation"):
         GroupPoint(LetterMatrix.diagonal(4, [2, 2, 2, 2]), 2, 3)
+    # G^t J G is wrong only on its diagonal: at (0, 0), and at (1b, 1b)
+    # where the 1b column is e_1b + e_1
+    with pytest.raises(DomainError, match="similitude relation"):
+        GroupPoint(LetterMatrix.diagonal(3, [1, 1, 2]))
+    with pytest.raises(DomainError, match="similitude relation"):
+        GroupPoint(LetterMatrix(4, [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
 def test_group_point_rejects_a_singular_matrix():
@@ -334,6 +342,61 @@ def test_group_point_integer_form():
         GroupPoint(LetterMatrix.identity(4), rational(4))
 
 
+def test_bar_positions_are_the_letter_bars():
+    for n in range(1, 10):
+        letters = _letters(n)
+        assert group_oracle._bar_positions(n) == [letters.index(x.bar()) for x in letters]
+
+
+def test_signed_determinant_matches_bareiss():
+    # |det G| is the square root of Gamma^n and the sign is read modulo a
+    # small prime; Bareiss on G is the reference, on the draws that
+    # test_seeded_draws_are_pinned pins and on similitude points by c < 0
+    for n in range(3, 9):
+        points = standard_points(n, 25, seed=n)
+        for s in range(10):
+            points.append(random_go_point(n, s, rational(s + 2, 3)))
+            points.append(random_on_point(n, s, "MINUS"))
+            points.append(random_go_point(n, s, rational(-(s + 2), 5)))
+        signs = set()
+        for p in points:
+            det = _bareiss(p._integer_rows)[1]
+            assert group_oracle._signed_det(p._integer_rows, p.integer_gamma) == det
+            assert p.det_value == rational(det, p.denominator ** n)
+            signs.add(det > 0)
+        assert signs == {True, False}
+    p = random_on_point(40, 1, "MINUS")
+    assert p.det_value == -1 == _bareiss(p._integer_rows)[1] // p.denominator ** 40
+
+
+def test_signed_determinant_refuses_a_residue_off_both_signs():
+    # det 3 is 0 modulo 3, neither +1 nor -1, the square roots of Gamma^n = 1
+    with pytest.raises(AssertionError, match="mod 3"):
+        group_oracle._signed_det([[3, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
+    rng = random.Random(5)
+    for _ in range(200):
+        k, q = rng.randint(1, 6), rng.choice((3, 5, 7, 11))
+        m = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        if k >= 2 and rng.random() < 0.3:
+            m[-1] = [a + 2 * b for a, b in zip(m[0], m[k // 2])]
+        assert group_oracle._det_mod(m, q) == _bareiss(m)[1] % q
+
+
+def test_a_point_of_the_wrong_component_is_rejected(monkeypatch):
+    # a MINUS point declared PLUS, and a PLUS one declared MINUS: the
+    # determinant is taken from G, not from the construction
+    swap = {"PLUS": "MINUS", "MINUS": "PLUS"}
+    rows = group_oracle._component_rows
+    monkeypatch.setattr(group_oracle, "_component_rows",
+                        lambda n, seed, component, spread: rows(n, seed, swap[component], spread))
+    for n in (3, 4, 5, 6):
+        for component in ("PLUS", "MINUS"):
+            with pytest.raises(AssertionError, match="determinant"):
+                random_on_point(n, 2, component)
+        with pytest.raises(AssertionError, match="determinant"):
+            random_go_point(n, 2, rational(3, 2))
+
+
 def test_value_types_survive_pickle_and_copy():
     # each immutable type rebuilds through its public constructor; a point
     # checks its form again and starts with no cached minors
@@ -508,6 +571,57 @@ def test_matrix_rank_falls_back_to_bareiss(monkeypatch):
     assert len(calls) == 2
 
 
+def test_matrix_rank_of_integer_matrices_over_q_and_f7():
+    # the vector that fills the rank is counted, not kept: ranks that end
+    # full and ranks that drop both agree with the references
+    rng = random.Random(31)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        m = [[rng.randint(-20, 20) for _ in range(nc)] for _ in range(nr)]
+        if nr >= 2 and rng.random() < 0.5:
+            c = rng.randint(-3, 3)
+            m[-1] = [a + c * b for a, b in zip(m[0], m[nr // 2])]
+        if nc >= 2 and rng.random() < 0.3:
+            for row in m:
+                row[-1] = row[0] - 7 * row[nc // 2]
+        assert matrix_rank(m, QQ) == frac_rank(m)
+        assert matrix_rank(m, GF(7)) == _rank_mod_reference(m, 7)
+
+
+class _Given:
+    """A degree-0 function with given integer values at given points."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def degree(self):
+        return 0
+
+    def integer_value(self, point):
+        return self.values[point]
+
+
+def test_a_value_divisible_by_the_rank_prime_does_not_fill_a_block(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return bareiss_rank(rows)
+
+    monkeypatch.setattr(group_oracle, "bareiss_rank", counted)
+    p = 2 ** 61 - 1
+    points = standard_points(3, 3, seed=2)
+    # zero modulo p at the first point, so only the second fills the block
+    f = _Given({points[0]: 3 * p, points[1]: -5, points[2]: 1})
+    assert evaluation_rank([f], _read_at_most(points, 2), QQ) == 1
+    assert not calls
+    # zero modulo p at every point: Bareiss certifies the rank at all of them
+    constant = BidetTerm(p, 0, Tableau(()), Tableau(()))
+    assert evaluation_rank([constant], points, QQ) == 1
+    assert len(calls) == 1 and calls[0] == [[p], [p], [p]]
+    assert matrix_rank([[2 * p]], QQ) == 1 and len(calls) == 2
+
+
 def _read_at_most(points, k):
     """The first k points, then an error: a rank that reads more reads too far."""
     yield from points[:k]
@@ -680,7 +794,7 @@ def test_integer_minors_and_values_match_the_fraction_oracle():
                 assert value == p.minor(rows, cols)
                 assert rational(value, p.denominator ** k) == det_rows(
                     [[p.entry(i, j) for j in cols] for i in rows])
-            s, t = _random_nonstandard_pair(n, 3, rng)
+            s, t = _random_nonstandard_pair(n, _pair_shapes(n, 3), rng)
             j = rng.randint(0, 2)
             term = BidetTerm(rational(3, 2), j, s, t)
             oracle = rational(3, 2) * eval_bideterminant(s, t, p.matrix) * p.gamma_value ** j
@@ -704,7 +818,7 @@ def test_combination_value_is_the_sum_of_its_term_values():
     rng = random.Random(12)
     # mixed degrees, dyadic and other denominators, gamma powers 0..2
     comb = Combination(
-        BidetTerm(coef, j, *_random_nonstandard_pair(n, size, rng))
+        BidetTerm(coef, j, *_random_nonstandard_pair(n, _pair_shapes(n, size), rng))
         for coef, j, size in ((rational(3, 2), 0, 3), (rational(-5, 4), 1, 2),
                               (rational(7, 3), 2, 1), (2, 0, 1), (-1, 1, 3)))
     reduced = comb.reduce(GF(7))
