@@ -10,10 +10,10 @@ column (odd n) or swaps the 1b and 1 columns (even n), and a similitude
 point by c = a/b scales every column (odd n) or the barred ones (even n)
 by a, the others by b, and d by b.  Each point, a similitude point too, is
 built and checked as a GroupPoint once, checked as G^t J G = Gamma J with
-Gamma != 0.  det(G)^2 = Gamma^n follows from the form, so |det G| is the
-square root of Gamma^n and its sign is det G modulo a small prime; each
-constructor compares it with the component it built.  The rational matrix
-of a point is built from G only for callers that read it.
+Gamma != 0 (det(G)^2 = Gamma^n follows from the form); its determinant is
+one Bareiss elimination on G, which each constructor compares with the
+component it built.  The rational matrix of a point is built from G only
+for callers that read it.
 Functions are evaluated by one integer kernel: a function of degree m has
 the value d^-m times an integer combination of the minors of G (cached on
 the point; a small one expands from cached ones of one order less) and
@@ -58,6 +58,7 @@ from .tableaux import (
     DomainError,
     Letter,
     Tableau,
+    _bar_positions,
     _letters,
     conjugate,
     enumerate_on_standard,
@@ -69,7 +70,6 @@ from .polyring import (
     LetterMatrix,
     QQ,
     _bareiss,
-    _is_prime,
     rational,
 )
 from .gl_straighten import BidetTerm, single_term
@@ -83,51 +83,6 @@ def form_matrix(n: int) -> LetterMatrix:
     return LetterMatrix(n, tuple(
         tuple(one if j == i.bar() else zero for j in letters) for i in letters
     ))
-
-
-def _bar_positions(n: int) -> list[int]:
-    """The position of each letter's bar in _letters(n): kb and k swap, 0 stays last."""
-    return [i ^ 1 for i in range(n - n % 2)] + [n - 1] * (n % 2)
-
-
-def _signed_det(rows, gamma: int) -> int:
-    """det G of an integer matrix with G^t J G = Gamma J and Gamma != 0.
-
-    The form gives det(G)^2 = Gamma^n, so |det G| is the square root of
-    Gamma^n, and its sign is that of det G modulo the smallest odd prime q
-    that does not divide Gamma: +|det G| and -|det G| differ there.
-    """
-    size = math.isqrt(gamma ** len(rows))
-    q = next(q for q in itertools.count(3, 2) if gamma % q and _is_prime(q))
-    residue = _det_mod(rows, q)
-    if residue == size % q:
-        return size
-    if residue == -size % q:
-        return -size
-    raise AssertionError(f"det G is {residue} mod {q}, not +-{size}")
-
-
-def _det_mod(rows, q: int) -> int:
-    """The determinant of an integer matrix modulo the prime q, in 0..q-1.
-
-    Gaussian elimination: each step takes the first row with a nonzero
-    first entry as the pivot, moving it past the rows above it, and drops
-    the finished column.
-    """
-    m = [[x % q for x in row] for row in rows]
-    det = 1
-    while m:
-        for k, top in enumerate(m):
-            if top[0]:
-                break
-        else:
-            return 0
-        del m[k]
-        det = (-det if k % 2 else det) * top[0] % q
-        inv, tail = pow(top[0], -1, q), top[1:]
-        m = [[(a - f * b) % q for a, b in zip(row[1:], tail)] if (f := row[0] * inv % q)
-             else row[1:] for row in m]
-    return det
 
 
 # GroupPoint.minor expands minors up to this order from cached ones of one
@@ -146,10 +101,9 @@ class GroupPoint:
     an integer because G^t J G = Gamma J.  The gcd of d and the entries of
     G is divided out, so d is the lcm of the entry denominators of g.  The
     form is checked as G^t J G = Gamma J with Gamma != 0: a similitude is
-    invertible, and det(G)^2 = Gamma^n follows from the form, which gives
-    det G by _signed_det.  The point caches the integer minors of G it is
-    asked for; the rational matrix g is built from G only when it is first
-    read.
+    invertible, and det(G)^2 = Gamma^n follows from the form.  The point
+    caches the integer minors of G it is asked for; the rational matrix g
+    is built from G only when it is first read.
     """
 
     __slots__ = ("n", "gamma_value", "det_value", "denominator", "integer_gamma",
@@ -159,8 +113,8 @@ class GroupPoint:
                  integer_gamma: int | None = None):
         n, rows, d = integer_matrix.n, integer_matrix.rows, denominator
         gamma = d * d if integer_gamma is None else integer_gamma
-        if type(d) is not int or type(gamma) is not int or not d or not set(
-                map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        if type(d) is not int or type(gamma) is not int or not d or any(
+                type(x) is not int for row in rows for x in row):
             raise DomainError("a point needs an int matrix, a nonzero int d and an int Gamma")
         k = math.gcd(d, *itertools.chain.from_iterable(rows))
         if d < 0:
@@ -182,7 +136,7 @@ class GroupPoint:
             raise DomainError("matrix does not satisfy the similitude relation")
         if not gamma:
             raise DomainError("a similitude factor of 0 is no similitude: the matrix is singular")
-        det = _signed_det(rows, gamma)
+        det = _bareiss(rows)[1]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gamma_value", rational(gamma, d * d))
         object.__setattr__(self, "det_value", rational(det, d ** n))
@@ -227,10 +181,9 @@ class GroupPoint:
         """The minor of G on these row and column letters: d^k times that of g.
 
         Letters may come unsorted or repeated; the minor is the determinant
-        of the submatrix in the order given.  Up to order 2 it is read off
-        the entries; up to _EXPANSION_ORDER it is the Laplace expansion
-        along the first row through the cached minors of one order less;
-        above it, one Bareiss elimination.
+        of the submatrix in the order given.  Up to _EXPANSION_ORDER it is
+        the Laplace expansion along the first row through the cached minors
+        of one order less; above it, one Bareiss elimination.
         """
         key = (rows, cols)
         value = self._minors.get(key)
@@ -241,10 +194,6 @@ class GroupPoint:
                 value = _bareiss([[g[index[r]][index[c]] for c in cols] for r in rows])[1]
             elif k == 1:
                 value = g[index[rows[0]]][index[cols[0]]]
-            elif k == 2:
-                top, bottom = g[index[rows[0]]], g[index[rows[1]]]
-                a, b = index[cols[0]], index[cols[1]]
-                value = top[a] * bottom[b] - top[b] * bottom[a]
             elif not k:
                 value = 1
             else:
@@ -259,10 +208,9 @@ class GroupPoint:
 
     def minor_product(self, left_cols, right_cols) -> int:
         """The product of the minors of G on these pairs of letter columns."""
-        minors, value = self._minors, 1
-        for key in zip(left_cols, right_cols):
-            minor = minors.get(key)
-            value *= self.minor(*key) if minor is None else minor
+        value = 1
+        for cs, ct in zip(left_cols, right_cols):
+            value *= self.minor(cs, ct)
             if not value:
                 break
         return value
@@ -357,7 +305,7 @@ def random_go_point(n: int, seed: int, c, spread: int = 2) -> GroupPoint:
     component = "PLUS" if rng.random() < 0.5 else "MINUS"
     rows, d = _component_rows(n, seed + 1, component, spread)
     a, b = int(c.numerator), int(c.denominator)
-    scaled = [n % 2 or not i % 2 for i in range(n)]   # barred letters sit at even positions
+    scaled = [n % 2 or x.barred for x in _letters(n)]
     rows = ((a * x if s else b * x for x, s in zip(r, scaled)) for r in rows)
     gamma = d * d * (a * a if n % 2 else a * b)
     point = GroupPoint(LetterMatrix(n, rows), d * b, gamma)
@@ -431,10 +379,8 @@ def _fraction_free_solve(a, b) -> "tuple[list[list[int]], int] | None":
     rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     prev = sign = 1
     for col in range(len(rows)):
-        for pivot in range(col, len(rows)):
-            if rows[pivot][0]:
-                break
-        else:
+        pivot = next((r for r in range(col, len(rows)) if rows[r][0]), None)
+        if pivot is None:
             return None
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -505,7 +451,7 @@ def _integer_column(values, domain: CoeffDomain) -> list:
     multipliers blow up, and column scaling by nonzero rationals preserves
     the rank.
     """
-    if set(map(type, values)) <= {int}:
+    if all(type(x) is int for x in values):
         return values
     if domain.is_prime_field:
         values = [x if type(x) is int else domain.reduce_rational(x) for x in values]

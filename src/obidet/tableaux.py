@@ -123,6 +123,11 @@ def _letters(n: int) -> list[Letter]:
     return out
 
 
+def _bar_positions(n: int) -> list[int]:
+    """The position in _letters(n) of each letter's bar: kb and k swap, 0 stays last."""
+    return [i ^ 1 for i in range(n - n % 2)] + [n - 1] * (n % 2)
+
+
 def letter_in_alphabet(letter: Letter, n: int) -> bool:
     m = n // 2
     if letter.index == 0:

@@ -22,7 +22,6 @@ from obidet.polyring import (
     LetterMatrix,
     Polynomial,
     QQ,
-    _bareiss,
     bideterminant,
     det_poly,
     det_rows,
@@ -340,46 +339,6 @@ def test_group_point_integer_form():
             assert p.minor(letters, letters) == p.det_value * d ** n
     with pytest.raises(DomainError):
         GroupPoint(LetterMatrix.identity(4), rational(4))
-
-
-def test_bar_positions_are_the_letter_bars():
-    for n in range(1, 10):
-        letters = _letters(n)
-        assert group_oracle._bar_positions(n) == [letters.index(x.bar()) for x in letters]
-
-
-def test_signed_determinant_matches_bareiss():
-    # |det G| is the square root of Gamma^n and the sign is read modulo a
-    # small prime; Bareiss on G is the reference, on the draws that
-    # test_seeded_draws_are_pinned pins and on similitude points by c < 0
-    for n in range(3, 9):
-        points = standard_points(n, 25, seed=n)
-        for s in range(10):
-            points.append(random_go_point(n, s, rational(s + 2, 3)))
-            points.append(random_on_point(n, s, "MINUS"))
-            points.append(random_go_point(n, s, rational(-(s + 2), 5)))
-        signs = set()
-        for p in points:
-            det = _bareiss(p._integer_rows)[1]
-            assert group_oracle._signed_det(p._integer_rows, p.integer_gamma) == det
-            assert p.det_value == rational(det, p.denominator ** n)
-            signs.add(det > 0)
-        assert signs == {True, False}
-    p = random_on_point(40, 1, "MINUS")
-    assert p.det_value == -1 == _bareiss(p._integer_rows)[1] // p.denominator ** 40
-
-
-def test_signed_determinant_refuses_a_residue_off_both_signs():
-    # det 3 is 0 modulo 3, neither +1 nor -1, the square roots of Gamma^n = 1
-    with pytest.raises(AssertionError, match="mod 3"):
-        group_oracle._signed_det([[3, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
-    rng = random.Random(5)
-    for _ in range(200):
-        k, q = rng.randint(1, 6), rng.choice((3, 5, 7, 11))
-        m = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
-        if k >= 2 and rng.random() < 0.3:
-            m[-1] = [a + 2 * b for a, b in zip(m[0], m[k // 2])]
-        assert group_oracle._det_mod(m, q) == _bareiss(m)[1] % q
 
 
 def test_a_point_of_the_wrong_component_is_rejected(monkeypatch):

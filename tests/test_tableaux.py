@@ -9,6 +9,7 @@ from obidet.tableaux import (
     Letter,
     Tableau,
     ZERO,
+    _bar_positions,
     _letters,
     alphabet,
     all_fillings,
@@ -556,3 +557,9 @@ def test_sparse_torus_weight_is_the_nonzero_part():
     for t in all_fillings((2, 1), 5):
         exponents, zeros = sparse_torus_weight(t.columns())
         assert torus_weight(t, 5) == tuple(exponents.get(i, 0) for i in (1, 2)) + (zeros,)
+
+
+def test_bar_positions_are_the_letter_bars():
+    for n in range(1, 10):
+        letters = _letters(n)
+        assert _bar_positions(n) == [letters.index(x.bar()) for x in letters]
