@@ -37,7 +37,6 @@ from .gl_straighten import (
     BidetTerm,
     Combination,
     gl_straighten,
-    one_switch_expand,
     two_column_straighten,
     verify_gl,
 )

@@ -15,22 +15,24 @@ mode).  The rule is the one splice site: every rewrite returns normalized
 blocks, and splice_block puts them back in canonical order with no letter
 sorting and checks each term against the one pair measure, _measure_key
 (_check_measure), in whose order the engine takes the pairs.  The rule
-holds the call's standardness verdicts, one per column tuple, and its
-two-column templates: the rewrite (_two_column_terms, one term map) is
-computed once per order pattern of its letters and relabelled for every
-other block with that pattern (_template_rewrite).  term_order is the one
-order of output terms.  A term is (coef, left columns, right columns): its
-gamma power is not carried but read off its size drop where column tuples
+holds the call's standardness verdicts.  The two-column rewrite
+(_two_column_terms) is computed once per process per order pattern of a
+block's letters, in a table keyed on ranks that holds no letter
+(_template), and relabelled for every block of that pattern, the OS3
+switch's too (_template_rewrite).  term_order is the one order of output
+terms.  A term is (coef, left columns, right columns): its gamma
+power is not carried but read off its size drop where column tuples
 become BidetTerms (_bidet_terms), and the measure rejects an odd drop.
 The coefficients lie in Z[1/2], and the engine computes on ints: each
 weight is an int over one power of two per root (run_straightening).
-two_column_straighten, mead_step, one_switch_expand and normalize_pair
-are thin adapters that take and give tableaux.  verify_gl checks a GL
-identity in the polynomial ring itself.
+two_column_straighten, mead_step and normalize_pair are thin adapters
+that take and give tableaux.  verify_gl checks a GL identity in the
+polynomial ring itself.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -513,28 +515,30 @@ def _two_column_rewrite(s_cols, t_cols):
     return [(coef, left, right) for (left, right), coef in terms.items()]
 
 
-def _template_rewrite(s_cols, t_cols, templates: dict):
-    """_two_column_rewrite through a memo of templates keyed on the letters' order pattern.
+def _template_rewrite(s_cols, t_cols):
+    """_two_column_rewrite through the templates of the letters' order pattern (_template).
 
     The rewrite only compares and equates letters, the left ones with left
     ones and the right ones with right ones.  So its terms on [S:T] are its
     terms on the ranks of the letters among the distinct letters of each
     side, relabelled back; the relabelling is monotone and injective, so it
-    keeps every merge, sign and the order of the terms.  templates maps a
-    rank pattern to its terms on plain ints; it lives for one call.
+    keeps every merge, sign and the order of the terms.
     """
     lefts = sorted({*s_cols[0], *s_cols[1]})
     rights = sorted({*t_cols[0], *t_cols[1]})
     left_rank = {x: r for r, x in enumerate(lefts)}
     right_rank = {x: r for r, x in enumerate(rights)}
-    key = (tuple(tuple(map(left_rank.__getitem__, c)) for c in s_cols),
-           tuple(tuple(map(right_rank.__getitem__, c)) for c in t_cols))
-    template = templates.get(key)
-    if template is None:
-        template = templates[key] = _two_column_rewrite(*key)
+    template = _template((tuple(tuple(map(left_rank.__getitem__, c)) for c in s_cols),
+                          tuple(tuple(map(right_rank.__getitem__, c)) for c in t_cols)))
     return [(coef, tuple(tuple(map(lefts.__getitem__, c)) for c in left),
              tuple(tuple(map(rights.__getitem__, c)) for c in right))
             for coef, left, right in template]
+
+
+@functools.cache
+def _template(key):
+    """The rewrite of a rank key, for the process: the key holds no letter, n, mode or domain."""
+    return tuple(_two_column_rewrite(*key))
 
 
 def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:
@@ -559,13 +563,12 @@ class Rule:
     verdict's block rewrite sees (right block, left block), as [S:T](g) =
     [T:S](g^t) and transposition preserves GL, O and GO, and its terms are
     swapped back.  One call builds one rule, which holds the call's
-    verdicts, one per column tuple, and its two-column templates.
+    verdicts, one per column tuple; the templates are process-wide.
     """
 
     def __init__(self, scan=None, repair=None):
         self.scan, self.repair = scan, repair
         self.verdicts: dict = {}
-        self.templates: dict = {}
 
     def verdict(self, cols):
         """The first violation of a column tuple, or None when it is standard."""
@@ -590,7 +593,7 @@ class Rule:
     def _block(self, v):
         """The columns i < j a violation names and the rewrite of that block."""
         if v.kind == "GL":
-            return v.witness - 1, v.witness, lambda *cols: _template_rewrite(*cols, self.templates)
+            return v.witness - 1, v.witness, _template_rewrite
         return 0, (v.column if v.kind == "OS3" else 2) - 1, lambda *cols: self.repair(v, *cols)
 
 
@@ -749,18 +752,14 @@ def _content(t: Tableau) -> list:
 # the one-switch expansion
 # ---------------------------------------------------------------------------
 
-def one_switch_expand(s: Tableau, t: Tableau, row: int) -> Combination:
-    """Expansion of [S*:T] - [S:T] where S* swaps the pair (bar i, i) in a row.
+def _switch_terms(s_cols, t_cols, row: int):
+    """[S*:T] - [S:T] from the templates, S* the switch of the pair (bar i, i) in a row.
 
     S must be GL-standard with bar(i) in column 1 and i in column 2 of the
-    given 1-based row.  The result is the same-shape tail (all terms above
-    S* in the tableau order) plus the column-rebalanced remainder.
+    given 1-based row.  Returns (S* columns, {(left cols, right cols): coef}),
+    merged: the same-shape tail (all terms above S* in the tableau order)
+    and the column-rebalanced remainder.
     """
-    return _combination(_switch_terms(s.columns(), t.columns(), row)[1], s.size)
-
-
-def _switch_terms(s_cols, t_cols, row: int):
-    """one_switch_expand on column tuples: (S* columns, {(left cols, right cols): coef}), merged."""
     if len(s_cols) != 2:
         raise DomainError("two-column tableau required")
     c1, c2 = list(s_cols[0]), list(s_cols[1])
@@ -773,7 +772,7 @@ def _switch_terms(s_cols, t_cols, row: int):
     star = (tuple(c1), tuple(c2))
     if not _columns_increasing(star):
         raise DomainError("switched tableau is not column increasing")
-    _, terms = _two_column_terms(star, t_cols)
+    terms = {(left, right): coef for coef, left, right in _template_rewrite(star, t_cols)}
     base = (s_cols, t_cols)
     if terms.get(base) != 1:
         raise AssertionError("lowest term of the switch expansion is not [S:T]")

@@ -25,14 +25,16 @@ from obidet.gl_straighten import (
     Combination,
     _bidet_terms,
     _canonical,
+    _combination,
     _measure_key,
+    _switch_terms,
+    _template,
     _template_rewrite,
     _two_column_rewrite,
     _two_column_terms,
     gl_straighten,
     mead_step,
     normalize_pair,
-    one_switch_expand,
     run_straightening,
     single_term,
     splice_block,
@@ -269,16 +271,34 @@ def random_two_column_blocks(rng, n, count):
 
 
 def test_template_rewrite_matches_the_raw_kernel_on_random_blocks():
-    # a template is the rewrite of the letters' ranks, relabelled back; one
-    # memo per n, as one straightening call keeps it
+    # a template is the rewrite of the letters' ranks, relabelled back; the
+    # table starts empty at each n and ends smaller than the blocks it served
     rng = random.Random(16)
     for n in (4, 5, 6, 7):
-        templates = {}
+        _template.cache_clear()
         blocks = list(random_two_column_blocks(rng, n, 150))
         for s_cols, t_cols in blocks:
-            assert _template_rewrite(s_cols, t_cols, templates) == _two_column_rewrite(
+            assert _template_rewrite(s_cols, t_cols) == _two_column_rewrite(
                 s_cols, t_cols), (n, s_cols, t_cols)
-        assert len(templates) < len(blocks)
+        assert 0 < _template.cache_info().currsize < len(blocks)
+
+
+def test_letter_blocks_get_letters_beside_an_equal_int_key():
+    # Letter is an int, so a table key of plain ints can equal a letter
+    # block; only the rank table is cached, behind the relabelling, so the
+    # kernel's callers still get letters back for that block
+    s, t = Tableau.parse("1 1b; 2b 2"), Tableau.parse("1b 1; 2 3b")
+    plain = tuple(tuple(tuple(map(int, col)) for col in side.columns()) for side in (s, t))
+    assert plain == (s.columns(), t.columns())
+    _template(plain)
+    blocks = [(left, right) for _, left, right in _template_rewrite(s.columns(), t.columns())]
+    blocks += [(left, right) for _, left, right in _two_column_rewrite(s.columns(), t.columns())]
+    _, head, drop = two_column_straighten(s, t)
+    terms = [*mead_step(s, t, 0), *head, *drop]
+    blocks += [(x.left.columns(), x.right.columns()) for x in terms]
+    assert terms
+    assert all(type(x) is Letter for block in blocks for side in block for col in side
+               for x in col)
 
 
 def reference_mead_step(left, right, c):
@@ -531,11 +551,17 @@ def test_gl_straighten_fuel_is_ample_for_desk_sizes():
 # the one-switch expansion
 # ---------------------------------------------------------------------------
 
+def one_switch(s, t, row):
+    """[S*:T] - [S:T] from _switch_terms, S* the switch of the bar pair in a row."""
+    return _combination(_switch_terms(s.columns(), t.columns(), row)[1], s.size)
+
+
 def test_one_switch_matches_direct_difference():
     s = Tableau.parse("1 1; 2b 2; 3")  # GL-standard, pair (2b, 2) in row 2
     t = Tableau.parse("1b 1; 2b 2; 3")
-    out = one_switch_expand(s, t, 2)
+    out = one_switch(s, t, 2)
     star = Tableau.parse("1 1; 2 2b; 3")
+    assert _switch_terms(s.columns(), t.columns(), 2)[0] == star.columns()
     expected = gl_straighten(star, t, 6) - gl_straighten(s, t, 6)
     # both sides straighten to the same polynomial
     assert out.symbolic_poly(6) == expected.symbolic_poly(6)
@@ -547,7 +573,7 @@ def test_one_switch_matches_direct_difference():
 def test_one_switch_drop_vanishes_for_basic_right():
     s = Tableau.parse("1 1; 2b 2; 3")
     t = basic_tableau(s.shape, 6)
-    out = one_switch_expand(s, t, 2)
+    out = one_switch(s, t, 2)
     for term in out:
         assert term.left.shape == s.shape
 
@@ -556,9 +582,9 @@ def test_one_switch_independent_of_right():
     s = Tableau.parse("1 1; 2b 2; 3")
     t1 = Tableau.parse("1b 1; 2b 2; 3")
     t2 = basic_tableau(s.shape, 6)
-    heads1 = sorted((x.left.format(), x.coef) for x in one_switch_expand(s, t1, 2)
+    heads1 = sorted((x.left.format(), x.coef) for x in one_switch(s, t1, 2)
                     if x.left.shape == s.shape)
-    heads2 = sorted((x.left.format(), x.coef) for x in one_switch_expand(s, t2, 2)
+    heads2 = sorted((x.left.format(), x.coef) for x in one_switch(s, t2, 2)
                     if x.left.shape == s.shape)
     assert heads1 == heads2
 
@@ -566,9 +592,9 @@ def test_one_switch_independent_of_right():
 def test_one_switch_requires_pair_row():
     s = Tableau.parse("1b 1; 2b 0")
     with pytest.raises(DomainError):
-        one_switch_expand(s, s, 2)  # row (2b, 0) is not a bar pair
+        one_switch(s, s, 2)  # row (2b, 0) is not a bar pair
     with pytest.raises(DomainError):
-        one_switch_expand(Tableau.parse("1 1b"), Tableau.parse("1 1b"), 1)
+        one_switch(Tableau.parse("1 1b"), Tableau.parse("1 1b"), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from obidet.gl_straighten import (
     Combination,
     _measure_key,
     _two_column_rewrite,
+    _two_column_terms,
     normal_columns,
     normalize_pair,
     single_term,
@@ -925,17 +926,18 @@ def test_shuffled_column_pairs_give_one_trace():
 
 @pytest.fixture(scope="module")
 def deep_corpus_run():
-    """The deep corpus straightened once, with its rewrites and splices recorded.
+    """The deep corpus straightened once, from an empty template table, with its rewrites recorded.
 
     Returns the outputs, every splice_block call as (left, right, i, j,
-    blocks, spliced terms), every memoized two-column rewrite as (S cols,
-    T cols, terms) and every repair as (kind, terms).
+    blocks, spliced terms), every two-column rewrite through the templates
+    as (S cols, T cols, terms), of a GL step under "rewrites" and of an OS3
+    switch under "switches", and every repair as (kind, terms).
     """
     gl_module = importlib.import_module("obidet.gl_straighten")
     on_module = importlib.import_module("obidet.on_straighten")
-    splice, template, repair = (gl_module.splice_block, gl_module._template_rewrite,
-                                on_module._repair_terms)
-    run = {"outputs": [], "splices": [], "rewrites": [], "repairs": []}
+    splice, template, repair, switch = (gl_module.splice_block, gl_module._template_rewrite,
+                                        on_module._repair_terms, on_module._switch_terms)
+    run = {"outputs": [], "splices": [], "rewrites": [], "switches": [], "repairs": []}
 
     def recording_splice(left, right, i, j, rewrite):
         blocks = []
@@ -949,10 +951,18 @@ def deep_corpus_run():
         run["splices"].append((left, right, i, j, blocks, out))
         return out
 
-    def recording_template(s_cols, t_cols, templates):
-        terms = template(s_cols, t_cols, templates)
+    def recording_template(s_cols, t_cols):
+        terms = template(s_cols, t_cols)
         run["rewrites"].append((s_cols, t_cols, terms))
         return terms
+
+    def recording_switch(s_cols, t_cols, row):
+        # the switch's rewrite is recorded as a switch, not as a GL step
+        mark = len(run["rewrites"])
+        out = switch(s_cols, t_cols, row)
+        run["switches"] += run["rewrites"][mark:]
+        del run["rewrites"][mark:]
+        return out
 
     def recording_repair(kind, *args):
         terms = repair(kind, *args)
@@ -963,6 +973,8 @@ def deep_corpus_run():
         mp.setattr(gl_module, "splice_block", recording_splice)
         mp.setattr(gl_module, "_template_rewrite", recording_template)
         mp.setattr(on_module, "_repair_terms", recording_repair)
+        mp.setattr(on_module, "_switch_terms", recording_switch)
+        gl_module._template.cache_clear()
         for mode, n, s, t in deep_corpus_pairs():
             run["outputs"].append(on_straighten(s, t, mode, n))
     return run
@@ -1142,16 +1154,22 @@ def test_splice_matches_the_normalizing_splice(deep_corpus_run):
 
 
 def test_template_rewrite_matches_the_raw_kernel(deep_corpus_run):
-    # on every two-column block of the deep corpus's rewrite graphs
-    rewrites = deep_corpus_run["rewrites"]
+    # on every two-column block of the deep corpus's rewrite graphs: the
+    # block of each GL step, and the switched block of each OS3 step
+    rewrites, switches = deep_corpus_run["rewrites"], deep_corpus_run["switches"]
     assert len(rewrites) == DEEP_CORPUS_STEPS["GL"]
+    assert len(switches) == DEEP_CORPUS_STEPS["OS3"]
     for s_cols, t_cols, terms in rewrites:
         assert terms == _two_column_rewrite(s_cols, t_cols)
+    for s_cols, t_cols, terms in switches:
+        assert {(left, right): coef for coef, left, right in terms} == _two_column_terms(
+            s_cols, t_cols)[1]
 
 
-def test_templates_last_one_call(monkeypatch):
-    # each call computes its own templates, each once: none survive the
-    # call, and the call reuses them across blocks of one letter pattern
+def test_each_template_is_computed_once_per_process(monkeypatch):
+    # the table is keyed on the letters' rank pattern alone: a call on an
+    # empty table computes each pattern once, and a later call on another
+    # pair, n or mode with the same patterns computes none
     gl_module = importlib.import_module("obidet.gl_straighten")
     rewrite = gl_module._two_column_rewrite
     computed = []
@@ -1161,15 +1179,39 @@ def test_templates_last_one_call(monkeypatch):
         return rewrite(s_cols, t_cols)
 
     monkeypatch.setattr(gl_module, "_two_column_rewrite", counting_rewrite)
-    s, t = Tableau.parse("1b 1 3 2b 2b"), Tableau.parse("3 2 0 3b 3")
-    for straighten in (functools.partial(on_straighten, s, t, GO, 7),
-                       functools.partial(gl_module.gl_straighten, s, t, 7)):
-        counts = []
-        for _ in range(2):
-            computed.clear()
-            trace = []
-            straighten(trace=trace)
-            counts.append(len(computed))
-            assert len(set(computed)) == len(computed)
-            assert 0 < len(computed) < sum(kind == "GL" for kind, _, _ in trace)
-        assert counts[0] == counts[1]
+    s, t = Tableau.parse("1b 3b 1; 3b 3"), Tableau.parse("2 1 1b; 3b 3b")
+    # a monotone relabelling into alphabet(8) keeps every order pattern
+    relabel = dict(zip(_letters(6), _letters(8)[1:7]))
+    s8, t8 = (Tableau.from_columns([[relabel[x] for x in col] for col in side.columns()])
+              for side in (s, t))
+    gl = gl_module.gl_straighten
+    for cold, warm in ((functools.partial(gl, s, t, 6), functools.partial(gl, s8, t8, 8)),
+                       (functools.partial(on_straighten, s, t, ON, 6),
+                        functools.partial(on_straighten, s, t, GO, 6))):
+        gl_module._template.cache_clear()
+        computed.clear()
+        trace, warm_trace = [], []
+        cold(trace=trace)
+        rewrites = sum(kind in ("GL", "OS3") for kind, _, _ in trace)
+        assert len(set(computed)) == len(computed)
+        assert 0 < len(computed) < rewrites
+        assert gl_module._template.cache_info().currsize == len(computed)
+        computed.clear()
+        warm(trace=warm_trace)
+        assert computed == []
+        assert warm_trace == trace
+
+
+def test_warm_templates_give_the_cold_certificates():
+    # the deep corpus straightened on an empty table, then again in reverse
+    # order on the table it filled: no template is computed the second
+    # time, and every certificate is byte-identical
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    pairs = deep_corpus_pairs()
+    gl_module._template.cache_clear()
+    cold = [on_straighten(s, t, mode, n).certificate() for mode, n, s, t in pairs]
+    filled = gl_module._template.cache_info()
+    warm = [on_straighten(s, t, mode, n).certificate() for mode, n, s, t in reversed(pairs)]
+    assert gl_module._template.cache_info().misses == filled.misses
+    assert gl_module._template.cache_info().hits > filled.hits
+    assert warm[::-1] == cold
