@@ -13,7 +13,6 @@ from .tableaux import (
     alphabet,
     basic_tableau,
     conjugate,
-    delete_pair,
     dominance_lt,
     enumerate_on_standard,
     is_gl_standard,
@@ -57,7 +56,6 @@ from .group_oracle import (
     GroupPoint,
     basis_suite,
     evaluation_rank,
-    form_matrix,
     random_go_point,
     random_on_point,
     standard_points,

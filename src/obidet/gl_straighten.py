@@ -171,10 +171,6 @@ class Combination:
     def __repr__(self):
         return f"Combination<{len(self._terms)} terms>"
 
-    def coefficient(self, left: Tableau, right: Tableau, gamma_pow: int = 0):
-        t = self._terms.get((gamma_pow, left, right))
-        return t.coef if t else 0
-
     def symbolic_poly(self, n: int) -> Polynomial:
         """The combination expanded in the polynomial ring (gamma included)."""
         gamma = None

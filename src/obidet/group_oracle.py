@@ -76,15 +76,6 @@ from .gl_straighten import BidetTerm, single_term
 from .on_straighten import GO, ON, _require_mode, on_straighten
 
 
-def form_matrix(n: int) -> LetterMatrix:
-    """The Gram matrix of the pairing: 1 where the column is the row's bar."""
-    letters = _letters(n)
-    one, zero = rational(1), rational(0)
-    return LetterMatrix(n, tuple(
-        tuple(one if j == i.bar() else zero for j in letters) for i in letters
-    ))
-
-
 # GroupPoint.minor expands minors up to this order from cached ones of one
 # order less and runs Bareiss above it.  Cold, at n = 8 (CPython 3.11, no
 # gmpy2, one Xeon core), an order-3 minor takes 20 us by expansion against
@@ -334,9 +325,9 @@ def _draws(n: int, count: int, seed: int, spread: int):
             yield candidate
 
 
-def standard_points(n: int, count: int, seed: int = 0, spread: int = 2) -> list[GroupPoint]:
+def standard_points(n: int, count: int, seed: int = 0) -> list[GroupPoint]:
     """A deterministic batch of distinct orthogonal points, both components."""
-    return list(itertools.islice(_draws(n, count, seed, spread), count))
+    return list(itertools.islice(_draws(n, count, seed, spread=2), count))
 
 
 def _lacks_image(points, domain: CoeffDomain) -> bool:
@@ -726,10 +717,10 @@ def _orthogonal_group_order(n: int, p: int) -> int:
 
 
 def _suite_points(n: int, count: int, seed: int, mode: str,
-                  domain: CoeffDomain, spread: int = 2) -> list[GroupPoint]:
+                  domain: CoeffDomain) -> list[GroupPoint]:
     """A batch of at most count suite points: GO points with gamma != 1 in GO mode."""
     _require_mode(mode)
-    return list(_suite_draws(n, count, seed, mode, domain, spread))
+    return list(_suite_draws(n, count, seed, mode, domain))
 
 
 def _suite_draws(n: int, count: int, seed: int, mode: str, domain: CoeffDomain,

@@ -94,12 +94,9 @@ class RelationSpec:
         if shape_left != (t1, t2):
             raise DomainError("stacked shape must match the right tableau")
 
-    def stacked_columns(self, letters):
-        """Raw column lists for the stack of the given letters atop s0."""
-        return _stacked_columns(letters, self.s0_col1, self.s0_col2)
-
 
 def _stacked_columns(letters, s0_col1, s0_col2):
+    """Raw column lists for the stack of the given letters atop s0."""
     return tuple(letters) + s0_col1, tuple(x.bar() for x in letters) + s0_col2
 
 
@@ -164,7 +161,7 @@ def relation_lhs_terms(spec: RelationSpec):
     """The raw sum side: one stacked column pair per increasing tuple."""
     letters = [x for x in _letters(spec.n) if x not in spec.excluded]
     for tup in itertools.combinations(letters, spec.a):
-        yield spec.stacked_columns(tup)
+        yield _stacked_columns(tup, spec.s0_col1, spec.s0_col2)
 
 
 def verify_relation(spec: RelationSpec, points) -> bool:

@@ -13,6 +13,7 @@ points use too) once each row is cleared of its denominators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -145,20 +146,25 @@ def GF(p: int) -> CoeffDomain:
 # exact square matrices indexed by the alphabet
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _letter_index(n: int) -> dict:
+    """Letter -> position in _letters(n): one dict per n, shared by the matrices, never written."""
+    return {x: i for i, x in enumerate(_letters(n))}
+
+
 class LetterMatrix:
     """A square matrix whose rows and columns are indexed by alphabet letters."""
 
-    __slots__ = ("n", "letters", "rows", "_index")
+    __slots__ = ("n", "rows", "_index")
 
     def __init__(self, n: int, rows):
-        letters = tuple(_letters(n))
+        index = _letter_index(n)
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"need an {n} x {n} matrix")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(letters)})
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("LetterMatrix is immutable")
@@ -168,9 +174,6 @@ class LetterMatrix:
 
     def entry(self, i: Letter, j: Letter):
         return self.rows[self._index[i]][self._index[j]]
-
-    def transpose(self) -> "LetterMatrix":
-        return LetterMatrix(self.n, tuple(zip(*self.rows)))
 
     def __matmul__(self, other: "LetterMatrix") -> "LetterMatrix":
         if self.n != other.n:
@@ -372,10 +375,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(_mono_degree(m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {_mono_degree(m) for m in self.terms}
-        return len(degs) <= 1
 
     def evaluate(self, point):
         """Ring homomorphism X(i, j) -> point entry; point has .entry(i, j)."""

@@ -265,15 +265,8 @@ class Tableau:
 
     # -- structure --------------------------------------------------------
 
-    @property
-    def num_cols(self) -> int:
-        return len(self._cols)
-
     def columns(self) -> tuple[tuple[Letter, ...], ...]:
         return self._cols
-
-    def column(self, j: int) -> tuple[Letter, ...]:
-        return self._cols[j]
 
     @property
     def rows(self) -> tuple[tuple[Letter, ...], ...]:
@@ -496,28 +489,6 @@ def basic_tableau(shape: Shape, n: int) -> Tableau:
     if len(shape) > n:
         raise DomainError(f"shape {shape} has more than {n} rows")
     return Tableau(tuple((letters[k],) * shape[k] for k in range(len(shape))))
-
-
-def delete_pair(t: Tableau, *letters: Letter) -> Tableau:
-    """Remove each letter from column 1 and its bar from column 2 of a 2-column tableau."""
-    cols = t.columns()
-    if len(cols) != 2:
-        raise DomainError("delete_pair needs a two-column tableau")
-    c1, c2 = list(cols[0]), list(cols[1])
-    for letter in letters:
-        if letter not in c1 or letter.bar() not in c2:
-            raise DomainError(f"pair {letter},{letter.bar()} does not occur in {t.format()!r}")
-        c1.remove(letter)
-        c2.remove(letter.bar())
-    return Tableau.from_columns([c1, c2])
-
-
-def occurring_pairs(t: Tableau) -> list[Letter]:
-    """Letters i with i in column 1 and bar(i) in column 2 (two-column t)."""
-    cols = t.columns()
-    c1 = set(cols[0]) if len(cols) >= 1 else set()
-    c2 = set(cols[1]) if len(cols) >= 2 else set()
-    return sorted(x for x in c1 if x.bar() in c2)
 
 
 # ---------------------------------------------------------------------------

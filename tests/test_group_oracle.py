@@ -43,7 +43,6 @@ from obidet.group_oracle import (
     bareiss_rank,
     basis_suite,
     evaluation_rank,
-    form_matrix,
     matrix_rank,
     random_go_point,
     random_on_point,
@@ -60,13 +59,6 @@ def L(token):
 # ---------------------------------------------------------------------------
 # the form and point constructors
 # ---------------------------------------------------------------------------
-
-def test_form_matrix_is_symmetric_involution():
-    for n in (3, 4, 5):
-        j = form_matrix(n)
-        assert j == j.transpose()
-        assert j @ j == LetterMatrix.identity(n)
-
 
 def test_group_point_constructor_rejects_bad_matrix():
     bad = LetterMatrix.diagonal(4, [rational(2), rational(1), rational(1), rational(1)])
@@ -158,7 +150,8 @@ def test_integer_cayley_solves_the_rational_system(n, seed, spread):
     assert [[sum(((i == k) + a[i][k]) * g[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)] == [[(i == j) - a[i][j] for j in range(n)] for i in range(n)]
     # G = x is an integer form with Gamma = det^2: G^t J G = Gamma J
-    form = form_matrix(n).rows
+    letters = _letters(n)
+    form = [[int(j == i.bar()) for j in letters] for i in letters]
     gtjg = [[sum(x[k][r] * form[k][l] * x[l][c] for k in range(n) for l in range(n))
              for c in range(n)] for r in range(n)]
     assert gtjg == [[det * det * v for v in row] for row in form]

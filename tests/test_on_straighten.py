@@ -17,7 +17,6 @@ from obidet.tableaux import (
     _letters,
     basic_tableau,
     conjugate,
-    occurring_pairs,
     on_standard_report,
     partitions_of,
 )
@@ -197,7 +196,10 @@ def test_collapsed_relation_sums_are_pinned():
     specs = [worked_relation_spec()]
     while len(specs) < 30:
         spec = _random_relation_spec(rng, [4, 5, 6, 7, 8])
-        if spec is not None and occurring_pairs(spec.t):
+        if spec is None:
+            continue
+        col1, col2 = spec.t.columns()
+        if any(x.bar() in col2 for x in col1):
             specs.append(spec)
     certificates = [relation_rhs(spec).certificate() for spec in specs]
     assert sum(map(bool, certificates)) == 22

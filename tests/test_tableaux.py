@@ -17,7 +17,6 @@ from obidet.tableaux import (
     check_shape,
     column_violations,
     conjugate,
-    delete_pair,
     dominance_lt,
     enumerate_gl_standard,
     enumerate_on_standard,
@@ -269,8 +268,9 @@ def _prec_reference(t1, t2):
     """Independent restatement: scan columns right to left, rows top down."""
     if t1 == t2:
         return 0
-    for j in reversed(range(t1.num_cols)):
-        c1, c2 = t1.column(j), t2.column(j)
+    cols1, cols2 = t1.columns(), t2.columns()
+    for j in reversed(range(len(cols1))):
+        c1, c2 = cols1[j], cols2[j]
         if c1 != c2:
             for a, b in zip(c1, c2):
                 if a != b:
@@ -437,33 +437,6 @@ def test_basic_tableau_examples():
 def test_basic_tableau_too_many_rows():
     with pytest.raises(DomainError):
         basic_tableau((1, 1, 1, 1), 3)
-
-
-def test_delete_pair_example():
-    t = Tableau.from_columns([[L("1b"), L("2b")], [L("2"), L("3")]])
-    got = delete_pair(t, L("2b"))
-    assert got.columns() == ((L("1b"),), (L("3"),))
-
-
-def test_delete_pair_all_pairs_present():
-    t = Tableau.from_columns(
-        [[L("1b"), L("2b"), L("3b")], [L("1"), L("2"), L("3")]])
-    for token in ["1b", "2b", "3b"]:
-        deleted = delete_pair(t, L(token))
-        assert deleted.shape == (2, 2)
-    with pytest.raises(DomainError):
-        delete_pair(t, L("1"))
-
-
-def test_iterated_deletion():
-    t = Tableau.from_columns(
-        [[L("1b"), L("2b"), L("3b")], [L("1"), L("2"), L("3")]])
-    out = delete_pair(delete_pair(t, L("1b")), L("3b"))
-    assert out.columns() == ((L("2b"),), (L("2"),))
-    assert delete_pair(t, L("1b"), L("3b")) == out
-    assert delete_pair(t) == t
-    with pytest.raises(DomainError):
-        delete_pair(t, L("1b"), L("1b"))
 
 
 # ---------------------------------------------------------------------------
