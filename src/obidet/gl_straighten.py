@@ -26,8 +26,9 @@ become BidetTerms (_bidet_terms), and the measure rejects an odd drop.
 The coefficients lie in Z[1/2], and the engine computes on ints: each
 weight is an int over one power of two per root (run_straightening).
 two_column_straighten, mead_step and normalize_pair are thin adapters
-that take and give tableaux.  verify_gl checks a GL identity in the
-polynomial ring itself.
+that take and give tableaux, the first two over the templates.  One
+output check (_check_output) serves GL, O and GO.  verify_gl checks a GL
+identity in the polynomial ring itself.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ from .tableaux import (
     _gl_standard,
     column_shape,
     letter_in_alphabet,
+    orthogonal_violations,
     row_violation_column,
     shape_key,
+    sparse_torus_weight,
 )
 from . import polyring
 from .polyring import CoeffDomain, Polynomial, QQ, inversion_sign
@@ -98,13 +101,6 @@ class BidetTerm:
         minors = point.minor_product(self.left.columns(), self.right.columns())
         return self.coef * minors * point.integer_gamma ** self.gamma_pow
 
-    def evaluate(self, point, gamma_value=None):
-        """The value at a group point, with gamma from the point unless given.
-
-        It is the one-term case of Combination.evaluate.
-        """
-        return Combination((self,)).evaluate(point, gamma_value)
-
 
 class Combination:
     """A canonically merged linear combination of bideterminant terms."""
@@ -145,9 +141,6 @@ class Combination:
 
     def __len__(self):
         return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __add__(self, other: "Combination") -> "Combination":
         return Combination(list(self._terms.values()) + list(other._terms.values()))
@@ -418,23 +411,24 @@ def _bidet_terms(terms, size: int) -> list[BidetTerm]:
                       Tableau.from_columns(right)) for coef, left, right in terms]
 
 
-def _combination(terms: dict, size: int) -> Combination:
-    return Combination(_bidet_terms(((c, *key) for key, c in terms.items()), size))
-
-
 def two_column_straighten(s: Tableau, t: Tableau):
     """Rewrite [S:T], S two-column with a row violation, as head + drop.
 
     head holds the same-shape terms (all strictly above S in the tableau
     order, with signs only); drop holds the column-rebalanced remainder.
-    The identity [S:T] = head + drop is exact in the polynomial ring.
+    The identity [S:T] = head + drop is exact in the polynomial ring.  The
+    terms come from the template table the engine reads (_template_rewrite).
     Returns (first violated row, head, drop).
     """
-    lengths = tuple(map(len, s.columns()))
-    viol, terms = _two_column_terms(s.columns(), t.columns())
-    head = {key: coef for key, coef in terms.items() if tuple(map(len, key[0])) == lengths}
-    drop = {key: coef for key, coef in terms.items() if key not in head}
-    return viol, _combination(head, s.size), _combination(drop, s.size)
+    s_cols, t_cols = s.columns(), t.columns()
+    if len(s_cols) != 2 or s.shape != t.shape:
+        raise DomainError("two-column tableaux of one shape required")
+    terms = _template_rewrite(s_cols, t_cols)
+    lengths = tuple(map(len, s_cols))
+    head = [x for x in terms if tuple(map(len, x[1])) == lengths]
+    drop = [x for x in terms if tuple(map(len, x[1])) != lengths]
+    viol = next(r for r, (a, b) in enumerate(zip(*s_cols), start=1) if a > b)
+    return viol, Combination(_bidet_terms(head, s.size)), Combination(_bidet_terms(drop, s.size))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +534,7 @@ def _template(key):
 def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:
     """Apply the two-column rewrite to columns (c, c+1) and reassemble in canonical order."""
     return _bidet_terms(splice_block(left.columns(), right.columns(), c, c + 1,
-                                     _two_column_rewrite), left.size)
+                                     _template_rewrite), left.size)
 
 
 class Rule:
@@ -684,22 +678,30 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = FUEL,
     """
     _check_input(s, t, n)
     out = run_straightening(s, t, Rule(), fuel, trace)
-    # the full diagonal torus acts on both sides: each keeps its letters
-    for side, tableaux in zip((s, t), _distinct_sides(out)):
-        content = _content(side)
-        for tab in tableaux:
-            # a fresh check, not the rule's verdicts, which made each leaf a leaf
-            if not _gl_standard(tab.columns(), n):
-                raise AssertionError("non-standard tableau in output")
-            if _content(tab) != content:
-                raise AssertionError("output term changed the letter content")
+    _check_output(out, s, t, n)
     return out
 
 
-def _distinct_sides(comb: Combination):
-    """The distinct left and the distinct right tableaux of a combination's terms."""
-    terms = comb.unsorted()
-    return dict.fromkeys(x.left for x in terms), dict.fromkeys(x.right for x in terms)
+def _check_output(out: Combination, s: Tableau, t: Tableau, n: int, orthogonal: bool = False):
+    """Each distinct side of the output is standard and keeps its input side's invariant.
+
+    The scan is fresh, not the rule's verdicts, which made each leaf a leaf.
+    Every rewrite is an identity of torus weight vectors, so the invariant is
+    the letter content in GL and the O(n) torus weight in O and GO (orthogonal).
+    """
+    invariant, name = ((sparse_torus_weight, "torus weight") if orthogonal
+                       else (_content, "letter content"))
+    terms = out.unsorted()
+    for side, tableaux in ((s, dict.fromkeys(x.left for x in terms)),
+                           (t, dict.fromkeys(x.right for x in terms))):
+        want = invariant(side.columns())
+        for tab in tableaux:
+            cols = tab.columns()
+            if not _gl_standard(cols, n) or (
+                    orthogonal and next(orthogonal_violations(cols, n), None) is not None):
+                raise AssertionError("non-standard tableau in output")
+            if invariant(cols) != want:
+                raise AssertionError(f"output term changed the {name}")
 
 
 # the largest expansion verify_gl proves by polynomial equality, in monomials
@@ -739,9 +741,9 @@ def verify_gl(comb: Combination, n: int, num_points: int, seed: int = 1) -> tupl
     return "point", True
 
 
-def _content(t: Tableau) -> list:
-    """The letter multiset of a tableau, as a sorted list."""
-    return sorted(x for col in t.columns() for x in col)
+def _content(cols) -> list:
+    """The letter multiset of a tableau's columns, as a sorted list."""
+    return sorted(itertools.chain.from_iterable(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,20 @@ Gamma != 0 (det(G)^2 = Gamma^n follows from the form); its determinant is
 one Bareiss elimination on G, which each constructor compares with the
 component it built.  The rational matrix of a point is built from G only
 for callers that read it.
-Functions are evaluated by one integer kernel: a function of degree m has
-the value d^-m times an integer combination of the minors of G (cached on
-the point; a small one expands from cached ones of one order less) and
-powers of Gamma.  verify_on_group checks identities on these integers;
+Functions, bideterminant terms and combinations, are evaluated by one
+integer kernel: integer_value(point) of a function of degree m is d^m
+times its value, its coefficients times minors of G (cached on the point;
+a small one expands from cached ones of one order less) and powers of
+Gamma.  verify_on_group checks identities on these values;
 evaluation_rank ranks them, each lifted by d^(r - m) to the largest
 degree r in play, so the evaluation matrix is the rational one with the
 column of each point scaled by the unit d^r.
-A prime-field batch keeps the rational points whose residue matrices are
-new, drawing lazily until it holds enough of them; the values of a
-Z[1/2]-polynomial function at a p-integral point reduce to its values at
-the residue point, so F_p values and ranks are residues of exact values.
+A point has an image in GO(n, F_p) when p divides neither d nor Gamma
+(GroupPoint.has_image).  A prime-field batch keeps the points with an
+image whose residue matrices are new, drawing lazily until it holds
+enough of them; the values of a Z[1/2]-polynomial function at such a
+point reduce to its values at the residue point, so F_p values and ranks
+are residues of exact values.
 One loop, _rank, ranks for evaluation_rank and matrix_rank: it adds the
 columns one at a time to one echelon modulo a prime and stops at full
 rank; the column that fills the rank is counted, not kept, since nothing
@@ -206,17 +209,16 @@ class GroupPoint:
                 break
         return value
 
-    def reduce_mod(self, domain: CoeffDomain) -> "tuple[tuple[int, ...], ...] | None":
-        """The residue rows G d^-1 over a prime field, or None when the point has no image.
+    def has_image(self, p: int) -> bool:
+        """Whether p divides neither d nor Gamma: then G / d mod p lies in GO(n, F_p)."""
+        return bool(self.denominator % p and self.integer_gamma % p)
 
-        The image exists when p divides neither d nor Gamma.  The form
-        relation then holds mod p because it holds exactly, so the residues
-        need no check of their own.
-        """
+    def reduce_mod(self, domain: CoeffDomain) -> "tuple[tuple[int, ...], ...] | None":
+        """The residue rows G d^-1 over a prime field, or None when the point has no image."""
         if not domain.is_prime_field:
             raise DomainError("reduction targets a prime field")
         p = domain.p
-        if not self.denominator % p or not self.integer_gamma % p:
+        if not self.has_image(p):
             return None
         inv = pow(self.denominator, -1, p)
         return tuple(tuple(x * inv % p for x in row) for row in self._integer_rows)
@@ -330,22 +332,17 @@ def standard_points(n: int, count: int, seed: int = 0) -> list[GroupPoint]:
     return list(itertools.islice(_draws(n, count, seed, spread=2), count))
 
 
-def _lacks_image(points, domain: CoeffDomain) -> bool:
-    """True over F_p when p divides the d of a point: it has no residue image."""
-    return domain.is_prime_field and any(not p.denominator % domain.p for p in points)
-
-
 def verify_on_group(f, points, domain: CoeffDomain = QQ) -> bool:
     """True when f vanishes at every point; over F_p, when every value reduces to 0.
 
     The values are f.integer_value(point), d^m f(point) with m the degree
-    of f: d is a unit over Q and, at a point with a residue image, over
-    F_p.  A point whose d the prime divides has no image, so the check
-    fails there.
+    of f: d is a unit over Q and, at a point with an image, over F_p.  A
+    point has no image in GO(n, F_p) when p divides its d or its Gamma
+    (GroupPoint.has_image), so the check fails there.
     """
-    if _lacks_image(points, domain):
-        return False
-    return all(domain.reduce_rational(f.integer_value(point)) == 0 for point in points)
+    p = domain.p   # None over Q and Z[1/2]
+    return all((p is None or point.has_image(p))
+               and domain.reduce_rational(f.integer_value(point)) == 0 for point in points)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +489,8 @@ def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
     a unit over Q and, at a point with a residue image, over F_p.  Each
     function's value d^m f(point), m its degree, is lifted by d^(r - m).
     The points are read one at a time by _rank, up to the one that makes
-    the rank full; over F_p a point without a residue image is refused when
-    read, and a rank short over Q is decided by Bareiss at the points read.
+    the rank full; over F_p a point without an image (has_image) is refused
+    when read, and a rank short over Q is decided by Bareiss at the points read.
     """
     degrees = [f.degree() for f in functions]
     top = max(degrees, default=0)
@@ -508,8 +505,8 @@ def evaluation_rank(functions, points, domain: CoeffDomain = QQ) -> int:
 
     def columns():
         for point in points:
-            if prime and _lacks_image((point,), domain):
-                raise DomainError(f"a point is not integral at {domain.p}")
+            if prime and not point.has_image(domain.p):
+                raise DomainError(f"a point has no image over F_{domain.p}")
             read.append(point)
             yield column(point)
 

@@ -36,11 +36,9 @@ from .tableaux import (
     Letter,
     Tableau,
     _letters,
-    column_violations,
     conjugate,
     on_standard_report,
     orthogonal_violations,
-    sparse_torus_weight,
 )
 from .gl_straighten import (
     FUEL,
@@ -50,7 +48,7 @@ from .gl_straighten import (
     _add_term,
     _bidet_terms,
     _check_input,
-    _distinct_sides,
+    _check_output,
     _switch_terms,
     normal_columns,
     run_straightening,
@@ -398,15 +396,6 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     rule = Rule(lambda cols: next(orthogonal_violations(cols, n), None),
                 lambda v, s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n))
     out = _at_mode(run_straightening(s, t, rule, fuel, trace), mode).reduce(domain)
-    # every rewrite is an identity of weight vectors of the diagonal torus
-    for side, tableaux in zip((s, t), _distinct_sides(out)):
-        weight = sparse_torus_weight(side.columns())
-        for tab in tableaux:
-            cols = tab.columns()
-            # a fresh scan, not the rule's verdicts, which made each leaf a leaf
-            if next(column_violations(cols, n), None):
-                raise AssertionError("non-standard tableau in output")
-            if sparse_torus_weight(cols) != weight:
-                raise AssertionError("output term changed the torus weight")
+    _check_output(out, s, t, n, orthogonal=True)
     return out
 

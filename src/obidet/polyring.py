@@ -390,20 +390,6 @@ class Polynomial:
             return 0
         return total
 
-    def integer_value(self, point):
-        """d^m times the value at a group point g = G/d, m the degree.
-
-        A monomial of degree k in the entries of G is d^k times its value in
-        those of g, so d^(m - k) lifts it to the degree of the polynomial.
-        """
-        d, m, total = point.denominator, self.degree(), 0
-        for mono, coeff in self.terms.items():
-            val = coeff * d ** (m - _mono_degree(mono))
-            for (i, j), e in mono:
-                val *= point.minor((i,), (j,)) ** e
-            total += val
-        return total
-
     def serialize(self) -> str:
         """One term per line, graded-lex order, letters in text encoding."""
         if not self.terms:

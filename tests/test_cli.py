@@ -32,7 +32,7 @@ def test_straighten_gl_golden(capsys):
     assert code == 0
     result = Combination.parse_certificate(out)
     # the full rewrite recurses the rebalanced terms further than one step
-    assert not result.is_zero()
+    assert result
     assert all(line.count("\t") == 3 for line in out.strip().splitlines())
     # --coeff applies in GL mode too: -1 becomes 6 in F_7
     code, over_f7, _ = run_cli(args + ["--coeff", "f7"], capsys)
@@ -236,7 +236,7 @@ def test_straighten_shared_terms_case_within_default_caps(capsys):
         "--left", "2 1 1 1b 1", "--right", "1b 2b 1 2 1",
     ], capsys)
     assert code == 0
-    assert not Combination.parse_certificate(out).is_zero()
+    assert Combination.parse_certificate(out)
 
 
 def test_straighten_go_points_check_gamma_powers(capsys, monkeypatch):

@@ -25,7 +25,6 @@ from obidet.gl_straighten import (
     Combination,
     _bidet_terms,
     _canonical,
-    _combination,
     _measure_key,
     _switch_terms,
     _template,
@@ -71,7 +70,7 @@ def test_combination_merges_and_drops_zero():
     s, t = Tableau.parse("1b"), Tableau.parse("1")
     c = Combination([BidetTerm(1, 0, s, t), BidetTerm(2, 0, s, t)])
     assert [(x.coef, x.gamma_pow, x.left, x.right) for x in c.terms()] == [(3, 0, s, t)]
-    assert (c - c.scale(1)).is_zero()
+    assert not c - c.scale(1)
 
 
 def test_certificate_roundtrip():
@@ -157,8 +156,8 @@ def test_two_column_drop_vanishes_for_basic_right():
     s, _ = GL_CASE.inputs()
     t = basic_tableau(s.shape, 6)
     _, head, drop = two_column_straighten(s, t)
-    assert drop.is_zero()
-    assert not head.is_zero()
+    assert not drop
+    assert head
 
 
 def test_two_column_head_independent_of_right():
@@ -619,7 +618,8 @@ def test_gl_straighten_fuel_is_ample_for_desk_sizes():
 
 def one_switch(s, t, row):
     """[S*:T] - [S:T] from _switch_terms, S* the switch of the bar pair in a row."""
-    return _combination(_switch_terms(s.columns(), t.columns(), row)[1], s.size)
+    terms = _switch_terms(s.columns(), t.columns(), row)[1]
+    return Combination(_bidet_terms(((c, *key) for key, c in terms.items()), s.size))
 
 
 def test_one_switch_matches_direct_difference():
@@ -685,6 +685,22 @@ def test_output_with_other_letters_is_refused(monkeypatch):
     monkeypatch.setattr(gl_module, "run_straightening", lambda *args: run(*args) + stray)
     with pytest.raises(AssertionError, match="letter content"):
         gl_straighten(Tableau.parse("2 1"), Tableau.parse("1 2"), 4)
+    # a GL-standard side of the input shape with other letters, on the left
+    # or the right of a leaf whose other side is an output side
+    s, t = GL_CASE.inputs()
+    u = basic_tableau(s.shape, 6)
+    assert is_gl_standard(u, 6)
+    assert all(sorted(itertools.chain(*u.columns())) != sorted(itertools.chain(*x.columns()))
+               for x in (s, t))
+    for swap in (False, True):
+        def with_wrong_leaf(*args):
+            out = run(*args)
+            x = next(x for x in out if x.left.shape == u.shape)
+            return out + single_term(*((x.left, u) if swap else (u, x.right)))
+
+        monkeypatch.setattr(gl_module, "run_straightening", with_wrong_leaf)
+        with pytest.raises(AssertionError, match="output term changed the letter content"):
+            gl_straighten(s, t, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,20 @@ def L(token):
     return Letter.parse(token)
 
 
+EMPTY = Tableau(())
+
+
+def constant(c, gamma_pow=0):
+    """The function c gamma^k as a bideterminant term: the empty pair."""
+    return BidetTerm(c, gamma_pow, EMPTY, EMPTY)
+
+
+def det_term(n):
+    """det as a bideterminant term: the full one-column pair."""
+    column = Tableau.from_columns([_letters(n)])
+    return BidetTerm(1, 0, column, column)
+
+
 # ---------------------------------------------------------------------------
 # the form and point constructors
 # ---------------------------------------------------------------------------
@@ -378,21 +392,23 @@ def test_orthogonality_polynomials_vanish():
         letters = _letters(n)
         one = Letter(1)
         gamma_minus_one = gamma_poly(n) - Polynomial.constant(1)
-        assert verify_on_group(gamma_minus_one, pts)
+        assert all(gamma_minus_one.evaluate(p) == 0 for p in pts)
         det_sq = det_poly(n) * det_poly(n) - Polynomial.constant(1)
-        assert verify_on_group(det_sq, pts)
+        assert all(det_sq.evaluate(p) == 0 for p in pts)
 
 
 def test_negative_control_generic_poly():
     pts = standard_points(4, 4, seed=3)
-    p = Polynomial.variable(L("1"), L("1")) + Polynomial.constant(7)
+    one = Tableau.parse("1")
+    # X(1, 1) + 7 as bideterminants: [1:1] + 7 [:]
+    p = Combination([BidetTerm(1, 0, one, one), constant(7)])
     assert not verify_on_group(p, pts)
     # gamma - 1 + 7 is 7 on O(4): zero mod 7, not over Q
-    seven = gamma_poly(4) - Polynomial.constant(1) + Polynomial.constant(7)
+    seven = Combination([constant(1, 1), constant(6)])
     assert verify_on_group(seven, pts, GF(7))
     assert not verify_on_group(seven, pts, QQ) and not verify_on_group(seven, pts)
     # a value with 7 in its denominator has no residue, so the check fails
-    assert not verify_on_group(Polynomial.constant(rational(1, 7)), pts, GF(7))
+    assert not verify_on_group(constant(rational(1, 7)), pts, GF(7))
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +459,13 @@ def test_bareiss_matches_fraction_reference():
 
 def test_evaluation_rank_constant():
     pts = standard_points(3, 3, seed=1)
-    assert evaluation_rank([Polynomial.constant(1)], pts, QQ) == 1
+    assert evaluation_rank([constant(1)], pts, QQ) == 1
 
 
 def test_evaluation_rank_det_pair():
     pts = standard_points(3, 6, seed=1)
-    d = det_poly(3)
-    fns = [d - Polynomial.constant(1), d + Polynomial.constant(1)]
+    d = det_term(3)
+    fns = [Combination([d, constant(-1)]), Combination([d, constant(1)])]
     assert evaluation_rank(fns, pts, QQ) == 2
 
 
@@ -694,9 +710,6 @@ def _rank_mod_reference(rows, p):
 # the integer evaluation kernel
 # ---------------------------------------------------------------------------
 
-EMPTY = Tableau(())
-
-
 def test_degree_lift_separates_one_and_gamma_only_off_o_n():
     # 1 and gamma are one function on O(n); unlifted, their values 1 and d^2
     # at a point with d > 1 would give rank 2
@@ -750,11 +763,12 @@ def test_integer_minors_and_values_match_the_fraction_oracle():
             j = rng.randint(0, 2)
             term = BidetTerm(rational(3, 2), j, s, t)
             oracle = rational(3, 2) * eval_bideterminant(s, t, p.matrix) * p.gamma_value ** j
-            assert term.evaluate(p) == oracle
+            assert Combination([term]).evaluate(p) == oracle
             assert term.integer_value(p) == oracle * p.denominator ** term.degree()
-            # mixed degrees: the constant is lifted to the degree of the polynomial
+            # mixed degrees: the constant is lifted to the degree of the combination
+            comb = Combination([BidetTerm(1, 1, s, t), constant(-7)])
             poly = bideterminant(s, t) * gamma_poly(n) - Polynomial.constant(7)
-            assert poly.integer_value(p) == poly.evaluate(p) * p.denominator ** poly.degree()
+            assert comb.integer_value(p) == poly.evaluate(p) * p.denominator ** poly.degree()
 
 
 def test_combination_value_is_the_sum_of_its_term_values():
@@ -856,9 +870,27 @@ def test_prime_field_rank_refuses_a_point_without_residues():
         evaluation_rank(elements, [p], GF(3))
     # the rational values refuse it too: a degree-one value has 3 below
     with pytest.raises(DomainError):
-        matrix_rank([[e.evaluate(p) for e in elements]], GF(3))
-    assert not verify_on_group(gamma_poly(4) - Polynomial.constant(1), [p], GF(3))
-    assert verify_on_group(gamma_poly(4) - Polynomial.constant(1), [p], GF(5))
+        matrix_rank([[Combination([e]).evaluate(p) for e in elements]], GF(3))
+    gamma_minus_one = Combination([constant(1, 1), constant(-1)])
+    assert not verify_on_group(gamma_minus_one, [p], GF(3))
+    assert verify_on_group(gamma_minus_one, [p], GF(5))
+
+
+def test_a_point_whose_gamma_the_prime_divides_has_no_image():
+    # d = 1 and Gamma = 3: the entries reduce mod 3, but the residue matrix
+    # is no point of GO(4, F_3), and gamma reads 0 there
+    p = random_go_point(4, 5, 3)
+    assert p.denominator % 3 and not p.integer_gamma % 3
+    assert p.reduce_mod(GF(3)) is None
+    one, gamma = constant(1), constant(1, 1)
+    assert not verify_on_group(gamma, [p], GF(3))
+    with pytest.raises(DomainError):
+        evaluation_rank([one, gamma], [p], GF(3))
+    # a point with an image: gamma - 1 vanishes and 1, gamma are one function
+    q = random_on_point(4, 9)
+    assert q.reduce_mod(GF(5)) is not None
+    assert verify_on_group(Combination([gamma, constant(-1)]), [q], GF(5))
+    assert evaluation_rank([one, gamma], [q], GF(5)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +1010,8 @@ def test_standard_elements_are_torus_weight_vectors(n):
                 weight = torus_weight(tableau, n)
                 monomial = math.prod(x ** w for x, w in zip(values, weight))
                 assert chi == monomial * (sign ** weight[-1] if n % 2 else 1)
-            assert e.evaluate(moved) == chi_s * chi_t * e.evaluate(g)
+            value = Combination([e]).evaluate
+            assert value(moved) == chi_s * chi_t * value(g)
 
 
 def test_block_ranks_sum_to_the_full_rank():

@@ -17,8 +17,10 @@ from obidet.tableaux import (
     _letters,
     basic_tableau,
     conjugate,
+    enumerate_on_standard,
     on_standard_report,
     partitions_of,
+    torus_weight,
 )
 from obidet.polyring import (
     GF,
@@ -132,7 +134,7 @@ def test_relation_no_pairs_vanishes():
     # no letter of the right tableau occurs with its bar: the sum collapses to 0
     t = Tableau.from_columns(cols("1b 2b", "1b 2b"))
     spec = RelationSpec((L("3"),), (L("4"),), t, a=1, excluded=frozenset(), n=8)
-    assert relation_rhs(spec).is_zero()
+    assert not relation_rhs(spec)
     pts = standard_points(8, 3, seed=4)
     for pt in pts:
         total = sum(eval_columns_product(c, t.columns(), pt)
@@ -597,7 +599,7 @@ def test_on_straighten_dyadic_coefficients():
 def test_on_straighten_dyadic_domain_mode():
     s, t = OS3.inputs()
     out = on_straighten(s, t, ON, 6, ZHALF)
-    assert not out.is_zero()
+    assert out
     for term in out:
         assert is_dyadic(term.coef)
     pts = standard_points(6, 5, seed=7)
@@ -639,6 +641,21 @@ def test_output_with_another_torus_weight_is_refused(monkeypatch):
     monkeypatch.setattr(on_module, "_at_mode", lambda comb, mode: at_mode(comb, mode) + stray)
     with pytest.raises(AssertionError, match="torus weight"):
         on_straighten(Tableau.parse("2 1"), Tableau.parse("1 2"), ON, 4)
+    # an O(6)-standard side of the input shape and another weight, on the
+    # left or the right of a leaf whose other side is an output side
+    s, t = OS3.inputs()
+    for mode, swap in itertools.product((ON, GO), (False, True)):
+        u = next(u for u in enumerate_on_standard(s.shape, 6)
+                 if torus_weight(u, 6) != torus_weight(t if swap else s, 6))
+
+        def with_wrong_leaf(comb, to_mode):
+            out = at_mode(comb, to_mode)
+            x = next(x for x in out if x.left.shape == u.shape)
+            return out + single_term(*((x.left, u) if swap else (u, x.right)))
+
+        monkeypatch.setattr(on_module, "_at_mode", with_wrong_leaf)
+        with pytest.raises(AssertionError, match="output term changed the torus weight"):
+            on_straighten(s, t, mode, 6)
 
 
 def test_on_straighten_expands_each_distinct_term_once(monkeypatch):
