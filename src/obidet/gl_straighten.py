@@ -13,14 +13,17 @@ straightening call checks its input (_check_input) and builds one, and
 the mode plugs in its orthogonal scan and repair terms (none in GL
 mode).  The rule is the one splice site: every rewrite returns normalized
 blocks, and splice_block puts them back in canonical order with no letter
-sorting and checks each term against the one pair measure, _measure_key
-(_check_measure), in whose order the engine takes the pairs.  The rule
-holds the call's standardness verdicts.  The two-column rewrite
-(_two_column_terms) is computed once per process per order pattern of a
-block's letters, in a table keyed on ranks that holds no letter
-(_template), and relabelled for every block of that pattern, the OS3
-switch's too (_template_rewrite).  term_order is the one order of output
-terms.  A term is (coef, left columns, right columns): its gamma
+sorting.  It computes each term's key in the one pair measure,
+_measure_key, once, checks it against the key the pair left the engine's
+heap with (_check_measure), and hands it back with the term, so the
+engine pushes the term's pair with that key.  The rule holds the call's
+standardness verdicts.  The two-column rewrite (_two_column_terms) is
+computed once per process per order pattern of a block's letters, in a
+table keyed on ranks that holds no letter (_template), whose entries hold
+precompiled relabellers, one itemgetter per column, that relabel it for
+every block of that pattern, the OS3 switch's too (_template_rewrite).
+term_order is the one order of output terms.  A term is (coef, left
+columns, right columns), a spliced one (coef, pair, key): its gamma
 power is not carried but read off its size drop where column tuples
 become BidetTerms (_bidet_terms), and the measure rejects an odd drop.
 The coefficients lie in Z[1/2], and the engine computes on ints: each
@@ -251,13 +254,16 @@ class Combination:
         coefficients are canonical residues (plain ints), so arithmetic on a
         reduced combination must be followed by another reduce.
         """
-        out = []
-        for t in self._terms.values():
-            c = domain.reduce_rational(t.coef)
-            if c is None or not domain.validate(c):
-                raise AssertionError(f"coefficient {t.coef} left the domain")
-            out.append(BidetTerm(c, t.gamma_pow, t.left, t.right))
-        return Combination(out)
+        return Combination(BidetTerm(_in_domain(t.coef, domain), t.gamma_pow, t.left, t.right)
+                           for t in self._terms.values())
+
+
+def _in_domain(coef, domain: CoeffDomain):
+    """The image of an exact rational coefficient in a domain, which must hold it."""
+    c = domain.reduce_rational(coef)
+    if c is None or not domain.validate(c):
+        raise AssertionError(f"coefficient {coef} left the domain")
+    return c
 
 
 def single_term(left: Tableau, right: Tableau, coef=1, gamma_pow: int = 0) -> Combination:
@@ -444,25 +450,26 @@ def _canonical(pairs):
     return tuple(zip(*pairs)) if pairs else ((), ())
 
 
-def splice_block(left_cols, right_cols, i: int, j: int, rewrite) -> list:
+def splice_block(left_cols, right_cols, key, i: int, j: int, rewrite) -> list:
     """Rewrite columns i < j of the canonical column pair [left : right] as a two-column pair.
 
-    rewrite(s_cols, t_cols) gives the terms of the two-column pair as
-    (coef, left columns, right columns), and so does this.  Every block a
-    rewrite returns is normalized (strictly increasing columns, lengths that
-    do not increase, none empty), so splicing needs no sorting of letters
-    and no sign: the block's column pairs and the rest go through
-    _canonical, and each term must rise in the measure (_check_measure).
-    The terms come back unmerged.
+    key is the pair's measure key (_measure_key).  rewrite(s_cols, t_cols)
+    gives the terms of the two-column pair as (coef, left columns, right
+    columns).  Every block a rewrite returns is normalized (strictly
+    increasing columns, lengths that do not increase, none empty), so
+    splicing needs no sorting of letters and no sign: the block's column
+    pairs and the rest go through _canonical.  Each term's key is computed
+    here, once, and must rise above key (_check_measure).  The terms come
+    back unmerged, as (coef, (left columns, right columns), term key).
     """
     rest = [p for k, p in enumerate(zip(left_cols, right_cols)) if k != i and k != j]
-    old = _measure_key((left_cols, right_cols))
     out = []
     for coef, block_left, block_right in rewrite(
             (left_cols[i], left_cols[j]), (right_cols[i], right_cols[j])):
-        new_left, new_right = _canonical([*rest, *zip(block_left, block_right)])
-        _check_measure(old, _measure_key((new_left, new_right)))
-        out.append((coef, new_left, new_right))
+        child = _canonical([*rest, *zip(block_left, block_right)])
+        child_key = _measure_key(child)
+        _check_measure(key, child_key)
+        out.append((coef, child, child_key))
     return out
 
 
@@ -512,33 +519,46 @@ def _template_rewrite(s_cols, t_cols):
     ones and the right ones with right ones.  So its terms on [S:T] are its
     terms on the ranks of the letters among the distinct letters of each
     side, relabelled back; the relabelling is monotone and injective, so it
-    keeps every merge, sign and the order of the terms.
+    keeps every merge, sign and the order of the terms.  Each column is
+    relabelled by its precompiled getter on the sorted letters.
     """
-    lefts = sorted({*s_cols[0], *s_cols[1]})
-    rights = sorted({*t_cols[0], *t_cols[1]})
-    left_rank = {x: r for r, x in enumerate(lefts)}
-    right_rank = {x: r for r, x in enumerate(rights)}
-    template = _template((tuple(tuple(map(left_rank.__getitem__, c)) for c in s_cols),
-                          tuple(tuple(map(right_rank.__getitem__, c)) for c in t_cols)))
-    return [(coef, tuple(tuple(map(lefts.__getitem__, c)) for c in left),
-             tuple(tuple(map(rights.__getitem__, c)) for c in right))
+    (s1, s2), (t1, t2) = s_cols, t_cols
+    lefts = tuple(sorted({*s1, *s2}))
+    rights = tuple(sorted({*t1, *t2}))
+    left_rank = dict(zip(lefts, itertools.count())).__getitem__
+    right_rank = dict(zip(rights, itertools.count())).__getitem__
+    template = _template(((tuple(map(left_rank, s1)), tuple(map(left_rank, s2))),
+                          (tuple(map(right_rank, t1)), tuple(map(right_rank, t2)))))
+    return [(coef, tuple([g(lefts) for g in left]), tuple([g(rights) for g in right]))
             for coef, left, right in template]
 
 
 @functools.cache
 def _template(key):
-    """The rewrite of a rank key, for the process: the key holds no letter, n, mode or domain."""
-    return tuple(_two_column_rewrite(*key))
+    """The rewrite of a rank key, for the process: the key holds no letter, n, mode or domain.
+
+    An entry is (coef, left relabellers, right relabellers), one
+    operator.itemgetter per column of the rank term, which picks the
+    column's letters from the sorted letters of its side; a one-rank
+    column's getter takes a slice, so it too gives a tuple.
+    """
+    def relabellers(cols):
+        return tuple(operator.itemgetter(*c) if len(c) > 1 else
+                     operator.itemgetter(slice(c[0], c[0] + 1)) for c in cols)
+
+    return tuple((coef, relabellers(left), relabellers(right))
+                 for coef, left, right in _two_column_rewrite(*key))
 
 
 def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:
     """Apply the two-column rewrite to columns (c, c+1) and reassemble in canonical order."""
-    return _bidet_terms(splice_block(left.columns(), right.columns(), c, c + 1,
-                                     _template_rewrite), left.size)
+    pair = left.columns(), right.columns()
+    return _bidet_terms(((coef, *child) for coef, child, _ in splice_block(
+        *pair, _measure_key(pair), c, c + 1, _template_rewrite)), left.size)
 
 
 class Rule:
-    """The rewrite rule of one straightening call: rule(left, right) for run_straightening.
+    """The rewrite rule of one straightening call: rule(left, right, key) for run_straightening.
 
     A side's verdict is its first row violation, Violation("GL", c) with c
     the 1-based column, or else the mode's plug-in verdict scan(cols): in O
@@ -570,15 +590,16 @@ class Rule:
                                        else self.scan and self.scan(cols))
             return v
 
-    def __call__(self, left, right):
+    def __call__(self, left, right, key):
         vl = self.verdict(left)
         if vl is None or vl.kind != "GL":
             vr = self.verdict(right)
             if vr is not None and (vr.kind == "GL" or vl is None):
                 i, j, rewrite = self._block(vr)
-                return vr.kind, vr.witness, splice_block(left, right, i, j, lambda s_cols, t_cols: [
-                    (coef, s, t) for coef, t, s in rewrite(t_cols, s_cols)])
-        return vl and (vl.kind, vl.witness, splice_block(left, right, *self._block(vl)))
+                return vr.kind, vr.witness, splice_block(
+                    left, right, key, i, j, lambda s_cols, t_cols: [
+                        (coef, s, t) for coef, t, s in rewrite(t_cols, s_cols)])
+        return vl and (vl.kind, vl.witness, splice_block(left, right, key, *self._block(vl)))
 
     def _block(self, v):
         """The columns i < j a violation names and the rewrite of that block."""
@@ -591,21 +612,27 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
                       trace: list | None = None) -> Combination:
     """Rewrite [S:T] by a rule until only standard terms remain.
 
-    The pairs are canonical column tuples (_canonical).  rule(left, right)
-    is None for a standard pair, else (kind, witness, terms): one rewrite
-    at unit coefficient, with terms (coef, left columns, right columns) and
-    coefficients in Z[1/2].  The pairs leave a heap in increasing measure
-    (_measure_key), after every pair that rewrites to them, so each leaves
-    with its final coefficient: it is expanded once, or never when that is
-    0.  No graph is stored, and only the standard leaves become tableaux,
-    with the gamma power of their size drop from the root (_bidet_terms).
-    Every pending and leaf weight is an int w standing for w / 2^exp, with
-    one exponent for the whole run, starting at 0: a coefficient a / 2^h
-    adds weight * a / 2^h, and only when that division is not exact are
-    all weights doubled and exp raised by one.  The leaves become rationals
-    once at the end, and stay ints when exp is 0, as it always is in GL
-    mode.  fuel bounds the number of rule calls; trace, when given, gets
-    (kind, witness, term count) for each pair rewritten.
+    The pairs are canonical column tuples (_canonical).  rule(left, right,
+    key), with key the pair's measure key (_measure_key), is None for a
+    standard pair, else (kind, witness, terms): one rewrite at unit
+    coefficient, with terms (coef, (left columns, right columns), term key)
+    and coefficients in Z[1/2].  Each term's key is computed once, where it
+    is checked against key (splice_block), and the pair is pushed on a heap
+    with it.  The pairs leave the heap in increasing measure, after every
+    pair that rewrites to them, so each leaves with its final coefficient:
+    it is expanded once, or never when that is 0.  A key determines its
+    pair, so a term handed back with another pair's key, a stale one, is
+    caught as it leaves: that key leaves twice, and the second time it is
+    not above the last key taken.  No graph is stored, and only the
+    standard leaves become tableaux, with the gamma power of their size
+    drop from the root (_bidet_terms).  Every pending and leaf weight is an
+    int w standing for w / 2^exp, with one exponent for the whole run,
+    starting at 0: a coefficient a / 2^h adds weight * a / 2^h, and only
+    when that division is not exact are all weights doubled and exp raised
+    by one.  The leaves become rationals once at the end, and stay ints
+    when exp is 0, as it always is in GL mode.  fuel bounds the number of
+    rule calls; trace, when given, gets (kind, witness, term count) for
+    each pair rewritten.
     """
     sign, left, right = normal_columns(s.columns(), t.columns())
     if sign == 0:
@@ -627,13 +654,13 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
         if fuel <= 0:
             raise CapExceeded("straightening fuel exhausted")
         fuel -= 1
-        step = rule(*pair)
+        step = rule(*pair, key)
         if step is None:
             leaves[pair] = weight
             continue
         if trace is not None:
             trace.append((step[0], step[1], len(step[2])))
-        for coef, new_left, new_right in step[2]:
+        for coef, child, child_key in step[2]:
             if type(coef) is int:
                 add = weight * coef
             else:
@@ -647,10 +674,12 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
                         for k in held:
                             held[k] *= 2
                 add = weight * num // den
-            child = new_left, new_right
-            if child not in weights:
-                heapq.heappush(heap, (_measure_key(child), child))
-            weights[child] = weights.get(child, 0) + add
+            held = weights.get(child)
+            if held is None:
+                heapq.heappush(heap, (child_key, child))
+                weights[child] = add
+            else:
+                weights[child] = held + add
     if exp:
         leaves = {pair: polyring.rational(w, 2 ** exp) for pair, w in leaves.items()}
     return Combination(_bidet_terms(((w, *pair) for pair, w in leaves.items()), s.size))

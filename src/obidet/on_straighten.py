@@ -49,6 +49,7 @@ from .gl_straighten import (
     _bidet_terms,
     _check_input,
     _check_output,
+    _in_domain,
     _switch_terms,
     normal_columns,
     run_straightening,
@@ -98,15 +99,17 @@ def _stacked_columns(letters, s0_col1, s0_col2):
     return tuple(letters) + s0_col1, tuple(x.bar() for x in letters) + s0_col2
 
 
-def _at_mode(comb: Combination, mode: str) -> Combination:
-    """A combination on GO(n) as functions on GO(n), or on O(n) in ON mode.
+def _mode_and_domain(comb: Combination, mode: str, domain: CoeffDomain) -> Combination:
+    """A combination on GO(n) over Z[1/2] on GO(n), or on O(n) in ON mode, over a domain.
 
-    O(n) is where gamma = 1; the grading keeps terms of equal tableaux at one
-    gamma power, so setting the powers to 0 merges no terms.
+    One pass builds one Combination.  O(n) is where gamma = 1; the grading
+    keeps terms of equal tableaux at one gamma power, so setting the powers
+    to 0 merges no terms.  Each coefficient is mapped as Combination.reduce
+    maps it (_in_domain).
     """
-    if mode == GO:
-        return comb
-    return Combination(BidetTerm(x.coef, 0, x.left, x.right) for x in comb.unsorted())
+    keep_gamma = mode == GO
+    return Combination(BidetTerm(_in_domain(x.coef, domain), x.gamma_pow if keep_gamma else 0,
+                                 x.left, x.right) for x in comb.unsorted())
 
 
 def _selection_sign(total: int, front: list[int]) -> int:
@@ -297,9 +300,13 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
         if stack == pairs:
             identity_seen = True
             continue
-        sorting, left, right = normal_columns(_stacked_columns(stack, s0_col1, s0_col2), t_cols)
-        if sorting:
-            _add_term(terms, (left, right), -sign * sorting)
+        # the stack's columns have S's lengths and T is normalized, so
+        # normal_columns would reorder nothing: sorting the two is enough
+        c1, c2 = _stacked_columns(stack, s0_col1, s0_col2)
+        sign1, c1 = sort_letters(c1)
+        sign2, c2 = sort_letters(c2)
+        if sign1 and sign2:
+            _add_term(terms, ((c1, c2), t_cols), -sign * sign1 * sign2)
     if not identity_seen:
         raise AssertionError("replacement sum lost the identity term")
     for coef, left, right in _collapsed_terms(s0_col1, s0_col2, t_cols, len(pairs), excluded):
@@ -324,9 +331,8 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
     return [(coef, left, right) for (left, right), coef in terms.items()]
 
 
-def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
-            domain: CoeffDomain) -> Combination:
-    """The OS1, OS2 or OS3 repair of a two-column pair at index j, on GO(n)."""
+def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None) -> Combination:
+    """The OS1, OS2 or OS3 repair of a two-column pair at index j, on GO(n) over Z[1/2]."""
     n = _require_n(n)
     if not any(v.kind == kind and v.witness == j and (kind != "OS3" or v.column == 2)
                for v in on_standard_report(s, n).violations):
@@ -335,28 +341,28 @@ def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None,
     if s.shape != t.shape or len(s.columns()) != 2:
         raise DomainError("two-column tableaux of one shape required")
     return Combination(_bidet_terms(_repair_terms(kind, j, s.columns(), t.columns(), n),
-                                    s.size)).reduce(domain)
+                                    s.size))
 
 
 def fix_os1(s: Tableau, t: Tableau, j: int, mode: str = ON,
             n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
     """Repair a count violation (more than 2j small entries in the columns)."""
     _require_mode(mode)
-    return _at_mode(_repair(s, t, "OS1", j, n, domain), mode)
+    return _mode_and_domain(_repair(s, t, "OS1", j, n), mode, domain)
 
 
 def fix_os2(s: Tableau, t: Tableau, j: int, mode: str = ON,
             n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
     """Repair an unprotected entry in the first column (strict count case)."""
     _require_mode(mode)
-    return _at_mode(_repair(s, t, "OS2", j, n, domain), mode)
+    return _mode_and_domain(_repair(s, t, "OS2", j, n), mode, domain)
 
 
 def fix_os3(s: Tableau, t: Tableau, j: int, mode: str = ON,
             n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
     """Repair an unprotected pair row (equal count case); needs 1/2."""
     _require_mode(mode)
-    return _at_mode(_repair(s, t, "OS3", j, n, domain), mode)
+    return _mode_and_domain(_repair(s, t, "OS3", j, n), mode, domain)
 
 
 def _require_mode(mode):
@@ -395,7 +401,7 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     # from a scan that builds nothing of size n, and its repair over Z[1/2]
     rule = Rule(lambda cols: next(orthogonal_violations(cols, n), None),
                 lambda v, s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n))
-    out = _at_mode(run_straightening(s, t, rule, fuel, trace), mode).reduce(domain)
+    out = _mode_and_domain(run_straightening(s, t, rule, fuel, trace), mode, domain)
     _check_output(out, s, t, n, orthogonal=True)
     return out
 

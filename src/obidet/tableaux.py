@@ -16,6 +16,7 @@ GL(n)- and O(n)-standardness checks live here.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 
@@ -100,6 +101,17 @@ class Letter(int):
 
 
 ZERO = Letter(0)
+
+
+class _LetterText(dict):
+    """The text of each letter code formatted so far: the table of Tableau.format."""
+
+    def __missing__(self, code):
+        text = self[code] = str(code)
+        return text
+
+
+_TEXT = _LetterText()
 
 
 def alphabet(n: int) -> list[Letter]:
@@ -276,7 +288,9 @@ class Tableau:
     # -- text format: rows joined by ';', entries by spaces -----------------
 
     def format(self) -> str:
-        return "; ".join(" ".join(map(str, row)) for row in self.rows) or "-"
+        cols = self._cols
+        return "; ".join(" ".join([_TEXT[col[i]] for col in cols[:width]])
+                         for i, width in enumerate(self.shape)) or "-"
 
     @classmethod
     def parse(cls, text: str) -> "Tableau":
@@ -328,7 +342,7 @@ def tableau_prec_cmp(t1: Tableau, t2: Tableau) -> int:
 # ---------------------------------------------------------------------------
 
 def _columns_increasing(cols) -> bool:
-    return all(a < b for col in cols for a, b in zip(col, col[1:]))
+    return all(all(map(operator.lt, col, col[1:])) for col in cols)
 
 
 def row_violation_column(cols) -> int | None:
@@ -338,7 +352,7 @@ def row_violation_column(cols) -> int | None:
     increasing exactly when there is none.
     """
     for c in range(len(cols) - 1):
-        if any(x > y for x, y in zip(cols[c], cols[c + 1])):
+        if any(map(operator.gt, cols[c], cols[c + 1])):
             return c
     return None
 
@@ -470,15 +484,18 @@ def sparse_torus_weight(cols) -> tuple[dict[int, int], int]:
     """torus_weight of the letters in these columns, without the n/2 zeros.
 
     Returns the nonzero exponents by index and the parity of the 0 letters.
+    It reads the letter codes: index code >> 1, and the low bit set for an
+    unbarred letter.
     """
     exponents: dict[int, int] = {}
     zeros = 0
     for col in cols:
         for x in col:
-            if x.index == 0:
+            if x == _ZERO_CODE:
                 zeros ^= 1
             else:
-                exponents[x.index] = exponents.get(x.index, 0) + (-1 if x.barred else 1)
+                i = x >> 1
+                exponents[i] = exponents.get(i, 0) + (x & 1) * 2 - 1
     return {i: e for i, e in exponents.items() if e}, zeros
 
 

@@ -320,16 +320,20 @@ def _template_keys(max_size):
 
 def _unproved_templates(keys):
     """The keys whose template, relabelled into letters, is not equal to [S:T] in Z[X]."""
-    letters = _letters(10)
+    letters = tuple(_letters(10))
 
     def tableau(cols):
         return Tableau.from_columns([[letters[r] for r in col] for col in cols])
+
+    def relabelled(getters):
+        # through the table's own relabellers, as the engine relabels
+        return Tableau.from_columns([g(letters) for g in getters])
 
     wrong = []
     for key in keys:
         total = Polynomial.zero()
         for coef, left, right in _template(key):
-            total = total + bideterminant(tableau(left), tableau(right)).scale(coef)
+            total = total + bideterminant(relabelled(left), relabelled(right)).scale(coef)
         if total != bideterminant(*map(tableau, key)):
             wrong.append(key)
     return wrong
@@ -410,18 +414,28 @@ def block_rewrite(*blocks):
     return lambda s_cols, t_cols: [(1, left, right) for left, right in blocks]
 
 
+def splice_first_two(left, right, rewrite):
+    """splice_block on columns 0 and 1 of the pair [left : right], under its own key."""
+    return splice_block(left, right, _measure_key((left, right)), 0, 1, rewrite)
+
+
+def spliced(*pairs):
+    """The terms splice_block gives for these pairs at unit coefficient, each with its key."""
+    return [(1, pair, _measure_key(pair)) for pair in pairs]
+
+
 def test_splice_block_rejects_a_size_increase():
     # the measure falls in size first: profile (2, 1) -> (2, 1, 1) grows the
     # profile but also the size, so it is no descent
     left = Tableau.parse("1b 2b; 1").columns()
     grown = Tableau.parse("1b 2b 2; 1").columns()
     with pytest.raises(AssertionError, match="without falling in measure"):
-        splice_block(left, left, 0, 1, block_rewrite((grown, grown)))
+        splice_first_two(left, left, block_rewrite((grown, grown)))
     # a size smaller by an even number, or the same size with a larger
     # profile, descends
     for block in (Tableau.parse("1b").columns(), Tableau.parse("1b; 1; 2b").columns()):
-        assert splice_block(left, left, 0, 1, block_rewrite((block, block))) == [
-            (1, block, block)]
+        assert splice_first_two(left, left, block_rewrite((block, block))) == spliced(
+            (block, block))
 
 
 def test_splice_block_rejects_an_odd_size_drop():
@@ -430,17 +444,17 @@ def test_splice_block_rejects_an_odd_size_drop():
     left = Tableau.parse("1b 2b; 1").columns()
     for block in (Tableau.parse("1b; 1").columns(), Tableau.parse("-").columns()):
         with pytest.raises(AssertionError, match="odd number"):
-            splice_block(left, left, 0, 1, block_rewrite((block, block)))
+            splice_first_two(left, left, block_rewrite((block, block)))
 
 
 def test_splice_block_rejects_a_same_shape_term_that_does_not_move_up():
     left = Tableau.parse("1b 1; 2b").columns()
     up = Tableau.parse("1b 2; 2b").columns()
     down = Tableau.parse("1 1b; 2b").columns()
-    assert splice_block(left, left, 0, 1, block_rewrite((up, left))) == [(1, up, left)]
+    assert splice_first_two(left, left, block_rewrite((up, left))) == spliced((up, left))
     for block in (left, down):
         with pytest.raises(AssertionError, match="did not move up in tableau order"):
-            splice_block(left, left, 0, 1, block_rewrite((block, left)))
+            splice_first_two(left, left, block_rewrite((block, left)))
 
 
 def test_splice_block_measure_is_on_the_pair():
@@ -448,12 +462,12 @@ def test_splice_block_measure_is_on_the_pair():
     left = Tableau.parse("1b 1; 2b").columns()
     up = Tableau.parse("1b 2; 2b").columns()
     down = Tableau.parse("1 1b; 2b").columns()
-    assert splice_block(left, left, 0, 1, block_rewrite((left, up))) == [(1, left, up)]
+    assert splice_first_two(left, left, block_rewrite((left, up))) == spliced((left, up))
     for block in (left, down):
         with pytest.raises(AssertionError, match="did not move up in tableau order"):
-            splice_block(left, left, 0, 1, block_rewrite((left, block)))
+            splice_first_two(left, left, block_rewrite((left, block)))
     # the left key comes first: a term that raises it may lower the right
-    assert splice_block(left, left, 0, 1, block_rewrite((up, down))) == [(1, up, down)]
+    assert splice_first_two(left, left, block_rewrite((up, down))) == spliced((up, down))
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -475,12 +489,17 @@ def canonical_pair(text):
     return _canonical(zip(cols, cols))
 
 
-def graph_rule(graph, calls):
-    """A rule that rewrites each pair of graph to its (coef, child) terms, recording its calls."""
-    def rule(left, right):
+def graph_rule(graph, calls, stale=None):
+    """A rule that rewrites each pair of graph to its (coef, child) terms, recording its calls.
+
+    Each term comes with its child's key, but a child in stale comes with
+    the key of the pair that stale maps it to.
+    """
+    def rule(left, right, key):
         calls.append((left, right))
         terms = graph.get((left, right))
-        return terms and ("GL", 1, [(coef, *child) for coef, child in terms])
+        return terms and ("GL", 1, [
+            (coef, child, _measure_key((stale or {}).get(child, child))) for coef, child in terms])
     return rule
 
 
@@ -546,6 +565,23 @@ def test_driver_rejects_a_term_that_does_not_rise(child):
     graph = {root: [(1, canonical_pair(child))]}
     with pytest.raises(AssertionError, match="did not rise in the measure"):
         run_straightening(s, s, graph_rule(graph, []), fuel=10)
+
+
+@pytest.mark.parametrize("stale", ["parent", "sibling"])
+def test_driver_rejects_a_term_with_a_stale_key(stale):
+    # the driver pushes each new pair with the key its term came with: a
+    # rule that hands back one child with its parent's key, or with its
+    # sibling's, puts that key on the heap twice, and the second is caught
+    s = Tableau.parse("1b 1 2")
+    root, a, b = map(canonical_pair, ("1b 1 2", "1b; 1; 2", "1b 1; 2"))
+    assert _measure_key(root) < _measure_key(b) < _measure_key(a)
+    graph = {root: [(1, a), (1, b)]}
+    calls = []
+    out = run_straightening(s, s, graph_rule(graph, calls), fuel=10)
+    assert calls == [root, b, a] and len(out) == 2
+    with pytest.raises(AssertionError, match="did not rise in the measure"):
+        run_straightening(s, s, graph_rule(graph, [], {a: root if stale == "parent" else b}),
+                          fuel=10)
 
 
 # ---------------------------------------------------------------------------

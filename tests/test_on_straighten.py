@@ -1,10 +1,12 @@
 import functools
 import hashlib
+import heapq
 import importlib
 import itertools
 import json
 import random
 import tracemalloc
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -636,9 +638,10 @@ def shared_terms_output(mode):
 def test_output_with_another_torus_weight_is_refused(monkeypatch):
     # a rewrite that lost a letter pair's balance would leave the weight space
     on_module = importlib.import_module("obidet.on_straighten")
-    at_mode = on_module._at_mode
+    at_mode = on_module._mode_and_domain
     stray = single_term(Tableau.parse("1"), Tableau.parse("1"))
-    monkeypatch.setattr(on_module, "_at_mode", lambda comb, mode: at_mode(comb, mode) + stray)
+    monkeypatch.setattr(on_module, "_mode_and_domain",
+                        lambda comb, mode, domain: at_mode(comb, mode, domain) + stray)
     with pytest.raises(AssertionError, match="torus weight"):
         on_straighten(Tableau.parse("2 1"), Tableau.parse("1 2"), ON, 4)
     # an O(6)-standard side of the input shape and another weight, on the
@@ -648,12 +651,12 @@ def test_output_with_another_torus_weight_is_refused(monkeypatch):
         u = next(u for u in enumerate_on_standard(s.shape, 6)
                  if torus_weight(u, 6) != torus_weight(t if swap else s, 6))
 
-        def with_wrong_leaf(comb, to_mode):
-            out = at_mode(comb, to_mode)
+        def with_wrong_leaf(comb, to_mode, domain):
+            out = at_mode(comb, to_mode, domain)
             x = next(x for x in out if x.left.shape == u.shape)
             return out + single_term(*((x.left, u) if swap else (u, x.right)))
 
-        monkeypatch.setattr(on_module, "_at_mode", with_wrong_leaf)
+        monkeypatch.setattr(on_module, "_mode_and_domain", with_wrong_leaf)
         with pytest.raises(AssertionError, match="output term changed the torus weight"):
             on_straighten(s, t, mode, 6)
 
@@ -665,9 +668,9 @@ def test_on_straighten_expands_each_distinct_term_once(monkeypatch):
     run = on_module.run_straightening
 
     def counting_run(s, t, rule, *args):
-        def counting_rule(left, right):
+        def counting_rule(left, right, key):
             expanded.append((left, right))
-            return rule(left, right)
+            return rule(left, right, key)
 
         return run(s, t, counting_rule, *args)
 
@@ -903,9 +906,9 @@ def test_pairs_reach_the_rule_in_increasing_measure(monkeypatch):
     keys = []
 
     def recording_run(s, t, rule, fuel, trace=None):
-        def recording_rule(left, right):
+        def recording_rule(left, right, key):
             keys.append(_measure_key((left, right)))
-            return rule(left, right)
+            return rule(left, right, key)
         return run(s, t, recording_rule, fuel, trace)
 
     monkeypatch.setattr(module, "run_straightening", recording_run)
@@ -917,6 +920,37 @@ def test_pairs_reach_the_rule_in_increasing_measure(monkeypatch):
         calls += len(keys)
     # the standard leaves reach the rule too
     assert calls > sum(DEEP_CORPUS_STEPS.values())
+
+
+def test_each_term_is_pushed_with_its_own_key(monkeypatch):
+    # a term's key is computed once, where it is checked against its pair's
+    # key, and the driver pushes the term's pair with that same key
+    module = importlib.import_module("obidet.on_straighten")
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    run = module.run_straightening
+    pushed, terms = [], []
+
+    def recording_run(s, t, rule, fuel, trace=None):
+        def checking_rule(left, right, key):
+            assert key == _measure_key((left, right))
+            step = rule(left, right, key)
+            for _, child, child_key in step[2] if step else ():
+                assert child_key == _measure_key(child) and key < child_key
+                terms.append(child)
+            return step
+        return run(s, t, checking_rule, fuel, trace)
+
+    def recording_push(heap, entry):
+        pushed.append(entry)
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(module, "run_straightening", recording_run)
+    monkeypatch.setattr(gl_module, "heapq", types.SimpleNamespace(
+        heappush=recording_push, heappop=heapq.heappop))
+    for mode, n, s, t in deep_corpus_pairs():
+        on_straighten(s, t, mode, n)
+    assert len(terms) > len(pushed) > 5000
+    assert all(key == _measure_key(pair) for key, pair in pushed)
 
 
 def test_shuffled_column_pairs_give_one_trace():
@@ -958,7 +992,7 @@ def deep_corpus_run():
                                         on_module._repair_terms, on_module._switch_terms)
     run = {"outputs": [], "splices": [], "rewrites": [], "switches": [], "repairs": []}
 
-    def recording_splice(left, right, i, j, rewrite):
+    def recording_splice(left, right, key, i, j, rewrite):
         blocks = []
 
         def recording_rewrite(s_cols, t_cols):
@@ -966,7 +1000,7 @@ def deep_corpus_run():
             blocks.extend(terms)
             return terms
 
-        out = splice(left, right, i, j, recording_rewrite)
+        out = splice(left, right, key, i, j, recording_rewrite)
         run["splices"].append((left, right, i, j, blocks, out))
         return out
 
@@ -1169,7 +1203,8 @@ def test_splice_matches_the_normalizing_splice(deep_corpus_run):
     splices = deep_corpus_run["splices"]
     assert sum(len(out) for *_, out in splices) > 10000
     for left, right, i, j, blocks, out in splices:
-        assert out == normalizing_splice(left, right, i, j, blocks)
+        assert [(coef, *pair) for coef, pair, _ in out] == normalizing_splice(
+            left, right, i, j, blocks)
 
 
 def test_template_rewrite_matches_the_raw_kernel(deep_corpus_run):

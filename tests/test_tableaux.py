@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from obidet.tableaux import (
     Tableau,
     ZERO,
     _bar_positions,
+    _columns_increasing,
     _letters,
     alphabet,
     all_fillings,
@@ -23,6 +25,7 @@ from obidet.tableaux import (
     is_gl_standard,
     on_standard_report,
     partitions_of,
+    row_violation_column,
     shape_key,
     shape_order_lt,
     sparse_torus_weight,
@@ -536,3 +539,84 @@ def test_bar_positions_are_the_letter_bars():
     for n in range(1, 10):
         letters = _letters(n)
         assert _bar_positions(n) == [letters.index(x.bar()) for x in letters]
+
+
+# ---------------------------------------------------------------------------
+# the hot helpers against their plain forms, kept here as the reference
+# ---------------------------------------------------------------------------
+
+def _format_reference(t):
+    return "; ".join(" ".join(map(str, row)) for row in t.rows) or "-"
+
+
+def _sparse_torus_weight_reference(cols):
+    exponents = {}
+    zeros = 0
+    for col in cols:
+        for x in col:
+            if x.index == 0:
+                zeros ^= 1
+            else:
+                exponents[x.index] = exponents.get(x.index, 0) + (-1 if x.barred else 1)
+    return {i: e for i, e in exponents.items() if e}, zeros
+
+
+def _row_violation_column_reference(cols):
+    for c in range(len(cols) - 1):
+        if any(x > y for x, y in zip(cols[c], cols[c + 1])):
+            return c
+    return None
+
+
+def _columns_increasing_reference(cols):
+    return all(a < b for col in cols for a, b in zip(col, col[1:]))
+
+
+def _random_columns(rng, letters, sort):
+    """Columns of random non-increasing lengths, letters drawn with repeats, sorted or not."""
+    lengths = sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 4))), reverse=True)
+    cols = [[rng.choice(letters) for _ in range(k)] for k in lengths]
+    return tuple(tuple(sorted(col) if sort else col) for col in cols)
+
+
+def test_format_matches_the_row_reference():
+    # every O(n)-standard tableau of at most 4 boxes, n = 3..8
+    checked = 0
+    for n in range(3, 9):
+        for size in range(5):
+            for shape in partitions_of(size, max_rows=n):
+                for t in enumerate_on_standard(shape, n):
+                    assert t.format() == _format_reference(t)
+                    checked += 1
+    assert checked > 1000
+    # random fillings that hold the 0 letter, and letters of two-digit index
+    rng = random.Random(35)
+    letters = [*_letters(7), Letter(12), Letter(12, True), Letter(123)]
+    for _ in range(500):
+        cols = _random_columns(rng, letters, rng.random() < 0.5) + ((ZERO,),)
+        t = Tableau.from_columns(sorted(cols, key=len, reverse=True))
+        assert any(ZERO in col for col in t.columns())
+        assert t.format() == _format_reference(t)
+        assert Tableau.parse(t.format()) == t
+
+
+def test_sparse_torus_weight_matches_the_letter_reference():
+    rng = random.Random(36)
+    letters = [*_letters(9), Letter(40), Letter(40, True)]
+    for _ in range(2000):
+        cols = _random_columns(rng, letters, rng.random() < 0.5)
+        assert sparse_torus_weight(cols) == _sparse_torus_weight_reference(cols), cols
+
+
+def test_row_and_column_scans_match_the_references():
+    # unsorted columns too: on_standard_report and the output check see them
+    rng = random.Random(37)
+    letters = _letters(8)
+    seen = set()
+    for _ in range(4000):
+        cols = _random_columns(rng, letters, rng.random() < 0.5)
+        row, increasing = row_violation_column(cols), _columns_increasing(cols)
+        assert row == _row_violation_column_reference(cols), cols
+        assert increasing == _columns_increasing_reference(cols), cols
+        seen.add((row is None, increasing))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
