@@ -63,10 +63,10 @@ from .polyring import CoeffDomain, Polynomial, QQ, inversion_sign
 
 
 class CapExceeded(RuntimeError):
-    """Raised when a straightening run expands more distinct terms than its fuel."""
+    """Raised when a straightening run needs more rule calls than its fuel."""
 
 
-# the default fuel of every straightening call, in distinct terms expanded
+# the default fuel of every straightening call, in rule calls: rewrite steps and standard leaves
 FUEL = 200000
 
 
@@ -205,7 +205,7 @@ class Combination:
             # an integral Gamma, as at the point's own gamma, keeps the sum in ints
             gamma = polyring.rational(gamma_value) * d * d
             if gamma.denominator == 1:
-                gamma = int(gamma.numerator)
+                gamma = gamma.numerator
         return self._value_sum(point, gamma, d)
 
     def _value_sum(self, point, gamma, base: int):
@@ -213,9 +213,9 @@ class Combination:
         if not self._terms:
             return 0
         d, m = point.denominator, self.degree()
-        lcm = math.lcm(*(int(t.coef.denominator) for t in self._terms.values()))
+        lcm = math.lcm(*(t.coef.denominator for t in self._terms.values()))
         total = sum(
-            int(t.coef.numerator) * (lcm // int(t.coef.denominator))
+            t.coef.numerator * (lcm // t.coef.denominator)
             * point.minor_product(t.left.columns(), t.right.columns())
             * gamma ** t.gamma_pow * d ** (m - t.degree())
             for t in self._terms.values())
@@ -664,7 +664,7 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
             if type(coef) is int:
                 add = weight * coef
             else:
-                num, den = int(coef.numerator), int(coef.denominator)
+                num, den = coef.numerator, coef.denominator
                 if den & (den - 1):
                     raise AssertionError(f"rewrite coefficient {coef} left Z[1/2]")
                 while weight * num % den:

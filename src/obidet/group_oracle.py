@@ -80,10 +80,10 @@ from .on_straighten import GO, ON, _require_mode, on_straighten
 
 
 # GroupPoint.minor expands minors up to this order from cached ones of one
-# order less and runs Bareiss above it.  Cold, at n = 8 (CPython 3.11, no
-# gmpy2, one Xeon core), an order-3 minor takes 20 us by expansion against
-# 24 us by Bareiss, an order-4 one 47 us against 35 us; at n = 12 an
-# order-12 minor takes 36 ms (4,095 cached sub-minors) against 0.5 ms.
+# order less and runs Bareiss above it.  Cold, at n = 8 (CPython 3.11, one
+# Xeon core), an order-3 minor takes 20 us by expansion against 24 us by
+# Bareiss, an order-4 one 47 us against 35 us; at n = 12 an order-12 minor
+# takes 36 ms (4,095 cached sub-minors) against 0.5 ms.
 _EXPANSION_ORDER = 3
 
 
@@ -144,11 +144,11 @@ class GroupPoint:
     @classmethod
     def from_matrix(cls, matrix: LetterMatrix, gamma_value=1) -> "GroupPoint":
         """The point of a rational matrix g with this gamma: its cleared form d g."""
-        d = math.lcm(*(int(x.denominator) for row in matrix.rows for x in row))
+        d = math.lcm(*(x.denominator for row in matrix.rows for x in row))
         gamma = rational(gamma_value) * d * d
         if gamma.denominator != 1:
             raise DomainError("matrix does not satisfy the similitude relation")
-        rows = ((int(x.numerator) * (d // int(x.denominator)) for x in row) for row in matrix.rows)
+        rows = ((x.numerator * (d // x.denominator) for x in row) for row in matrix.rows)
         return cls(LetterMatrix(matrix.n, rows), d, int(gamma))
 
     def __setattr__(self, name, value):
@@ -297,7 +297,7 @@ def random_go_point(n: int, seed: int, c, spread: int = 2) -> GroupPoint:
     rng = random.Random(seed)
     component = "PLUS" if rng.random() < 0.5 else "MINUS"
     rows, d = _component_rows(n, seed + 1, component, spread)
-    a, b = int(c.numerator), int(c.denominator)
+    a, b = c.numerator, c.denominator
     scaled = [n % 2 or x.barred for x in _letters(n)]
     rows = ((a * x if s else b * x for x, s in zip(r, scaled)) for r in rows)
     gamma = d * d * (a * a if n % 2 else a * b)
@@ -446,7 +446,7 @@ def _integer_column(values, domain: CoeffDomain) -> list:
         if None in values:
             raise DomainError(f"a value is not integral at {domain.p}")
         return values
-    m = math.lcm(*(int(x.denominator) for x in values))
+    m = math.lcm(*(x.denominator for x in values))
     return [int(x * m) for x in values]
 
 

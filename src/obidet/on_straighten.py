@@ -35,6 +35,7 @@ from .tableaux import (
     DomainError,
     Letter,
     Tableau,
+    _letter_index,
     _letters,
     conjugate,
     on_standard_report,
@@ -194,24 +195,22 @@ def one_column_complement(s_col, t_col, n: int):
         raise DomainError("columns must have equal length")
     if len(set(s_col)) < len(s_col) or len(set(t_col)) < len(t_col):
         raise DomainError("columns must not repeat letters")
-    letters = _letters(n)
+    position = _letter_index(n)
     for x in s_col + t_col:
-        if x not in letters:
+        if x not in position:
             raise DomainError(f"letter {x} is not in the alphabet of size {n}")
     sign_s, s_sorted = sort_letters(s_col)
     sign_t, t_sorted = sort_letters(t_col)
-    position = {x: i + 1 for i, x in enumerate(letters)}
 
     def complement(sorted_col):
+        # both complements hold n - k letters, so 0-based positions give the same parity
         inside = set(sorted_col)
-        comp = [x for x in letters if x not in inside]
-        pos_sum = sum(position[x] for x in comp)
-        bars = [x.bar() for x in comp]
-        bar_sign, bars_sorted = sort_letters(bars)
-        return comp, pos_sum, bar_sign, bars_sorted
+        comp = [x for x in position if x not in inside]
+        bar_sign, bars_sorted = sort_letters([x.bar() for x in comp])
+        return sum(position[x] for x in comp), bar_sign, bars_sorted
 
-    _, pos_s, bar_sign_s, s_bar = complement(s_sorted)
-    _, pos_t, bar_sign_t, t_bar = complement(t_sorted)
+    pos_s, bar_sign_s, s_bar = complement(s_sorted)
+    pos_t, bar_sign_t, t_bar = complement(t_sorted)
     eps = sign_s * sign_t * bar_sign_s * bar_sign_t
     if (pos_s + pos_t) % 2:
         eps = -eps

@@ -13,32 +13,18 @@ points use too) once each row is cleared of its denominators.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
 
-from .tableaux import DomainError, Letter, Tableau, _letters
+from .tableaux import DomainError, Letter, Tableau, _letter_index, _letters
 
-try:  # gmpy2 numbers are a large constant factor faster; Fraction and int work too
-    from gmpy2 import mpq as _mpq, mpz as _mpz
-
-    def rational(num=0, den=None):
-        if den is None:
-            return _mpq(num)
-        return _mpq(num, den)
-except ImportError:  # pragma: no cover
-    _mpz = int
-
-    def rational(num=0, den=None):
-        if den is None:
-            return Fraction(num)
-        return Fraction(num, den)
+rational = Fraction
 
 
 def is_dyadic(x) -> bool:
     """True if x is a rational with denominator a power of two."""
-    den = int(x.denominator)
+    den = x.denominator
     return den & (den - 1) == 0
 
 
@@ -79,7 +65,7 @@ class CoeffDomain:
         """
         if not self.is_prime_field:
             return rational(x)
-        num, den = int(x.numerator), int(x.denominator)
+        num, den = x.numerator, x.denominator
         if den % self.p == 0:
             return None
         return num * pow(den, -1, self.p) % self.p
@@ -146,12 +132,6 @@ def GF(p: int) -> CoeffDomain:
 # exact square matrices indexed by the alphabet
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _letter_index(n: int) -> dict:
-    """Letter -> position in _letters(n): one dict per n, shared by the matrices, never written."""
-    return {x: i for i, x in enumerate(_letters(n))}
-
-
 class LetterMatrix:
     """A square matrix whose rows and columns are indexed by alphabet letters."""
 
@@ -217,8 +197,8 @@ def det_rows(rows) -> object:
     """
     int_rows, den = [], 1
     for row in rows:
-        d = math.lcm(*(int(x.denominator) for x in row))
-        int_rows.append([int(x.numerator) * (d // int(x.denominator)) for x in row])
+        d = math.lcm(*(x.denominator for x in row))
+        int_rows.append([x.numerator * (d // x.denominator) for x in row])
         den *= d
     det = _bareiss(int_rows)[1]
     return det if den == 1 else rational(det, den)
@@ -231,15 +211,14 @@ def _bareiss(rows) -> tuple[int, int]:
     all divisions are exact by the Bareiss identity.  Each pivot is the
     leading minor of its order of the row-swapped matrix, so the last one,
     signed by the swaps, is the determinant of a square matrix of full rank;
-    any other square matrix has determinant 0.  Both come back as plain
-    ints whatever integer type the elimination runs on.
+    any other square matrix has determinant 0.
     """
-    m = [[_mpz(x) for x in r] for r in rows]
+    m = [list(r) for r in rows]
     if not m or not m[0]:
         return 0, 1
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
-    prev = _mpz(1)
+    prev = 1
     sign = 1
     row = 0
     for col in range(n_cols):
@@ -258,7 +237,7 @@ def _bareiss(rows) -> tuple[int, int]:
             if head:
                 m[r] = [(lead * a - head * b) // prev
                         for a, b in zip(m[r], m[row])]
-                m[r][col] = _mpz(0)
+                m[r][col] = 0
             else:
                 m[r] = [(lead * a) // prev for a in m[r]]
         prev = lead
@@ -266,7 +245,7 @@ def _bareiss(rows) -> tuple[int, int]:
         row += 1
         if row == n_rows:
             break
-    return rank, int(sign * prev) if rank == n_rows == n_cols else 0
+    return rank, sign * prev if rank == n_rows == n_cols else 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ GL(n)- and O(n)-standardness checks live here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -118,11 +119,12 @@ def alphabet(n: int) -> list[Letter]:
     """The ordered alphabet for dimension n (n >= 3)."""
     if n < 3:
         raise DomainError(f"alphabet requires n >= 3, got {n}")
-    return _letters(n)
+    return list(_letters(n))
 
 
-def _letters(n: int) -> list[Letter]:
-    # internal variant that also admits n in {1, 2} for GL-only work
+@functools.cache
+def _letters(n: int) -> tuple[Letter, ...]:
+    # internal variant that also admits n in {1, 2} for GL-only work; built once per n
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     m = n // 2
@@ -132,7 +134,13 @@ def _letters(n: int) -> list[Letter]:
         out.append(Letter(k))
     if n % 2 == 1:
         out.append(ZERO)
-    return out
+    return tuple(out)
+
+
+@functools.cache
+def _letter_index(n: int) -> dict:
+    """Letter -> position in _letters(n): one dict per n, shared by its readers, never written."""
+    return {x: i for i, x in enumerate(_letters(n))}
 
 
 def _bar_positions(n: int) -> list[int]:

@@ -638,6 +638,13 @@ def test_gl_straighten_fuel():
     s, t = GL_CASE.inputs()
     with pytest.raises(CapExceeded, match="fuel exhausted"):
         gl_straighten(s, t, 6, fuel=1)
+    # fuel counts rule calls: one per rewrite step, one per standard leaf
+    trace = []
+    out = gl_straighten(s, t, 6, trace=trace)
+    need = len(trace) + len(out)
+    assert gl_straighten(s, t, 6, fuel=need) == out
+    with pytest.raises(CapExceeded, match="fuel exhausted"):
+        gl_straighten(s, t, 6, fuel=need - 1)
 
 
 def test_gl_straighten_fuel_is_ample_for_desk_sizes():

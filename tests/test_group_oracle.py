@@ -803,17 +803,18 @@ def test_combination_value_is_the_sum_of_its_term_values():
     assert comb.evaluate(go_point) != comb.evaluate(go_point, 1)
 
 
-def test_kernel_values_are_plain_ints_whatever_the_elimination_type(monkeypatch):
-    # with gmpy2 installed Bareiss runs on mpz, which is not int; Fraction
-    # stands in for such a type here
-    monkeypatch.setattr(polyring, "_mpz", Fraction)
-    points = standard_points(3, 4, seed=2) + [random_go_point(3, 5, rational(5, 3))]
-    letters = tuple(_letters(3))
-    elements = standard_basis_elements(3, 2, GO)
-    for p in points:
-        assert type(p.integer_gamma) is int
-        assert all(type(p.minor(letters[:k], letters[-k:])) is int for k in (1, 2, 3))
-        assert all(type(e.integer_value(p)) is int for e in elements)
+def test_kernel_values_are_plain_ints_whatever_the_elimination_type():
+    # minors up to _EXPANSION_ORDER are expanded, the order-4 ones at n = 4
+    # go through Bareiss: both give plain ints
+    assert group_oracle._EXPANSION_ORDER < 4
+    for n in (3, 4):
+        points = standard_points(n, 4, seed=2) + [random_go_point(n, 5, rational(5, 3))]
+        letters = tuple(_letters(n))
+        elements = standard_basis_elements(n, 2, GO)
+        for p in points:
+            assert type(p.integer_gamma) is int
+            assert all(type(p.minor(letters[:k], letters[-k:])) is int for k in range(1, n + 1))
+            assert all(type(e.integer_value(p)) is int for e in elements)
 
 
 def _bareiss_minor(p, rows, cols):

@@ -6,11 +6,13 @@ class line, in the library, the demos, the benchmark (its modules and the
 spans of perfbench/spec.json) or the acceptance test.  Comments and strings
 are not uses.  A name with no such user is deleted, or kept in KEEP with a
 reason.  Names are matched bare, so a method counts as used wherever a
-name of that spelling occurs.
+name of that spelling occurs.  The library also imports nothing outside
+the standard library.
 """
 
 import ast
 import json
+import sys
 import tokenize
 from pathlib import Path
 
@@ -70,3 +72,18 @@ def test_every_definition_has_a_user_outside_the_tests():
     defined = {qualname for qualname, _ in definitions}
     stale = [q for q in KEEP if q not in defined or q.rpartition(".")[2] in used]
     assert not stale, f"remove these KEEP entries: {stale}"
+
+
+def test_the_library_imports_the_standard_library_only():
+    outside = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{m} ({path.name}:{node.lineno})" for m in modules
+                        if m.partition(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"imports from outside the standard library: {outside}"

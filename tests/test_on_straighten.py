@@ -622,6 +622,13 @@ def test_on_straighten_fuel():
     s, t = OS1.inputs()
     with pytest.raises(CapExceeded, match="fuel exhausted"):
         on_straighten(s, t, ON, 6, fuel=1)
+    # fuel counts rule calls: one per rewrite step, one per standard leaf
+    trace = []
+    out = on_straighten(s, t, ON, 6, QQ, trace=trace)
+    need = len(trace) + len(out)
+    assert on_straighten(s, t, ON, 6, QQ, fuel=need) == out
+    with pytest.raises(CapExceeded, match="fuel exhausted"):
+        on_straighten(s, t, ON, 6, QQ, fuel=need - 1)
 
 
 # many rewrite paths meet in the same terms: rewriting each path anew
