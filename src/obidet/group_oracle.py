@@ -44,7 +44,10 @@ block + 6) points, drawn as they are first read.  Each block is ranked
 by its own evaluation_rank call over the batch, at the shortest prefix
 that fills it, or at the whole batch if none does, so one echelon is
 alive at a time.  Over F_p this holds over the algebraic closure, so full
-block ranks prove more than one full-matrix rank could.  Spanning
+block ranks prove more than one full-matrix rank could.  Since
+[S:T](g^t) = [T:S](g) and g^t is a point of the group too, a block whose
+transpose twin, of the swapped weight, was ranked full is full as well,
+and is not ranked.  Spanning
 residuals are checked at batch 0's first 10 points, or at 10 of their
 own when batch 0 asks for fewer.
 """
@@ -550,12 +553,13 @@ def _block_terms(blocks) -> list[BidetTerm]:
     return [BidetTerm(1, k, s, t) for k, tableaux in blocks for s in tableaux for t in tableaux]
 
 
-def _weight_blocks(elements, n: int, mode: str) -> list[list[BidetTerm]]:
+def _weight_blocks(elements, n: int, mode: str) -> dict[tuple, list[BidetTerm]]:
     """The elements grouped by weight: (wt S, wt T), and the degree in GO mode.
 
     The diagonal matrices t of O(n) give [S:T](t X s) = chi_S(t) chi_T(s)
     [S:T](X), and in GO mode the dilation c I scales gamma^k [S:T] by
-    c^(2k + |shape|); so each block is one weight space of the torus.
+    c^(2k + |shape|); so each block is one weight space of the torus.  The
+    blocks are keyed by that weight.
     """
     weight_of, weights = {}, {}
     for e in elements:
@@ -564,7 +568,28 @@ def _weight_blocks(elements, n: int, mode: str) -> list[list[BidetTerm]]:
                 weight_of[t] = torus_weight(t, n)
         key = (weight_of[e.left], weight_of[e.right])
         weights.setdefault(key + (e.degree(),) if mode == GO else key, []).append(e)
-    return list(weights.values())
+    return weights
+
+
+def _twin_sources(blocks: dict[tuple, list[BidetTerm]]) -> list[int | None]:
+    """For each block, the position of an earlier block it is the transpose of, or None.
+
+    The twin of the block of weight (mu, nu) is the block of weight (nu, mu),
+    of the same degree in GO mode.  A block counts as the transpose of its
+    twin only when the two have the same size and its elements are exactly
+    the twin's with S and T swapped.  A rank is inferred from a full twin
+    only, which repeats no element, so comparing sets compares the blocks.
+    """
+    position = {key: i for i, key in enumerate(blocks)}
+    values = list(blocks.values())
+    sources = []
+    for i, (key, block) in enumerate(blocks.items()):
+        j = position.get((key[1], key[0]) + key[2:], i)
+        twin = values[j]
+        sources.append(j if j < i and len(block) == len(twin) and (
+            {(e.coef, e.gamma_pow, e.left, e.right) for e in block}
+            == {(e.coef, e.gamma_pow, e.right, e.left) for e in twin}) else None)
+    return sources
 
 
 def _pair_shapes(n: int, max_size: int) -> list:
@@ -618,12 +643,25 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
     retry redraws and re-ranks only the short blocks.  So a batch draws
     only the points some block reads: all of them only for a short block,
     for a retry, or when a prime-field batch may hold the whole group.  A
+    batch passes only when its rank is the count of standard elements.  A
     short batch names its short blocks and the largest of them.  Spanning
     residuals are checked at the first 10 points of batch 0's own
     draw (not a retry's), or at 10 of their own if batch 0 asks for fewer.
     The standard tableaux are enumerated one shape at a time, and a suite
     is refused at the first shape that takes the element count past the
     cap, before any element is built.
+
+    The transpose tau: g -> g^t maps O(n) and GO(n) to themselves, since
+    g^t = gamma J g^-1 J, and keeps gamma; it sends [S:T] to [T:S] and the
+    block of weight (mu, nu) to that of (nu, mu), of the same degree.  So
+    the evaluation matrix of a block at the points g^t is its twin's at the
+    points g, over Q and over the algebraic closure of F_p alike, and a
+    block is independent exactly when its twin is.  A block whose twin is
+    full is taken as full without an evaluation; a rank is inferred from a
+    full one only, and only when the twin's elements are exactly the
+    block's with S and T swapped (_twin_sources).  A twin short at the
+    batch is ranked at the same batch, and retries re-rank every short
+    block.
 
     Over F_p a short rank leaves the batch undecided rather than failed: the
     functions may be dependent on the finite group O(n, F_p), which says
@@ -642,7 +680,8 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
         if count > cap:
             return SuiteReport(
                 [f"refused: at least {count} standard elements exceed the cap {cap}"], False)
-    weight_blocks = _weight_blocks(_block_terms(blocks), n, mode)
+    by_weight = _weight_blocks(_block_terms(blocks), n, mode)
+    weight_blocks, sources = list(by_weight.values()), _twin_sources(by_weight)
     lines = []
     ok = True
     want_points = num_points or (max(map(len, weight_blocks)) + 6)
@@ -653,8 +692,13 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
         if batch == 0:
             first = points
         # each block reads the batch up to the point that fills it, so a
-        # block is short exactly when the whole batch cannot certify it
-        block_ranks = [evaluation_rank(b, points, domain) for b in weight_blocks]
+        # block is short exactly when the whole batch cannot certify it.  A
+        # block whose transpose twin is full is certified too: its evaluation
+        # matrix at the group points g^t is the twin's at the points g
+        block_ranks = []
+        for b, j in zip(weight_blocks, sources):
+            full = j is not None and block_ranks[j] == len(b)
+            block_ranks.append(len(b) if full else evaluation_rank(b, points, domain))
         short = [i for i, b in enumerate(weight_blocks) if block_ranks[i] < len(b)]
         # a draw that holds all of O(n, F_p) is the whole group: a retry
         # could only redraw the same residues, and a second batch too.  Only
@@ -674,13 +718,16 @@ def basis_suite(n: int, r_max: int, mode: str = ON, num_points: int | None = Non
                                      evaluation_rank(weight_blocks[i], points, domain))
             short = [i for i in short if block_ranks[i] < len(weight_blocks[i])]
         undecided_mark = " undecided" if short and domain.is_prime_field else ""
-        lines.append(f"independence rank={sum(block_ranks)} expected={count}{undecided_mark}")
+        rank = sum(block_ranks)
+        lines.append(f"independence rank={rank} expected={count}{undecided_mark}")
         if short:
             lines.append(f"short blocks={len(short)} of {len(weight_blocks)} "
                          f"(largest {max(len(weight_blocks[i]) for i in short)})")
         if undecided_mark:
             undecided = True
-        elif short:
+        elif short or rank != count:
+            # full blocks that hold more or fewer elements than the count
+            # certify no basis either
             ok = False
         if batch == 0 and whole:
             lines.append(f"batch 1 skipped: batch 0 holds all {order} points "

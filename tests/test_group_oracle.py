@@ -599,7 +599,7 @@ def _read_at_most(points, k):
 @pytest.mark.parametrize("n, domain", [(3, QQ), (4, QQ), (3, GF(7)), (4, GF(5))])
 def test_evaluation_rank_reads_no_point_after_the_one_that_fills_it(n, domain):
     elements = standard_basis_elements(n, 1, ON)
-    for block in group_oracle._weight_blocks(elements, n, ON) + [elements]:
+    for block in [*group_oracle._weight_blocks(elements, n, ON).values(), elements]:
         points = _suite_points(n, len(block) + 6, 3, ON, domain)
         # the first prefix at which the rank is full, by the whole-matrix rank
         fill = next(k for k in range(1, len(points) + 1) if matrix_rank(
@@ -1015,9 +1015,34 @@ def test_standard_elements_are_torus_weight_vectors(n):
             assert value(moved) == chi_s * chi_t * value(g)
 
 
+def _transpose(point):
+    """g^t as a point of its own: the constructor checks its form again."""
+    return GroupPoint(LetterMatrix(point.n, zip(*point._integer_rows)), point.denominator,
+                      point.integer_gamma)
+
+
+@pytest.mark.parametrize("n, r, mode, points", [
+    (3, 3, ON, [random_on_point(3, seed, c) for seed in (1, 2) for c in ("PLUS", "MINUS")]),
+    (4, 2, GO, [random_go_point(4, seed, c) for seed, c in ((1, 2), (2, Fraction(1, 3)))]),
+], ids=["O3", "GO4"])
+def test_standard_elements_swap_their_tableaux_under_transposition(n, r, mode, points):
+    # g^t lies in the group with the gamma of g, and [S:T](g^t) = [T:S](g):
+    # the evaluation matrix of a weight block at the points g^t is that of
+    # its transpose twin at the points g
+    assert mode == GO or {g.det_value for g in points} == {1, -1}
+    elements = standard_basis_elements(n, r, mode)
+    for g in points:
+        gt = _transpose(g)
+        assert gt.denominator == g.denominator and gt.integer_gamma == g.integer_gamma
+        assert gt.det_value == g.det_value and (mode == ON or g.gamma_value != 1)
+        for e in elements:
+            twin = BidetTerm(e.coef, e.gamma_pow, e.right, e.left)
+            assert e.integer_value(gt) == twin.integer_value(g)
+
+
 def test_block_ranks_sum_to_the_full_rank():
     elements = standard_basis_elements(3, 2, ON)
-    blocks = group_oracle._weight_blocks(elements, 3, ON)
+    blocks = list(group_oracle._weight_blocks(elements, 3, ON).values())
     assert sorted(map(id, (e for b in blocks for e in b))) == sorted(map(id, elements))
     assert len(blocks) == 34
     points = standard_points(3, len(elements) + 6, seed=3)
@@ -1026,7 +1051,8 @@ def test_block_ranks_sum_to_the_full_rank():
 
 
 def test_go_weight_blocks_split_by_degree():
-    for block in group_oracle._weight_blocks(standard_basis_elements(4, 2, GO), 4, GO):
+    blocks = group_oracle._weight_blocks(standard_basis_elements(4, 2, GO), 4, GO)
+    for block in blocks.values():
         assert len({e.degree() for e in block}) == 1
 
 
@@ -1048,6 +1074,60 @@ def test_basis_suite_fails_on_a_duplicated_element(monkeypatch):
     assert not report.passed and not report.undecided
     assert report.text().endswith("FAIL")
     assert any(line.startswith("short blocks=") for line in report.lines)
+
+
+def _change_one_side(monkeypatch, change):
+    """Patch _block_terms to change the later block of a twin pair of blocks of n = 3.
+
+    The pair is the first whose blocks hold two or more elements; "drop"
+    removes an element of that block, "repeat" replaces it by another one
+    of the block.  The earlier block stays as it is, so the later one is no
+    longer its transpose.
+    """
+    block_terms = group_oracle._block_terms
+
+    def one_sided(blocks):
+        elements = block_terms(blocks)
+        by_weight = group_oracle._weight_blocks(elements, 3, ON)
+        keys = list(by_weight)
+        key = next(k for i, k in enumerate(keys)
+                   if k[::-1] in keys[:i] and len(by_weight[k]) > 1)
+        block = by_weight[key]
+        assert block[0].left != block[0].right
+        if change == "drop":
+            elements.remove(block[0])
+        else:
+            elements[elements.index(block[0])] = block[1]
+        return elements
+
+    monkeypatch.setattr(group_oracle, "_block_terms", one_sided)
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_a_twin_pair_changed_on_one_side_is_ranked_twice_and_fails(monkeypatch, change):
+    _change_one_side(monkeypatch, change)
+    calls = _recording_evaluation_ranks(monkeypatch)
+    report = basis_suite(3, 2, ON, seed=1)
+    # a dropped [S:T] with S != T leaves every block full and the rank one
+    # short of the count; a repeated element makes its block short
+    assert [line for line in report.lines if line.startswith("independence")] == [
+        "independence rank=43 expected=44"] * 2
+    assert any(line.startswith("short blocks=") for line in report.lines) == (change == "repeat")
+    assert not report.passed and not report.undecided
+    assert report.text().endswith("FAIL")
+    monkeypatch.undo()
+    per_batch = [list(group) for _, group in itertools.groupby(calls, key=lambda c: id(c[1]))]
+    assert len(per_batch) == (8 if change == "repeat" else 2)
+    for group in (per_batch[0], per_batch[len(per_batch) // 2]):
+        ranked = {}
+        for functions, _, _, _ in group:
+            ranked.setdefault(_twin_class(functions, 3), []).append(functions)
+        # both blocks of the changed pair are ranked, though both are full
+        # after a drop; of every other pair, one block
+        pairs = [blocks for twins, blocks in ranked.items() if len(blocks) == 2]
+        assert len(pairs) == 1 and pairs[0][0] is not pairs[0][1]
+        small, large = sorted(map(len, pairs[0]))
+        assert large - small == (change == "drop")
 
 
 def _recording_suite_draws(monkeypatch):
@@ -1099,6 +1179,12 @@ def _recording_evaluation_ranks(monkeypatch):
     return calls
 
 
+def _twin_class(block, n):
+    """The weights of a block and of its transpose twin, from its first element."""
+    wt_s, wt_t = torus_weight(block[0].left, n), torus_weight(block[0].right, n)
+    return frozenset({(wt_s, wt_t), (wt_t, wt_s)})
+
+
 @pytest.mark.parametrize("duplicate", [False, True])
 def test_each_block_is_ranked_once_per_batch_up_to_its_filling_point(monkeypatch, duplicate):
     if duplicate:
@@ -1116,12 +1202,22 @@ def test_each_block_is_ranked_once_per_batch_up_to_its_filling_point(monkeypatch
     assert len(per_batch) == len(batches) - (not duplicate) == (8 if duplicate else 2)
     blocks = [functions for functions, _, _, _ in per_batch[0]]
     short = {id(functions) for functions, _, _, r in calls if r < len(functions)}
-    assert len(blocks) == 34 and bool(short) == duplicate
+    assert bool(short) == duplicate
     for i, (group, batch) in enumerate(zip(per_batch, batches)):
-        # one call for every block in an independence batch, and for only
-        # the short ones in a retry
-        assert [id(functions) for functions, _, _, _ in group] == [
-            id(b) for b in blocks if i in (0, len(per_batch) // 2) or id(b) in short]
+        if i in (0, len(per_batch) // 2):
+            # one call per twin class of the 34 blocks in an independence
+            # batch, and one for the twin too when the first call is short
+            assert len({id(functions) for functions, _, _, _ in group}) == len(group)
+            per_class = {}
+            for functions, _, _, rank in group:
+                per_class.setdefault(_twin_class(functions, 3), []).append(rank < len(functions))
+            assert len(per_class) == 21
+            assert all(len(shorts) == (len(twins) if shorts[0] else 1)
+                       for twins, shorts in per_class.items())
+        else:
+            # and one call for each short block in a retry
+            assert [id(functions) for functions, _, _, _ in group] == [
+                id(b) for b in blocks if id(b) in short]
         # the batch draws no point after the longest read
         assert len(batch) == max(len(read) for _, _, read, _ in group)
         for functions, _, read, rank in group:
@@ -1156,6 +1252,7 @@ def test_basis_suite_holds_one_echelon_at_a_time(monkeypatch, duplicate):
 @pytest.mark.parametrize("n, r", [(3, 2), (4, 1), (3, 3)])
 def test_block_ranks_are_the_per_block_evaluation_ranks(n, r, domain):
     blocks = group_oracle._weight_blocks(standard_basis_elements(n, r, ON), n, ON)
+    blocks = list(blocks.values())
     # a dependent block: an element repeated
     blocks.append(blocks[-1] + blocks[-1][:1])
     points = _suite_points(n, max(map(len, blocks)) + 6, 5, ON, domain)
@@ -1229,8 +1326,17 @@ def test_basis_suite_builds_no_rational_matrix(monkeypatch):
     assert all(p._matrix is None for points in batches for p in points)
 
 
-def test_basis_suite_o4_degree_four():
+def test_basis_suite_o4_degree_four(monkeypatch):
+    calls = _recording_evaluation_ranks(monkeypatch)
     report = basis_suite(4, 4, cap=5000)
+    monkeypatch.undo()
     assert report.passed
     assert [line for line in report.lines if line.startswith("independence")] == [
         "independence rank=2369 expected=2369"] * 2
+    # 881 blocks: 420 transpose twin pairs, one block of each ranked, and 41
+    # blocks that are their own twin
+    blocks = group_oracle._weight_blocks(standard_basis_elements(4, 4), 4, ON)
+    assert len(blocks) == 881
+    assert sum(j is not None for j in group_oracle._twin_sources(blocks)) == 420
+    assert [len(list(group)) for _, group in itertools.groupby(calls, key=lambda c: id(c[1]))] == [
+        461, 461]
