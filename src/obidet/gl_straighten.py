@@ -17,21 +17,28 @@ sorting.  It computes each term's key in the one pair measure,
 _measure_key, once, checks it against the key the pair left the engine's
 heap with (_check_measure), and hands it back with the term, so the
 engine pushes the term's pair with that key.  The rule holds the call's
-standardness verdicts.  The two-column rewrite (_two_column_terms) is
-computed once per process per order pattern of a block's letters, in a
-table keyed on ranks that holds no letter (_template), whose entries hold
-precompiled relabellers, one itemgetter per column, that relabel it for
-every block of that pattern, the OS3 switch's too (_template_rewrite).
-term_order is the one order of output terms.  A term is (coef, left
-columns, right columns), a spliced one (coef, pair, key): its gamma
-power is not carried but read off its size drop where column tuples
-become BidetTerms (_bidet_terms), and the measure rejects an odd drop.
-The coefficients lie in Z[1/2], and the engine computes on ints: each
-weight is an int over one power of two per root (run_straightening).
+standardness verdicts.  A GL step rewrites a two-column block to its GL
+normal form in one rule call (_normal_form): the block straightened until
+both of its sides are GL-standard.  Both that normal form and the
+one-step two-column rewrite (_two_column_terms) depend only on the order
+pattern of the block's letters, so each is computed once per process, the
+first time it is asked for, in one table keyed on ranks that holds no
+letter (_template).  Its entries (_Template) hold precompiled
+relabellers, one itemgetter per column, that relabel them for every
+block of that pattern.  A normal form is built by the engine's own heap
+loop (_heap_pass) on the rank block with the one-step rule (_StepRule),
+so every one-step child is measure-checked; the OS3 switch,
+two_column_straighten and mead_step read the one-step rewrite
+(_template_rewrite).  term_order is the one order of output terms.  A
+term is (coef, left columns, right columns), a spliced one (coef, pair,
+key): its gamma power is not carried but read off its size drop where
+column tuples become BidetTerms (_bidet_terms), and the measure rejects
+an odd drop.  The coefficients lie in Z[1/2], and the engine computes on
+ints: each weight is an int over one power of two per pass (_heap_pass).
 two_column_straighten, mead_step and normalize_pair are thin adapters
-that take and give tableaux, the first two over the templates.  One
-output check (_check_output) serves GL, O and GO.  verify_gl checks a GL
-identity in the polynomial ring itself.
+that take and give tableaux, the first two over the one-step templates.
+One output check (_check_output) serves GL, O and GO.  verify_gl checks a
+GL identity in the polynomial ring itself.
 """
 
 from __future__ import annotations
@@ -423,7 +430,7 @@ def two_column_straighten(s: Tableau, t: Tableau):
     head holds the same-shape terms (all strictly above S in the tableau
     order, with signs only); drop holds the column-rebalanced remainder.
     The identity [S:T] = head + drop is exact in the polynomial ring.  The
-    terms come from the template table the engine reads (_template_rewrite).
+    terms are the one-step rewrite of the template table (_template_rewrite).
     Returns (first violated row, head, drop).
     """
     s_cols, t_cols = s.columns(), t.columns()
@@ -512,42 +519,108 @@ def _two_column_rewrite(s_cols, t_cols):
     return [(coef, left, right) for (left, right), coef in terms.items()]
 
 
-def _template_rewrite(s_cols, t_cols):
-    """_two_column_rewrite through the templates of the letters' order pattern (_template).
+def _ranked(s_cols, t_cols):
+    """The sorted letters of each side of a two-column block, and the table entry of its rank key.
 
-    The rewrite only compares and equates letters, the left ones with left
-    ones and the right ones with right ones.  So its terms on [S:T] are its
-    terms on the ranks of the letters among the distinct letters of each
-    side, relabelled back; the relabelling is monotone and injective, so it
-    keeps every merge, sign and the order of the terms.  Each column is
-    relabelled by its precompiled getter on the sorted letters.
+    A rewrite of the block only compares and equates letters, the left
+    ones with left ones and the right ones with right ones.  So its terms on
+    [S:T] are its terms on the ranks of the letters among the distinct
+    letters of each side, relabelled back; the relabelling is monotone and
+    injective, so it keeps every merge, sign, standardness verdict and the
+    order of the terms.
     """
     (s1, s2), (t1, t2) = s_cols, t_cols
     lefts = tuple(sorted({*s1, *s2}))
     rights = tuple(sorted({*t1, *t2}))
     left_rank = dict(zip(lefts, itertools.count())).__getitem__
     right_rank = dict(zip(rights, itertools.count())).__getitem__
-    template = _template(((tuple(map(left_rank, s1)), tuple(map(left_rank, s2))),
-                          (tuple(map(right_rank, t1)), tuple(map(right_rank, t2)))))
+    return lefts, rights, _template(((tuple(map(left_rank, s1)), tuple(map(left_rank, s2))),
+                                     (tuple(map(right_rank, t1)), tuple(map(right_rank, t2)))))
+
+
+def _relabelled(terms, lefts, rights):
+    """A table entry's terms in letters: each column's getter on its side's sorted letters."""
     return [(coef, tuple([g(lefts) for g in left]), tuple([g(rights) for g in right]))
-            for coef, left, right in template]
+            for coef, left, right in terms]
+
+
+def _template_rewrite(s_cols, t_cols):
+    """_two_column_rewrite through the one-step rewrite of the block's rank key (_template)."""
+    lefts, rights, entry = _ranked(s_cols, t_cols)
+    return _relabelled(entry.step, lefts, rights)
+
+
+def _normal_form(s_cols, t_cols):
+    """The GL normal form of a two-column block with a row violation on either side.
+
+    The terms are the block's bideterminant straightened until both sides
+    are GL-standard, the normal form of its rank key (_Template.normal)
+    relabelled back; every block is normalized, as splice_block requires.
+    """
+    lefts, rights, entry = _ranked(s_cols, t_cols)
+    return _relabelled(entry.normal, lefts, rights)
+
+
+def _relabellers(terms):
+    """Terms (coef, left columns, right columns) on ranks as (coef, left getters, right getters)."""
+    return tuple((coef, _getters(left), _getters(right)) for coef, left, right in terms)
+
+
+@functools.cache
+def _getters(cols):
+    """The getters of a side's rank columns, shared by every table entry that holds that side.
+
+    Each getter is an operator.itemgetter that picks its column's letters
+    from the sorted letters of its side; a one-rank column's getter takes a
+    slice, so it too gives a tuple.  The sides are few (64 distinct ones in
+    the 264 entries that 300 straighten_deep rounds fill), so sharing them
+    keeps the table small.
+    """
+    return tuple(operator.itemgetter(*c) if len(c) > 1 else
+                 operator.itemgetter(slice(c[0], c[0] + 1)) for c in cols)
+
+
+class _Template:
+    """The table entry of a rank key: its one-step rewrite, and its block's GL normal form.
+
+    Each is computed the first time it is asked for.  step, for a key with
+    a left row violation, is the two-column rewrite of the key
+    (_two_column_rewrite), which the OS3 switch, two_column_straighten,
+    mead_step and the builds of normal forms read.  normal, for a key with
+    a row violation on either side, is the block's bideterminant
+    straightened until both sides are GL-standard: what a GL step of the
+    engine splices.  Both are tuples of (coef, left relabellers, right
+    relabellers) (_relabellers).
+    """
+
+    def __init__(self, key):
+        self.key = key
+
+    @functools.cached_property
+    def step(self):
+        return _relabellers(_two_column_rewrite(*self.key))
+
+    @functools.cached_property
+    def normal(self):
+        """The engine's own heap loop on the rank block, with the one-step GL rule (_StepRule).
+
+        The left side is straightened first, then the right side by
+        transposition, and every one-step child is measure-checked by
+        splice_block: a wrong template raises, it cannot recurse or hang.
+        """
+        leaves = _heap_pass(_canonical(zip(*self.key)), 1, _StepRule(), FUEL)
+        return _relabellers((coef, *pair) for pair, coef in leaves.items())
 
 
 @functools.cache
 def _template(key):
-    """The rewrite of a rank key, for the process: the key holds no letter, n, mode or domain.
+    """The entry of a rank key, for the process: the key holds no letter, n, mode or domain.
 
-    An entry is (coef, left relabellers, right relabellers), one
-    operator.itemgetter per column of the rank term, which picks the
-    column's letters from the sorted letters of its side; a one-rank
-    column's getter takes a slice, so it too gives a tuple.
+    The one table of both rewrites of a rank key (_Template): the one-step
+    rewrite and the block's GL normal form, which is what a GL step of the
+    engine splices.
     """
-    def relabellers(cols):
-        return tuple(operator.itemgetter(*c) if len(c) > 1 else
-                     operator.itemgetter(slice(c[0], c[0] + 1)) for c in cols)
-
-    return tuple((coef, relabellers(left), relabellers(right))
-                 for coef, left, right in _two_column_rewrite(*key))
+    return _Template(key)
 
 
 def mead_step(left: Tableau, right: Tableau, c: int) -> list[BidetTerm]:
@@ -565,15 +638,18 @@ class Rule:
     and GO mode the first orthogonal violation of the GL-standard side, and
     none in GL mode, which has no plug-in.  The rule rewrites GL on the
     left, GL on the right, then repairs the left and the right: the repairs
-    need GL-standard input.  A GL violation at column c is rewritten on
-    columns c and c + 1 by the two-column rewrite, and a plug-in verdict on
-    columns 1 and b, with b the column of an OS3 pair row and 2 otherwise;
-    repair(verdict, s_cols, t_cols) gives the terms of that two-column
-    block.  splice_block always works in the pair's own orientation: a right
-    verdict's block rewrite sees (right block, left block), as [S:T](g) =
-    [T:S](g^t) and transposition preserves GL, O and GO, and its terms are
-    swapped back.  One call builds one rule, which holds the call's
-    verdicts, one per column tuple; the templates are process-wide.
+    need GL-standard input.  A GL violation at column c, of either side, is
+    rewritten on columns c and c + 1 to the block's GL normal form
+    (_normal_form): the two-column block straightened until both of its
+    sides are GL-standard, spliced in one step.  A plug-in verdict is
+    rewritten on columns 1 and b, with b the column of an OS3 pair row and 2
+    otherwise; repair(verdict, s_cols, t_cols) gives the terms of that
+    two-column block.  splice_block always works in the pair's own
+    orientation: a right plug-in verdict's repair sees (right block, left
+    block), as [S:T](g) = [T:S](g^t) and transposition preserves GL, O and
+    GO, and its terms are swapped back (_swapped).  One call builds one
+    rule, which holds the call's verdicts, one per column tuple; the
+    templates are process-wide.
     """
 
     def __init__(self, scan=None, repair=None):
@@ -595,50 +671,72 @@ class Rule:
         if vl is None or vl.kind != "GL":
             vr = self.verdict(right)
             if vr is not None and (vr.kind == "GL" or vl is None):
-                i, j, rewrite = self._block(vr)
-                return vr.kind, vr.witness, splice_block(
-                    left, right, key, i, j, lambda s_cols, t_cols: [
-                        (coef, s, t) for coef, t, s in rewrite(t_cols, s_cols)])
-        return vl and (vl.kind, vl.witness, splice_block(left, right, key, *self._block(vl)))
+                return vr.kind, vr.witness, splice_block(left, right, key, *self._block(vr, True))
+        return vl and (vl.kind, vl.witness,
+                       splice_block(left, right, key, *self._block(vl, False)))
 
-    def _block(self, v):
-        """The columns i < j a violation names and the rewrite of that block."""
+    def _block(self, v, right: bool):
+        """The columns i < j a verdict of the left or right side names, and the block's rewrite."""
         if v.kind == "GL":
-            return v.witness - 1, v.witness, _template_rewrite
-        return 0, (v.column if v.kind == "OS3" else 2) - 1, lambda *cols: self.repair(v, *cols)
+            return v.witness - 1, v.witness, _normal_form
+        repair = functools.partial(self.repair, v)
+        return 0, (v.column if v.kind == "OS3" else 2) - 1, _swapped(repair) if right else repair
+
+
+class _StepRule(Rule):
+    """The GL rule with one two-column rewrite per call: the rule that builds a normal form."""
+
+    def _block(self, v, right: bool):
+        rewrite = _template_rewrite
+        return v.witness - 1, v.witness, _swapped(rewrite) if right else rewrite
+
+
+def _swapped(rewrite):
+    """A right side's block rewrite: rewrite of (right block, left block), terms swapped back."""
+    return lambda s_cols, t_cols: [(coef, s, t) for coef, t, s in rewrite(t_cols, s_cols)]
 
 
 def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
                       trace: list | None = None) -> Combination:
     """Rewrite [S:T] by a rule until only standard terms remain.
 
-    The pairs are canonical column tuples (_canonical).  rule(left, right,
-    key), with key the pair's measure key (_measure_key), is None for a
-    standard pair, else (kind, witness, terms): one rewrite at unit
-    coefficient, with terms (coef, (left columns, right columns), term key)
-    and coefficients in Z[1/2].  Each term's key is computed once, where it
-    is checked against key (splice_block), and the pair is pushed on a heap
-    with it.  The pairs leave the heap in increasing measure, after every
-    pair that rewrites to them, so each leaves with its final coefficient:
-    it is expanded once, or never when that is 0.  A key determines its
-    pair, so a term handed back with another pair's key, a stale one, is
-    caught as it leaves: that key leaves twice, and the second time it is
-    not above the last key taken.  No graph is stored, and only the
-    standard leaves become tableaux, with the gamma power of their size
-    drop from the root (_bidet_terms).  Every pending and leaf weight is an
-    int w standing for w / 2^exp, with one exponent for the whole run,
-    starting at 0: a coefficient a / 2^h adds weight * a / 2^h, and only
-    when that division is not exact are all weights doubled and exp raised
-    by one.  The leaves become rationals once at the end, and stay ints
-    when exp is 0, as it always is in GL mode.  fuel bounds the number of
-    rule calls; trace, when given, gets (kind, witness, term count) for
-    each pair rewritten.
+    The heap loop (_heap_pass) runs on the canonical column pair of [S:T],
+    and only its standard leaves become tableaux, with the gamma power of
+    their size drop from the root (_bidet_terms).  With the engine's rule, a
+    GL step rewrites a two-column block to its GL normal form in one rule
+    call (Rule).
     """
     sign, left, right = normal_columns(s.columns(), t.columns())
     if sign == 0:
         return Combination()
-    root = _canonical(zip(left, right))
-    weights = {root: sign}
+    leaves = _heap_pass(_canonical(zip(left, right)), sign, rule, fuel, trace)
+    return Combination(_bidet_terms(((w, *pair) for pair, w in leaves.items()), s.size))
+
+
+def _heap_pass(root, coef, rule, fuel: int, trace: list | None = None) -> dict:
+    """The standard leaves of coef times a canonical column pair: {pair: coefficient}.
+
+    The pairs are canonical column tuples (_canonical), of letters or of
+    plain ints.  rule(left, right, key), with key the pair's measure key
+    (_measure_key), is None for a standard pair, else (kind, witness,
+    terms): one rewrite at unit coefficient, with terms (coef, (left
+    columns, right columns), term key) and coefficients in Z[1/2].  Each
+    term's key is computed once, where it is checked against key
+    (splice_block), and the pair is pushed on a heap with it.  The pairs
+    leave the heap in increasing measure, after every pair that rewrites to
+    them, so each leaves with its final coefficient: it is expanded once, or
+    never when that is 0.  A key determines its pair, so a term handed back
+    with another pair's key, a stale one, is caught as it leaves: that key
+    leaves twice, and the second time it is not above the last key taken.
+    No graph is stored.  Every pending and leaf weight is an int w standing
+    for w / 2^exp, with one exponent for the whole pass, starting at 0: a
+    coefficient a / 2^h adds weight * a / 2^h, and only when that division
+    is not exact are all weights doubled and exp raised by one.  The leaves
+    become rationals once at the end, and stay ints when exp is 0, as it
+    always is in GL mode.  fuel bounds the number of rule calls; trace, when
+    given, gets (kind, witness, term count) for each pair rewritten.
+    """
+    weights = {root: coef}
     heap = [(_measure_key(root), root)]
     last = ()                 # the key that left the heap last; () is below every key
     leaves = {}
@@ -682,7 +780,7 @@ def run_straightening(s: Tableau, t: Tableau, rule, fuel: int,
                 weights[child] = held + add
     if exp:
         leaves = {pair: polyring.rational(w, 2 ** exp) for pair, w in leaves.items()}
-    return Combination(_bidet_terms(((w, *pair) for pair, w in leaves.items()), s.size))
+    return leaves
 
 
 def _check_input(s: Tableau, t: Tableau, n: int):

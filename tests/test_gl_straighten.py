@@ -26,6 +26,7 @@ from obidet.gl_straighten import (
     _bidet_terms,
     _canonical,
     _measure_key,
+    _normal_form,
     _switch_terms,
     _template,
     _template_rewrite,
@@ -285,12 +286,14 @@ def test_template_rewrite_matches_the_raw_kernel_on_random_blocks():
 def test_letter_blocks_get_letters_beside_an_equal_int_key():
     # Letter is an int, so a table key of plain ints can equal a letter
     # block; only the rank table is cached, behind the relabelling, so the
-    # kernel's callers still get letters back for that block
+    # kernel's callers still get letters back for that block, from the
+    # one-step rewrite and from the normal form
     s, t = Tableau.parse("1 1b; 2b 2"), Tableau.parse("1b 1; 2 3b")
     plain = tuple(tuple(tuple(map(int, col)) for col in side.columns()) for side in (s, t))
     assert plain == (s.columns(), t.columns())
-    _template(plain)
+    _template(plain).normal
     blocks = [(left, right) for _, left, right in _template_rewrite(s.columns(), t.columns())]
+    blocks += [(left, right) for _, left, right in _normal_form(s.columns(), t.columns())]
     blocks += [(left, right) for _, left, right in _two_column_rewrite(s.columns(), t.columns())]
     _, head, drop = two_column_straighten(s, t)
     terms = [*mead_step(s, t, 0), *head, *drop]
@@ -318,25 +321,47 @@ def _template_keys(max_size):
             yield from itertools.product(lefts, sides)
 
 
-def _unproved_templates(keys):
-    """The keys whose template, relabelled into letters, is not equal to [S:T] in Z[X]."""
-    letters = tuple(_letters(10))
+def _normal_form_keys(max_size):
+    """Every rank key of a two-column block of at most max_size boxes with a violated side."""
+    for size in range(2, max_size + 1):
+        for ell in range(1, size // 2 + 1):
+            sides = list(_rank_sides(size - ell, ell))
+            yield from (key for key in itertools.product(sides, sides)
+                        if any(row_violation_column(side) is not None for side in key))
 
+
+_PROOF_LETTERS = tuple(_letters(10))
+
+
+def _relabelled_tableau(getters):
+    # through the table's own relabellers, as the engine relabels
+    return Tableau.from_columns([g(_PROOF_LETTERS) for g in getters])
+
+
+def _unproved(keys, terms_of):
+    """The keys whose terms_of(key), relabelled into letters, is not equal to [S:T] in Z[X]."""
     def tableau(cols):
-        return Tableau.from_columns([[letters[r] for r in col] for col in cols])
-
-    def relabelled(getters):
-        # through the table's own relabellers, as the engine relabels
-        return Tableau.from_columns([g(letters) for g in getters])
+        return Tableau.from_columns([[_PROOF_LETTERS[r] for r in col] for col in cols])
 
     wrong = []
     for key in keys:
         total = Polynomial.zero()
-        for coef, left, right in _template(key):
-            total = total + bideterminant(relabelled(left), relabelled(right)).scale(coef)
+        for coef, left, right in terms_of(key):
+            total = total + bideterminant(_relabelled_tableau(left),
+                                          _relabelled_tableau(right)).scale(coef)
         if total != bideterminant(*map(tableau, key)):
             wrong.append(key)
     return wrong
+
+
+def _unproved_templates(keys):
+    """The keys whose one-step template, relabelled into letters, is not equal to [S:T] in Z[X]."""
+    return _unproved(keys, lambda key: _template(key).step)
+
+
+def _unproved_normal_forms(keys):
+    """The keys whose normal form, relabelled into letters, is not equal to [S:T] in Z[X]."""
+    return _unproved(keys, lambda key: _template(key).normal)
 
 
 def test_every_template_of_at_most_five_boxes_is_proved():
@@ -366,6 +391,80 @@ def test_template_proof_names_a_perturbed_template(monkeypatch):
     _template.cache_clear()
     try:
         assert _unproved_templates(keys) == [target]
+    finally:
+        _template.cache_clear()
+
+
+def test_every_normal_form_of_at_most_five_boxes_is_proved():
+    # the normal form a GL step splices, relabelled through the table's own
+    # getters, is the block's bideterminant in Z[X], and both sides of each
+    # of its terms are GL-standard: this proves the GL rule on every block
+    # of at most 5 boxes with a row violation on either side, at every n
+    keys = list(_normal_form_keys(5))
+    assert len(keys) == 546
+    assert _unproved_normal_forms(keys) == []
+    for key in keys:
+        for _, left, right in _template(key).normal:
+            assert is_gl_standard(_relabelled_tableau(left), 10), key
+            assert is_gl_standard(_relabelled_tableau(right), 10), key
+
+
+def test_normal_form_proof_names_the_dependents_of_a_perturbed_template(monkeypatch):
+    # a wrong one-step template breaks exactly the normal forms whose build
+    # reads it, and no other
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    keys = list(_normal_form_keys(5))
+    target = (((0, 3, 4), (1, 2)), ((0, 1, 2), (3, 4)))
+    step, read = gl_module._template_rewrite, []
+
+    def perturbed(s_cols, t_cols):
+        terms = _two_column_rewrite(s_cols, t_cols)
+        if (s_cols, t_cols) == target:
+            coef, left, right = terms[0]
+            terms[0] = (coef + 1, left, right)
+        return terms
+
+    def recording_step(s_cols, t_cols):
+        # a build's blocks hold exactly the ranks of its root, so each
+        # block is its own rank key
+        read.append((s_cols, t_cols))
+        return step(s_cols, t_cols)
+
+    monkeypatch.setattr(gl_module, "_two_column_rewrite", perturbed)
+    monkeypatch.setattr(gl_module, "_template_rewrite", recording_step)
+    _template.cache_clear()
+    try:
+        dependents = []
+        for key in keys:
+            read.clear()
+            _template(key).normal
+            if target in read:
+                dependents.append(key)
+        assert 1 < len(dependents) < len(keys) // 10
+        assert _unproved_normal_forms(keys) == dependents
+    finally:
+        _template.cache_clear()
+
+
+@pytest.mark.parametrize("looping", ["root", "child"])
+def test_a_template_that_returns_its_own_block_is_refused(monkeypatch, looping):
+    # a one-step rewrite that hands back its own block, the root's or a
+    # later one's, is caught by the measure check of the build's first
+    # splice of it: the build neither recurses nor runs on
+    key = (((1, 2), (0,)), ((1, 2), (0,)))
+    target = key if looping == "root" else (((1, 2), (0,)), ((0, 2), (1,)))
+
+    def looping_rewrite(s_cols, t_cols):
+        if (s_cols, t_cols) == target:
+            return [(1, s_cols, t_cols)]
+        return _two_column_rewrite(s_cols, t_cols)
+
+    monkeypatch.setattr(importlib.import_module("obidet.gl_straighten"),
+                        "_two_column_rewrite", looping_rewrite)
+    _template.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="same-shape rewrite did not move up"):
+            _template(key).normal
     finally:
         _template.cache_clear()
 

@@ -34,6 +34,7 @@ from obidet.polyring import (
     rational,
 )
 from obidet.gl_straighten import (
+    FUEL,
     BidetTerm,
     CapExceeded,
     Combination,
@@ -829,8 +830,8 @@ def test_on_straighten_deep_case_with_os3_wide_column():
 
 # the rewrite graph of 40 seeded pairs (n 4..7, size 3..5, ON and GO): each
 # certificate and the multiset of its (kind, witness, term count) steps
-REWRITE_GRAPH_SHA256 = "ef79c3b3abed6a3dc853df42c0062637ca276e7e2e3d9cab67d9cff37aa4fe6f"
-REWRITE_GRAPH_STEPS = {"GL": 964, "COLSUM": 2, "OS1": 51, "OS2": 3, "OS3": 84}
+REWRITE_GRAPH_SHA256 = "0756ea6705c47a3c65c4c7bda65b93eefbeeab3f2c3ba54ecc8456e43db215e5"
+REWRITE_GRAPH_STEPS = {"GL": 611, "COLSUM": 2, "OS1": 51, "OS2": 3, "OS3": 84}
 
 
 def seeded_rewrite_pairs(seed=3, count=40):
@@ -864,8 +865,8 @@ def test_rewrite_graph_is_pinned():
 # every kept pair of the benchmark's deep pool: its certificate and its
 # ordered (kind, witness, term count) trace
 DEEP_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "deep_corpus.json"
-DEEP_CORPUS_SHA256 = "182e8b5828890618372a2aa3b48d03ac5faf4098f2d0b8dd1b7ed2d6d8aee74d"
-DEEP_CORPUS_STEPS = {"GL": 2640, "COLSUM": 63, "OS1": 345, "OS2": 74, "OS3": 511}
+DEEP_CORPUS_SHA256 = "376e519a665dfdd525840142485ab00569a4b40382f7ad3a3b0fd6466f096d7b"
+DEEP_CORPUS_STEPS = {"GL": 2019, "COLSUM": 63, "OS1": 345, "OS2": 74, "OS3": 511}
 
 
 def test_deep_corpus_is_pinned():
@@ -989,15 +990,18 @@ def deep_corpus_run():
     """The deep corpus straightened once, from an empty template table, with its rewrites recorded.
 
     Returns the outputs, every splice_block call as (left, right, i, j,
-    blocks, spliced terms), every two-column rewrite through the templates
-    as (S cols, T cols, terms), of a GL step under "rewrites" and of an OS3
-    switch under "switches", and every repair as (kind, terms).
+    blocks, spliced terms), the splices that build the normal forms too,
+    the block normal form of each GL step as (S cols, T cols, terms) under
+    "rewrites", the one-step rewrite of each OS3 switch the same way under
+    "switches", and every repair as (kind, terms).
     """
     gl_module = importlib.import_module("obidet.gl_straighten")
     on_module = importlib.import_module("obidet.on_straighten")
-    splice, template, repair, switch = (gl_module.splice_block, gl_module._template_rewrite,
-                                        on_module._repair_terms, on_module._switch_terms)
+    splice, normal, step, repair, switch = (
+        gl_module.splice_block, gl_module._normal_form, gl_module._template_rewrite,
+        on_module._repair_terms, on_module._switch_terms)
     run = {"outputs": [], "splices": [], "rewrites": [], "switches": [], "repairs": []}
+    steps = []
 
     def recording_splice(left, right, key, i, j, rewrite):
         blocks = []
@@ -1011,17 +1015,22 @@ def deep_corpus_run():
         run["splices"].append((left, right, i, j, blocks, out))
         return out
 
-    def recording_template(s_cols, t_cols):
-        terms = template(s_cols, t_cols)
+    def recording_normal(s_cols, t_cols):
+        terms = normal(s_cols, t_cols)
         run["rewrites"].append((s_cols, t_cols, terms))
         return terms
 
+    def recording_step(s_cols, t_cols):
+        terms = step(s_cols, t_cols)
+        steps.append((s_cols, t_cols, terms))
+        return terms
+
     def recording_switch(s_cols, t_cols, row):
-        # the switch's rewrite is recorded as a switch, not as a GL step
-        mark = len(run["rewrites"])
+        # the switch's one-step rewrite is kept; those that build a normal
+        # form, on rank blocks, are not
+        steps.clear()
         out = switch(s_cols, t_cols, row)
-        run["switches"] += run["rewrites"][mark:]
-        del run["rewrites"][mark:]
+        run["switches"] += steps
         return out
 
     def recording_repair(kind, *args):
@@ -1031,7 +1040,8 @@ def deep_corpus_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gl_module, "splice_block", recording_splice)
-        mp.setattr(gl_module, "_template_rewrite", recording_template)
+        mp.setattr(gl_module, "_normal_form", recording_normal)
+        mp.setattr(gl_module, "_template_rewrite", recording_step)
         mp.setattr(on_module, "_repair_terms", recording_repair)
         mp.setattr(on_module, "_switch_terms", recording_switch)
         gl_module._template.cache_clear()
@@ -1196,10 +1206,12 @@ def normalizing_splice(left_cols, right_cols, i, j, blocks):
 
 def test_rewrite_blocks_are_normalized(deep_corpus_run):
     # splice_block takes every block as it is, so each rule must return
-    # strictly increasing columns of non-increasing lengths, none empty
+    # strictly increasing columns of non-increasing lengths, none empty: the
+    # normal forms, the switches' one-step rewrites and the repairs
     repairs = deep_corpus_run["repairs"]
     assert {kind for kind, _ in repairs} == {"COLSUM", "OS1", "OS2", "OS3"}
-    blocks = [term for _, _, terms in deep_corpus_run["rewrites"] for term in terms]
+    blocks = [term for key in ("rewrites", "switches")
+              for _, _, terms in deep_corpus_run[key] for term in terms]
     blocks += [term for _, terms in repairs for term in terms]
     assert len(blocks) > 10000
     for _, left, right in blocks:
@@ -1214,32 +1226,69 @@ def test_splice_matches_the_normalizing_splice(deep_corpus_run):
             left, right, i, j, blocks)
 
 
+def raw_normal_form(s_cols, t_cols):
+    """A block's GL normal form with no table: the heap loop, one raw two-column rewrite a call."""
+    gl_module = importlib.import_module("obidet.gl_straighten")
+
+    class RawRule(gl_module.Rule):
+        def _block(self, v, right):
+            rewrite = _two_column_rewrite
+            return v.witness - 1, v.witness, gl_module._swapped(rewrite) if right else rewrite
+
+    leaves = gl_module._heap_pass(gl_module._canonical(zip(s_cols, t_cols)), 1, RawRule(), FUEL)
+    return [(coef, *pair) for pair, coef in leaves.items()]
+
+
 def test_template_rewrite_matches_the_raw_kernel(deep_corpus_run):
     # on every two-column block of the deep corpus's rewrite graphs: the
-    # block of each GL step, and the switched block of each OS3 step
+    # normal form of each GL step's block, relabelled from its rank key, is
+    # the one the raw kernel gives on the letters, term for term and in the
+    # same order; and the switched block of each OS3 step
     rewrites, switches = deep_corpus_run["rewrites"], deep_corpus_run["switches"]
     assert len(rewrites) == DEEP_CORPUS_STEPS["GL"]
     assert len(switches) == DEEP_CORPUS_STEPS["OS3"]
     for s_cols, t_cols, terms in rewrites:
-        assert terms == _two_column_rewrite(s_cols, t_cols)
+        assert terms == raw_normal_form(s_cols, t_cols)
     for s_cols, t_cols, terms in switches:
         assert {(left, right): coef for coef, left, right in terms} == _two_column_terms(
             s_cols, t_cols)[1]
 
 
+def record_normal_builds(monkeypatch):
+    """Record the rank key of each normal form the table builds, in the list returned."""
+    gl_module = importlib.import_module("obidet.gl_straighten")
+    build, built = gl_module._Template.normal.func, []
+
+    def recording_build(entry):
+        built.append(entry.key)
+        return build(entry)
+
+    normal = functools.cached_property(recording_build)
+    normal.__set_name__(gl_module._Template, "normal")
+    monkeypatch.setattr(gl_module._Template, "normal", normal)
+    return built
+
+
 def test_each_template_is_computed_once_per_process(monkeypatch):
     # the table is keyed on the letters' rank pattern alone: a call on an
-    # empty table computes each pattern once, and a later call on another
-    # pair, n or mode with the same patterns computes none
+    # empty table computes each pattern's one-step rewrite once and each
+    # normal form a GL step asks for once, and a later call on another
+    # pair, n or mode with the same patterns computes neither
     gl_module = importlib.import_module("obidet.gl_straighten")
-    rewrite = gl_module._two_column_rewrite
-    computed = []
+    rewrite, step = gl_module._two_column_rewrite, gl_module._template_rewrite
+    computed, served = [], []
 
     def counting_rewrite(s_cols, t_cols):
         computed.append((s_cols, t_cols))
         return rewrite(s_cols, t_cols)
 
+    def counting_step(s_cols, t_cols):
+        served.append((s_cols, t_cols))
+        return step(s_cols, t_cols)
+
     monkeypatch.setattr(gl_module, "_two_column_rewrite", counting_rewrite)
+    monkeypatch.setattr(gl_module, "_template_rewrite", counting_step)
+    built = record_normal_builds(monkeypatch)
     s, t = Tableau.parse("1b 3b 1; 3b 3"), Tableau.parse("2 1 1b; 3b 3b")
     # a monotone relabelling into alphabet(8) keeps every order pattern
     relabel = dict(zip(_letters(6), _letters(8)[1:7]))
@@ -1250,29 +1299,38 @@ def test_each_template_is_computed_once_per_process(monkeypatch):
                        (functools.partial(on_straighten, s, t, ON, 6),
                         functools.partial(on_straighten, s, t, GO, 6))):
         gl_module._template.cache_clear()
-        computed.clear()
+        for calls in (computed, served, built):
+            calls.clear()
         trace, warm_trace = [], []
         cold(trace=trace)
-        rewrites = sum(kind in ("GL", "OS3") for kind, _, _ in trace)
+        # the one-step rewrites served: those of the normal forms' builds
+        # and of the OS3 switches
+        rewrites = len(served)
         assert len(set(computed)) == len(computed)
         assert 0 < len(computed) < rewrites
-        assert gl_module._template.cache_info().currsize == len(computed)
+        # an entry holds a one-step rewrite, a normal form or both
+        assert gl_module._template.cache_info().currsize == len({*computed, *built})
+        assert len(set(built)) == len(built)
+        assert 0 < len(built) < sum(kind == "GL" for kind, _, _ in trace)
         computed.clear()
+        built.clear()
         warm(trace=warm_trace)
-        assert computed == []
+        assert computed == [] and built == []
         assert warm_trace == trace
 
 
-def test_warm_templates_give_the_cold_certificates():
+def test_warm_templates_give_the_cold_certificates(monkeypatch):
     # the deep corpus straightened on an empty table, then again in reverse
-    # order on the table it filled: no template is computed the second
-    # time, and every certificate is byte-identical
+    # order on the table it filled: no template and no normal form is
+    # computed the second time, and every certificate is byte-identical
     gl_module = importlib.import_module("obidet.gl_straighten")
+    built = record_normal_builds(monkeypatch)
     pairs = deep_corpus_pairs()
     gl_module._template.cache_clear()
     cold = [on_straighten(s, t, mode, n).certificate() for mode, n, s, t in pairs]
-    filled = gl_module._template.cache_info()
+    filled, cold_built = gl_module._template.cache_info(), len(built)
     warm = [on_straighten(s, t, mode, n).certificate() for mode, n, s, t in reversed(pairs)]
     assert gl_module._template.cache_info().misses == filled.misses
     assert gl_module._template.cache_info().hits > filled.hits
+    assert len(built) == cold_built > 0
     assert warm[::-1] == cold
