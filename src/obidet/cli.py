@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", help="right tableau")
     p.add_argument("--file", help="file with two tableau lines")
     p.add_argument("--max-terms", type=at_least(0), default=FUEL, dest="fuel",
-                   help="straightening fuel: most rule calls (rewrite steps, standard leaves)")
+                   help="straightening fuel: most rule calls (rewrite steps, standard leaves) "
+                        "of the pass, and of each normal form it builds")
     p.add_argument("--trace", action="store_true",
                    help="log each rewrite step to stderr")
     p.set_defaults(func=cmd_straighten)

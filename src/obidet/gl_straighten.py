@@ -25,7 +25,9 @@ pattern of the block's letters, so each is computed once per process, the
 first time it is asked for, in one table keyed on ranks that holds no
 letter (_template).  Its entries (_Template) hold precompiled
 relabellers, one itemgetter per column, that relabel them for every
-block of that pattern.  A normal form is built by the engine's own heap
+block of that pattern; the getters of a side are shared between the
+entries that hold it (_getters, the one other process-wide table, which
+also holds no letter).  A normal form is built by the engine's own heap
 loop (_heap_pass) on the rank block with the one-step rule (_StepRule),
 so every one-step child is measure-checked; the OS3 switch,
 two_column_straighten and mead_step read the one-step rewrite
@@ -73,7 +75,8 @@ class CapExceeded(RuntimeError):
     """Raised when a straightening run needs more rule calls than its fuel."""
 
 
-# the default fuel of every straightening call, in rule calls: rewrite steps and standard leaves
+# the default fuel of every straightening call, in rule calls: rewrite steps and standard
+# leaves; it bounds the call's own pass and, apart, each normal form the call builds
 FUEL = 200000
 
 
@@ -550,15 +553,16 @@ def _template_rewrite(s_cols, t_cols):
     return _relabelled(entry.step, lefts, rights)
 
 
-def _normal_form(s_cols, t_cols):
+def _normal_form(fuel: int, s_cols, t_cols):
     """The GL normal form of a two-column block with a row violation on either side.
 
     The terms are the block's bideterminant straightened until both sides
-    are GL-standard, the normal form of its rank key (_Template.normal)
-    relabelled back; every block is normalized, as splice_block requires.
+    are GL-standard, the normal form of its rank key (_Template.normal_form,
+    whose build, when the table has none, fuel bounds) relabelled back;
+    every block is normalized, as splice_block requires.
     """
     lefts, rights, entry = _ranked(s_cols, t_cols)
-    return _relabelled(entry.normal, lefts, rights)
+    return _relabelled(entry.normal_form(fuel), lefts, rights)
 
 
 def _relabellers(terms):
@@ -589,27 +593,33 @@ class _Template:
     mead_step and the builds of normal forms read.  normal, for a key with
     a row violation on either side, is the block's bideterminant
     straightened until both sides are GL-standard: what a GL step of the
-    engine splices.  Both are tuples of (coef, left relabellers, right
-    relabellers) (_relabellers).
+    engine splices; it is None until normal_form builds it.  Both are
+    tuples of (coef, left relabellers, right relabellers) (_relabellers).
     """
 
     def __init__(self, key):
         self.key = key
+        self.normal = None
 
     @functools.cached_property
     def step(self):
         return _relabellers(_two_column_rewrite(*self.key))
 
-    @functools.cached_property
-    def normal(self):
-        """The engine's own heap loop on the rank block, with the one-step GL rule (_StepRule).
+    def normal_form(self, fuel: int):
+        """normal, built on first use by the engine's own heap loop with the one-step rule.
 
-        The left side is straightened first, then the right side by
-        transposition, and every one-step child is measure-checked by
-        splice_block: a wrong template raises, it cannot recurse or hang.
+        The build runs _heap_pass on the rank block with the one-step GL
+        rule (_StepRule): the left side is straightened first, then the
+        right side by transposition, and every one-step child is
+        measure-checked by splice_block, so a wrong template raises, it
+        cannot recurse or hang.  fuel, the fuel of the straightening call
+        that asks first, bounds the build's rule calls; a build that runs
+        out raises CapExceeded and stores nothing.
         """
-        leaves = _heap_pass(_canonical(zip(*self.key)), 1, _StepRule(), FUEL)
-        return _relabellers((coef, *pair) for pair, coef in leaves.items())
+        if self.normal is None:
+            leaves = _heap_pass(_canonical(zip(*self.key)), 1, _StepRule(), fuel)
+            self.normal = _relabellers((coef, *pair) for pair, coef in leaves.items())
+        return self.normal
 
 
 @functools.cache
@@ -648,12 +658,13 @@ class Rule:
     orientation: a right plug-in verdict's repair sees (right block, left
     block), as [S:T](g) = [T:S](g^t) and transposition preserves GL, O and
     GO, and its terms are swapped back (_swapped).  One call builds one
-    rule, which holds the call's verdicts, one per column tuple; the
+    rule, which holds the call's verdicts, one per column tuple, and the
+    call's fuel, which bounds each normal form the rule builds; the
     templates are process-wide.
     """
 
-    def __init__(self, scan=None, repair=None):
-        self.scan, self.repair = scan, repair
+    def __init__(self, scan=None, repair=None, fuel: int = FUEL):
+        self.scan, self.repair, self.fuel = scan, repair, fuel
         self.verdicts: dict = {}
 
     def verdict(self, cols):
@@ -678,7 +689,7 @@ class Rule:
     def _block(self, v, right: bool):
         """The columns i < j a verdict of the left or right side names, and the block's rewrite."""
         if v.kind == "GL":
-            return v.witness - 1, v.witness, _normal_form
+            return v.witness - 1, v.witness, functools.partial(_normal_form, self.fuel)
         repair = functools.partial(self.repair, v)
         return 0, (v.column if v.kind == "OS3" else 2) - 1, _swapped(repair) if right else repair
 
@@ -733,7 +744,9 @@ def _heap_pass(root, coef, rule, fuel: int, trace: list | None = None) -> dict:
     coefficient a / 2^h adds weight * a / 2^h, and only when that division
     is not exact are all weights doubled and exp raised by one.  The leaves
     become rationals once at the end, and stay ints when exp is 0, as it
-    always is in GL mode.  fuel bounds the number of rule calls; trace, when
+    always is in GL mode.  fuel bounds the number of rule calls of this
+    pass; a normal form the rule builds is a pass of its own, which the
+    rule bounds with its own fuel (Rule) and does not trace.  trace, when
     given, gets (kind, witness, term count) for each pair rewritten.
     """
     weights = {root: coef}
@@ -804,7 +817,7 @@ def gl_straighten(s: Tableau, t: Tableau, n: int, fuel: int = FUEL,
     Each term keeps the letters of each input side.
     """
     _check_input(s, t, n)
-    out = run_straightening(s, t, Rule(), fuel, trace)
+    out = run_straightening(s, t, Rule(fuel=fuel), fuel, trace)
     _check_output(out, s, t, n)
     return out
 

@@ -399,7 +399,8 @@ def on_straighten(s: Tableau, t: Tableau, mode: str = ON, n: int | None = None,
     # the plug-in: each GL-standard tableau's first orthogonal violation,
     # from a scan that builds nothing of size n, and its repair over Z[1/2]
     rule = Rule(lambda cols: next(orthogonal_violations(cols, n), None),
-                lambda v, s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n))
+                lambda v, s_cols, t_cols: _repair_terms(v.kind, v.witness, s_cols, t_cols, n),
+                fuel)
     out = _mode_and_domain(run_straightening(s, t, rule, fuel, trace), mode, domain)
     _check_output(out, s, t, n, orthogonal=True)
     return out

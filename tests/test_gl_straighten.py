@@ -21,6 +21,7 @@ from obidet.tableaux import (
 from obidet.polyring import Polynomial, QQ, bideterminant, rational
 from obidet.gl_straighten import (
     BidetTerm,
+    FUEL,
     CapExceeded,
     Combination,
     _bidet_terms,
@@ -43,6 +44,7 @@ from obidet.gl_straighten import (
     verify_gl,
 )
 from obidet.group_oracle import _suite_points, verify_on_group
+from obidet.on_straighten import ON, on_straighten
 from obidet.golden import GOLDEN_CASES
 
 
@@ -291,9 +293,9 @@ def test_letter_blocks_get_letters_beside_an_equal_int_key():
     s, t = Tableau.parse("1 1b; 2b 2"), Tableau.parse("1b 1; 2 3b")
     plain = tuple(tuple(tuple(map(int, col)) for col in side.columns()) for side in (s, t))
     assert plain == (s.columns(), t.columns())
-    _template(plain).normal
+    _template(plain).normal_form(FUEL)
     blocks = [(left, right) for _, left, right in _template_rewrite(s.columns(), t.columns())]
-    blocks += [(left, right) for _, left, right in _normal_form(s.columns(), t.columns())]
+    blocks += [(left, right) for _, left, right in _normal_form(FUEL, s.columns(), t.columns())]
     blocks += [(left, right) for _, left, right in _two_column_rewrite(s.columns(), t.columns())]
     _, head, drop = two_column_straighten(s, t)
     terms = [*mead_step(s, t, 0), *head, *drop]
@@ -361,7 +363,7 @@ def _unproved_templates(keys):
 
 def _unproved_normal_forms(keys):
     """The keys whose normal form, relabelled into letters, is not equal to [S:T] in Z[X]."""
-    return _unproved(keys, lambda key: _template(key).normal)
+    return _unproved(keys, lambda key: _template(key).normal_form(FUEL))
 
 
 def test_every_template_of_at_most_five_boxes_is_proved():
@@ -404,7 +406,7 @@ def test_every_normal_form_of_at_most_five_boxes_is_proved():
     assert len(keys) == 546
     assert _unproved_normal_forms(keys) == []
     for key in keys:
-        for _, left, right in _template(key).normal:
+        for _, left, right in _template(key).normal_form(FUEL):
             assert is_gl_standard(_relabelled_tableau(left), 10), key
             assert is_gl_standard(_relabelled_tableau(right), 10), key
 
@@ -437,7 +439,7 @@ def test_normal_form_proof_names_the_dependents_of_a_perturbed_template(monkeypa
         dependents = []
         for key in keys:
             read.clear()
-            _template(key).normal
+            _template(key).normal_form(FUEL)
             if target in read:
                 dependents.append(key)
         assert 1 < len(dependents) < len(keys) // 10
@@ -464,7 +466,43 @@ def test_a_template_that_returns_its_own_block_is_refused(monkeypatch, looping):
     _template.cache_clear()
     try:
         with pytest.raises(AssertionError, match="same-shape rewrite did not move up"):
-            _template(key).normal
+            _template(key).normal_form(FUEL)
+    finally:
+        _template.cache_clear()
+
+
+FUEL_PAIR = Tableau.parse("3 2 1; 3b 2b 1b"), Tableau.parse("1 2 3; 1b 2b 3b")
+
+
+def test_a_cold_normal_form_build_is_bounded_by_the_callers_fuel():
+    # fuel bounds the call's own rule calls and, apart, those of each normal
+    # form the call builds: this pair's pass takes 44 rule calls, and one of
+    # its builds 51; a build that runs out stores nothing
+    _template.cache_clear()
+    try:
+        with pytest.raises(CapExceeded):
+            gl_straighten(*FUEL_PAIR, 7, fuel=50)
+        _template.cache_clear()
+        cold = gl_straighten(*FUEL_PAIR, 7, fuel=51)
+        assert gl_straighten(*FUEL_PAIR, 7, fuel=44) == cold
+        with pytest.raises(CapExceeded):
+            gl_straighten(*FUEL_PAIR, 7, fuel=43)
+    finally:
+        _template.cache_clear()
+
+
+def test_a_fuel_above_the_default_also_bounds_the_builds(monkeypatch):
+    # the builds take the caller's fuel, not the default: with the default
+    # made too small for any build, a call whose fuel lies above it builds
+    # every normal form it needs, in GL and in O mode
+    calls = (lambda: gl_straighten(*FUEL_PAIR, 7, fuel=10**6),
+             lambda: on_straighten(*FUEL_PAIR, ON, 7, fuel=10**6))
+    expected = [straighten() for straighten in calls]
+    monkeypatch.setattr(importlib.import_module("obidet.gl_straighten"), "FUEL", 1)
+    try:
+        for straighten, out in zip(calls, expected):
+            _template.cache_clear()
+            assert straighten() == out
     finally:
         _template.cache_clear()
 

@@ -1015,8 +1015,8 @@ def deep_corpus_run():
         run["splices"].append((left, right, i, j, blocks, out))
         return out
 
-    def recording_normal(s_cols, t_cols):
-        terms = normal(s_cols, t_cols)
+    def recording_normal(fuel, s_cols, t_cols):
+        terms = normal(fuel, s_cols, t_cols)
         run["rewrites"].append((s_cols, t_cols, terms))
         return terms
 
@@ -1257,15 +1257,14 @@ def test_template_rewrite_matches_the_raw_kernel(deep_corpus_run):
 def record_normal_builds(monkeypatch):
     """Record the rank key of each normal form the table builds, in the list returned."""
     gl_module = importlib.import_module("obidet.gl_straighten")
-    build, built = gl_module._Template.normal.func, []
+    build, built = gl_module._Template.normal_form, []
 
-    def recording_build(entry):
-        built.append(entry.key)
-        return build(entry)
+    def recording_build(entry, fuel):
+        if entry.normal is None:
+            built.append(entry.key)
+        return build(entry, fuel)
 
-    normal = functools.cached_property(recording_build)
-    normal.__set_name__(gl_module._Template, "normal")
-    monkeypatch.setattr(gl_module._Template, "normal", normal)
+    monkeypatch.setattr(gl_module._Template, "normal_form", recording_build)
     return built
 
 
