@@ -24,5 +24,6 @@ heavy 86b491d8646aed92cd122808c38c4fae52e60a0754a408ab3508c683574af937 14116 \
 # mapped to the prime field once, at the end
 heavy b273be5a072a8822bd0af278d9a0615453c57dabd371540b2e76c07950d85a6c 14116 \
   --n 7 --left "1b 1 0 0 2 3 1b" --right "1 1b 1b 3b 1 2 3" --coeff f7
+# a GL input, its result proved by polynomial equality in Z[X] (verify_gl)
 heavy de5fc761db8fb75302bec3cdbdd3b90d5afd9dfd0f5f96e3db25f3bd77a0db88 51 \
-  --n 7 --mode gl --left "3 2 1 0; 3b 2b 1b" --right "1b 1 2b 2; 3b 3 0"
+  --n 7 --mode gl --left "3 2 1 0; 3b 2b 1b" --right "1b 1 2b 2; 3b 3 0" --points 2

@@ -20,27 +20,28 @@ engine pushes the term's pair with that key.  The rule holds the call's
 standardness verdicts.  A GL step rewrites a two-column block to its GL
 normal form in one rule call (_normal_form): the block straightened until
 both of its sides are GL-standard.  Both that normal form and the
-one-step two-column rewrite (_two_column_terms) depend only on the order
-pattern of the block's letters, so each is computed once per process, the
-first time it is asked for, in one table keyed on ranks that holds no
-letter (_template).  Its entries (_Template) hold precompiled
+one-step two-column rewrite (_two_column_rewrite) depend only on the
+order pattern of the block's letters, so each is computed once per
+process, the first time it is asked for, in one table keyed on ranks that
+holds no letter (_template).  Its entries (_Template) hold precompiled
 relabellers, one itemgetter per column, that relabel them for every
 block of that pattern; the getters of a side are shared between the
 entries that hold it (_getters, the one other process-wide table, which
-also holds no letter).  A normal form is built by the engine's own heap
+also holds no letter).  Both are read through one rank-key lookup
+(_template_terms).  A normal form is built by the engine's own heap
 loop (_heap_pass) on the rank block with the one-step rule (_StepRule),
-so every one-step child is measure-checked; the OS3 switch,
-two_column_straighten and mead_step read the one-step rewrite
-(_template_rewrite).  term_order is the one order of output terms.  A
-term is (coef, left columns, right columns), a spliced one (coef, pair,
-key): its gamma power is not carried but read off its size drop where
-column tuples become BidetTerms (_bidet_terms), and the measure rejects
-an odd drop.  The coefficients lie in Z[1/2], and the engine computes on
-ints: each weight is an int over one power of two per pass (_heap_pass).
-two_column_straighten, mead_step and normalize_pair are thin adapters
-that take and give tableaux, the first two over the one-step templates.
-One output check (_check_output) serves GL, O and GO.  verify_gl checks a
-GL identity in the polynomial ring itself.
+so every one-step child is measure-checked; two_column_straighten and
+mead_step read the one-step rewrite (_template_rewrite).  term_order is
+the one order of output terms.  A term is (coef, left columns, right
+columns), a spliced one (coef, pair, key): its gamma power is not carried
+but read off its size drop where column tuples become BidetTerms
+(_bidet_terms), and the measure rejects an odd drop.  The coefficients
+lie in Z[1/2], and the engine computes on ints: each weight is an int
+over one power of two per pass (_heap_pass).  two_column_straighten,
+mead_step and normalize_pair are thin adapters that take and give
+tableaux, the first two over the one-step templates.  One output check
+(_check_output) serves GL, O and GO.  verify_gl checks a GL identity in
+the polynomial ring itself.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .tableaux import (
     Letter,
     Tableau,
     Violation,
-    _columns_increasing,
     _gl_standard,
     column_shape,
     letter_in_alphabet,
@@ -350,15 +350,16 @@ def _add_term(terms: dict, key, coef):
         terms.pop(key, None)
 
 
-def _two_column_terms(s_cols, t_cols):
-    """The two-column rewrite of [S:T] on raw columns: (viol, terms).
+def _two_column_rewrite(s_cols, t_cols) -> list:
+    """The two-column rewrite of [S:T] on raw columns: (coef, left columns, right columns).
 
     S = (s1, s2) and T = (t1, t2) are column tuples of a two-column pair
-    whose left side has a row violation; viol is its first row (1-based).
-    terms maps (left columns, right columns), normalized, to their merged
-    nonzero coefficients, the head and drop of two_column_straighten in one
-    map: head terms keep the column lengths of S and drop terms have a
-    longer first column, so no key is in both.
+    whose left side has a row violation; the rewrite expands at its first
+    violated row.  The terms are merged, with nonzero coefficients, the head
+    and drop of two_column_straighten in one list: head terms keep the
+    column lengths of S and drop terms have a longer first column, so no
+    block is in both.  Every block is normalized, as splice_block requires:
+    it comes from normal_columns.
     """
     if tuple(map(len, s_cols)) != tuple(map(len, t_cols)):
         raise DomainError("shape mismatch")
@@ -367,12 +368,11 @@ def _two_column_terms(s_cols, t_cols):
     if not all(a < b for col in (*s_cols, *t_cols) for a, b in zip(col, col[1:])):
         raise DomainError("columns must be strictly increasing")
     (s1, s2), (t1, t2) = s_cols, t_cols
-    viol = next((r for r, (a, b) in enumerate(zip(s1, s2), start=1) if a > b), None)
-    if viol is None:
+    tv = next((r for r, (a, b) in enumerate(zip(s1, s2), start=1) if a > b), None)
+    if tv is None:
         raise DomainError("left tableau has no row violation")
 
     k, ell = len(s1), len(s2)
-    tv = viol
     # auxiliary-matrix rows 0..k-1 carry the first column of S, k..k+ell-1
     # the second; its columns carry T's columns the same way.  Rows above
     # the violation are zeroed on the right block, rows below it (in the
@@ -418,7 +418,7 @@ def _two_column_terms(s_cols, t_cols):
                 tuple(cols[h] for h in c2)))
             if sign:
                 _add_term(terms, (left, right), delta * sign)
-    return viol, terms
+    return [(coef, left, right) for (left, right), coef in terms.items()]
 
 
 def _bidet_terms(terms, size: int) -> list[BidetTerm]:
@@ -513,44 +513,30 @@ def _check_measure(old, new):
                              "rewrite changed the shape without falling in measure")
 
 
-def _two_column_rewrite(s_cols, t_cols):
-    """The terms (coef, left columns, right columns) of the two-column rewrite as a list.
-
-    Every block is normalized, as splice_block requires: it comes from normal_columns.
-    """
-    _, terms = _two_column_terms(s_cols, t_cols)
-    return [(coef, left, right) for (left, right), coef in terms.items()]
-
-
-def _ranked(s_cols, t_cols):
-    """The sorted letters of each side of a two-column block, and the table entry of its rank key.
+def _template_terms(s_cols, t_cols, read):
+    """The terms read(entry) of the table entry of a two-column block's rank key, in its letters.
 
     A rewrite of the block only compares and equates letters, the left
     ones with left ones and the right ones with right ones.  So its terms on
     [S:T] are its terms on the ranks of the letters among the distinct
-    letters of each side, relabelled back; the relabelling is monotone and
-    injective, so it keeps every merge, sign, standardness verdict and the
-    order of the terms.
+    letters of each side, relabelled back by each column's getter on its
+    side's sorted letters; the relabelling is monotone and injective, so it
+    keeps every merge, sign, standardness verdict and the order of the terms.
     """
     (s1, s2), (t1, t2) = s_cols, t_cols
     lefts = tuple(sorted({*s1, *s2}))
     rights = tuple(sorted({*t1, *t2}))
     left_rank = dict(zip(lefts, itertools.count())).__getitem__
     right_rank = dict(zip(rights, itertools.count())).__getitem__
-    return lefts, rights, _template(((tuple(map(left_rank, s1)), tuple(map(left_rank, s2))),
-                                     (tuple(map(right_rank, t1)), tuple(map(right_rank, t2)))))
-
-
-def _relabelled(terms, lefts, rights):
-    """A table entry's terms in letters: each column's getter on its side's sorted letters."""
+    entry = _template(((tuple(map(left_rank, s1)), tuple(map(left_rank, s2))),
+                       (tuple(map(right_rank, t1)), tuple(map(right_rank, t2)))))
     return [(coef, tuple([g(lefts) for g in left]), tuple([g(rights) for g in right]))
-            for coef, left, right in terms]
+            for coef, left, right in read(entry)]
 
 
 def _template_rewrite(s_cols, t_cols):
     """_two_column_rewrite through the one-step rewrite of the block's rank key (_template)."""
-    lefts, rights, entry = _ranked(s_cols, t_cols)
-    return _relabelled(entry.step, lefts, rights)
+    return _template_terms(s_cols, t_cols, lambda entry: entry.step)
 
 
 def _normal_form(fuel: int, s_cols, t_cols):
@@ -561,8 +547,7 @@ def _normal_form(fuel: int, s_cols, t_cols):
     whose build, when the table has none, fuel bounds) relabelled back;
     every block is normalized, as splice_block requires.
     """
-    lefts, rights, entry = _ranked(s_cols, t_cols)
-    return _relabelled(entry.normal_form(fuel), lefts, rights)
+    return _template_terms(s_cols, t_cols, lambda entry: entry.normal_form(fuel))
 
 
 def _relabellers(terms):
@@ -589,12 +574,12 @@ class _Template:
 
     Each is computed the first time it is asked for.  step, for a key with
     a left row violation, is the two-column rewrite of the key
-    (_two_column_rewrite), which the OS3 switch, two_column_straighten,
-    mead_step and the builds of normal forms read.  normal, for a key with
-    a row violation on either side, is the block's bideterminant
-    straightened until both sides are GL-standard: what a GL step of the
-    engine splices; it is None until normal_form builds it.  Both are
-    tuples of (coef, left relabellers, right relabellers) (_relabellers).
+    (_two_column_rewrite), which every one-step rewrite of a block reads
+    (_template_rewrite).  normal, for a key with a row violation on either
+    side, is the block's bideterminant straightened until both sides are
+    GL-standard: what a GL step of the engine splices; it is None until
+    normal_form builds it.  Both are tuples of (coef, left relabellers,
+    right relabellers) (_relabellers).
     """
 
     def __init__(self, key):
@@ -884,35 +869,3 @@ def verify_gl(comb: Combination, n: int, num_points: int, seed: int = 1) -> tupl
 def _content(cols) -> list:
     """The letter multiset of a tableau's columns, as a sorted list."""
     return sorted(itertools.chain.from_iterable(cols))
-
-
-# ---------------------------------------------------------------------------
-# the one-switch expansion
-# ---------------------------------------------------------------------------
-
-def _switch_terms(s_cols, t_cols, row: int):
-    """[S*:T] - [S:T] from the templates, S* the switch of the pair (bar i, i) in a row.
-
-    S must be GL-standard with bar(i) in column 1 and i in column 2 of the
-    given 1-based row.  Returns (S* columns, {(left cols, right cols): coef}),
-    merged: the same-shape tail (all terms above S* in the tableau order)
-    and the column-rebalanced remainder.
-    """
-    if len(s_cols) != 2:
-        raise DomainError("two-column tableau required")
-    c1, c2 = list(s_cols[0]), list(s_cols[1])
-    if not (len(c1) >= row and len(c2) >= row):
-        raise DomainError("row out of range")
-    a, b = c1[row - 1], c2[row - 1]
-    if not a.barred or a.bar() != b:
-        raise DomainError("row must contain the pair (bar i, i)")
-    c1[row - 1], c2[row - 1] = b, a
-    star = (tuple(c1), tuple(c2))
-    if not _columns_increasing(star):
-        raise DomainError("switched tableau is not column increasing")
-    terms = {(left, right): coef for coef, left, right in _template_rewrite(star, t_cols)}
-    base = (s_cols, t_cols)
-    if terms.get(base) != 1:
-        raise AssertionError("lowest term of the switch expansion is not [S:T]")
-    _add_term(terms, base, -1)
-    return star, terms

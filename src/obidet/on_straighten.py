@@ -15,8 +15,10 @@ first violation (tableaux.orthogonal_violations) and the terms of its
 repair; the rule splices them on the columns the violation names and
 checks them against its one measure.  All four repairs are one kernel on
 column tuples, _repair_terms, which takes the violation the rule found;
-fix_os1/2/3, reduce_tall_shape and relation_rhs are its adapters on
-tableaux.
+fix_os1/2/3 (one body, _repair), reduce_tall_shape and relation_rhs are
+its adapters on tableaux.  OS3 is solved with this module's pair-row
+switch (_switch_terms), which reads the switched block's one-step rewrite
+from the GL template table (gl_straighten._template_rewrite).
 
 The rules work on the similitude group GO(n): each degree-d collapse
 deletes d pairs for gamma^d and the column reduction trades det^2 for
@@ -35,6 +37,7 @@ from .tableaux import (
     DomainError,
     Letter,
     Tableau,
+    _columns_increasing,
     _letter_index,
     _letters,
     conjugate,
@@ -51,7 +54,7 @@ from .gl_straighten import (
     _check_input,
     _check_output,
     _in_domain,
-    _switch_terms,
+    _template_rewrite,
     normal_columns,
     run_straightening,
     sort_letters,
@@ -266,6 +269,34 @@ def _pair_context(c1, c2, j: int, dropped: Letter | None):
     return pairs, excluded, sign, s0_col1, s0_col2
 
 
+def _switch_terms(s_cols, t_cols, row: int):
+    """[S*:T] - [S:T] from the templates, S* the switch of the pair (bar i, i) in a row.
+
+    S must be GL-standard with bar(i) in column 1 and i in column 2 of the
+    given 1-based row.  Returns (S* columns, {(left cols, right cols): coef}),
+    merged: the same-shape tail (all terms above S* in the tableau order)
+    and the column-rebalanced remainder.
+    """
+    if len(s_cols) != 2:
+        raise DomainError("two-column tableau required")
+    c1, c2 = list(s_cols[0]), list(s_cols[1])
+    if not (len(c1) >= row and len(c2) >= row):
+        raise DomainError("row out of range")
+    a, b = c1[row - 1], c2[row - 1]
+    if not a.barred or a.bar() != b:
+        raise DomainError("row must contain the pair (bar i, i)")
+    c1[row - 1], c2[row - 1] = b, a
+    star = (tuple(c1), tuple(c2))
+    if not _columns_increasing(star):
+        raise DomainError("switched tableau is not column increasing")
+    terms = {(left, right): coef for coef, left, right in _template_rewrite(star, t_cols)}
+    base = (s_cols, t_cols)
+    if terms.get(base) != 1:
+        raise AssertionError("lowest term of the switch expansion is not [S:T]")
+    _add_term(terms, base, -1)
+    return star, terms
+
+
 def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
     """The COLSUM, OS1, OS2 or OS3 repair of the two-column pair [S:T] on GO(n).
 
@@ -330,8 +361,10 @@ def _repair_terms(kind: str, j: int, s_cols, t_cols, n: int) -> list:
     return [(coef, left, right) for (left, right), coef in terms.items()]
 
 
-def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None) -> Combination:
-    """The OS1, OS2 or OS3 repair of a two-column pair at index j, on GO(n) over Z[1/2]."""
+def _repair(s: Tableau, t: Tableau, kind: str, j: int, mode: str, n: int | None,
+            domain: CoeffDomain) -> Combination:
+    """The OS1, OS2 or OS3 repair of a two-column pair at index j, mapped to the mode and domain."""
+    _require_mode(mode)
     n = _require_n(n)
     if not any(v.kind == kind and v.witness == j and (kind != "OS3" or v.column == 2)
                for v in on_standard_report(s, n).violations):
@@ -339,29 +372,26 @@ def _repair(s: Tableau, t: Tableau, kind: str, j: int, n: int | None) -> Combina
         raise DomainError(f"no {what} violation at index {j}")
     if s.shape != t.shape or len(s.columns()) != 2:
         raise DomainError("two-column tableaux of one shape required")
-    return Combination(_bidet_terms(_repair_terms(kind, j, s.columns(), t.columns(), n),
-                                    s.size))
+    terms = _bidet_terms(_repair_terms(kind, j, s.columns(), t.columns(), n), s.size)
+    return _mode_and_domain(Combination(terms), mode, domain)
 
 
 def fix_os1(s: Tableau, t: Tableau, j: int, mode: str = ON,
             n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
     """Repair a count violation (more than 2j small entries in the columns)."""
-    _require_mode(mode)
-    return _mode_and_domain(_repair(s, t, "OS1", j, n), mode, domain)
+    return _repair(s, t, "OS1", j, mode, n, domain)
 
 
 def fix_os2(s: Tableau, t: Tableau, j: int, mode: str = ON,
             n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
     """Repair an unprotected entry in the first column (strict count case)."""
-    _require_mode(mode)
-    return _mode_and_domain(_repair(s, t, "OS2", j, n), mode, domain)
+    return _repair(s, t, "OS2", j, mode, n, domain)
 
 
 def fix_os3(s: Tableau, t: Tableau, j: int, mode: str = ON,
             n: int | None = None, domain: CoeffDomain = QQ) -> Combination:
     """Repair an unprotected pair row (equal count case); needs 1/2."""
-    _require_mode(mode)
-    return _mode_and_domain(_repair(s, t, "OS3", j, n), mode, domain)
+    return _repair(s, t, "OS3", j, mode, n, domain)
 
 
 def _require_mode(mode):

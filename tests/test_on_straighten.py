@@ -40,7 +40,6 @@ from obidet.gl_straighten import (
     Combination,
     _measure_key,
     _two_column_rewrite,
-    _two_column_terms,
     normal_columns,
     normalize_pair,
     single_term,
@@ -1042,6 +1041,7 @@ def deep_corpus_run():
         mp.setattr(gl_module, "splice_block", recording_splice)
         mp.setattr(gl_module, "_normal_form", recording_normal)
         mp.setattr(gl_module, "_template_rewrite", recording_step)
+        mp.setattr(on_module, "_template_rewrite", recording_step)
         mp.setattr(on_module, "_repair_terms", recording_repair)
         mp.setattr(on_module, "_switch_terms", recording_switch)
         gl_module._template.cache_clear()
@@ -1250,8 +1250,8 @@ def test_template_rewrite_matches_the_raw_kernel(deep_corpus_run):
     for s_cols, t_cols, terms in rewrites:
         assert terms == raw_normal_form(s_cols, t_cols)
     for s_cols, t_cols, terms in switches:
-        assert {(left, right): coef for coef, left, right in terms} == _two_column_terms(
-            s_cols, t_cols)[1]
+        assert {(left, right): coef for coef, left, right in terms} == {
+            (left, right): coef for coef, left, right in _two_column_rewrite(s_cols, t_cols)}
 
 
 def record_normal_builds(monkeypatch):
@@ -1287,6 +1287,8 @@ def test_each_template_is_computed_once_per_process(monkeypatch):
 
     monkeypatch.setattr(gl_module, "_two_column_rewrite", counting_rewrite)
     monkeypatch.setattr(gl_module, "_template_rewrite", counting_step)
+    monkeypatch.setattr(importlib.import_module("obidet.on_straighten"),
+                        "_template_rewrite", counting_step)
     built = record_normal_builds(monkeypatch)
     s, t = Tableau.parse("1b 3b 1; 3b 3"), Tableau.parse("2 1 1b; 3b 3b")
     # a monotone relabelling into alphabet(8) keeps every order pattern
